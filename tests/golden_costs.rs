@@ -1,0 +1,375 @@
+//! Golden cost pins: the exact modelled charges of the `lda_sample` and
+//! `lda_infer` kernels.
+//!
+//! The kernels' host code may be restructured for speed (shared prefix
+//! passes, cached L1 lookups, reused scratch), but every modelled charge —
+//! each `KernelCost` field and the roofline seconds derived from it — must
+//! come out exactly as before, and so must the sampled topics and the
+//! inferred posteriors. These pins were recorded from the straightforward
+//! per-token implementation; a mismatch means a host-side change leaked
+//! into the model.
+//!
+//! The fixtures cover the cases a run-sharing fast path could get wrong:
+//! repeated (document, word) runs within one sampler, θ rows wider than the
+//! 24-line L1 model (K_d > 512), and a token whose document has an empty θ
+//! row (S = 0, so the p1 branch can never be taken).
+//!
+//! Re-pin deliberately with `CULDA_PRINT_GOLDEN=1 cargo test --test
+//! golden_costs -- --nocapture` and say why in the commit message.
+
+use culda::corpus::{partition_by_tokens, CsrMatrix, SortedChunk, SynthSpec};
+use culda::gpusim::memory::AtomicU16Buf;
+use culda::gpusim::{Device, GpuSpec, LaunchReport};
+use culda::sampler::{
+    accumulate_phi_host, build_block_map, run_infer_kernel, run_sampling_kernel, ChunkState,
+    DrawMode, InferDoc, InferKernelConfig, PhiModel, Priors, SampleConfig,
+};
+
+/// FNV-1a over a byte stream.
+fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
+/// One pinned line: every `KernelCost` field plus the bits of `sim_seconds`.
+fn cost_line(label: &str, r: &LaunchReport) -> String {
+    let c = &r.cost;
+    format!(
+        "{label} {} {} {} {} {} {} {:#x}",
+        c.dram_read_bytes,
+        c.dram_write_bytes,
+        c.shared_bytes,
+        c.flops,
+        c.atomics,
+        c.blocks,
+        r.sim_seconds.to_bits()
+    )
+}
+
+fn check(name: &str, got: &[String], pinned: &[&str]) {
+    if std::env::var("CULDA_PRINT_GOLDEN").is_ok() {
+        println!("const {name}: &[&str] = &[");
+        for line in got {
+            println!("    {line:?},");
+        }
+        println!("];");
+    }
+    assert_eq!(got.len(), pinned.len(), "{name}: launch count changed");
+    for (g, p) in got.iter().zip(pinned) {
+        assert_eq!(g, p, "{name}: modelled charge changed");
+    }
+}
+
+struct Fixture {
+    name: &'static str,
+    chunk: SortedChunk,
+    state: ChunkState,
+    phi: PhiModel,
+    tokens_per_block: usize,
+}
+
+fn corpus_fixture(
+    name: &'static str,
+    k: usize,
+    docs: usize,
+    vocab: usize,
+    len: f64,
+    tpb: usize,
+) -> Fixture {
+    let mut spec = SynthSpec::tiny();
+    spec.num_docs = docs;
+    spec.vocab_size = vocab;
+    spec.avg_doc_len = len;
+    spec.topic_support = vocab.min(spec.topic_support);
+    spec.seed = 0x60_1D_C0 ^ k as u64;
+    let corpus = spec.generate();
+    let chunks = partition_by_tokens(&corpus, 1);
+    let chunk = SortedChunk::build(&corpus, &chunks[0]);
+    let state = ChunkState::init_random(&chunk, k, 7);
+    let phi = PhiModel::zeros(k, corpus.vocab_size(), Priors::paper(k));
+    accumulate_phi_host(&chunk, &state.z, &phi);
+    Fixture {
+        name,
+        chunk,
+        state,
+        phi,
+        tokens_per_block: tpb,
+    }
+}
+
+/// Three fixtures: short docs over a small vocabulary (many repeated
+/// (doc, word) runs, K = 64), long docs at K = 1024 (θ rows past 512
+/// non-zeros), and the first with one document's θ row emptied (S = 0).
+fn fixtures() -> Vec<Fixture> {
+    let repeats = corpus_fixture("repeats", 64, 60, 40, 50.0, 256);
+    let long = corpus_fixture("long_rows", 1024, 6, 300, 1500.0, 512);
+
+    let base = corpus_fixture("empty_s", 64, 60, 40, 50.0, 96);
+    let rows = base.state.theta.num_rows();
+    let dense: Vec<Vec<u32>> = (0..rows)
+        .map(|d| {
+            let mut row = vec![0u32; 64];
+            if d != 0 {
+                let (cols, vals) = base.state.theta.row(d);
+                for (&c, &v) in cols.iter().zip(vals) {
+                    row[c as usize] = v;
+                }
+            }
+            row
+        })
+        .collect();
+    let empty = Fixture {
+        state: ChunkState {
+            z: AtomicU16Buf::from_vec(base.state.z.snapshot()),
+            theta: CsrMatrix::from_dense_rows(&dense, 64),
+        },
+        ..base
+    };
+    vec![repeats, long, empty]
+}
+
+fn fresh(state: &ChunkState) -> ChunkState {
+    ChunkState {
+        z: AtomicU16Buf::from_vec(state.z.snapshot()),
+        theta: state.theta.clone(),
+    }
+}
+
+#[test]
+fn fixtures_cover_runs_wide_rows_and_empty_s() {
+    let fx = fixtures();
+    let runs = |f: &Fixture| {
+        let c = &f.chunk;
+        (0..c.word_ids.len())
+            .flat_map(|wi| {
+                c.word_tokens(wi)
+                    .collect::<Vec<_>>()
+                    .windows(2)
+                    .map(|w| (w[0], w[1]))
+                    .collect::<Vec<_>>()
+            })
+            .filter(|&(a, b)| c.token_doc[a] == c.token_doc[b])
+            .count()
+    };
+    assert!(runs(&fx[0]) > 100, "repeats fixture has too few runs");
+    let max_kd = (0..fx[1].state.theta.num_rows())
+        .map(|d| fx[1].state.theta.row(d).0.len())
+        .max()
+        .unwrap();
+    assert!(max_kd > 512, "long_rows fixture tops out at K_d = {max_kd}");
+    assert!(fx[2].state.theta.row(0).0.is_empty());
+    assert!(fx[2].chunk.token_doc.contains(&0), "doc 0 has no tokens");
+}
+
+#[test]
+fn lda_sample_charges_are_pinned() {
+    let mut lines = Vec::new();
+    for f in fixtures() {
+        let inv = f.phi.inv_denominators();
+        let map = build_block_map(&f.chunk, f.tokens_per_block);
+        let mut z_hash = None;
+        for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
+            for shared in [true, false] {
+                for l1 in [true, false] {
+                    for sparse in [false, true] {
+                        let mut cfg = SampleConfig::new(0x5EED);
+                        cfg.iteration = 3;
+                        cfg.draw = draw;
+                        cfg.use_shared_memory = shared;
+                        cfg.use_l1_for_indices = l1;
+                        cfg.sparse = sparse;
+                        let state = fresh(&f.state);
+                        let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+                        let r =
+                            run_sampling_kernel(&dev, &f.chunk, &state, &f.phi, &inv, &map, &cfg);
+                        let label = format!(
+                            "{}/{draw}/shared={}/l1={}/sparse={}",
+                            f.name, shared as u8, l1 as u8, sparse as u8
+                        );
+                        lines.push(cost_line(&label, &r));
+                        let h = fnv(state.z.snapshot().into_iter().flat_map(u16::to_le_bytes));
+                        assert_eq!(*z_hash.get_or_insert(h), h, "{label}: topics changed");
+                    }
+                }
+            }
+        }
+        lines.push(format!("{}/z {:#x}", f.name, z_hash.unwrap()));
+    }
+    check("SAMPLE_PINS", &lines, SAMPLE_PINS);
+}
+
+#[test]
+fn lda_infer_charges_are_pinned() {
+    let mut lines = Vec::new();
+    for (name, k) in [("k64", 64usize), ("k8192", 8192)] {
+        let f = corpus_fixture("infer", k, 40, 120, 30.0, 256);
+        let inv = f.phi.inv_denominators();
+        let held: Vec<Vec<u32>> = {
+            let mut spec = SynthSpec::tiny();
+            spec.num_docs = 5;
+            spec.vocab_size = 120;
+            spec.avg_doc_len = if k > 1024 { 12.0 } else { 40.0 };
+            spec.seed = 0x1_F01D;
+            let mut docs: Vec<Vec<u32>> = spec
+                .generate()
+                .docs
+                .iter()
+                .map(|d| d.words.clone())
+                .collect();
+            docs.push(Vec::new()); // an empty request document
+            docs
+        };
+        let batch: Vec<InferDoc<'_>> = held
+            .iter()
+            .enumerate()
+            .map(|(i, w)| InferDoc {
+                stream_id: 100 + i as u64,
+                words: w,
+            })
+            .collect();
+        let mut post_hash = None;
+        for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
+            for shared in [true, false] {
+                for compressed in [true, false] {
+                    let mut cfg = InferKernelConfig::new(0x1F);
+                    cfg.burnin = 2;
+                    cfg.samples = 2;
+                    cfg.draw = draw;
+                    cfg.use_shared_memory = shared;
+                    cfg.compressed = compressed;
+                    let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+                    let (post, r) = run_infer_kernel(&dev, &f.phi, &inv, &batch, &cfg);
+                    let label = format!(
+                        "{name}/{draw}/shared={}/compressed={}",
+                        shared as u8, compressed as u8
+                    );
+                    lines.push(cost_line(&label, &r));
+                    let h = fnv(post.iter().flat_map(|p| {
+                        let acc = p.theta_acc.iter().flat_map(|c| c.to_le_bytes());
+                        let ll = p
+                            .sweep_log_predictive
+                            .iter()
+                            .flat_map(|l| l.to_bits().to_le_bytes());
+                        acc.chain(p.acc_sweeps.to_le_bytes())
+                            .chain(ll)
+                            .collect::<Vec<_>>()
+                    }));
+                    assert_eq!(*post_hash.get_or_insert(h), h, "{label}: posterior changed");
+                }
+            }
+        }
+        lines.push(format!("{name}/posterior {:#x}", post_hash.unwrap()));
+    }
+    check("INFER_PINS", &lines, INFER_PINS);
+}
+
+const SAMPLE_PINS: &[&str] = &[
+    "repeats/tree/shared=1/l1=1/sparse=0 245856 5808 1262388 322812 0 47 0x3ee06993ada86bad",
+    "repeats/tree/shared=1/l1=1/sparse=1 234516 5808 1257764 320648 0 47 0x3ee05597f653ab08",
+    "repeats/tree/shared=1/l1=0/sparse=0 657240 5808 634812 322812 0 47 0x3ee33e83c8e9962a",
+    "repeats/tree/shared=1/l1=0/sparse=1 645900 5808 630188 320648 0 47 0x3ee32a881194d585",
+    "repeats/tree/shared=0/l1=1/sparse=0 1477212 1816400 627576 322812 0 47 0x3ef2ad09afe73b03",
+    "repeats/tree/shared=0/l1=1/sparse=1 1465872 1812368 627576 320648 0 47 0x3ef29f7e5e4feba4",
+    "repeats/tree/shared=0/l1=0/sparse=0 1888596 1816400 0 322812 0 47 0x3ef41781bd87d042",
+    "repeats/tree/shared=0/l1=0/sparse=1 1877256 1812368 0 320648 0 47 0x3ef409f66bf080e3",
+    "repeats/butterfly/shared=1/l1=1/sparse=0 245856 5808 1471296 388999 0 47 0x3ee06993ada86bad",
+    "repeats/butterfly/shared=1/l1=1/sparse=1 234516 5808 1466672 386835 0 47 0x3ee05597f653ab08",
+    "repeats/butterfly/shared=1/l1=0/sparse=0 657240 5808 843720 388999 0 47 0x3ee33e83c8e9962a",
+    "repeats/butterfly/shared=1/l1=0/sparse=1 645900 5808 839096 386835 0 47 0x3ee32a881194d585",
+    "repeats/butterfly/shared=0/l1=1/sparse=0 895516 187460 627576 388999 0 47 0x3ee6228245a92fab",
+    "repeats/butterfly/shared=0/l1=1/sparse=1 884176 183428 627576 386835 0 47 0x3ee6076ba27a90ed",
+    "repeats/butterfly/shared=0/l1=0/sparse=0 1306900 187460 0 388999 0 47 0x3ee8f77260ea5a28",
+    "repeats/butterfly/shared=0/l1=0/sparse=1 1295560 183428 0 386835 0 47 0x3ee8dc5bbdbbbb6a",
+    "repeats/auto/shared=1/l1=1/sparse=0 245856 5808 1262388 322812 0 47 0x3ee06993ada86bad",
+    "repeats/auto/shared=1/l1=1/sparse=1 234516 5808 1257764 320648 0 47 0x3ee05597f653ab08",
+    "repeats/auto/shared=1/l1=0/sparse=0 657240 5808 634812 322812 0 47 0x3ee33e83c8e9962a",
+    "repeats/auto/shared=1/l1=0/sparse=1 645900 5808 630188 320648 0 47 0x3ee32a881194d585",
+    "repeats/auto/shared=0/l1=1/sparse=0 895516 187460 627576 388999 0 47 0x3ee6228245a92fab",
+    "repeats/auto/shared=0/l1=1/sparse=1 884176 183428 627576 386835 0 47 0x3ee6076ba27a90ed",
+    "repeats/auto/shared=0/l1=0/sparse=0 1306900 187460 0 388999 0 47 0x3ee8f77260ea5a28",
+    "repeats/auto/shared=0/l1=0/sparse=1 1295560 183428 0 386835 0 47 0x3ee8dc5bbdbbbb6a",
+    "repeats/z 0x68e2bae03077b4da",
+    "long_rows/tree/shared=1/l1=1/sparse=0 50886044 216643646 71789500 21678444 0 263 0x3f4861181590beb1",
+    "long_rows/tree/shared=1/l1=1/sparse=1 49341904 216643646 70761508 21180832 0 263 0x3f483d690e3b16d9",
+    "long_rows/tree/shared=1/l1=0/sparse=0 51440116 216643646 30048484 21678444 0 263 0x3f486de5efe0a822",
+    "long_rows/tree/shared=1/l1=0/sparse=1 49895976 216643646 29020492 21180832 0 263 0x3f484a36e88b004b",
+    "long_rows/tree/shared=0/l1=1/sparse=0 78746368 217720894 41741016 21678444 0 263 0x3f4afdd0d1a3a5a2",
+    "long_rows/tree/shared=0/l1=1/sparse=1 77202228 216727718 41741016 21180832 0 263 0x3f4ac32e3a4832d4",
+    "long_rows/tree/shared=0/l1=0/sparse=0 79300440 217720894 0 21678444 0 263 0x3f4b0a9eabf38f13",
+    "long_rows/tree/shared=0/l1=0/sparse=1 77756300 216727718 0 21180832 0 263 0x3f4acffc14981c45",
+    "long_rows/butterfly/shared=1/l1=1/sparse=0 43925436 27095770 71789500 28541478 0 263 0x3f2a8fd44d905dc5",
+    "long_rows/butterfly/shared=1/l1=1/sparse=1 42381296 27095770 70761508 28043866 0 263 0x3f2a01183039be65",
+    "long_rows/butterfly/shared=1/l1=0/sparse=0 44479508 27095770 30048484 28541478 0 263 0x3f2ac30bb6d00389",
+    "long_rows/butterfly/shared=1/l1=0/sparse=1 42935368 27095770 29020492 28043866 0 263 0x3f2a344f9979642a",
+    "long_rows/butterfly/shared=0/l1=1/sparse=0 71785760 28173018 41741016 28541478 0 263 0x3f32815b9eedfcc4",
+    "long_rows/butterfly/shared=0/l1=1/sparse=1 70241620 27179842 41741016 28043866 0 263 0x3f320c1670371728",
+    "long_rows/butterfly/shared=0/l1=0/sparse=0 72339832 28173018 0 28541478 0 263 0x3f329af7538dcfa6",
+    "long_rows/butterfly/shared=0/l1=0/sparse=1 70795692 27179842 0 28043866 0 263 0x3f3225b224d6ea0a",
+    "long_rows/auto/shared=1/l1=1/sparse=0 43925436 27095770 71789500 28541478 0 263 0x3f2a8fd44d905dc5",
+    "long_rows/auto/shared=1/l1=1/sparse=1 42381296 27095770 70761508 28043866 0 263 0x3f2a01183039be65",
+    "long_rows/auto/shared=1/l1=0/sparse=0 44479508 27095770 30048484 28541478 0 263 0x3f2ac30bb6d00389",
+    "long_rows/auto/shared=1/l1=0/sparse=1 42935368 27095770 29020492 28043866 0 263 0x3f2a344f9979642a",
+    "long_rows/auto/shared=0/l1=1/sparse=0 71785760 28173018 41741016 28541478 0 263 0x3f32815b9eedfcc4",
+    "long_rows/auto/shared=0/l1=1/sparse=1 70241620 27179842 41741016 28043866 0 263 0x3f320c1670371728",
+    "long_rows/auto/shared=0/l1=0/sparse=0 72339832 28173018 0 28541478 0 263 0x3f329af7538dcfa6",
+    "long_rows/auto/shared=0/l1=0/sparse=1 70795692 27179842 0 28043866 0 263 0x3f3225b224d6ea0a",
+    "long_rows/z 0xb36dcf2faabf6d23",
+    "empty_s/tree/shared=1/l1=1/sparse=0 251616 5808 1260164 322584 0 61 0x3ee02ad279406679",
+    "empty_s/tree/shared=1/l1=1/sparse=1 240276 5808 1255540 320420 0 61 0x3ee01a0ced1944ca",
+    "empty_s/tree/shared=1/l1=0/sparse=0 656784 5808 638420 322584 0 61 0x3ee2820f1019f4dc",
+    "empty_s/tree/shared=1/l1=0/sparse=1 645444 5808 633796 320420 0 61 0x3ee2714983f2d32d",
+    "empty_s/tree/shared=0/l1=1/sparse=0 1472916 1807888 621744 322584 0 61 0x3ef0d12cdc69df9b",
+    "empty_s/tree/shared=0/l1=1/sparse=1 1461576 1803856 621744 320420 0 61 0x3ef0c5ceca38986b",
+    "empty_s/tree/shared=0/l1=0/sparse=0 1878084 1807888 0 322584 0 61 0x3ef1fccb27d6a6cc",
+    "empty_s/tree/shared=0/l1=0/sparse=1 1866744 1803856 0 320420 0 61 0x3ef1f16d15a55f9c",
+    "empty_s/butterfly/shared=1/l1=1/sparse=0 251616 5808 1469984 388309 0 61 0x3ee02ad279406679",
+    "empty_s/butterfly/shared=1/l1=1/sparse=1 240276 5808 1465360 386145 0 61 0x3ee01a0ced1944ca",
+    "empty_s/butterfly/shared=1/l1=0/sparse=0 656784 5808 848240 388309 0 61 0x3ee2820f1019f4dc",
+    "empty_s/butterfly/shared=1/l1=0/sparse=1 645444 5808 843616 386145 0 61 0x3ee2714983f2d32d",
+    "empty_s/butterfly/shared=0/l1=1/sparse=0 898516 191044 621744 388309 0 61 0x3ee4f9898fcf3809",
+    "empty_s/butterfly/shared=0/l1=1/sparse=1 887176 187012 621744 386145 0 61 0x3ee4e2cd6b6ca9aa",
+    "empty_s/butterfly/shared=0/l1=0/sparse=0 1303684 191044 0 388309 0 61 0x3ee750c626a8c66c",
+    "empty_s/butterfly/shared=0/l1=0/sparse=1 1292344 187012 0 386145 0 61 0x3ee73a0a0246380c",
+    "empty_s/auto/shared=1/l1=1/sparse=0 251616 5808 1260164 322584 0 61 0x3ee02ad279406679",
+    "empty_s/auto/shared=1/l1=1/sparse=1 240276 5808 1255540 320420 0 61 0x3ee01a0ced1944ca",
+    "empty_s/auto/shared=1/l1=0/sparse=0 656784 5808 638420 322584 0 61 0x3ee2820f1019f4dc",
+    "empty_s/auto/shared=1/l1=0/sparse=1 645444 5808 633796 320420 0 61 0x3ee2714983f2d32d",
+    "empty_s/auto/shared=0/l1=1/sparse=0 898516 191044 621744 388309 0 61 0x3ee4f9898fcf3809",
+    "empty_s/auto/shared=0/l1=1/sparse=1 887176 187012 621744 386145 0 61 0x3ee4e2cd6b6ca9aa",
+    "empty_s/auto/shared=0/l1=0/sparse=0 1303684 191044 0 388309 0 61 0x3ee750c626a8c66c",
+    "empty_s/auto/shared=0/l1=0/sparse=1 1292344 187012 0 386145 0 61 0x3ee73a0a0246380c",
+    "empty_s/z 0xee02cda9b9d670b7",
+];
+
+const INFER_PINS: &[&str] = &[
+    "k64/tree/shared=1/compressed=1 347136 2260 295276 289280 0 6 0x3ef0c28d525de882",
+    "k64/tree/shared=1/compressed=0 462848 2260 295276 289280 0 6 0x3ef3e12fecb6c49a",
+    "k64/tree/shared=0/compressed=1 641508 2260 0 289280 0 6 0x3ef8b248d7c9af4b",
+    "k64/tree/shared=0/compressed=0 757220 2260 0 289280 0 6 0x3efbd0eb72228b63",
+    "k64/butterfly/shared=1/compressed=1 347136 2260 348040 353464 0 6 0x3ef0c28d525de882",
+    "k64/butterfly/shared=1/compressed=0 462848 2260 348040 353464 0 6 0x3ef3e12fecb6c49a",
+    "k64/butterfly/shared=0/compressed=1 462848 233684 0 353464 0 6 0x3efa1e7521687cca",
+    "k64/butterfly/shared=0/compressed=0 578560 233684 0 353464 0 6 0x3efd3d17bbc158e2",
+    "k64/auto/shared=1/compressed=1 347136 2260 295276 289280 0 6 0x3ef0c28d525de882",
+    "k64/auto/shared=1/compressed=0 462848 2260 295276 289280 0 6 0x3ef3e12fecb6c49a",
+    "k64/auto/shared=0/compressed=1 462848 233684 0 353464 0 6 0x3efa1e7521687cca",
+    "k64/auto/shared=0/compressed=0 578560 233684 0 353464 0 6 0x3efd3d17bbc158e2",
+    "k64/posterior 0xb57c160dd5f0a01e",
+    "k8192/tree/shared=1/compressed=1 27248712 830 0 13598720 0 6 0x3f47300a08eb5f81",
+    "k8192/tree/shared=1/compressed=0 32688200 830 0 13598720 0 6 0x3f4bc54165fee6ca",
+    "k8192/tree/shared=0/compressed=1 27248712 830 0 13598720 0 6 0x3f47300a08eb5f81",
+    "k8192/tree/shared=0/compressed=0 32688200 830 0 13598720 0 6 0x3f4bc54165fee6ca",
+    "k8192/butterfly/shared=1/compressed=1 16360960 10879806 0 16323112 0 6 0x3f472e2576f7eb01",
+    "k8192/butterfly/shared=1/compressed=0 21800448 10879806 0 16323112 0 6 0x3f4bc35cd40b724b",
+    "k8192/butterfly/shared=0/compressed=1 16360960 10879806 0 16323112 0 6 0x3f472e2576f7eb01",
+    "k8192/butterfly/shared=0/compressed=0 21800448 10879806 0 16323112 0 6 0x3f4bc35cd40b724b",
+    "k8192/auto/shared=1/compressed=1 16360960 10879806 0 16323112 0 6 0x3f472e2576f7eb01",
+    "k8192/auto/shared=1/compressed=0 21800448 10879806 0 16323112 0 6 0x3f4bc35cd40b724b",
+    "k8192/auto/shared=0/compressed=1 16360960 10879806 0 16323112 0 6 0x3f472e2576f7eb01",
+    "k8192/auto/shared=0/compressed=0 21800448 10879806 0 16323112 0 6 0x3f4bc35cd40b724b",
+    "k8192/posterior 0x7b394dec67f41e6f",
+];
