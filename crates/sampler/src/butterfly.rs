@@ -79,19 +79,33 @@ impl ButterflyBatch {
     /// prefixes (and any draw over them) are bit-identical to the tree
     /// path's.
     pub fn set_lane(&mut self, lane: usize, weights: &[f32]) -> f32 {
+        self.fill_lane(lane, weights.iter().copied())
+    }
+
+    /// [`ButterflyBatch::set_lane`] over weights produced on the fly, so a
+    /// caller computing them (the sampling kernel's `θ·p*` products) makes
+    /// one pass instead of materialising a weight vector first.
+    pub fn fill_lane<I>(&mut self, lane: usize, weights: I) -> f32
+    where
+        I: IntoIterator<Item = f32>,
+        I::IntoIter: ExactSizeIterator,
+    {
         assert!(lane < WARP_SIZE, "lane {lane} out of warp");
-        assert!(!weights.is_empty(), "empty distribution");
-        let needed = weights.len() * WARP_SIZE;
+        let weights = weights.into_iter();
+        let len = weights.len();
+        assert!(len > 0, "empty distribution");
+        let needed = len * WARP_SIZE;
         if self.data.len() < needed {
             self.data.resize(needed, 0.0);
         }
         let mut acc = 0.0f32;
-        for (j, &w) in weights.iter().enumerate() {
+        // Step j's 32 slots are one chunk; this lane writes its entry.
+        for (step, w) in self.data.chunks_exact_mut(WARP_SIZE).zip(weights) {
             debug_assert!(w >= 0.0 && w.is_finite(), "bad weight {w}");
             acc += w;
-            self.data[j * WARP_SIZE + lane] = acc;
+            step[lane] = acc;
         }
-        self.lens[lane] = weights.len();
+        self.lens[lane] = len;
         acc
     }
 

@@ -267,6 +267,22 @@ impl CountMatrix {
         }
     }
 
+    /// Copies all of `row` into `out` (`cols` counts) under one lock — the
+    /// read for callers that need a whole row, instead of `cols` calls to
+    /// [`CountMatrix::get`] that each lock and, on a sparse row, search.
+    pub fn row_into(&self, row: usize, out: &mut [u32]) {
+        assert_eq!(out.len(), self.cols, "row buffer size");
+        match &*self.slots[row].lock().unwrap() {
+            RowStore::Dense(cells) => out.copy_from_slice(cells),
+            RowStore::Sparse(cells) => {
+                out.fill(0);
+                for &(t, c) in cells {
+                    out[t as usize] = c;
+                }
+            }
+        }
+    }
+
     /// Adds `delta` to `(row, col)`, promoting the row to dense storage
     /// when its nnz crosses the cutover. Safe under concurrent callers
     /// (the row mutex serialises writers); integer adds commute, so totals
@@ -613,6 +629,21 @@ mod tests {
         for t in 0..k {
             let c = m.get(0, t);
             assert_eq!(sparse[t].to_bits(), ((c as f32 + beta) * inv[t]).to_bits());
+        }
+    }
+
+    #[test]
+    fn row_into_matches_get_in_both_layouts() {
+        let m = CountMatrix::zeros(2, 16);
+        m.add(0, 3, 11);
+        m.add(0, 15, 2);
+        m.add(1, 0, 5);
+        m.force_dense_row(1);
+        let mut row = vec![7u32; 16];
+        for r in 0..2 {
+            m.row_into(r, &mut row);
+            let want: Vec<u32> = (0..16).map(|t| m.get(r, t)).collect();
+            assert_eq!(row, want, "row {r}");
         }
     }
 

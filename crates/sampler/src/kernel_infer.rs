@@ -151,6 +151,7 @@ fn fold_in_doc(
 
     let mut tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
     let mut weights = vec![0.0f32; k];
+    let mut phi_row = vec![0u32; k];
     let mut run_acc = vec![0u64; k];
     let mut theta_acc = vec![0u64; k];
     let mut acc_sweeps = 0u32;
@@ -160,14 +161,13 @@ fn fold_in_doc(
         for (i, &w) in doc.words.iter().enumerate() {
             let old = z[i] as usize;
             theta[old] -= 1;
-            // Read the frozen ϕ row through the hybrid layout (dense head
-            // rows load directly; sparse tail rows binary-search their
-            // cells). The arithmetic is unchanged, so posteriors are
-            // bit-identical to the flat-indexed implementation.
-            let row = w as usize;
+            // Read the frozen ϕ row once through the hybrid layout (dense
+            // head rows copy, sparse tail rows scatter their cells). The
+            // arithmetic is unchanged, so posteriors are bit-identical to
+            // the flat-indexed implementation.
+            phi.phi.row_into(w as usize, &mut phi_row);
             for (t, slot) in weights.iter_mut().enumerate() {
-                *slot =
-                    (theta[t] as f32 + alpha) * (phi.phi.get(row, t) as f32 + beta) * inv_denom[t];
+                *slot = (theta[t] as f32 + alpha) * (phi_row[t] as f32 + beta) * inv_denom[t];
             }
             tree.rebuild(&weights);
             let u = rng.next_f32();
@@ -218,6 +218,7 @@ fn fold_in_doc(
             doc.words,
             &run_acc,
             sweep + 1,
+            &mut phi_row,
         ));
         if let Some(c) = ctx.as_deref_mut() {
             // Scoring pass: one smoothed mixture dot product per token.
@@ -234,7 +235,15 @@ fn fold_in_doc(
 
 /// Log-predictive `Σ_w ln Σ_k θ̂_k · p(w|k)` under the running-average θ
 /// accumulated over `n` sweeps. All smoothing in f64 for scoring accuracy.
-fn log_predictive(phi: &PhiModel, inv_denom: &[f32], words: &[u32], acc: &[u64], n: u32) -> f64 {
+/// `phi_row` is K-length scratch for one ϕ row.
+fn log_predictive(
+    phi: &PhiModel,
+    inv_denom: &[f32],
+    words: &[u32],
+    acc: &[u64],
+    n: u32,
+    phi_row: &mut [u32],
+) -> f64 {
     if words.is_empty() {
         return 0.0;
     }
@@ -248,9 +257,10 @@ fn log_predictive(phi: &PhiModel, inv_denom: &[f32], words: &[u32], acc: &[u64],
         .collect();
     let mut ll = 0.0;
     for &w in words {
+        phi.phi.row_into(w as usize, phi_row);
         let mut p = 0.0f64;
         for (t, &th) in theta_hat.iter().enumerate() {
-            p += th * (phi.phi.get(w as usize, t) as f64 + beta) * inv_denom[t] as f64;
+            p += th * (phi_row[t] as f64 + beta) * inv_denom[t] as f64;
         }
         ll += p.max(f64::MIN_POSITIVE).ln();
     }

@@ -3,14 +3,20 @@
 //! One thread block = 32 warp-samplers, all working on tokens of the *same
 //! word* so they share that word's `p*(k)` vector and `p2` index tree in
 //! shared memory (one tree serves both, since `p2 = α·p*`). Each sampler
-//! keeps a private, allocation-reused index tree for its token's sparse
-//! `p1(k)`.
+//! draws its token's sparse `p1(k)` through a private index tree (or its
+//! lane of the block's butterfly batch), allocated once per block.
 //!
 //! The kernel is *read-only* with respect to the model: θ and ϕ are fixed
 //! snapshots from the previous iteration's update kernels, and the only
 //! writes are the new topic assignments `z` — this is what makes thousands
 //! of concurrent samplers race-free, and it matches the paper's three-
 //! kernel structure (sampling → update θ → update ϕ).
+//!
+//! On the host, that read-only snapshot is what lets a sampler's run of
+//! tokens from one document (adjacent in the word-major sort) share one
+//! `p1` prefix pass: every modelled charge is still made per token, so
+//! the reuse is invisible to the cost model. [`sample_chunk_reference`]
+//! recomputes everything per token and is the oracle for that shortcut.
 //!
 //! Every token draws from its own deterministic RNG stream keyed by
 //! `(seed, iteration, global token index)`, so results are bit-identical
@@ -94,62 +100,86 @@ struct SamplerInstruments {
     tree_depth: std::sync::Arc<culda_metrics::Histogram>,
 }
 
-/// The machinery a sampler resolves its sparse `p1` draw with. Both
-/// engines compute the same serially-accumulated f32 prefix and the same
-/// lower-bound rule over it, so the drawn topic is bit-identical; they
-/// differ only in the modelled memory layout the caller charges for
+/// The machinery a block's samplers resolve their sparse `p1` draws with,
+/// allocated once per block and filled by each sampler in turn. Both
+/// engines hold the same serially-accumulated f32 prefix and apply the
+/// same lower-bound rule over it, so the drawn topic is bit-identical;
+/// they differ only in the modelled memory layout the caller charges for
 /// ([`tree_p1_cost`] vs [`butterfly_p1_cost`]).
-enum P1Engine<'a> {
-    /// The classic private Figure-5 index tree (also the host oracle's
-    /// engine). Reports its walk's (shared, leaf) touch counts.
-    Tree(&'a mut IndexTree),
-    /// The block's butterfly-interleaved partial-sum batch; `lane` is this
-    /// sampler's slot in the warp. Touch counts are zero — the search runs
-    /// over register-resident partials and the caller charges the
+enum P1Engine {
+    /// The classic private Figure-5 index tree. Reports its walk's
+    /// (shared, leaf) touch counts.
+    Tree(IndexTree),
+    /// The block's butterfly-interleaved partial-sum batch; each sampler
+    /// owns the lane of its warp slot. Touch counts are zero — the search
+    /// runs over register-resident partials and the caller charges the
     /// coalesced-segment cost model instead.
-    Butterfly {
-        batch: &'a mut ButterflyBatch,
-        lane: usize,
-    },
+    Butterfly(Box<ButterflyBatch>),
 }
 
-/// Draws one token's topic; returns the topic plus the
-/// (shared_touches, leaf_touches) of the walk for traffic accounting and
-/// whether the sparse `p1` branch was taken (the warp-divergent decision).
-#[inline]
+impl P1Engine {
+    /// One pass over a document's θ row: writes the inclusive prefix of
+    /// `p1(k) = θ_{d,k} · p*(k)` straight into the engine's storage and
+    /// returns `S`, its last entry — the same products in the same serial
+    /// order as [`p1_weights`], so `S` and every prefix are bit-identical.
+    fn fill(&mut self, lane: usize, cols: &[u16], vals: &[u32], pstar: &[f32]) -> f32 {
+        let weights = cols
+            .iter()
+            .zip(vals)
+            .map(|(&c, &n)| n as f32 * pstar[c as usize]);
+        match self {
+            P1Engine::Tree(tree) => tree.fill_prefix(weights),
+            P1Engine::Butterfly(batch) => batch.fill_lane(lane, weights),
+        }
+    }
+
+    /// Draws from the filled prefix at `x ∈ [0, S)`: the index plus the
+    /// walk's (shared, leaf) touches. The tree's upper levels are built on
+    /// the first draw after a fill, so a document whose tokens all take
+    /// the `p2` branch never pays for them.
+    fn select(&mut self, lane: usize, x: f32) -> (usize, usize, usize) {
+        match self {
+            P1Engine::Tree(tree) => {
+                tree.build_upper();
+                tree.sample_scaled(x)
+            }
+            P1Engine::Butterfly(batch) => (batch.select(lane, x), 0, 0),
+        }
+    }
+
+    /// The instrument-visible depth of the last draw over `kd` entries:
+    /// tree levels, or the butterfly's shuffle-compare probe count.
+    fn depth(&self, kd: usize) -> usize {
+        match self {
+            P1Engine::Tree(tree) => tree.depth(),
+            P1Engine::Butterfly(_) => search_steps(kd),
+        }
+    }
+}
+
+/// Draws one token's topic the plain way — the weights, then a full tree
+/// rebuild over them — for the host oracle. The kernel's fused path must
+/// match it bit for bit.
 #[allow(clippy::too_many_arguments)] // mirrors the CUDA kernel's register set
-fn draw_token(
+fn draw_token_reference(
     theta_cols: &[u16],
     theta_vals: &[u32],
     pstar: &[f32],
     block_tree: &IndexTree,
     alpha: f32,
     rng: &mut Xoshiro256,
-    engine: P1Engine<'_>,
+    p1_tree: &mut IndexTree,
     weights: &mut Vec<f32>,
-) -> (u16, usize, usize, bool) {
+) -> u16 {
     let s = p1_weights(theta_cols, theta_vals, pstar, weights);
     let q = alpha * block_tree.total();
     let u_branch = rng.next_f32();
     let u_inner = rng.next_f32();
     if s > 0.0 && u_branch < s / (s + q) {
-        match engine {
-            P1Engine::Tree(p1_tree) => {
-                p1_tree.rebuild(weights);
-                let (idx, sh, lf) = p1_tree.sample_scaled(u_inner * s);
-                (theta_cols[idx], sh, lf, true)
-            }
-            P1Engine::Butterfly { batch, lane } => {
-                let total = batch.set_lane(lane, weights);
-                // Same serial accumulation order → same total, bit for bit.
-                debug_assert_eq!(total.to_bits(), s.to_bits());
-                let idx = batch.select(lane, u_inner * s);
-                (theta_cols[idx], 0, 0, true)
-            }
-        }
+        p1_tree.rebuild(weights);
+        theta_cols[p1_tree.sample_scaled(u_inner * s).0]
     } else {
-        let (k, sh, lf) = block_tree.sample_scaled(u_inner * block_tree.total());
-        (k as u16, sh, lf, false)
+        block_tree.sample_scaled(u_inner * block_tree.total()).0 as u16
     }
 }
 
@@ -285,19 +315,20 @@ pub fn try_run_sampling_kernel(
                 ways: 4,
             })
         });
-        // One butterfly batch serves the whole block (allocation-reused
-        // across tokens, like the private trees it replaces).
-        let mut butter = (draw == DrawMode::Butterfly).then(ButterflyBatch::new);
+        let mut engine = match draw {
+            DrawMode::Butterfly => P1Engine::Butterfly(Box::default()),
+            _ => P1Engine::Tree(IndexTree::build(&[1.0f32], DEFAULT_FANOUT)),
+        };
+        let q = alpha * block_tree.total();
         for s in 0..SAMPLERS_PER_BLOCK {
-            let tokens = work.sampler_tokens(s);
-            if tokens.is_empty() {
-                continue;
-            }
-            // Private, allocation-reused p1 tree and weight scratch.
-            let mut p1_tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
-            let mut weights: Vec<f32> = Vec::new();
+            let lane = s % WARP_SIZE;
+            // The document whose p1 prefix (and S) the engine holds for
+            // this sampler. The word-major sort makes a document's tokens
+            // of this word adjacent, and θ and p* are read-only for the
+            // launch, so a run of them reuses one fill exactly.
+            let mut held: Option<(usize, f32)> = None;
             let mut prev_branch: Option<bool> = None;
-            for t in tokens {
+            for t in work.sampler_tokens(s) {
                 let d = chunk.token_doc[t] as usize;
                 ctx.dram_read(4); // token -> doc index
                 let (cols, vals) = state.theta.row(d);
@@ -319,42 +350,42 @@ pub fn try_run_sampling_kernel(
                     }
                 }
                 // p1 weights: one mul + one add each, p* served on-chip
-                // when cached.
+                // when cached. Charged per token, whether or not the host
+                // reuses the run's prefix.
                 ctx.flop(2 * kd);
                 if shared_ok {
                     ctx.shared_access(kd * 4);
                 } else {
                     ctx.dram_read(kd * 4);
                 }
+                let s_mass = match held {
+                    Some((doc, s_mass)) if doc == d => s_mass,
+                    _ => {
+                        let s_mass = if kd == 0 {
+                            0.0
+                        } else {
+                            engine.fill(lane, cols, vals, &pstar)
+                        };
+                        held = Some((d, s_mass));
+                        s_mass
+                    }
+                };
                 let mut rng =
                     Xoshiro256::from_seed_stream(stream_seed, cfg.chunk_token_offset + t as u64);
-                let engine = match &mut butter {
-                    Some(batch) => P1Engine::Butterfly {
-                        batch,
-                        lane: s % WARP_SIZE,
-                    },
-                    None => P1Engine::Tree(&mut p1_tree),
+                let u_branch = rng.next_f32();
+                let u_inner = rng.next_f32();
+                let took_p1 = s_mass > 0.0 && u_branch < s_mass / (s_mass + q);
+                let (topic, sh_touch, leaf_touch) = if took_p1 {
+                    let (idx, sh, lf) = engine.select(lane, u_inner * s_mass);
+                    (cols[idx], sh, lf)
+                } else {
+                    let (k, sh, lf) = block_tree.sample_scaled(u_inner * block_tree.total());
+                    (k as u16, sh, lf)
                 };
-                let (topic, sh_touch, leaf_touch, took_p1) = draw_token(
-                    cols,
-                    vals,
-                    &pstar,
-                    &block_tree,
-                    alpha,
-                    &mut rng,
-                    engine,
-                    &mut weights,
-                );
                 if let Some(ins) = &instruments {
                     if took_p1 {
                         ins.p1_draws.inc();
-                        // The butterfly's "depth" is its probe count: the
-                        // shuffle-compare steps of the lower-bound search.
-                        let depth = match draw {
-                            DrawMode::Butterfly => search_steps(kd),
-                            _ => p1_tree.depth(),
-                        };
-                        ins.tree_depth.record(depth as f64);
+                        ins.tree_depth.record(engine.depth(kd) as f64);
                     } else {
                         ins.p2_draws.inc();
                     }
@@ -398,7 +429,9 @@ pub fn try_run_sampling_kernel(
 
 /// Host-side oracle: computes the exact assignments the kernel must
 /// produce, using the same per-token RNG streams and tree code but no
-/// device, no blocks, no concurrency. Tests compare `z` buffers.
+/// device, no blocks, no concurrency, and no reuse between tokens: every
+/// token computes its weights and rebuilds its tree from scratch. Tests
+/// compare `z` buffers.
 pub fn sample_chunk_reference(
     chunk: &SortedChunk,
     state: &ChunkState,
@@ -423,17 +456,16 @@ pub fn sample_chunk_reference(
             let (cols, vals) = state.theta.row(d);
             let mut rng =
                 Xoshiro256::from_seed_stream(stream_seed, cfg.chunk_token_offset + t as u64);
-            let (topic, _, _, _) = draw_token(
+            out[t] = draw_token_reference(
                 cols,
                 vals,
                 &pstar,
                 &block_tree,
                 alpha,
                 &mut rng,
-                P1Engine::Tree(&mut p1_tree),
+                &mut p1_tree,
                 &mut weights,
             );
-            out[t] = topic;
         }
     }
     out

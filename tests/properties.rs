@@ -8,7 +8,8 @@ use culda::corpus::{
     partition_by_tokens, Corpus, CsrMatrix, Document, SortedChunk, Vocab, Xoshiro256,
 };
 use culda::gpusim::warp;
-use culda::sampler::{IndexTree, Priors};
+use culda::sampler::spq::p1_weights;
+use culda::sampler::{ButterflyBatch, IndexTree, Priors};
 
 fn cases(test_id: u64) -> Xoshiro256 {
     Xoshiro256::from_seed_stream(0x100F_CA5E ^ test_id, 0)
@@ -58,6 +59,131 @@ fn index_tree_rebuild_equals_fresh_build() {
         let mut tree = IndexTree::build(&w1, 32);
         tree.rebuild(&w2);
         assert_eq!(tree, IndexTree::build(&w2, 32));
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Inclusive prefix sums accumulated one f32 add at a time.
+fn serial_prefix(w: &[f32]) -> Vec<f32> {
+    let mut acc = 0.0f32;
+    w.iter()
+        .map(|&x| {
+            acc += x;
+            acc
+        })
+        .collect()
+}
+
+/// Weights of exactly `n` entries in `[0, 100)`, about a quarter of them
+/// zero, with positive total mass.
+fn weights_of_len(g: &mut Xoshiro256, n: usize) -> Vec<f32> {
+    loop {
+        let w: Vec<f32> = (0..n)
+            .map(|_| {
+                if g.next_below(4) == 0 {
+                    0.0
+                } else {
+                    g.next_f32() * 100.0
+                }
+            })
+            .collect();
+        if w.iter().sum::<f32>() > 1e-3 {
+            return w;
+        }
+    }
+}
+
+#[test]
+fn one_pass_prefix_fill_equals_a_fresh_build() {
+    // The sampling kernel fills a reused tree's leaves in one pass and
+    // builds its upper levels only when it draws from them, sometimes
+    // after several fills that never drew. Every draw must see exactly
+    // the tree a fresh build makes.
+    let mut g = cases(14);
+    let mut tree = IndexTree::build(&[1.0f32], 32);
+    for round in 0..40 {
+        for kd in [1usize, 31, 32, 33, 1025] {
+            let w = weights_of_len(&mut g, kd);
+            if g.next_below(3) == 0 {
+                // A fill whose upper levels are never built.
+                let n = 1 + g.next_below(1100) as usize;
+                let other = weights_of_len(&mut g, n);
+                tree.fill_prefix(other.iter().copied());
+            }
+            let total = tree.fill_prefix(w.iter().copied());
+            tree.build_upper();
+            let fresh = IndexTree::build(&w, 32);
+            assert_eq!(total.to_bits(), fresh.total().to_bits(), "kd = {kd}");
+            assert_eq!(bits(tree.prefix()), bits(fresh.prefix()), "kd = {kd}");
+            assert_eq!(tree.upper().len(), fresh.upper().len(), "kd = {kd}");
+            for (a, b) in tree.upper().iter().zip(fresh.upper()) {
+                assert_eq!(bits(a), bits(b), "kd = {kd}, round {round}");
+            }
+            assert_eq!(tree.depth(), fresh.depth());
+            // Both match the definition, computed here independently: the
+            // serial prefix, then each group's last entry per level until
+            // a level fits one node.
+            let prefix = serial_prefix(&w);
+            assert_eq!(bits(tree.prefix()), bits(&prefix), "kd = {kd}");
+            let mut upper: Vec<Vec<f32>> = Vec::new();
+            let mut level = prefix.clone();
+            while level.len() > 32 {
+                level = level.chunks(32).map(|g| g[g.len() - 1]).collect();
+                upper.insert(0, level.clone());
+            }
+            let tree_upper: Vec<Vec<u32>> = tree.upper().iter().map(|l| bits(l)).collect();
+            let want_upper: Vec<Vec<u32>> = upper.iter().map(|l| bits(l)).collect();
+            assert_eq!(tree_upper, want_upper, "kd = {kd}");
+            for i in 0..=16 {
+                let x = total * (i as f32 / 16.0);
+                let (idx, sh, lf) = tree.sample_scaled(x);
+                assert_eq!((idx, sh, lf), fresh.sample_scaled(x), "kd = {kd}, x = {x}");
+                assert_eq!(idx, culda::sampler::ptree::linear_search(&prefix, x));
+            }
+        }
+    }
+}
+
+#[test]
+fn fused_butterfly_lane_fill_equals_set_lane() {
+    // The kernel feeds a lane the θ·p* products on the fly; the plain path
+    // materialises them with `p1_weights` first. Same S, same prefix bits,
+    // same draws — and the same prefix the tree engine stores.
+    let mut g = cases(15);
+    let mut fused = ButterflyBatch::new();
+    let mut plain = ButterflyBatch::new();
+    let pstar: Vec<f32> = (0..2048).map(|_| g.next_f32() * 0.01).collect();
+    let mut weights = Vec::new();
+    for round in 0..40 {
+        for kd in [1usize, 31, 32, 33, 1025] {
+            let cols: Vec<u16> = (0..kd).map(|_| g.next_below(2048) as u16).collect();
+            let vals: Vec<u32> = (0..kd).map(|_| 1 + g.next_below(40)).collect();
+            let lane = g.next_below(32) as usize;
+            let s = p1_weights(&cols, &vals, &pstar, &mut weights);
+            let products = cols
+                .iter()
+                .zip(&vals)
+                .map(|(&c, &n)| n as f32 * pstar[c as usize]);
+            let total = fused.fill_lane(lane, products);
+            assert_eq!(total.to_bits(), s.to_bits(), "kd = {kd}, round {round}");
+            assert_eq!(plain.set_lane(lane, &weights).to_bits(), s.to_bits());
+            assert_eq!(fused.lane_len(lane), kd);
+            let prefix = serial_prefix(&weights);
+            for (j, p) in prefix.iter().enumerate() {
+                assert_eq!(fused.prefix_value(lane, j).to_bits(), p.to_bits());
+                assert_eq!(plain.prefix_value(lane, j).to_bits(), p.to_bits());
+            }
+            let tree = IndexTree::build(&weights, 32);
+            for i in 0..=16 {
+                let x = s * (i as f32 / 16.0);
+                let want = tree.sample_scaled(x).0;
+                assert_eq!(fused.select(lane, x), want, "kd = {kd}, x = {x}");
+                assert_eq!(plain.select(lane, x), want, "kd = {kd}, x = {x}");
+            }
+        }
     }
 }
 
