@@ -1,5 +1,6 @@
-//! Golden cost pins: the exact modelled charges of the `lda_sample` and
-//! `lda_infer` kernels.
+//! Golden cost pins: the exact modelled charges of the `lda_sample`,
+//! `lda_infer`, `phi_clear` and `phi_update` kernels, and the ϕ layouts the
+//! update kernel and every sync mode leave behind.
 //!
 //! The kernels' host code may be restructured for speed (shared prefix
 //! passes, cached L1 lookups, reused scratch), but every modelled charge —
@@ -14,15 +15,26 @@
 //! 24-line L1 model (K_d > 512), and a token whose document has an empty θ
 //! row (S = 0, so the p1 branch can never be taken).
 //!
+//! The ϕ writers (the update kernel, the dense reduce/broadcast and the Δϕ
+//! apply) may batch their writes per row, but they must leave the same
+//! counts, the same dense/sparse row layouts and the same dirty-row marks:
+//! the sparse `phi_clear` charge is priced from the layout census, so a
+//! row promoted at a different moment would move the modelled clock.
+//!
 //! Re-pin deliberately with `CULDA_PRINT_GOLDEN=1 cargo test --test
 //! golden_costs -- --nocapture` and say why in the commit message.
 
 use culda::corpus::{partition_by_tokens, CsrMatrix, SortedChunk, SynthSpec};
 use culda::gpusim::memory::AtomicU16Buf;
-use culda::gpusim::{Device, GpuSpec, LaunchReport};
+use culda::gpusim::{Device, GpuSpec, LaunchReport, Link, Platform};
+use culda::multigpu::{
+    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncMode, SyncReport,
+    TrainerConfig,
+};
 use culda::sampler::{
-    accumulate_phi_host, build_block_map, run_infer_kernel, run_sampling_kernel, ChunkState,
-    DrawMode, InferDoc, InferKernelConfig, PhiModel, Priors, SampleConfig,
+    accumulate_phi_host, build_block_map, run_infer_kernel, run_phi_clear_kernel,
+    run_phi_update_kernel, run_sampling_kernel, ChunkState, DrawMode, InferDoc, InferKernelConfig,
+    PhiDelta, PhiModel, Priors, SampleConfig,
 };
 
 /// FNV-1a over a byte stream.
@@ -266,6 +278,220 @@ fn lda_infer_charges_are_pinned() {
     }
     check("INFER_PINS", &lines, INFER_PINS);
 }
+
+/// Hash of everything a ϕ writer leaves behind: counts, column sums, and
+/// per row its nnz, physical layout and dirty mark.
+fn layout_hash(phi: &PhiModel) -> u64 {
+    let m = &phi.phi;
+    let mut bytes = Vec::new();
+    for v in 0..m.num_rows() {
+        bytes.push(m.row_is_dense(v) as u8);
+        bytes.push(m.dirty().is_marked(v) as u8);
+        bytes.extend((m.row_nnz(v) as u32).to_le_bytes());
+    }
+    bytes.extend(m.snapshot().into_iter().flat_map(u32::to_le_bytes));
+    bytes.extend(
+        phi.phi_sum
+            .snapshot()
+            .into_iter()
+            .flat_map(u32::to_le_bytes),
+    );
+    fnv(bytes)
+}
+
+#[test]
+fn phi_update_charges_and_layouts_are_pinned() {
+    let mut lines = Vec::new();
+    for f in fixtures() {
+        // The fixture's own block size, and a tiny one that splits every
+        // word into many blocks (many writers per row).
+        for tpb in [f.tokens_per_block, 5] {
+            let map = build_block_map(&f.chunk, tpb);
+            let phi = PhiModel::zeros(f.phi.num_topics, f.phi.vocab_size, f.phi.priors);
+            let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+            // Two iterations: the second clear is priced from the layout
+            // the first update left (sparse clear), then the update rebuilds.
+            for sparse in [false, true] {
+                let clear = run_phi_clear_kernel(&dev, &phi, sparse);
+                let update = run_phi_update_kernel(&dev, &f.chunk, &f.state, &phi, &map);
+                let label = format!("{}/tpb={tpb}/sparse={}", f.name, sparse as u8);
+                lines.push(cost_line(&format!("{label}/clear"), &clear));
+                lines.push(cost_line(&format!("{label}/update"), &update));
+            }
+            lines.push(format!(
+                "{}/tpb={tpb}/layout {:#x}",
+                f.name,
+                layout_hash(&phi)
+            ));
+            let clear = run_phi_clear_kernel(&dev, &phi, true);
+            lines.push(cost_line(
+                &format!("{}/tpb={tpb}/final_clear", f.name),
+                &clear,
+            ));
+        }
+    }
+    check("PHI_UPDATE_PINS", &lines, PHI_UPDATE_PINS);
+}
+
+fn sync_line(label: &str, r: &SyncReport) -> String {
+    format!(
+        "{label} {:#x} {:#x} {} {} {} {} {}",
+        r.reduce_seconds.to_bits(),
+        r.broadcast_seconds.to_bits(),
+        r.rounds,
+        r.bytes_moved,
+        r.dense_bytes,
+        r.nnz,
+        r.mode
+    )
+}
+
+#[test]
+fn sync_apply_layouts_are_pinned() {
+    let mut lines = Vec::new();
+    // K = 64 over a small vocabulary (summed rows cross the storage
+    // cutover) and K = 1024 with long documents.
+    for (name, k, docs, vocab, len) in [
+        ("k64", 64usize, 90usize, 40usize, 50.0f64),
+        ("k1024", 1024, 9, 300, 1500.0),
+    ] {
+        let mut spec = SynthSpec::tiny();
+        spec.num_docs = docs;
+        spec.vocab_size = vocab;
+        spec.avg_doc_len = len;
+        spec.topic_support = vocab.min(spec.topic_support);
+        spec.seed = 0x5_1AC ^ k as u64;
+        let corpus = spec.generate();
+        let g = 3;
+        let parts: Vec<(SortedChunk, ChunkState)> = partition_by_tokens(&corpus, g)
+            .iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let chunk = SortedChunk::build(&corpus, c);
+                let state = ChunkState::init_random(&chunk, k, 11 + i as u64);
+                (chunk, state)
+            })
+            .collect();
+        let cfg = TrainerConfig::builder(k, Platform::pascal().with_gpus(g))
+            .build()
+            .unwrap();
+        let gpu = GpuSpec::titan_xp_pascal();
+        let link = Link::pcie3();
+        for mode in [
+            SyncMode::DenseTree,
+            SyncMode::DenseRing,
+            SyncMode::Delta,
+            SyncMode::Auto,
+        ] {
+            let replicas: Vec<PhiModel> = parts
+                .iter()
+                .map(|(chunk, state)| {
+                    let phi = PhiModel::zeros(k, corpus.vocab_size(), Priors::paper(k));
+                    let dev = Device::new(0, gpu.clone()).with_workers(2);
+                    run_phi_update_kernel(&dev, chunk, state, &phi, &build_block_map(chunk, 7));
+                    phi
+                })
+                .collect();
+            let refs: Vec<&PhiModel> = replicas.iter().collect();
+            let deltas: Vec<&PhiDelta> = replicas.iter().map(|r| r.phi.dirty()).collect();
+            let r = match mode {
+                SyncMode::DenseTree => sync_phi_replicas(&refs, &gpu, &link, &cfg),
+                SyncMode::DenseRing => sync_phi_ring(&refs, &gpu, &link, &cfg),
+                SyncMode::Delta => sync_phi_delta(&refs, &deltas, &gpu, &link, &cfg),
+                SyncMode::Auto => sync_phi_auto(&refs, &deltas, &gpu, &link, &cfg),
+            };
+            lines.push(sync_line(&format!("{name}/{mode}"), &r));
+            for (i, phi) in replicas.iter().enumerate() {
+                lines.push(format!("{name}/{mode}/replica{i} {:#x}", layout_hash(phi)));
+            }
+            let clear = run_phi_clear_kernel(&Device::new(0, gpu.clone()), &replicas[0], true);
+            lines.push(cost_line(&format!("{name}/{mode}/clear"), &clear));
+        }
+    }
+    check("SYNC_PINS", &lines, SYNC_PINS);
+}
+
+const PHI_UPDATE_PINS: &[&str] = &[
+    "repeats/tpb=256/sparse=0/clear 0 10496 0 0 0 3 0x3edf9fbbbba7a28b",
+    "repeats/tpb=256/sparse=0/update 5808 23232 0 0 5855 47 0x3ede20a76a67a7da",
+    "repeats/tpb=256/sparse=1/clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "repeats/tpb=256/sparse=1/update 5808 23232 0 0 5855 47 0x3ede20a76a67a7da",
+    "repeats/tpb=256/layout 0x69d32998673c8a91",
+    "repeats/tpb=256/final_clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "repeats/tpb=5/sparse=0/clear 0 10496 0 0 0 3 0x3edf9fbbbba7a28b",
+    "repeats/tpb=5/sparse=0/update 5808 23232 0 0 6406 598 0x3ede33247837fda6",
+    "repeats/tpb=5/sparse=1/clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "repeats/tpb=5/sparse=1/update 5808 23232 0 0 6406 598 0x3ede33247837fda6",
+    "repeats/tpb=5/layout 0x69d32998673c8a91",
+    "repeats/tpb=5/final_clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "long_rows/tpb=512/sparse=0/clear 0 1232896 0 0 0 301 0x3ee5cd8765610220",
+    "long_rows/tpb=512/sparse=0/update 17502 70008 0 0 17765 263 0x3edfb0498960e74b",
+    "long_rows/tpb=512/sparse=1/clear 0 17572 0 0 0 301 0x3edd902b8f40455a",
+    "long_rows/tpb=512/sparse=1/update 17502 70008 0 0 17765 263 0x3edfb0498960e74b",
+    "long_rows/tpb=512/layout 0x27b5cf444d5d83f8",
+    "long_rows/tpb=512/final_clear 0 17572 0 0 0 301 0x3edd902b8f40455a",
+    "long_rows/tpb=5/sparse=0/clear 0 1232896 0 0 0 301 0x3ee5cd8765610220",
+    "long_rows/tpb=5/sparse=0/update 17502 70008 0 0 19366 1864 0x3edfe602059c54bd",
+    "long_rows/tpb=5/sparse=1/clear 0 17572 0 0 0 301 0x3edd902b8f40455a",
+    "long_rows/tpb=5/sparse=1/update 17502 70008 0 0 19366 1864 0x3edfe602059c54bd",
+    "long_rows/tpb=5/layout 0x27b5cf444d5d83f8",
+    "long_rows/tpb=5/final_clear 0 17572 0 0 0 301 0x3edd902b8f40455a",
+    "empty_s/tpb=96/sparse=0/clear 0 10496 0 0 0 3 0x3edf9fbbbba7a28b",
+    "empty_s/tpb=96/sparse=0/update 5808 23232 0 0 5869 61 0x3ede211facbb00ea",
+    "empty_s/tpb=96/sparse=1/clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "empty_s/tpb=96/sparse=1/update 5808 23232 0 0 5869 61 0x3ede211facbb00ea",
+    "empty_s/tpb=96/layout 0x69d32998673c8a91",
+    "empty_s/tpb=96/final_clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "empty_s/tpb=5/sparse=0/clear 0 10496 0 0 0 3 0x3edf9fbbbba7a28b",
+    "empty_s/tpb=5/sparse=0/update 5808 23232 0 0 6406 598 0x3ede33247837fda6",
+    "empty_s/tpb=5/sparse=1/clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+    "empty_s/tpb=5/sparse=1/update 5808 23232 0 0 6406 598 0x3ede33247837fda6",
+    "empty_s/tpb=5/layout 0x69d32998673c8a91",
+    "empty_s/tpb=5/final_clear 0 1172 0 0 0 3 0x3edd9ce7ba47fb2d",
+];
+
+const SYNC_PINS: &[&str] = &[
+    "k64/dense-tree 0x3f03144cfabf1526 0x3ef5a8cd82eef707 2 20992 20992 2624 dense-tree",
+    "k64/dense-tree/replica0 0xba1e0c9c3c61a253",
+    "k64/dense-tree/replica1 0xba1e0c9c3c61a253",
+    "k64/dense-tree/replica2 0xba1e0c9c3c61a253",
+    "k64/dense-tree/clear 0 3692 0 0 0 3 0x3ede280c4507e339",
+    "k64/dense-ring 0x3efd25a604fc740b 0x3ef53365548ff19c 4 20992 20992 2624 dense-ring",
+    "k64/dense-ring/replica0 0xba1e0c9c3c61a253",
+    "k64/dense-ring/replica1 0xba1e0c9c3c61a253",
+    "k64/dense-ring/replica2 0xba1e0c9c3c61a253",
+    "k64/dense-ring/clear 0 3692 0 0 0 3 0x3ede280c4507e339",
+    "k64/delta 0x3f025615c6b0cceb 0x3ef58a7835e91275 2 13212 20992 1111 delta",
+    "k64/delta/replica0 0xba1e0c9c3c61a253",
+    "k64/delta/replica1 0xba1e0c9c3c61a253",
+    "k64/delta/replica2 0xba1e0c9c3c61a253",
+    "k64/delta/clear 0 3692 0 0 0 3 0x3ede280c4507e339",
+    "k64/auto 0x3efd25a604fc740b 0x3ef53365548ff19c 4 20992 20992 2624 dense-ring",
+    "k64/auto/replica0 0xba1e0c9c3c61a253",
+    "k64/auto/replica1 0xba1e0c9c3c61a253",
+    "k64/auto/replica2 0xba1e0c9c3c61a253",
+    "k64/auto/clear 0 3692 0 0 0 3 0x3ede280c4507e339",
+    "k1024/dense-tree 0x3f1fc8a1129eff5a 0x3f197151622e8489 2 2465792 2465792 308224 dense-tree",
+    "k1024/dense-tree/replica0 0xf4888e1a50dba3ab",
+    "k1024/dense-tree/replica1 0x40b9f25abecbb707",
+    "k1024/dense-tree/replica2 0x63badda4e3704ef",
+    "k1024/dense-tree/clear 0 38032 0 0 0 301 0x3eddccb0ad8f2b42",
+    "k1024/dense-ring 0x3f0d6726b52931e9 0x3f07f3c53cbe29fa 4 2465792 2465792 308224 dense-ring",
+    "k1024/dense-ring/replica0 0xf4888e1a50dba3ab",
+    "k1024/dense-ring/replica1 0x40b9f25abecbb707",
+    "k1024/dense-ring/replica2 0x63badda4e3704ef",
+    "k1024/dense-ring/clear 0 38032 0 0 0 301 0x3eddccb0ad8f2b42",
+    "k1024/delta 0x3f04142551b359b9 0x3efa7fa1e58747a1 2 122040 2465792 10635 delta",
+    "k1024/delta/replica0 0xf4888e1a50dba3ab",
+    "k1024/delta/replica1 0xf4888e1a50dba3ab",
+    "k1024/delta/replica2 0xf4888e1a50dba3ab",
+    "k1024/delta/clear 0 38032 0 0 0 301 0x3eddccb0ad8f2b42",
+    "k1024/auto 0x3f04142551b359b9 0x3efa7fa1e58747a1 2 122040 2465792 10635 delta",
+    "k1024/auto/replica0 0xf4888e1a50dba3ab",
+    "k1024/auto/replica1 0xf4888e1a50dba3ab",
+    "k1024/auto/replica2 0xf4888e1a50dba3ab",
+    "k1024/auto/clear 0 38032 0 0 0 301 0x3eddccb0ad8f2b42",
+];
 
 const SAMPLE_PINS: &[&str] = &[
     "repeats/tree/shared=1/l1=1/sparse=0 245856 5808 1262388 322812 0 47 0x3ee06993ada86bad",
