@@ -140,21 +140,17 @@ impl DeltaPayload {
         rows + self.num_topics as u64 * elem_bytes
     }
 
-    /// Writes the payload's cells into `replica` by *store* (not add).
-    /// Correct as a broadcast target because every cleared-and-rebuilt
-    /// replica's nonzero cells are a subset of a global payload's cells.
+    /// Writes the payload's cells into `replica` by *store* (not add), one
+    /// [`CountMatrix::store_row`](culda_sampler::CountMatrix::store_row)
+    /// per carried row. Correct as a broadcast target because every
+    /// cleared-and-rebuilt replica's nonzero cells are a subset of a global
+    /// payload's cells.
     pub fn apply_to(&self, replica: &PhiModel) {
-        let k = self.num_topics;
-        assert_eq!(replica.num_topics, k, "topic count mismatch");
+        assert_eq!(replica.num_topics, self.num_topics, "topic count mismatch");
         for (v, cells) in &self.rows {
-            let base = *v as usize * k;
-            for &(t, c) in cells {
-                replica.phi.store(base + t as usize, c);
-            }
+            replica.phi.store_row(*v as usize, cells);
         }
-        for (t, &c) in self.phi_sum.iter().enumerate() {
-            replica.phi_sum.store(t, c);
-        }
+        replica.phi_sum.copy_from(&self.phi_sum);
     }
 }
 
