@@ -51,6 +51,21 @@ impl WordShard {
     fn num_tokens(&self) -> usize {
         self.token_doc.len()
     }
+
+    /// Adds this shard's assignments to ϕ, one row write per owned word,
+    /// and to the dense θ counts.
+    fn accumulate(&self, phi: &PhiModel, theta_dense: &mut [Vec<u32>]) {
+        let mut cells = Vec::new();
+        for (wi, &w) in self.word_ids.iter().enumerate() {
+            cells.clear();
+            for t in self.word_ptr[wi]..self.word_ptr[wi + 1] {
+                let k = self.z.load(t);
+                cells.push((k, 1));
+                theta_dense[self.token_doc[t] as usize][k as usize] += 1;
+            }
+            phi.add_word_topics(w as usize, &mut cells);
+        }
+    }
 }
 
 /// The alternative trainer. Reuses the same per-GPU [`GpuWorker`] type as
@@ -184,16 +199,8 @@ impl WordPartitionedTrainer {
             let z: Vec<u16> = (0..shard.num_tokens())
                 .map(|_| rng.next_below(cfg.num_topics as u32) as u16)
                 .collect();
-            for (wi, _) in shard.word_ids.iter().enumerate() {
-                let w = shard.word_ids[wi] as usize;
-                for t in shard.word_ptr[wi]..shard.word_ptr[wi + 1] {
-                    let k = z[t] as usize;
-                    phi.phi.fetch_add(w * cfg.num_topics + k, 1);
-                    phi.phi_sum.fetch_add(k, 1);
-                    theta_dense[shard.token_doc[t] as usize][k] += 1;
-                }
-            }
             shard.z = AtomicU16Buf::from_vec(z);
+            shard.accumulate(&phi, &mut theta_dense);
         }
         let theta = CsrMatrix::from_dense_rows(&theta_dense, cfg.num_topics);
         let doc_lens = corpus.docs.iter().map(|d| d.len() as u32).collect();
@@ -428,16 +435,8 @@ impl WordPartitionedTrainer {
         self.phi.clear();
         let mut theta_dense = vec![vec![0u32; k]; self.num_docs];
         for (si, shard) in self.shards.iter().enumerate() {
-            let mut tokens_here = 0usize;
-            for (wi, &w) in shard.word_ids.iter().enumerate() {
-                for t in shard.word_ptr[wi]..shard.word_ptr[wi + 1] {
-                    let kk = shard.z.load(t) as usize;
-                    self.phi.phi.fetch_add(w as usize * k + kk, 1);
-                    self.phi.phi_sum.fetch_add(kk, 1);
-                    theta_dense[shard.token_doc[t] as usize][kk] += 1;
-                    tokens_here += 1;
-                }
-            }
+            let tokens_here = shard.num_tokens();
+            shard.accumulate(&self.phi, &mut theta_dense);
             // Local ϕ update cost (atomics, like the doc-policy kernel).
             let cost = KernelCost {
                 dram_read_bytes: tokens_here as u64 * 2,
@@ -660,14 +659,7 @@ impl WordPartitionedTrainer {
             for (t, &v) in z.iter().enumerate() {
                 shard.z.store(t, v);
             }
-            for (wi, &w) in shard.word_ids.iter().enumerate() {
-                for t in shard.word_ptr[wi]..shard.word_ptr[wi + 1] {
-                    let kk = shard.z.load(t) as usize;
-                    self.phi.phi.fetch_add(w as usize * k + kk, 1);
-                    self.phi.phi_sum.fetch_add(kk, 1);
-                    theta_dense[shard.token_doc[t] as usize][kk] += 1;
-                }
-            }
+            shard.accumulate(&self.phi, &mut theta_dense);
         }
         self.theta = CsrMatrix::from_dense_rows(&theta_dense, k);
         self.iteration = iteration;
