@@ -136,9 +136,9 @@ full `--gpus G` box: documents shard over nodes, each node syncs its ϕ
 replicas locally, then ships a sparse Δϕ payload (the same COO/CSR/dense
 wire format as `--sync-mode delta`) to a parameter server over a modelled
 100 Gb/s inter-node link. The checkpoint is bit-identical to `--nodes 1`;
-only the modelled time and traffic change. `--resume` is not yet wired
-for multi-node runs. When the corpus exceeds device memory, chunk staging
-is double-buffered so the H2D upload of chunk i+1 overlaps sampling of
+only the modelled time and traffic change, and `--resume` works at any
+`--nodes`. When the corpus exceeds device memory, chunk staging is
+double-buffered so the H2D upload of chunk i+1 overlaps sampling of
 chunk i (visible as `gpu*-h2d`/`gpu*-stage` tracks in `--trace-out` and
 the `oocore.overlap_fraction` gauge); `--no-prefetch` falls back to
 serial staging. Overlap changes modelled time only, never the model.
@@ -355,9 +355,6 @@ pub fn train(args: &Args) -> CmdResult {
     }
     let mut trainer: Box<dyn LdaTrainer> = match args.require("resume") {
         Ok(state_path) => {
-            if cfg.nodes > 1 {
-                return Err(err("--resume is not supported with --nodes > 1"));
-            }
             // The checkpoint's policy tag decides which trainer comes back.
             let t = resume_any(&corpus, cfg, BufReader::new(File::open(state_path)?))?;
             println!(
@@ -1559,7 +1556,7 @@ mod tests {
             std::fs::read(&cluster).unwrap(),
             "multi-node checkpoint diverged from single-node"
         );
-        // Guard rails: zero nodes, word policy, and resume are rejected.
+        // Guard rails: zero nodes and the word policy are rejected.
         let e = train(&args(&format!(
             "{base} --model {} --nodes 0",
             cluster.display()
@@ -1572,12 +1569,38 @@ mod tests {
         )))
         .unwrap_err();
         assert_eq!(exit_code(e.as_ref()), 2);
-        let e = train(&args(&format!(
-            "{base} --model {} --nodes 2 --resume /nonexistent.state",
-            cluster.display()
+        // Save-state → resume at --nodes 2 continues the straight run:
+        // 2 + 1 iterations write the same checkpoint as 3 straight ones.
+        let two_nodes =
+            |iters: u32| base.replace("--iters 3", &format!("--iters {iters} --nodes 2"));
+        let straight = tmp("n.straight.phi");
+        let resumed = tmp("n.resumed.phi");
+        let state = tmp("n.state");
+        train(&args(&format!(
+            "{} --model {}",
+            two_nodes(3),
+            straight.display()
         )))
-        .unwrap_err();
-        assert_eq!(exit_code(e.as_ref()), 2);
+        .unwrap();
+        train(&args(&format!(
+            "{} --model {} --save-state {}",
+            two_nodes(2),
+            resumed.display(),
+            state.display()
+        )))
+        .unwrap();
+        train(&args(&format!(
+            "{} --model {} --resume {}",
+            two_nodes(1),
+            resumed.display(),
+            state.display()
+        )))
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&straight).unwrap(),
+            std::fs::read(&resumed).unwrap(),
+            "multi-node resume diverged from the straight run"
+        );
     }
 
     #[test]

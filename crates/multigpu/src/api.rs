@@ -318,24 +318,18 @@ impl LdaTrainer for WordPartitionedTrainer {
 
 /// Constructs the chosen policy's trainer behind the unified surface —
 /// the single entry point every consumer (CLI, benches, serving, tests)
-/// uses. Configuration and corpus-shape problems surface as
+/// uses. The node count is the trainer's own business: the document
+/// trainer runs on any number of nodes, the word trainer refuses more
+/// than one. Configuration and corpus-shape problems surface as
 /// [`CuldaError`]; callers that validated up front just `.unwrap()`.
 pub fn build_trainer(
     policy: PartitionPolicy,
     corpus: &culda_corpus::Corpus,
     cfg: TrainerConfig,
 ) -> Result<Box<dyn LdaTrainer>, CuldaError> {
-    Ok(match (policy, cfg.nodes) {
-        (PartitionPolicy::Document, n) if n > 1 => {
-            Box::new(crate::cluster::ClusterTrainer::try_new(corpus, cfg)?)
-        }
-        (PartitionPolicy::Word, n) if n > 1 => {
-            return Err(CuldaError::Invalid(format!(
-                "multi-node training requires --policy doc (got {n} nodes with --policy word)"
-            )));
-        }
-        (PartitionPolicy::Document, _) => Box::new(CuldaTrainer::try_new(corpus, cfg)?),
-        (PartitionPolicy::Word, _) => Box::new(WordPartitionedTrainer::try_new(corpus, cfg)?),
+    Ok(match policy {
+        PartitionPolicy::Document => Box::new(CuldaTrainer::try_new(corpus, cfg)?),
+        PartitionPolicy::Word => Box::new(WordPartitionedTrainer::try_new(corpus, cfg)?),
     })
 }
 
@@ -428,6 +422,18 @@ mod tests {
                 "{policy} loglik diverged"
             );
         }
+    }
+
+    #[test]
+    fn word_policy_refuses_multiple_nodes() {
+        let c = corpus();
+        let mut two_nodes = cfg();
+        two_nodes.nodes = 2;
+        let err = match build_trainer(PartitionPolicy::Word, &c, two_nodes) {
+            Err(e) => e,
+            Ok(_) => panic!("word policy with 2 nodes must be rejected"),
+        };
+        assert!(matches!(err, CuldaError::Invalid(_)), "{err}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The multi-node AD-LDA cluster layer: N nodes, each a full multi-GPU
-//! box, synchronized per superstep through a parameter server.
+//! The multi-node AD-LDA layer's inter-node half: N nodes, each a full
+//! multi-GPU box, synchronized per superstep through a parameter server.
 //!
 //! The paper argues (Section 3.2) that a single multi-GPU box beats the
 //! LDA* CPU cluster because its 10 Gb/s ethernet starves the workers. This
@@ -7,9 +7,9 @@
 //! *one level up*, when the corpus outgrows one box (the PubMed-scale
 //! regime)? The answer mirrors the intra-box architecture exactly:
 //!
-//! * chunks : GPUs = shards : nodes — documents are sharded over nodes,
-//!   each [`NodeTrainer`] running the existing per-GPU iteration bodies
-//!   over its shard;
+//! * chunks : GPUs = shards : nodes — [`CuldaTrainer`] holds `N × G`
+//!   workers, node `n` being workers `n·G..(n+1)·G`, and deals the chunks
+//!   round-robin over all of them; a single node is the `N = 1` case;
 //! * ϕ replicas : PCIe reduce tree = node sums : [`ParameterServer`] —
 //!   after each node's intra-node sync, its summed replica is encoded as a
 //!   sparse [`DeltaPayload`] (the same COO/CSR/dense wire format the
@@ -25,97 +25,34 @@
 //! is bit-identical to a single-node run of the same configuration, for
 //! any node count, any sync mode, and prefetch on or off. Only the
 //! modelled time differs.
-//!
-//! **Node failure.** [`ClusterTrainer::fail_node`] drains a dead node's
-//! chunks round-robin to the survivors' workers (the chunk-migration
-//! discipline one level up). The migrated chunks re-run on their new
-//! owners from the next superstep; token counts are conserved and the
-//! model stays bit-identical, because which device samples a chunk never
-//! enters the RNG keying.
 
-use crate::config::{SamplingMode, SyncMode, TrainerConfig};
+use crate::config::SyncMode;
 use crate::delta::DeltaPayload;
-use crate::error::{CuldaError, RecoveryStats};
-use crate::partition::PartitionedCorpus;
-use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
-use crate::sync::{
-    add_kernel_seconds, sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring,
-    tree_rounds, SyncReport, SyncTotals,
-};
-use crate::worker::{run_workers_fallible, trace_staging, GpuWorker};
-use culda_corpus::Corpus;
-use culda_gpusim::memory::Reservation;
-use culda_gpusim::{FaultPlan, GpuCluster, GpuSpec, Link, ProfileLog};
-use culda_metrics::{
-    Breakdown, GpuBreakdowns, IterationStat, Json, LdaLoglik, MetricsRegistry, Phase, RunHistory,
-    TraceSink, NODE_TID_BASE, SIM_PID, SYNC_TID,
-};
-use culda_sampler::{
-    auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork, ChunkState,
-    IterationPlan, PhiDelta, PhiModel, Priors,
-};
-use std::sync::Arc;
+use crate::sync::{add_kernel_seconds, tree_rounds, SyncReport, SyncTotals};
+use crate::trainer::CuldaTrainer;
+use culda_gpusim::{GpuSpec, Link};
+use culda_sampler::{PhiDelta, PhiModel};
 
-/// One cluster node: a shard-holding multi-GPU box driven by the same
-/// [`GpuWorker`] iteration bodies as the single-node trainer.
-#[derive(Debug)]
-pub struct NodeTrainer {
-    /// Node ordinal within the cluster.
-    pub id: usize,
-    /// The node's per-GPU workers (device ids are globally unique across
-    /// the cluster: node `n` owns devices `n·G .. (n+1)·G`).
-    pub workers: Vec<GpuWorker>,
-    /// False once [`ClusterTrainer::fail_node`] drained this node: its
-    /// devices freeze and it takes no further part in any superstep.
-    pub alive: bool,
-}
+/// The multi-node trainer is the document-partition trainer: one node is
+/// its `N = 1` case. The name stays for callers that spell it.
+pub type ClusterTrainer = CuldaTrainer;
 
-impl NodeTrainer {
-    /// This node's Δϕ payload after its intra-node sync: every worker
-    /// replica holds the node sum, and the union of the workers' dirty-row
-    /// bitmaps covers exactly the rows that sum can be nonzero in (counts
-    /// are non-negative, so no cancellation).
-    fn payload(&self, vocab_size: usize) -> DeltaPayload {
-        let union = PhiDelta::new(vocab_size);
-        for w in &self.workers {
-            for v in w.delta().touched_rows() {
-                union.mark_row(v);
-            }
-        }
-        DeltaPayload::from_replica(self.workers[0].write_replica(), &union)
-    }
-
-    /// Latest device clock on this node.
-    fn now(&self) -> f64 {
-        self.workers
-            .iter()
-            .map(|w| w.device.now())
-            .fold(0.0f64, f64::max)
-    }
-}
-
-/// The cluster-level model authority: merges the per-node Δϕ payloads up
-/// a reduce tree over the inter-node link and holds the resulting global
-/// ϕ — the canonical model view the trainer scores and checkpoints from.
+/// The cluster-level merge point: reduces the per-node Δϕ payloads up a
+/// tree over the inter-node link and keeps the run's inter-node traffic
+/// totals. It holds no ϕ of its own — once the merged payload is applied,
+/// every alive replica is the global model.
 #[derive(Debug)]
 pub struct ParameterServer {
     link: Link,
-    phi: PhiModel,
     totals: SyncTotals,
 }
 
 impl ParameterServer {
-    fn new(num_topics: usize, vocab_size: usize, priors: Priors, link: Link) -> Self {
+    pub(crate) fn new(link: Link) -> Self {
         Self {
             link,
-            phi: PhiModel::zeros(num_topics, vocab_size, priors),
             totals: SyncTotals::default(),
         }
-    }
-
-    /// The global ϕ as of the last completed superstep.
-    pub fn phi(&self) -> &PhiModel {
-        &self.phi
     }
 
     /// The modelled inter-node link.
@@ -129,22 +66,25 @@ impl ParameterServer {
         self.totals
     }
 
-    /// One superstep's inter-node synchronization: merge the per-node
-    /// payloads pairwise up the reduce tree (each level costs its slowest
-    /// pair — one encoded transfer over the node link plus one merge-add
-    /// kernel), broadcast the merged global payload back down, and refresh
-    /// the server's own ϕ from it. Returns the global payload (for the
-    /// caller to apply to every replica) and the timing/traffic report.
-    fn reduce(
+    /// One superstep's inter-node synchronization over a ϕ of
+    /// `num_topics × vocab_size`: merge the per-node payloads pairwise up
+    /// the reduce tree (each level costs its slowest pair — one encoded
+    /// transfer over the node link plus one merge-add kernel), then
+    /// broadcast the merged global payload back down. Returns the global
+    /// payload (for the caller to apply to every replica) and the
+    /// timing/traffic report.
+    pub(crate) fn reduce(
         &mut self,
         node_payloads: Vec<DeltaPayload>,
+        num_topics: usize,
+        vocab_size: usize,
         gpu: &GpuSpec,
         elem_bytes: u64,
     ) -> (DeltaPayload, SyncReport) {
         let n = node_payloads.len();
         assert!(n > 0, "no node payloads to reduce");
-        let k = self.phi.num_topics;
-        let elements = self.phi.phi.len() as u64 + self.phi.phi_sum.len() as u64;
+        let k = num_topics as u64;
+        let elements = (vocab_size as u64 + 1) * k;
         let dense_bytes = 2 * (n as u64).saturating_sub(1) * elements * elem_bytes;
 
         let mut payloads: Vec<Option<DeltaPayload>> = node_payloads.into_iter().map(Some).collect();
@@ -161,7 +101,7 @@ impl ParameterServer {
                 let recv = payloads[i].as_mut().expect("receiver payload missing");
                 recv.merge_from(&sender);
                 let pair_seconds = self.link.transfer_seconds(sent_bytes)
-                    + add_kernel_seconds(gpu, recv.nnz() + k as u64, elem_bytes);
+                    + add_kernel_seconds(gpu, recv.nnz() + k, elem_bytes);
                 level_seconds = level_seconds.max(pair_seconds);
                 bytes_moved += sent_bytes;
                 i += 2 * stride;
@@ -179,12 +119,6 @@ impl ParameterServer {
             f64::from(tree_rounds(n)) * self.link.transfer_seconds(global_bytes);
         bytes_moved += (n as u64).saturating_sub(1) * global_bytes;
 
-        // The write replicas are rebuilt from scratch every iteration, so
-        // the payload is the *full* current model in sparse form — the
-        // server's view refreshes by clear + store.
-        self.phi.clear();
-        global.apply_to(&self.phi);
-
         let report = SyncReport {
             reduce_seconds,
             broadcast_seconds,
@@ -199,860 +133,16 @@ impl ParameterServer {
     }
 }
 
-/// Multi-node AD-LDA trainer: N [`NodeTrainer`]s under one
-/// [`ParameterServer`], drivable through the [`crate::LdaTrainer`] trait
-/// exactly like the single-node trainers. Construct through
-/// [`crate::build_trainer`] with `cfg.nodes > 1`.
-pub struct ClusterTrainer {
-    /// Per-node run configuration (`cfg.platform` is one node's box;
-    /// `cfg.nodes` is the cluster width).
-    pub cfg: TrainerConfig,
-    part: PartitionedCorpus,
-    plan: MemoryPlan,
-    priors: Priors,
-    nodes: Vec<NodeTrainer>,
-    ps: ParameterServer,
-    gpus_per_node: usize,
-    peer_link: Link,
-    host_link: Link,
-    history: RunHistory,
-    breakdown: Breakdown,
-    profile: ProfileLog,
-    iteration: u32,
-    trace: Option<Arc<TraceSink>>,
-    metrics: Option<Arc<MetricsRegistry>>,
-    faults: Option<Arc<FaultPlan>>,
-    recovery: RecoveryStats,
-    intra_sync_totals: SyncTotals,
-    _residency: Vec<Reservation>,
-}
-
-impl ClusterTrainer {
-    /// Plans the partition exactly as a single node of `cfg.platform`
-    /// would (same `C` ⇒ bit-identical training), builds `cfg.nodes`
-    /// nodes of `G` workers each with globally unique device ids, deals
-    /// the chunks round-robin over the `N·G` virtual GPUs, and
-    /// initializes the global model on every replica and the parameter
-    /// server.
-    pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
-        cfg.validate()?;
-        let n = cfg.nodes;
-        let g = cfg.platform.num_gpus;
-        // The chunk plan comes from the *per-node* platform: C = M × G,
-        // independent of N, which is what makes an N-node run bit-identical
-        // to the single-node baseline.
-        let (part, plan) = plan_partition(corpus, &cfg);
-        let w_total = n * g;
-
-        // One flat device pool with globally unique ids 0..N·G, split
-        // contiguously into nodes (node n owns devices n·G..(n+1)·G).
-        // `with_gpus` caps at the installed count, so widen the clone
-        // directly — the cluster is N boxes of the same platform.
-        let mut pool_platform = cfg.platform.clone();
-        pool_platform.num_gpus = w_total;
-        let mut pool = GpuCluster::from_platform(&pool_platform);
-        if let Some(link) = cfg.peer_link {
-            pool.peer_link = link;
-        }
-        let priors = Priors::paper(cfg.num_topics);
-
-        // Same per-chunk init as the single-node trainer: chunk id in the
-        // seed keeps streams apart, and identical to any other layout.
-        let states: Vec<ChunkState> = part
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(i, ch)| ChunkState::init_random(ch, cfg.num_topics, cfg.seed ^ (i as u64) << 32))
-            .collect();
-        let min_blocks = 2 * cfg.platform.gpu.sm_count as usize;
-        let block_maps: Vec<Vec<BlockWork>> = part
-            .chunks
-            .iter()
-            .map(|ch| {
-                if ch.num_tokens() == 0 {
-                    return Vec::new();
-                }
-                let tpb = cfg
-                    .tokens_per_block
-                    .unwrap_or_else(|| auto_tokens_per_block(ch.num_tokens(), min_blocks));
-                build_block_map(ch, tpb)
-            })
-            .collect();
-
-        let mk_phi = || PhiModel::zeros(cfg.num_topics, part.vocab_size, priors);
-        let read_phi: Vec<PhiModel> = (0..w_total).map(|_| mk_phi()).collect();
-        let write_phi: Vec<PhiModel> = (0..w_total).map(|_| mk_phi()).collect();
-
-        // Initial model: accumulate each chunk into its owner's write
-        // replica, sum globally (untimed setup, as in the single-node
-        // trainer), snapshot into every read replica.
-        for (i, ch) in part.chunks.iter().enumerate() {
-            culda_sampler::accumulate_phi_host(
-                ch,
-                &states[i].z,
-                &write_phi[chunk_owner(i, w_total)],
-            );
-        }
-        let write_refs: Vec<&PhiModel> = write_phi.iter().collect();
-        let _ = sync_phi_replicas(&write_refs, &cfg.platform.gpu, &pool.peer_link, &cfg);
-        drop(write_refs);
-        for (r, w) in read_phi.iter().zip(&write_phi) {
-            r.copy_from(w);
-        }
-
-        // Residency and setup transfers, per device, as on a single node.
-        let mut residency = Vec::new();
-        for dev in 0..w_total {
-            let phi_bytes = 2 * cfg.phi_device_bytes(part.vocab_size);
-            residency.push(
-                pool.devices[dev]
-                    .reserve(phi_bytes)
-                    .expect("plan guaranteed the model fits"),
-            );
-        }
-        if plan.m == 1 {
-            for i in 0..part.num_chunks() {
-                let owner = chunk_owner(i, w_total);
-                let bytes = chunk_state_bytes(&part, i, cfg.num_topics);
-                residency.push(
-                    pool.devices[owner]
-                        .reserve(bytes)
-                        .expect("plan guaranteed chunks fit"),
-                );
-                pool.host_to_device(owner, bytes);
-            }
-            pool.barrier();
-        }
-        pool.reset_clocks();
-
-        let GpuCluster {
-            devices,
-            peer_link,
-            host_link,
-        } = pool;
-        let mut workers: Vec<GpuWorker> = devices
-            .into_iter()
-            .zip(read_phi)
-            .zip(write_phi)
-            .map(|((device, read), write)| GpuWorker::new(device, read, write))
-            .collect();
-        for (i, (state, map)) in states.into_iter().zip(block_maps).enumerate() {
-            workers[chunk_owner(i, w_total)].push_chunk(i, state, map);
-        }
-        let mut nodes: Vec<NodeTrainer> = Vec::with_capacity(n);
-        let mut it = workers.into_iter();
-        for id in 0..n {
-            nodes.push(NodeTrainer {
-                id,
-                workers: it.by_ref().take(g).collect(),
-                alive: true,
-            });
-        }
-
-        let node_link = cfg.effective_node_link();
-        let ps = ParameterServer::new(cfg.num_topics, part.vocab_size, priors, node_link);
-        ps.phi.copy_from(nodes[0].workers[0].read_replica());
-
-        Ok(Self {
-            cfg,
-            part,
-            plan,
-            priors,
-            nodes,
-            ps,
-            gpus_per_node: g,
-            peer_link,
-            host_link,
-            history: RunHistory::new(),
-            breakdown: Breakdown::new(),
-            profile: ProfileLog::new(),
-            iteration: 0,
-            trace: None,
-            metrics: None,
-            faults: None,
-            recovery: RecoveryStats::default(),
-            intra_sync_totals: SyncTotals::default(),
-            _residency: residency,
-        })
-    }
-
-    /// The parameter server (global ϕ, inter-node link, traffic totals).
-    pub fn parameter_server(&self) -> &ParameterServer {
-        &self.ps
-    }
-
-    /// The cluster's nodes (read access for tests and tools).
-    pub fn nodes(&self) -> &[NodeTrainer] {
-        &self.nodes
-    }
-
-    /// Nodes still participating in supersteps.
-    pub fn num_alive_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
-    }
-
-    /// The chosen memory plan (`M`, `C`, byte budgets — per node).
-    pub fn plan(&self) -> &MemoryPlan {
-        &self.plan
-    }
-
-    /// The partitioned corpus.
-    pub fn partition(&self) -> &PartitionedCorpus {
-        &self.part
-    }
-
-    /// Run-level intra-node ϕ-sync totals, summed over every node.
-    pub fn intra_sync_totals(&self) -> SyncTotals {
-        self.intra_sync_totals
-    }
-
-    /// Iterations (supersteps) completed so far.
-    pub fn iterations_done(&self) -> u32 {
-        self.iteration
-    }
-
-    /// Latest clock among all alive nodes' devices.
-    fn system_time(&self) -> f64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.now())
-            .fold(0.0f64, f64::max)
-    }
-
-    /// Every alive worker, flattened in (node, gpu) order.
-    fn alive_workers(&self) -> impl Iterator<Item = &GpuWorker> {
-        self.nodes
-            .iter()
-            .filter(|n| n.alive)
-            .flat_map(|n| n.workers.iter())
-    }
-
-    /// The worker holding a global chunk id, as `(node, gpu, local slot)`.
-    fn chunk_slot(&self, global_id: usize) -> (usize, usize, usize) {
-        for (ni, node) in self.nodes.iter().enumerate() {
-            for (wi, w) in node.workers.iter().enumerate() {
-                if let Some(local) = w.chunk_ids.iter().position(|&gi| gi == global_id) {
-                    return (ni, wi, local);
-                }
-            }
-        }
-        panic!("chunk {global_id} has no owner");
-    }
-
-    /// Per-chunk assignment state in **global chunk order**, reassembled
-    /// across all nodes.
-    pub fn states(&self) -> Vec<&ChunkState> {
-        let mut out: Vec<Option<&ChunkState>> = vec![None; self.part.num_chunks()];
-        for node in &self.nodes {
-            for w in &node.workers {
-                for (local, &gi) in w.chunk_ids.iter().enumerate() {
-                    out[gi] = Some(&w.states[local]);
-                }
-            }
-        }
-        out.into_iter()
-            .map(|s| s.expect("every chunk has an owner"))
-            .collect()
-    }
-
-    /// Marks a node dead and drains its shards: every chunk it owned
-    /// migrates round-robin (ascending global id) to the survivors'
-    /// workers, each migration charged as one chunk-state transfer over
-    /// the inter-node link to the receiving device. The migrated chunks
-    /// re-run on their new owners from the next superstep; the model stays
-    /// bit-identical because chunk placement never enters the RNG keying.
-    pub fn fail_node(&mut self, node: usize) -> Result<(), CuldaError> {
-        if node >= self.nodes.len() {
-            return Err(CuldaError::Invalid(format!(
-                "node {node} out of range (cluster has {})",
-                self.nodes.len()
-            )));
-        }
-        if !self.nodes[node].alive {
-            return Err(CuldaError::Invalid(format!("node {node} is already dead")));
-        }
-        self.nodes[node].alive = false;
-        let mut drained: Vec<(usize, ChunkState, Vec<BlockWork>)> = Vec::new();
-        for w in &mut self.nodes[node].workers {
-            drained.extend(w.drain_chunks());
-        }
-        drained.sort_by_key(|&(gi, ..)| gi);
-        self.recovery.workers_lost += self.gpus_per_node as u64;
-
-        let survivors: Vec<(usize, usize)> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .flat_map(|(ni, n)| (0..n.workers.len()).map(move |wi| (ni, wi)))
-            .collect();
-        if survivors.is_empty() {
-            return Err(CuldaError::AllWorkersLost);
-        }
-        let node_link = self.ps.link;
-        for (k, (gi, state, map)) in drained.into_iter().enumerate() {
-            let (ni, wi) = survivors[k % survivors.len()];
-            let bytes = chunk_state_bytes(&self.part, gi, self.cfg.num_topics);
-            let w = &mut self.nodes[ni].workers[wi];
-            let secs = w.device.try_transfer(bytes, &node_link)?;
-            w.breakdown.add(Phase::Recovery, secs);
-            self.breakdown.add(Phase::Recovery, secs);
-            w.push_chunk(gi, state, map);
-            self.recovery.chunks_migrated += 1;
-        }
-        if let Some(sink) = &self.trace {
-            sink.instant_sim(
-                NODE_TID_BASE + node as u32,
-                "node_failed",
-                "recovery",
-                self.system_time(),
-            );
-        }
-        if let Some(reg) = &self.metrics {
-            reg.counter("cluster.nodes_failed").inc();
-            reg.gauge("cluster.nodes_alive")
-                .set(self.num_alive_nodes() as f64);
-        }
-        Ok(())
-    }
-
-    /// Runs one superstep: per-node iteration bodies (the same
-    /// [`GpuWorker`] bodies as the single-node trainer, with out-of-core
-    /// prefetch when `M > 1`), intra-node ϕ sync in the configured mode,
-    /// then the parameter-server Δϕ reduce/broadcast over the node link,
-    /// applied back to every replica before the swap.
-    pub fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
-        let wall_start = std::time::Instant::now();
-        let t0 = self.system_time();
-        let plan = if self.plan.m == 1 {
-            IterationPlan::resident(self.cfg.num_topics)
-        } else {
-            IterationPlan::out_of_core(self.cfg.num_topics).with_prefetch(self.cfg.prefetch)
-        };
-        let iteration = self.iteration;
-        for w in self.alive_workers() {
-            w.device.set_epoch(iteration);
-        }
-        // One global sparsity decision per superstep, from the previous
-        // superstep's global snapshot — every replica agrees with the
-        // parameter server, so this matches the single-node decision.
-        let sparse = match self.cfg.sampling_mode {
-            SamplingMode::Dense => false,
-            SamplingMode::Sparse => true,
-            SamplingMode::Auto => {
-                choose_sparse_sampling(&self.ps.phi.phi, self.cfg.phi_elem_bytes() as usize)
-            }
-        };
-
-        // --- Per-node iteration bodies + intra-node sync ----------------
-        let part = &self.part;
-        let cfg = &self.cfg;
-        let host_link = self.host_link;
-        let peer_link = self.peer_link;
-        let mode = cfg.effective_sync_mode();
-        let mut node_ready: Vec<f64> = Vec::new();
-        let mut node_payloads: Vec<DeltaPayload> = Vec::new();
-        let mut transfer_total = 0.0;
-        let mut transfer_hidden = 0.0;
-        for node in self.nodes.iter_mut().filter(|n| n.alive) {
-            let results = run_workers_fallible(&mut node.workers, |_, w| {
-                w.try_run_iteration(part, cfg, plan, iteration, &host_link, sparse)
-                    .map_err(CuldaError::from)
-            });
-            let mut reports = Vec::with_capacity(results.len());
-            for res in results {
-                reports.push(res?);
-            }
-            for (w, r) in node.workers.iter_mut().zip(&reports) {
-                self.breakdown.add(Phase::Sampling, r.sampling_seconds);
-                self.breakdown.add(Phase::UpdatePhi, r.phi_seconds);
-                self.breakdown.add(Phase::UpdateTheta, r.theta_seconds);
-                if plan.is_out_of_core() {
-                    self.breakdown
-                        .add(Phase::Transfer, r.exposed_transfer_seconds);
-                    transfer_total += r.transfer_seconds_total;
-                    transfer_hidden += r.transfer_seconds_total * r.overlap_fraction;
-                }
-                self.profile.merge(&w.device.take_profile());
-            }
-            if plan.is_out_of_core() {
-                if let Some(sink) = &self.trace {
-                    for (w, r) in node.workers.iter().zip(&reports) {
-                        trace_staging(
-                            sink,
-                            w.device.id as u32,
-                            iteration,
-                            &w.staged_chunk_ids(),
-                            r,
-                        );
-                    }
-                }
-            }
-
-            // Intra-node ϕ sync in the configured mode — exactly the
-            // single-node sync over this node's replicas.
-            let sync_start = reports.iter().map(|r| r.phi_done_at).fold(t0, f64::max);
-            let write_refs: Vec<&PhiModel> =
-                node.workers.iter().map(|w| w.write_replica()).collect();
-            let intra: SyncReport = match mode {
-                SyncMode::DenseTree => {
-                    sync_phi_replicas(&write_refs, &cfg.platform.gpu, &peer_link, cfg)
-                }
-                SyncMode::DenseRing => {
-                    sync_phi_ring(&write_refs, &cfg.platform.gpu, &peer_link, cfg)
-                }
-                SyncMode::Delta | SyncMode::Auto => {
-                    let deltas: Vec<&PhiDelta> = node.workers.iter().map(|w| w.delta()).collect();
-                    if mode == SyncMode::Delta {
-                        sync_phi_delta(&write_refs, &deltas, &cfg.platform.gpu, &peer_link, cfg)
-                    } else {
-                        sync_phi_auto(&write_refs, &deltas, &cfg.platform.gpu, &peer_link, cfg)
-                    }
-                }
-            };
-            drop(write_refs);
-            self.breakdown.add(Phase::SyncPhi, intra.total_seconds());
-            self.intra_sync_totals.absorb(&intra);
-            let ready = sync_start + intra.total_seconds();
-            for w in &node.workers {
-                w.device.advance_to(ready);
-            }
-            if let Some(sink) = &self.trace {
-                sink.span_sim(
-                    NODE_TID_BASE + node.id as u32,
-                    &format!("node_sync iter {iteration}"),
-                    "sync",
-                    sync_start,
-                    ready,
-                    vec![
-                        ("node".into(), Json::from(node.id)),
-                        ("mode".into(), Json::Str(intra.mode.to_string())),
-                        ("bytes".into(), Json::from(intra.bytes_moved)),
-                    ],
-                );
-            }
-            node_ready.push(ready);
-            node_payloads.push(node.payload(part.vocab_size));
-        }
-
-        // --- Parameter-server superstep over the node link --------------
-        let alive_nodes = node_payloads.len();
-        let inter_start = node_ready.iter().copied().fold(t0, f64::max);
-        let (global, inter) =
-            self.ps
-                .reduce(node_payloads, &cfg.platform.gpu, cfg.phi_elem_bytes());
-        let inter_end = inter_start + inter.total_seconds();
-        // Apply the merged global payload to every replica by store —
-        // valid because each replica's node sum is a cell-subset of the
-        // global sum. With one node the replica already *is* the sum.
-        if alive_nodes > 1 {
-            for w in self.alive_workers() {
-                global.apply_to(w.write_replica());
-            }
-        }
-        self.breakdown.add(Phase::SyncPhi, inter.total_seconds());
-
-        if let Some(sink) = &self.trace {
-            for (node, &ready) in self.nodes.iter().filter(|n| n.alive).zip(&node_ready) {
-                let id = sink.new_flow_id();
-                sink.flow_start(
-                    SIM_PID,
-                    NODE_TID_BASE + node.id as u32,
-                    "node_reduce",
-                    ready,
-                    id,
-                );
-                sink.flow_finish(SIM_PID, SYNC_TID, "node_reduce", inter_start, id);
-            }
-            sink.span_sim(
-                SYNC_TID,
-                &format!("cluster_sync iter {iteration}"),
-                "sync",
-                inter_start,
-                inter_end,
-                vec![
-                    ("nodes".into(), Json::from(alive_nodes)),
-                    ("bytes".into(), Json::from(inter.bytes_moved)),
-                    ("nnz".into(), Json::from(inter.nnz)),
-                    ("rounds".into(), Json::from(inter.rounds)),
-                ],
-            );
-            for node in self.nodes.iter().filter(|n| n.alive) {
-                let id = sink.new_flow_id();
-                sink.flow_start(SIM_PID, SYNC_TID, "node_broadcast", inter_end, id);
-                sink.flow_finish(
-                    SIM_PID,
-                    NODE_TID_BASE + node.id as u32,
-                    "node_broadcast",
-                    inter_end,
-                    id,
-                );
-            }
-        }
-        if let Some(reg) = &self.metrics {
-            reg.counter("cluster.sync.bytes").add(inter.bytes_moved);
-            reg.counter("cluster.sync.nnz").add(inter.nnz);
-            reg.gauge("cluster.sync.compression_ratio")
-                .set(inter.compression_ratio());
-            reg.histogram("cluster.sync.seconds")
-                .record(inter.total_seconds());
-            reg.gauge("cluster.nodes_alive").set(alive_nodes as f64);
-            if plan.is_out_of_core() {
-                reg.gauge("oocore.overlap_fraction")
-                    .set(if transfer_total > 0.0 {
-                        transfer_hidden / transfer_total
-                    } else {
-                        0.0
-                    });
-            }
-        }
-
-        // Everyone advances to the superstep end; θ stragglers past the
-        // sync keep their clocks (the max below picks them up).
-        for w in self.alive_workers() {
-            w.device.advance_to(inter_end);
-        }
-        let t_end = self.system_time();
-        for w in self.alive_workers() {
-            w.device.advance_to(t_end);
-        }
-        for node in self.nodes.iter_mut().filter(|n| n.alive) {
-            for w in &mut node.workers {
-                w.swap_replicas();
-            }
-        }
-
-        self.iteration += 1;
-        let scored =
-            self.cfg.score_every > 0 && self.iteration.is_multiple_of(self.cfg.score_every);
-        let phi_cells = (self.part.vocab_size * self.cfg.num_topics) as f64;
-        let stat = IterationStat {
-            iteration: self.iteration - 1,
-            tokens: self.part.num_tokens,
-            sim_seconds: t_end - t0,
-            wall_seconds: wall_start.elapsed().as_secs_f64(),
-            loglik_per_token: scored.then(|| self.loglik_per_token()),
-            delta_density: (alive_nodes > 1).then(|| inter.nnz as f64 / phi_cells),
-            sampling_sparse: Some(sparse),
-        };
-        self.history.push(stat);
-        Ok(stat)
-    }
-
-    /// Joint log-likelihood per token, accumulated in global chunk order
-    /// (identical to the single-node trainer's for the same state).
-    pub fn loglik_per_token(&self) -> f64 {
-        let phi = &self.ps.phi;
-        let eval = LdaLoglik::new(
-            self.priors.alpha,
-            self.priors.beta,
-            self.cfg.num_topics,
-            self.part.vocab_size,
-        );
-        let k = self.cfg.num_topics;
-        let mut acc = 0.0;
-        for t in 0..k {
-            let col = (0..self.part.vocab_size).map(|v| phi.phi.load(v * k + t));
-            acc += eval.topic_term(col, phi.phi_sum.load(t) as u64);
-        }
-        for (ci, state) in self.states().iter().enumerate() {
-            let chunk = &self.part.chunks[ci];
-            for d in 0..chunk.num_docs {
-                let (_, vals) = state.theta.row(d);
-                acc += eval.doc_term(vals.iter().copied(), chunk.doc_len(d) as u64);
-            }
-        }
-        eval.per_token(acc, self.part.num_tokens)
-    }
-
-    /// Full consistency audit: every chunk's `z`/θ agree, and the
-    /// parameter server's ϕ equals the sum over all chunks.
-    pub fn check_invariants(&self) {
-        let fresh = PhiModel::zeros(self.cfg.num_topics, self.part.vocab_size, self.priors);
-        for (ci, state) in self.states().iter().enumerate() {
-            culda_sampler::validate::check_chunk_consistency(&self.part.chunks[ci], state, None);
-            culda_sampler::accumulate_phi_host(&self.part.chunks[ci], &state.z, &fresh);
-        }
-        let global = &self.ps.phi;
-        for i in 0..global.phi.len() {
-            assert_eq!(global.phi.load(i), fresh.phi.load(i), "phi[{i}] mismatch");
-        }
-        for t in 0..self.cfg.num_topics {
-            assert_eq!(
-                global.phi_sum.load(t),
-                fresh.phi_sum.load(t),
-                "phi_sum[{t}]"
-            );
+/// A node's Δϕ payload after its intra-node sync: each of `replicas` (the
+/// node's alive write replicas) holds the node sum, and the union of their
+/// dirty-row bitmaps covers exactly the rows that sum can be nonzero in
+/// (counts are non-negative, so no cancellation).
+pub(crate) fn node_payload(replicas: &[&PhiModel]) -> DeltaPayload {
+    let union = PhiDelta::new(replicas[0].vocab_size);
+    for r in replicas {
+        for v in r.phi.dirty().touched_rows() {
+            union.mark_row(v);
         }
     }
-
-    /// Restores a checkpointed `(iteration, assignments)` state across the
-    /// cluster — the back-end of policy-agnostic resume. Rebuilds θ and
-    /// every replica's ϕ, refreshes the parameter server, and resets the
-    /// timing state, exactly mirroring the single-node restore.
-    pub fn restore_assignments(
-        &mut self,
-        iteration: u32,
-        z_per_chunk: &[Vec<u16>],
-    ) -> Result<(), String> {
-        if z_per_chunk.len() != self.part.num_chunks() {
-            return Err(format!(
-                "{} chunks supplied, trainer has {}",
-                z_per_chunk.len(),
-                self.part.num_chunks()
-            ));
-        }
-        for (ci, z) in z_per_chunk.iter().enumerate() {
-            let (ni, wi, local) = self.chunk_slot(ci);
-            if z.len() != self.nodes[ni].workers[wi].states[local].z.len() {
-                return Err(format!("chunk {ci} token-count mismatch"));
-            }
-            if let Some(&bad) = z.iter().find(|&&v| v as usize >= self.cfg.num_topics) {
-                return Err(format!("assignment {bad} out of range"));
-            }
-            let state = &mut self.nodes[ni].workers[wi].states[local];
-            for (t, &v) in z.iter().enumerate() {
-                state.z.store(t, v);
-            }
-            state.theta = culda_sampler::build_theta_host(
-                &self.part.chunks[ci],
-                &state.z,
-                self.cfg.num_topics,
-            );
-        }
-        for w in self.nodes.iter().flat_map(|n| n.workers.iter()) {
-            w.write_replica().clear();
-        }
-        for i in 0..self.part.num_chunks() {
-            let (ni, wi, local) = self.chunk_slot(i);
-            culda_sampler::accumulate_phi_host(
-                &self.part.chunks[i],
-                &self.nodes[ni].workers[wi].states[local].z,
-                self.nodes[ni].workers[wi].write_replica(),
-            );
-        }
-        let write_refs: Vec<&PhiModel> = self
-            .nodes
-            .iter()
-            .flat_map(|n| n.workers.iter())
-            .map(|w| w.write_replica())
-            .collect();
-        let resume_sync = sync_phi_replicas(
-            &write_refs,
-            &self.cfg.platform.gpu,
-            &self.peer_link,
-            &self.cfg,
-        );
-        drop(write_refs);
-        for w in self.nodes.iter().flat_map(|n| n.workers.iter()) {
-            w.read_replica().copy_from(w.write_replica());
-        }
-        self.ps
-            .phi
-            .copy_from(self.nodes[0].workers[0].read_replica());
-        self.iteration = iteration;
-        self.history = RunHistory::new();
-        self.breakdown = Breakdown::new();
-        self.breakdown
-            .add(Phase::SyncPhi, resume_sync.total_seconds());
-        self.intra_sync_totals.absorb(&resume_sync);
-        self.profile.clear();
-        for node in &mut self.nodes {
-            for w in &mut node.workers {
-                w.breakdown = Breakdown::new();
-                w.device.reset_clock();
-                w.device.clear_profile();
-            }
-        }
-        Ok(())
-    }
-}
-
-impl crate::LdaTrainer for ClusterTrainer {
-    fn policy(&self) -> crate::PartitionPolicy {
-        crate::PartitionPolicy::Document
-    }
-
-    fn config(&self) -> &TrainerConfig {
-        &self.cfg
-    }
-
-    fn num_gpus(&self) -> usize {
-        self.nodes.iter().map(|n| n.workers.len()).sum()
-    }
-
-    fn step(&mut self) -> IterationStat {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("unrecoverable cluster fault: {e}"))
-    }
-
-    fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
-        ClusterTrainer::try_step(self)
-    }
-
-    fn attach_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        for node in &self.nodes {
-            for w in &node.workers {
-                w.device.attach_faults(plan.clone());
-            }
-        }
-        self.faults = Some(plan);
-    }
-
-    fn recovery(&self) -> RecoveryStats {
-        let mut r = self.recovery;
-        if let Some(p) = &self.faults {
-            r.faults_injected = p.injected();
-        }
-        r
-    }
-
-    fn history(&self) -> &RunHistory {
-        &self.history
-    }
-
-    fn breakdown(&self) -> Breakdown {
-        self.breakdown.clone()
-    }
-
-    fn per_gpu_breakdowns(&self) -> GpuBreakdowns {
-        GpuBreakdowns::new(
-            self.nodes
-                .iter()
-                .flat_map(|n| n.workers.iter())
-                .map(|w| w.breakdown.clone())
-                .collect(),
-        )
-    }
-
-    fn profile(&self) -> ProfileLog {
-        self.profile.clone()
-    }
-
-    fn attach_observability(
-        &mut self,
-        trace: Option<Arc<TraceSink>>,
-        metrics: Option<Arc<MetricsRegistry>>,
-    ) {
-        for node in &self.nodes {
-            for w in &node.workers {
-                if let Some(t) = &trace {
-                    w.device.attach_trace(t.clone());
-                }
-                if let Some(m) = &metrics {
-                    w.device.attach_metrics(m.clone());
-                }
-            }
-        }
-        self.trace = trace;
-        self.metrics = metrics;
-    }
-
-    fn loglik_per_token(&self) -> f64 {
-        ClusterTrainer::loglik_per_token(self)
-    }
-
-    fn check_invariants(&self) {
-        ClusterTrainer::check_invariants(self)
-    }
-
-    fn phi(&self) -> &PhiModel {
-        &self.ps.phi
-    }
-
-    fn iterations_done(&self) -> u32 {
-        self.iteration
-    }
-
-    fn assignments(&self) -> Vec<Vec<u16>> {
-        self.states().iter().map(|s| s.z.snapshot()).collect()
-    }
-
-    fn restore_assignments(&mut self, iteration: u32, z: &[Vec<u16>]) -> Result<(), String> {
-        ClusterTrainer::restore_assignments(self, iteration, z)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{build_trainer, LdaTrainer, PartitionPolicy};
-    use culda_corpus::SynthSpec;
-    use culda_gpusim::Platform;
-
-    fn corpus() -> Corpus {
-        let mut spec = SynthSpec::tiny();
-        spec.num_docs = 160;
-        spec.vocab_size = 220;
-        spec.avg_doc_len = 20.0;
-        spec.seed = 7;
-        spec.generate()
-    }
-
-    fn cfg(nodes: usize) -> TrainerConfig {
-        TrainerConfig::builder(8, Platform::pascal().with_gpus(2))
-            .iterations(3)
-            .score_every(0)
-            .seed(11)
-            .nodes(nodes)
-            .build()
-            .unwrap()
-    }
-
-    #[test]
-    fn cluster_matches_single_node_bit_for_bit() {
-        let c = corpus();
-        let mut single = build_trainer(PartitionPolicy::Document, &c, cfg(1)).unwrap();
-        let mut cluster = build_trainer(PartitionPolicy::Document, &c, cfg(3)).unwrap();
-        for _ in 0..3 {
-            single.step();
-            cluster.step();
-        }
-        cluster.check_invariants();
-        assert_eq!(single.assignments(), cluster.assignments());
-        assert_eq!(single.phi().phi.snapshot(), cluster.phi().phi.snapshot());
-        assert!((single.loglik_per_token() - cluster.loglik_per_token()).abs() < 1e-12);
-    }
-
-    /// Shrinks the device memory so the plan goes out-of-core (`M > 1`),
-    /// spreading chunks over every node's workers.
-    fn oocore_cfg(nodes: usize, c: &Corpus) -> TrainerConfig {
-        let mut cfg = cfg(nodes);
-        cfg.platform.gpu.memory_bytes =
-            2 * cfg.phi_device_bytes(c.vocab_size()) + c.num_tokens() * 10 / 3;
-        cfg
-    }
-
-    #[test]
-    fn node_failure_drains_to_survivors_bit_identically() {
-        let c = corpus();
-        let mut reference = ClusterTrainer::try_new(&c, oocore_cfg(3, &c)).unwrap();
-        let mut faulty = ClusterTrainer::try_new(&c, oocore_cfg(3, &c)).unwrap();
-        reference.try_step().unwrap();
-        faulty.try_step().unwrap();
-        let tokens_before: usize = faulty.states().iter().map(|s| s.z.len()).sum();
-        faulty.fail_node(1).unwrap();
-        assert_eq!(faulty.num_alive_nodes(), 2);
-        let tokens_after: usize = faulty.states().iter().map(|s| s.z.len()).sum();
-        assert_eq!(tokens_before, tokens_after, "drain must conserve tokens");
-        reference.try_step().unwrap();
-        faulty.try_step().unwrap();
-        faulty.check_invariants();
-        assert_eq!(
-            LdaTrainer::assignments(&reference),
-            LdaTrainer::assignments(&faulty)
-        );
-        assert!(faulty.recovery.chunks_migrated > 0);
-    }
-
-    #[test]
-    fn word_policy_refuses_multiple_nodes() {
-        let c = corpus();
-        let err = match build_trainer(PartitionPolicy::Word, &c, cfg(2)) {
-            Err(e) => e,
-            Ok(_) => panic!("word policy with 2 nodes must be rejected"),
-        };
-        assert!(matches!(err, CuldaError::Invalid(_)), "{err}");
-    }
+    DeltaPayload::from_replica(replicas[0], &union)
 }

@@ -8,7 +8,8 @@
 //! owns a device plus its chunks and ϕ replicas and runs the iteration
 //! body on its own host thread ([`worker`]), and the end-to-end trainer
 //! with WorkSchedule1/WorkSchedule2 and sync/θ-update overlap
-//! ([`trainer`]).
+//! ([`trainer`]) — on one node or, through the parameter server of
+//! [`cluster`], on many.
 
 //! ```
 //! use culda_corpus::SynthSpec;
@@ -43,7 +44,7 @@ pub mod word_trainer;
 pub mod worker;
 
 pub use api::{build_trainer, LdaTrainer, PartitionPolicy};
-pub use cluster::{ClusterTrainer, NodeTrainer, ParameterServer};
+pub use cluster::{ClusterTrainer, ParameterServer};
 pub use config::{
     ConfigError, DrawMode, ModeParseError, RetryPolicy, SamplingMode, SyncMode, TrainerConfig,
     TrainerConfigBuilder,
@@ -59,4 +60,4 @@ pub use sync::{
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
 pub use word_trainer::WordPartitionedTrainer;
-pub use worker::{run_workers, run_workers_fallible, run_workers_traced, GpuWorker};
+pub use worker::{run_workers, run_workers_traced, GpuWorker};

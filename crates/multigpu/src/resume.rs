@@ -185,9 +185,10 @@ fn resume_into<T: LdaTrainer, R: Read>(
 }
 
 /// Rebuilds a partition-by-document trainer from `corpus` + `cfg` and a
-/// checkpoint produced by [`save_training`]. The corpus and configuration
-/// must be the ones the checkpoint was taken with (validated where
-/// possible: policy, seed, K, chunk count, per-chunk token counts).
+/// checkpoint produced by [`save_training`], on as many nodes as
+/// `cfg.nodes` asks for. The corpus and configuration must be the ones
+/// the checkpoint was taken with (validated where possible: policy, seed,
+/// K, chunk count, per-chunk token counts).
 /// Malformed or mismatched checkpoints surface as
 /// [`CuldaError::Checkpoint`]; underlying read failures as
 /// [`CuldaError::Io`].
@@ -343,6 +344,37 @@ mod tests {
             assert_eq!(resumed.iterations_done(), 1);
             assert_eq!(resumed.assignments(), t.assignments());
         }
+    }
+
+    #[test]
+    fn multi_node_resume_rebuilds_every_node_and_continues_bit_identically() {
+        let c = corpus();
+        // Two nodes of two GPUs, two chunks per GPU: every worker owns one.
+        let two_nodes = || {
+            let mut cfg = multi_gpu_cfg();
+            cfg.nodes = 2;
+            cfg.chunks_per_gpu = Some(2);
+            cfg
+        };
+        let doc = PartitionPolicy::Document;
+        let mut straight = crate::api::build_trainer(doc, &c, two_nodes()).unwrap();
+        for _ in 0..5 {
+            straight.step();
+        }
+        let mut first = crate::api::build_trainer(doc, &c, two_nodes()).unwrap();
+        first.step();
+        first.step();
+        let mut buf = Vec::new();
+        save_training(first.as_ref(), &mut buf).unwrap();
+        let mut resumed = resume_any(&c, two_nodes(), buf.as_slice()).unwrap();
+        assert_eq!(resumed.num_gpus(), 4, "resume dropped a node");
+        for _ in 0..3 {
+            resumed.step();
+        }
+        resumed.check_invariants();
+        assert_eq!(straight.assignments(), resumed.assignments());
+        assert_eq!(straight.phi().phi.snapshot(), resumed.phi().phi.snapshot());
+        assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
     }
 
     #[test]

@@ -30,7 +30,8 @@
 //! executes the argmin, so its reported seconds equal the best fixed
 //! mode's by construction. All timing paths route through the same helper
 //! functions, making that equality exact (no floating-point drift between
-//! "predicted" and "executed" cost).
+//! "predicted" and "executed" cost). The trainer reaches all four through
+//! one dispatch on the mode.
 
 use crate::config::{SyncMode, TrainerConfig};
 use crate::delta::DeltaPayload;
@@ -398,6 +399,33 @@ pub fn sync_phi_delta(
         }
     }
     plan.report
+}
+
+/// Synchronizes `replicas` with the strategy `mode` names — the one
+/// dispatch every node's sync goes through. The Δϕ strategies read each
+/// replica's own dirty-row bitmap.
+///
+/// # Panics
+/// Panics if `replicas` is empty or shapes disagree.
+pub(crate) fn sync_phi(
+    mode: SyncMode,
+    replicas: &[&PhiModel],
+    gpu: &GpuSpec,
+    link: &Link,
+    cfg: &TrainerConfig,
+) -> SyncReport {
+    match mode {
+        SyncMode::DenseTree => sync_phi_replicas(replicas, gpu, link, cfg),
+        SyncMode::DenseRing => sync_phi_ring(replicas, gpu, link, cfg),
+        SyncMode::Delta | SyncMode::Auto => {
+            let deltas: Vec<&PhiDelta> = replicas.iter().map(|r| r.phi.dirty()).collect();
+            if mode == SyncMode::Delta {
+                sync_phi_delta(replicas, &deltas, gpu, link, cfg)
+            } else {
+                sync_phi_auto(replicas, &deltas, gpu, link, cfg)
+            }
+        }
+    }
 }
 
 /// Models all three strategies for this iteration — the dense modes from

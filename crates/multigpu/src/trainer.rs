@@ -1,4 +1,5 @@
-//! The end-to-end CuLDA_CGS trainer (Figure 3b + Algorithm 1).
+//! The end-to-end CuLDA_CGS trainer (Figure 3b + Algorithm 1), on one
+//! node or many.
 //!
 //! The trainer owns one [`GpuWorker`] per GPU; each worker owns its
 //! device, its chunks' assignment states and block maps, and its
@@ -26,25 +27,31 @@
 //! With `M > 1` (out-of-core), each GPU pipelines its `M` chunks through
 //! the H2D → compute → D2H engines (WorkSchedule2), and the iteration time
 //! is the pipeline makespan instead of the kernel sum.
+//!
+//! With `cfg.nodes = N > 1` the trainer drives `N × G` workers, node `n`
+//! being workers `n·G..(n+1)·G`. Every worker of every node runs in the
+//! same fan-out; each node then syncs its own replicas in the configured
+//! mode, and the node sums meet at the [`ParameterServer`] over the
+//! inter-node link (see [`crate::cluster`]). One node is the `N = 1` case:
+//! no payload is encoded and no parameter-server step runs.
 
+use crate::cluster::{node_payload, ParameterServer};
 use crate::config::{SamplingMode, SyncMode, TrainerConfig};
 use crate::error::{CuldaError, RecoveryStats};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
-use crate::sync::{
-    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
-};
+use crate::sync::{sync_phi, sync_phi_replicas, SyncTotals};
 use crate::worker::{run_workers_traced, trace_staging, GpuWorker};
 use culda_corpus::Corpus;
 use culda_gpusim::memory::Reservation;
 use culda_gpusim::{FaultPlan, GpuCluster, Link, ProfileLog};
 use culda_metrics::{
     Breakdown, GpuBreakdowns, IterationStat, Json, LdaLoglik, MetricsRegistry, Phase, RunHistory,
-    TraceSink, SIM_PID, SYNC_TID,
+    TraceSink, NODE_TID_BASE, SIM_PID, SYNC_TID,
 };
 use culda_sampler::{
     auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork, ChunkState,
-    IterationPlan, PhiDelta, PhiModel, PlanReport, Priors,
+    IterationPlan, PhiModel, PlanReport, Priors,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -62,14 +69,19 @@ pub struct TrainOutcome {
     pub recovery: RecoveryStats,
 }
 
-/// The CuLDA trainer: a corpus partitioned over per-GPU workers.
+/// The CuLDA trainer: a corpus partitioned by document over per-GPU
+/// workers on one node or more.
 pub struct CuldaTrainer {
-    /// Run configuration.
+    /// Run configuration (`cfg.platform` is one node's box; `cfg.nodes`
+    /// is the cluster width).
     pub cfg: TrainerConfig,
     part: PartitionedCorpus,
     plan: MemoryPlan,
     priors: Priors,
+    /// Every node's workers, node-major: node `n` owns `n·G..(n+1)·G`.
     workers: Vec<GpuWorker>,
+    gpus_per_node: usize,
+    ps: ParameterServer,
     peer_link: Link,
     host_link: Link,
     history: RunHistory,
@@ -86,9 +98,9 @@ pub struct CuldaTrainer {
 
 impl CuldaTrainer {
     /// Prepares a training run: plans `M`, partitions and sorts the corpus,
-    /// initializes random assignments, builds the initial model, assigns
-    /// chunks to workers round-robin, and charges the initial host→device
-    /// transfers (Algorithm 1, lines 7–9).
+    /// initializes random assignments, builds the initial model, deals the
+    /// chunks round-robin over the `nodes × G` workers, and charges the
+    /// initial host→device transfers (Algorithm 1, lines 7–9).
     ///
     /// Panics on an invalid configuration; fallible callers use
     /// [`Self::try_new`].
@@ -100,8 +112,16 @@ impl CuldaTrainer {
     /// comes back as [`CuldaError::Config`] instead of a panic.
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         cfg.validate()?;
+        // The chunk plan comes from the *per-node* platform: C = M × G for
+        // any node count, which keeps an N-node run bit-identical to one.
         let (part, plan) = plan_partition(corpus, &cfg);
-        let mut cluster = GpuCluster::from_platform(&cfg.platform);
+        let gpus_per_node = cfg.platform.num_gpus;
+        // One flat device pool with globally unique ids 0..N·G. `with_gpus`
+        // caps at the installed count, so widen a clone directly — the
+        // cluster is N boxes of the same platform.
+        let mut pool = cfg.platform.clone();
+        pool.num_gpus *= cfg.nodes;
+        let mut cluster = GpuCluster::from_platform(&pool);
         if let Some(link) = cfg.peer_link {
             cluster.peer_link = link;
         }
@@ -198,6 +218,7 @@ impl CuldaTrainer {
         for (i, (state, map)) in states.into_iter().zip(block_maps).enumerate() {
             workers[chunk_owner(i, g)].push_chunk(i, state, map);
         }
+        let ps = ParameterServer::new(cfg.effective_node_link());
 
         Ok(Self {
             cfg,
@@ -205,6 +226,8 @@ impl CuldaTrainer {
             plan,
             priors,
             workers,
+            gpus_per_node,
+            ps,
             peer_link,
             host_link,
             history: RunHistory::new(),
@@ -232,10 +255,22 @@ impl CuldaTrainer {
         self.faults = Some(plan);
     }
 
-    /// Run-level ϕ-sync traffic and timing totals (bytes moved at their
-    /// encoded size, dense-baseline bytes, payload nonzeros, seconds).
+    /// Run-level intra-node ϕ-sync traffic and timing totals, summed over
+    /// every node (bytes moved at their encoded size, dense-baseline
+    /// bytes, payload nonzeros, seconds).
     pub fn sync_totals(&self) -> SyncTotals {
         self.sync_totals
+    }
+
+    /// [`Self::sync_totals`] under the name the multi-node callers use.
+    pub fn intra_sync_totals(&self) -> SyncTotals {
+        self.sync_totals
+    }
+
+    /// The parameter server (inter-node link and traffic totals; all zero
+    /// while at most one node is alive).
+    pub fn parameter_server(&self) -> &ParameterServer {
+        &self.ps
     }
 
     /// What fault recovery has done so far in this run.
@@ -248,9 +283,23 @@ impl CuldaTrainer {
     }
 
     /// Number of workers still alive (== GPU count until a permanent
-    /// fault exhausts some worker's retry budget).
+    /// fault exhausts some worker's retry budget or a node fails).
     pub fn num_alive(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
+    }
+
+    /// Number of nodes (`cfg.nodes`).
+    fn num_nodes(&self) -> usize {
+        self.workers.len() / self.gpus_per_node
+    }
+
+    /// Nodes still taking part in supersteps: a node is alive while any of
+    /// its workers is.
+    pub fn num_alive_nodes(&self) -> usize {
+        self.workers
+            .chunks(self.gpus_per_node)
+            .filter(|node| node.iter().any(|w| w.alive))
+            .count()
     }
 
     /// Attaches observability sinks to the trainer and all worker devices:
@@ -286,7 +335,7 @@ impl CuldaTrainer {
         self.metrics.clone()
     }
 
-    /// The chosen memory plan (`M`, `C`, byte budgets).
+    /// The chosen memory plan (`M`, `C`, byte budgets — per node).
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
     }
@@ -296,12 +345,13 @@ impl CuldaTrainer {
         &self.part
     }
 
-    /// Number of GPU workers.
+    /// Number of GPU workers, over every node.
     pub fn num_gpus(&self) -> usize {
         self.workers.len()
     }
 
-    /// The per-GPU workers (read access for tests and examples).
+    /// The per-GPU workers, node-major (read access for tests and
+    /// examples).
     pub fn workers(&self) -> &[GpuWorker] {
         &self.workers
     }
@@ -320,8 +370,9 @@ impl CuldaTrainer {
             .collect()
     }
 
-    /// The current global ϕ snapshot (all *alive* read replicas are
-    /// identical; dead workers drop out of the sync).
+    /// The current global ϕ snapshot. Every *alive* read replica holds it:
+    /// dead workers drop out of the sync, and a multi-node step applies the
+    /// merged payload to every alive replica.
     pub fn global_phi(&self) -> &PhiModel {
         self.workers
             .iter()
@@ -495,9 +546,9 @@ impl CuldaTrainer {
     /// Fallible [`step`](Self::step): one full iteration with fault
     /// recovery.
     ///
-    /// Each worker is its own failure domain. A worker whose iteration
-    /// body hits an injected fault restores its pre-iteration (z, θ)
-    /// snapshot and retries after exponential backoff, up to
+    /// Each worker is its own failure domain, on any node. A worker whose
+    /// iteration body hits an injected fault restores its pre-iteration
+    /// (z, θ) snapshot and retries after exponential backoff, up to
     /// `cfg.retry.max_attempts` tries; the body is idempotent against the
     /// read ϕ snapshot, so a successful retry is bit-identical to a
     /// fault-free run. A worker that exhausts its budget is declared lost:
@@ -528,8 +579,9 @@ impl CuldaTrainer {
         // Resolve this iteration's p* fill path before the fan-out: every
         // worker must model the same choice, and auto reads the previous
         // iteration's global snapshot (any alive read replica — they are
-        // identical), so the decision is deterministic across GPU counts
-        // and chunk layouts. Either path computes bit-identical samples.
+        // identical), so the decision is deterministic across GPU counts,
+        // node counts and chunk layouts. Either path computes
+        // bit-identical samples.
         let sparse = match self.cfg.sampling_mode {
             SamplingMode::Dense => false,
             SamplingMode::Sparse => true,
@@ -609,7 +661,8 @@ impl CuldaTrainer {
                 .unwrap_or(Err(CuldaError::WorkerPanicked { device: i }))
         };
 
-        // Spawn G workers — each runs its full iteration body concurrently.
+        // One fan-out over every worker of every node — each runs its full
+        // iteration body concurrently.
         let results = if concurrent {
             run_workers_traced(
                 &mut self.workers,
@@ -698,88 +751,193 @@ impl CuldaTrainer {
             }
         }
 
-        // ϕ synchronization starts once every GPU finished its ϕ update and
-        // overlaps the (already-executed) θ updates. After a rebalance the
-        // migrated ϕ lands last, so the sync waits for everything.
-        let sync_start = if lost.is_empty() {
-            reports.iter().map(|r| r.phi_done_at).fold(t0, f64::max)
-        } else {
-            self.system_time()
-        };
+        // Intra-node ϕ synchronization, one node at a time through the same
+        // sync dispatch. A node's sync starts once all its GPUs finished
+        // their ϕ updates and overlaps the (already-executed) θ updates.
+        // After a rebalance the migrated ϕ lands last, so the sync waits
+        // for everything on the node.
         let mode = self.cfg.effective_sync_mode();
-        let alive: Vec<&GpuWorker> = self.workers.iter().filter(|w| w.alive).collect();
-        let write_refs: Vec<&PhiModel> = alive.iter().map(|w| w.write_replica()).collect();
-        let alive_count = write_refs.len();
         let gpu = &self.cfg.platform.gpu;
-        let sync: SyncReport = match mode {
-            SyncMode::DenseTree => sync_phi_replicas(&write_refs, gpu, &self.peer_link, &self.cfg),
-            SyncMode::DenseRing => sync_phi_ring(&write_refs, gpu, &self.peer_link, &self.cfg),
-            SyncMode::Delta | SyncMode::Auto => {
-                let delta_refs: Vec<&PhiDelta> = alive.iter().map(|w| w.delta()).collect();
-                if mode == SyncMode::Delta {
-                    sync_phi_delta(&write_refs, &delta_refs, gpu, &self.peer_link, &self.cfg)
-                } else {
-                    sync_phi_auto(&write_refs, &delta_refs, gpu, &self.peer_link, &self.cfg)
+        let multi_node = self.num_nodes() > 1;
+        let reduce_nodes = self.num_alive_nodes() > 1;
+        let phi_cells = (self.part.vocab_size * self.cfg.num_topics) as f64;
+        let mut node_ends: Vec<(usize, f64)> = Vec::new();
+        let mut payloads = Vec::new();
+        let mut delta_density = None;
+        let nodes = self
+            .workers
+            .chunks(self.gpus_per_node)
+            .zip(reports.chunks(self.gpus_per_node));
+        for (node, (node_workers, node_reports)) in nodes.enumerate() {
+            let alive: Vec<&GpuWorker> = node_workers.iter().filter(|w| w.alive).collect();
+            if alive.is_empty() {
+                continue;
+            }
+            let sync_start = if lost.is_empty() {
+                node_reports
+                    .iter()
+                    .map(|r| r.phi_done_at)
+                    .fold(t0, f64::max)
+            } else {
+                alive.iter().map(|w| w.device.now()).fold(0.0f64, f64::max)
+            };
+            let replicas: Vec<&PhiModel> = alive.iter().map(|w| w.write_replica()).collect();
+            let sync = sync_phi(mode, &replicas, gpu, &self.peer_link, &self.cfg);
+            self.breakdown.add(Phase::SyncPhi, sync.total_seconds());
+            self.sync_totals.absorb(&sync);
+            // Δϕ nonzero density of the shipped payload — only meaningful
+            // when a sparse payload actually shipped.
+            delta_density = (sync.mode == SyncMode::Delta && alive.len() > 1)
+                .then(|| sync.nnz as f64 / phi_cells);
+            let sync_end = sync_start + sync.total_seconds();
+
+            // Draw the sync on its own track. It overlaps the θ-update
+            // kernels (sync_start = max(ϕ_done) can precede a device's last
+            // θ span), so it cannot sit on a device track without breaking
+            // B/E nesting. Each node of a cluster gets a track of its own.
+            if let Some(sink) = &self.trace {
+                if multi_node {
+                    sink.span_sim(
+                        NODE_TID_BASE + node as u32,
+                        &format!("node_sync iter {iteration}"),
+                        "sync",
+                        sync_start,
+                        sync_end,
+                        vec![
+                            ("node".into(), Json::from(node)),
+                            ("mode".into(), Json::Str(sync.mode.to_string())),
+                            ("bytes".into(), Json::from(sync.bytes_moved)),
+                        ],
+                    );
+                } else if alive.len() > 1 {
+                    // Reduce: each device's ϕ contribution flows into the
+                    // sync.
+                    for (w, r) in node_workers
+                        .iter()
+                        .zip(node_reports)
+                        .filter(|(w, _)| w.alive)
+                    {
+                        let id = sink.new_flow_id();
+                        sink.flow_start(
+                            SIM_PID,
+                            w.device.id as u32,
+                            "phi_reduce",
+                            r.phi_done_at,
+                            id,
+                        );
+                        sink.flow_finish(SIM_PID, SYNC_TID, "phi_reduce", sync_start, id);
+                    }
+                    sink.span_sim(
+                        SYNC_TID,
+                        &format!("phi_sync iter {iteration}"),
+                        "sync",
+                        sync_start,
+                        sync_end,
+                        vec![
+                            ("reduce_s".into(), Json::Num(sync.reduce_seconds)),
+                            ("broadcast_s".into(), Json::Num(sync.broadcast_seconds)),
+                            ("rounds".into(), Json::from(sync.rounds)),
+                            ("gpus".into(), Json::from(alive.len())),
+                            ("mode".into(), Json::Str(sync.mode.to_string())),
+                            ("bytes".into(), Json::from(sync.bytes_moved)),
+                            ("nnz".into(), Json::from(sync.nnz)),
+                        ],
+                    );
+                    // Broadcast: the merged ϕ flows back out to every device.
+                    for w in &alive {
+                        let id = sink.new_flow_id();
+                        sink.flow_start(SIM_PID, SYNC_TID, "phi_broadcast", sync_end, id);
+                        sink.flow_finish(
+                            SIM_PID,
+                            w.device.id as u32,
+                            "phi_broadcast",
+                            sync_end,
+                            id,
+                        );
+                        sink.instant_sim(w.device.id as u32, "phi_ready", "sync", sync_end);
+                    }
                 }
             }
-        };
-        drop(write_refs);
-        drop(alive);
-        self.breakdown.add(Phase::SyncPhi, sync.total_seconds());
-        self.sync_totals.absorb(&sync);
-        // Δϕ nonzero density of the shipped payload — only meaningful when
-        // a sparse payload actually shipped.
-        let phi_cells = (self.part.vocab_size * self.cfg.num_topics) as f64;
-        let delta_density =
-            (sync.mode == SyncMode::Delta && alive_count > 1).then(|| sync.nnz as f64 / phi_cells);
-        let sync_end = sync_start + sync.total_seconds();
+            if let Some(reg) = &self.metrics {
+                reg.counter("sync.rounds").add(sync.rounds as u64);
+                reg.counter("sync.bytes").add(sync.bytes_moved);
+                reg.counter("sync.nnz").add(sync.nnz);
+                reg.gauge("sync.compression_ratio")
+                    .set(sync.compression_ratio());
+                if let Some(d) = delta_density {
+                    reg.gauge("sync.density").set(d);
+                }
+                reg.histogram("sync.seconds").record(sync.total_seconds());
+            }
+            for w in &alive {
+                w.device.advance_to(sync_end);
+            }
+            if reduce_nodes {
+                payloads.push(node_payload(&replicas));
+            }
+            node_ends.push((node, sync_end));
+        }
 
-        // Draw the sync on its own track. It overlaps the θ-update kernels
-        // (sync_start = max(ϕ_done) can precede a device's last θ span), so
-        // it cannot sit on a device track without breaking B/E nesting.
-        if let Some(sink) = &self.trace {
-            if alive_count > 1 {
-                // Reduce: each device's ϕ contribution flows into the sync.
-                for (w, r) in self.workers.iter().zip(&reports).filter(|(w, _)| w.alive) {
+        // Inter-node superstep: the node sums meet at the parameter server
+        // over the node link, and the merged global payload is applied to
+        // every replica by store — valid because each node sum is a
+        // cell-subset of the global sum.
+        if reduce_nodes {
+            let inter_start = node_ends.iter().map(|&(_, t)| t).fold(t0, f64::max);
+            let (global, inter) = self.ps.reduce(
+                payloads,
+                self.cfg.num_topics,
+                self.part.vocab_size,
+                gpu,
+                self.cfg.phi_elem_bytes(),
+            );
+            for w in self.workers.iter().filter(|w| w.alive) {
+                global.apply_to(w.write_replica());
+            }
+            self.breakdown.add(Phase::SyncPhi, inter.total_seconds());
+            delta_density = Some(inter.nnz as f64 / phi_cells);
+            let inter_end = inter_start + inter.total_seconds();
+            if let Some(sink) = &self.trace {
+                for &(node, ready) in &node_ends {
                     let id = sink.new_flow_id();
-                    sink.flow_start(SIM_PID, w.device.id as u32, "phi_reduce", r.phi_done_at, id);
-                    sink.flow_finish(SIM_PID, SYNC_TID, "phi_reduce", sync_start, id);
+                    let track = NODE_TID_BASE + node as u32;
+                    sink.flow_start(SIM_PID, track, "node_reduce", ready, id);
+                    sink.flow_finish(SIM_PID, SYNC_TID, "node_reduce", inter_start, id);
                 }
                 sink.span_sim(
                     SYNC_TID,
-                    &format!("phi_sync iter {iteration}"),
+                    &format!("cluster_sync iter {iteration}"),
                     "sync",
-                    sync_start,
-                    sync_end,
+                    inter_start,
+                    inter_end,
                     vec![
-                        ("reduce_s".into(), Json::Num(sync.reduce_seconds)),
-                        ("broadcast_s".into(), Json::Num(sync.broadcast_seconds)),
-                        ("rounds".into(), Json::from(sync.rounds)),
-                        ("gpus".into(), Json::from(alive_count)),
-                        ("mode".into(), Json::Str(sync.mode.to_string())),
-                        ("bytes".into(), Json::from(sync.bytes_moved)),
-                        ("nnz".into(), Json::from(sync.nnz)),
+                        ("nodes".into(), Json::from(node_ends.len())),
+                        ("bytes".into(), Json::from(inter.bytes_moved)),
+                        ("nnz".into(), Json::from(inter.nnz)),
+                        ("rounds".into(), Json::from(inter.rounds)),
                     ],
                 );
-                // Broadcast: the merged ϕ flows back out to every device.
-                for w in self.workers.iter().filter(|w| w.alive) {
+                for &(node, _) in &node_ends {
                     let id = sink.new_flow_id();
-                    sink.flow_start(SIM_PID, SYNC_TID, "phi_broadcast", sync_end, id);
-                    sink.flow_finish(SIM_PID, w.device.id as u32, "phi_broadcast", sync_end, id);
-                    sink.instant_sim(w.device.id as u32, "phi_ready", "sync", sync_end);
+                    let track = NODE_TID_BASE + node as u32;
+                    sink.flow_start(SIM_PID, SYNC_TID, "node_broadcast", inter_end, id);
+                    sink.flow_finish(SIM_PID, track, "node_broadcast", inter_end, id);
                 }
+            }
+            if let Some(reg) = &self.metrics {
+                reg.counter("cluster.sync.bytes").add(inter.bytes_moved);
+                reg.counter("cluster.sync.nnz").add(inter.nnz);
+                reg.gauge("cluster.sync.compression_ratio")
+                    .set(inter.compression_ratio());
+                reg.histogram("cluster.sync.seconds")
+                    .record(inter.total_seconds());
+                reg.gauge("cluster.nodes_alive").set(node_ends.len() as f64);
+            }
+            for w in self.workers.iter().filter(|w| w.alive) {
+                w.device.advance_to(inter_end);
             }
         }
         if let Some(reg) = &self.metrics {
-            reg.counter("sync.rounds").add(sync.rounds as u64);
-            reg.counter("sync.bytes").add(sync.bytes_moved);
-            reg.counter("sync.nnz").add(sync.nnz);
-            reg.gauge("sync.compression_ratio")
-                .set(sync.compression_ratio());
-            if let Some(d) = delta_density {
-                reg.gauge("sync.density").set(d);
-            }
-            reg.histogram("sync.seconds").record(sync.total_seconds());
             // Sampling-path gauges: which p* fill ran, and the ϕ occupancy
             // that drives the auto decision (census of the freshly-summed
             // global model held by the write replicas at this point).
@@ -796,10 +954,6 @@ impl CuldaTrainer {
             reg.gauge("phi.rows.sparse").set(sparse_rows as f64);
             reg.gauge("phi.nnz_per_row")
                 .set(nnz as f64 / self.part.vocab_size as f64);
-        }
-
-        for w in self.workers.iter().filter(|w| w.alive) {
-            w.device.advance_to(sync_end);
         }
         let t_end = self.barrier();
 
@@ -825,20 +979,17 @@ impl CuldaTrainer {
         Ok(stat)
     }
 
-    /// Migrates every chunk of the just-lost workers to the survivors
-    /// (round-robin over ascending global chunk id — deterministic) and
-    /// re-runs the migrated iteration bodies there against the same read
-    /// ϕ snapshot. The write replicas were already cleared and partially
-    /// filled by the survivors' own bodies; the migrated ϕ contributions
-    /// are commutative atomic adds on top, so the post-sync global ϕ is
-    /// bit-identical to the fault-free run. Recovery itself is not
-    /// fault-tolerant: a fault firing during the re-run is fatal.
-    fn rebalance(
+    /// Drains every chunk of the `lost` workers and deals them round-robin
+    /// (ascending global chunk id — deterministic) to the alive workers,
+    /// charging each migration as one chunk-state transfer over `link` to
+    /// the receiving device. Returns, per worker, the local slots it
+    /// received. Migration is not fault-tolerant: a drop fault armed on
+    /// the receiving device loses the chunk and aborts training.
+    fn migrate_chunks(
         &mut self,
         lost: &[usize],
-        iteration: u32,
-        sparse: bool,
-    ) -> Result<(), CuldaError> {
+        link: Link,
+    ) -> Result<Vec<Vec<usize>>, CuldaError> {
         let survivors: Vec<usize> = (0..self.workers.len())
             .filter(|&i| self.workers[i].alive)
             .collect();
@@ -851,30 +1002,43 @@ impl CuldaTrainer {
         }
         migrated.sort_by_key(|&(gi, ..)| gi);
 
-        // Deal the chunks out and charge each migration's host-mediated
-        // state transfer to the receiving device.
         let mut added: Vec<Vec<usize>> = vec![Vec::new(); self.workers.len()];
         for (n, (gi, state, map)) in migrated.into_iter().enumerate() {
             let target = survivors[n % survivors.len()];
             let bytes = chunk_state_bytes(&self.part, gi, self.cfg.num_topics);
             let w = &mut self.workers[target];
-            // Recovery is not fault-tolerant: a drop fault armed on the
-            // receiving device loses the migration and aborts training.
-            let secs = w.device.try_transfer(bytes, &self.host_link)?;
+            let secs = w.device.try_transfer(bytes, &link)?;
             w.breakdown.add(Phase::Recovery, secs);
             self.breakdown.add(Phase::Recovery, secs);
             added[target].push(w.num_chunks());
             w.push_chunk(gi, state, map);
             self.recovery.chunks_migrated += 1;
         }
+        Ok(added)
+    }
 
-        for &wi in &survivors {
-            if added[wi].is_empty() {
+    /// Migrates every chunk of the just-lost workers to the survivors over
+    /// the host link and re-runs the migrated iteration bodies there
+    /// against the same read ϕ snapshot. The write replicas were already
+    /// cleared and partially filled by the survivors' own bodies; the
+    /// migrated ϕ contributions are commutative atomic adds on top, so the
+    /// post-sync global ϕ is bit-identical to the fault-free run. Recovery
+    /// itself is not fault-tolerant: a fault firing during the re-run is
+    /// fatal.
+    fn rebalance(
+        &mut self,
+        lost: &[usize],
+        iteration: u32,
+        sparse: bool,
+    ) -> Result<(), CuldaError> {
+        let added = self.migrate_chunks(lost, self.host_link)?;
+        for (wi, locals) in added.iter().enumerate() {
+            if locals.is_empty() {
                 continue;
             }
             let start = self.workers[wi].device.now();
             let r = self.workers[wi]
-                .try_run_chunks(&added[wi], &self.part, &self.cfg, iteration, sparse)?;
+                .try_run_chunks(locals, &self.part, &self.cfg, iteration, sparse)?;
             let spent = r.sampling_seconds + r.phi_seconds + r.theta_seconds;
             self.workers[wi].breakdown.add(Phase::Recovery, spent);
             self.breakdown.add(Phase::Recovery, spent);
@@ -886,7 +1050,7 @@ impl CuldaTrainer {
                     start,
                     self.workers[wi].device.now(),
                     vec![
-                        ("chunks".into(), Json::from(added[wi].len())),
+                        ("chunks".into(), Json::from(locals.len())),
                         ("iteration".into(), Json::from(iteration as usize)),
                     ],
                 );
@@ -894,6 +1058,47 @@ impl CuldaTrainer {
             if let Some(reg) = &self.metrics {
                 reg.counter("rebalance").inc();
             }
+        }
+        Ok(())
+    }
+
+    /// Marks every worker of `node` dead and drains its shards: each chunk
+    /// it owned migrates round-robin (ascending global id) to the
+    /// survivors' workers, charged as one chunk-state transfer over the
+    /// inter-node link. The migrated chunks re-run on their new owners from
+    /// the next superstep; the model stays bit-identical because chunk
+    /// placement never enters the RNG keying.
+    pub fn fail_node(&mut self, node: usize) -> Result<(), CuldaError> {
+        let nodes = self.num_nodes();
+        if node >= nodes {
+            return Err(CuldaError::Invalid(format!(
+                "node {node} out of range (cluster has {nodes})"
+            )));
+        }
+        let g = self.gpus_per_node;
+        let members: Vec<usize> = (node * g..(node + 1) * g)
+            .filter(|&i| self.workers[i].alive)
+            .collect();
+        if members.is_empty() {
+            return Err(CuldaError::Invalid(format!("node {node} is already dead")));
+        }
+        for &i in &members {
+            self.workers[i].alive = false;
+        }
+        self.recovery.workers_lost += members.len() as u64;
+        self.migrate_chunks(&members, self.ps.link())?;
+        if let Some(sink) = &self.trace {
+            sink.instant_sim(
+                NODE_TID_BASE + node as u32,
+                "node_failed",
+                "recovery",
+                self.system_time(),
+            );
+        }
+        if let Some(reg) = &self.metrics {
+            reg.counter("cluster.nodes_failed").inc();
+            reg.gauge("cluster.nodes_alive")
+                .set(self.num_alive_nodes() as f64);
         }
         Ok(())
     }
@@ -957,7 +1162,7 @@ impl CuldaTrainer {
 
     /// Joint log-likelihood per token of the current state. Accumulates
     /// in global chunk order so the value is independent of how chunks
-    /// are distributed over GPUs.
+    /// are distributed over GPUs and nodes.
     pub fn loglik_per_token(&self) -> f64 {
         let phi = self.global_phi();
         let eval = LdaLoglik::new(
@@ -1467,5 +1672,82 @@ mod tests {
         assert!(out.final_loglik_per_token.is_finite());
         // score_every = 1 → every iteration scored.
         assert_eq!(out.history.loglik_series().len(), 4);
+    }
+
+    /// Two GPUs per node, `nodes` nodes.
+    fn cluster_cfg(nodes: usize) -> TrainerConfig {
+        TrainerConfig::builder(8, Platform::pascal().with_gpus(2))
+            .iterations(3)
+            .score_every(0)
+            .seed(11)
+            .nodes(nodes)
+            .build()
+            .unwrap()
+    }
+
+    /// [`cluster_cfg`] with device memory shrunk so the plan goes
+    /// out-of-core (`M > 1`), spreading chunks over every node's workers.
+    fn oocore_cluster_cfg(nodes: usize, c: &Corpus) -> TrainerConfig {
+        let mut cfg = cluster_cfg(nodes);
+        cfg.platform.gpu.memory_bytes =
+            2 * cfg.phi_device_bytes(c.vocab_size()) + c.num_tokens() * 10 / 3;
+        cfg
+    }
+
+    fn assignments(t: &CuldaTrainer) -> Vec<Vec<u16>> {
+        t.states().iter().map(|s| s.z.snapshot()).collect()
+    }
+
+    #[test]
+    fn cluster_matches_single_node_bit_for_bit() {
+        let c = corpus();
+        let mut single = CuldaTrainer::new(&c, cluster_cfg(1));
+        let mut cluster = CuldaTrainer::new(&c, cluster_cfg(3));
+        assert_eq!((cluster.num_nodes(), cluster.num_gpus()), (3, 6));
+        for _ in 0..3 {
+            single.step();
+            cluster.step();
+        }
+        cluster.check_invariants();
+        assert_eq!(assignments(&single), assignments(&cluster));
+        assert_eq!(
+            single.global_phi().phi.snapshot(),
+            cluster.global_phi().phi.snapshot()
+        );
+        assert!((single.loglik_per_token() - cluster.loglik_per_token()).abs() < 1e-12);
+        // Only the cluster ships node payloads.
+        assert_eq!(single.parameter_server().totals(), SyncTotals::default());
+        assert!(cluster.parameter_server().totals().bytes_moved > 0);
+    }
+
+    #[test]
+    fn every_node_honours_host_workers() {
+        let c = corpus();
+        let mut cfg = cluster_cfg(2);
+        cfg.host_workers = Some(1);
+        let t = CuldaTrainer::new(&c, cfg);
+        assert_eq!(t.num_gpus(), 4);
+        assert!(t.workers().iter().all(|w| w.device.workers() == 1));
+    }
+
+    #[test]
+    fn node_failure_drains_to_survivors_bit_identically() {
+        let c = corpus();
+        let mut reference = CuldaTrainer::try_new(&c, oocore_cluster_cfg(3, &c)).unwrap();
+        let mut faulty = CuldaTrainer::try_new(&c, oocore_cluster_cfg(3, &c)).unwrap();
+        reference.try_step().unwrap();
+        faulty.try_step().unwrap();
+        let tokens_before: usize = faulty.states().iter().map(|s| s.z.len()).sum();
+        faulty.fail_node(1).unwrap();
+        assert_eq!((faulty.num_alive_nodes(), faulty.num_alive()), (2, 4));
+        let tokens_after: usize = faulty.states().iter().map(|s| s.z.len()).sum();
+        assert_eq!(tokens_before, tokens_after, "drain must conserve tokens");
+        reference.try_step().unwrap();
+        faulty.try_step().unwrap();
+        faulty.check_invariants();
+        assert_eq!(assignments(&reference), assignments(&faulty));
+        assert!(faulty.recovery.chunks_migrated > 0);
+        assert!(matches!(faulty.fail_node(1), Err(CuldaError::Invalid(_))));
+        assert!(matches!(faulty.fail_node(3), Err(CuldaError::Invalid(_))));
     }
 }

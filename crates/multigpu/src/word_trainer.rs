@@ -107,9 +107,16 @@ impl WordPartitionedTrainer {
         Self::try_new(corpus, cfg).unwrap_or_else(|e| panic!("invalid TrainerConfig: {e}"))
     }
 
-    /// Fallible counterpart of [`Self::new`].
+    /// Fallible counterpart of [`Self::new`]. This policy runs on one
+    /// node: `cfg.nodes > 1` is [`CuldaError::Invalid`].
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         cfg.validate()?;
+        if cfg.nodes > 1 {
+            return Err(CuldaError::Invalid(format!(
+                "multi-node training requires --policy doc (got {} nodes with --policy word)",
+                cfg.nodes
+            )));
+        }
         let g = cfg.platform.num_gpus;
         let v = corpus.vocab_size();
         if g > v {

@@ -16,7 +16,6 @@
 //! worker mutates only state it owns.
 
 use crate::config::TrainerConfig;
-use crate::error::CuldaError;
 use crate::partition::PartitionedCorpus;
 use crate::schedule::chunk_state_bytes;
 use culda_corpus::CsrMatrix;
@@ -427,41 +426,6 @@ where
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    })
-}
-
-/// The fallible counterpart of [`run_workers`]: `f` returns
-/// `Result<R, CuldaError>`, and a worker body that **panics** (a genuine
-/// bug, not an injected fault) is caught at the fan-out boundary and
-/// surfaced as [`CuldaError::WorkerPanicked`] instead of tearing down the
-/// process — the other workers still run to completion and their results
-/// are preserved. Results are in worker order, one per worker.
-pub fn run_workers_fallible<R, F>(workers: &mut [GpuWorker], f: F) -> Vec<Result<R, CuldaError>>
-where
-    R: Send,
-    F: Fn(usize, &mut GpuWorker) -> Result<R, CuldaError> + Sync,
-{
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-    if workers.len() == 1 {
-        let one = catch_unwind(AssertUnwindSafe(|| f(0, &mut workers[0])))
-            .unwrap_or(Err(CuldaError::WorkerPanicked { device: 0 }));
-        return vec![one];
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(i, w)| scope.spawn(move || f(i, w)))
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join()
-                    .unwrap_or(Err(CuldaError::WorkerPanicked { device: i }))
-            })
             .collect()
     })
 }

@@ -29,7 +29,6 @@
 //!   (sample → ϕ → θ, resident or pipelined) submitted as a unit.
 //! * [`dense`] — the textbook O(K) CGS used as correctness oracle/baseline.
 //! * [`infer`] — fold-in inference and held-out perplexity (extension).
-//! * [`hyper_opt`] — Minka α re-estimation (extension).
 //! * [`validate`] — cross-kernel count-conservation checks.
 
 #![warn(missing_docs)]
@@ -41,7 +40,6 @@ pub mod count;
 pub mod delta;
 pub mod dense;
 pub mod hyper;
-pub mod hyper_opt;
 pub mod infer;
 pub mod kernel_infer;
 pub mod kernel_phi;
@@ -67,7 +65,6 @@ pub use count::{
 pub use delta::PhiDelta;
 pub use dense::DenseCgs;
 pub use hyper::Priors;
-pub use hyper_opt::{minka_alpha_step, optimize_alpha};
 pub use infer::FoldIn;
 pub use kernel_infer::{
     infer_reference, run_infer_kernel, try_run_infer_kernel, DocPosterior, InferDoc,

@@ -109,6 +109,17 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     | tee "$smoke/nodes.log"
 grep -q 'cluster: 2 node(s)' "$smoke/nodes.log"
 cmp "$smoke/s-dense-tree.phi" "$smoke/n.phi"
+# Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
+# write the same model as the 3 straight ones.
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/nr.phi" --topics 8 --iters 2 \
+    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
+    --save-state "$smoke/n.state"
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/nr.phi" --topics 8 --iters 1 \
+    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
+    --resume "$smoke/n.state"
+cmp "$smoke/n.phi" "$smoke/nr.phi"
 
 echo "==> telemetry smoke test (eval, snapshots, report, openmetrics)"
 # A telemetry-laden run must stream parseable snapshots, export a lintable

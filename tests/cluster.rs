@@ -17,7 +17,7 @@ use culda::corpus::{Corpus, SynthSpec};
 use culda::gpusim::Platform;
 use culda::metrics::MetricsRegistry;
 use culda::multigpu::{
-    build_trainer, ClusterTrainer, LdaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
+    build_trainer, CuldaTrainer, LdaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
 };
 use std::sync::Arc;
 
@@ -112,8 +112,8 @@ fn node_failure_conserves_tokens_and_stays_bit_identical() {
     let c = corpus();
     let mut oo = cfg(3, SyncMode::Delta);
     force_out_of_core(&mut oo, &c);
-    let mut healthy = ClusterTrainer::try_new(&c, oo.clone()).unwrap();
-    let mut wounded = ClusterTrainer::try_new(&c, oo).unwrap();
+    let mut healthy = CuldaTrainer::try_new(&c, oo.clone()).unwrap();
+    let mut wounded = CuldaTrainer::try_new(&c, oo).unwrap();
     for _ in 0..2 {
         healthy.try_step().unwrap();
         wounded.try_step().unwrap();

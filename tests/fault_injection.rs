@@ -101,39 +101,45 @@ fn transient_faults_under_delta_sync_never_double_apply() {
     // iteration — including the retried one — so a fault that fires after
     // some ϕ updates already landed must not leave stale rows behind to
     // be shipped twice. Sweep every transient coordinate under
-    // `SyncMode::Delta` and pin bit-identity against the *dense-tree*
-    // fault-free reference (cross-mode and cross-fault at once).
+    // `SyncMode::Delta`, on one node and on two (devices `0..2·nodes`),
+    // and pin bit-identity against the *dense-tree* single-node
+    // fault-free reference (cross-mode, cross-node and cross-fault at
+    // once).
     let c = corpus();
     let reference = train_with(&c, None);
     let want_phi = phi_counts(reference.global_phi());
 
-    let delta_cfg = || {
+    let delta_cfg = |nodes: usize| {
         let mut cfg = cfg();
         cfg.sync_mode = SyncMode::Delta;
+        cfg.nodes = nodes;
         cfg
     };
-    for kind in [
-        FaultKind::KernelLaunch,
-        FaultKind::MemoryCorruption,
-        FaultKind::LinkDrop,
-    ] {
-        for device in 0..2 {
-            for iteration in 0..ITERS {
-                let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
-                    kind, device, iteration,
-                )]));
-                let mut t = CuldaTrainer::try_new(&c, delta_cfg()).unwrap();
-                t.attach_fault_plan(Arc::clone(&plan));
-                for _ in 0..ITERS {
-                    t.try_step().expect("recoverable run");
+    for nodes in [1, 2] {
+        for kind in [
+            FaultKind::KernelLaunch,
+            FaultKind::MemoryCorruption,
+            FaultKind::LinkDrop,
+        ] {
+            for device in 0..2 * nodes {
+                for iteration in 0..ITERS {
+                    let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+                        kind, device, iteration,
+                    )]));
+                    let mut t = CuldaTrainer::try_new(&c, delta_cfg(nodes)).unwrap();
+                    t.attach_fault_plan(Arc::clone(&plan));
+                    for _ in 0..ITERS {
+                        t.try_step().expect("recoverable run");
+                    }
+                    assert_eq!(plan.injected(), 1);
+                    assert_eq!(t.recovery().retries, 1);
+                    assert_eq!(
+                        phi_counts(t.global_phi()),
+                        want_phi,
+                        "{nodes}-node delta sync with {kind:?} at ({device}, {iteration}) \
+                         double-applied or lost counts"
+                    );
                 }
-                assert_eq!(plan.injected(), 1);
-                assert_eq!(t.recovery().retries, 1);
-                assert_eq!(
-                    phi_counts(t.global_phi()),
-                    want_phi,
-                    "delta sync with {kind:?} at ({device}, {iteration})                      double-applied or lost counts"
-                );
             }
         }
     }
