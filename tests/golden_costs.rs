@@ -13,7 +13,10 @@
 //! The fixtures cover the cases a run-sharing fast path could get wrong:
 //! repeated (document, word) runs within one sampler, θ rows wider than the
 //! 24-line L1 model (K_d > 512), and a token whose document has an empty θ
-//! row (S = 0, so the p1 branch can never be taken).
+//! row (S = 0, so the p1 branch can never be taken). Two more pin
+//! `lda_sample` where the p* tree has two upper levels: K = 4096, with
+//! sparse ϕ rows whose first nonzero column is past 0, and K = 10 000,
+//! where p* and the tree spill shared memory.
 //!
 //! The ϕ writers (the update kernel, the dense reduce/broadcast and the Δϕ
 //! apply) may batch their writes per row, but they must leave the same
@@ -36,6 +39,7 @@ use culda::sampler::{
     run_phi_update_kernel, run_sampling_kernel, ChunkState, DrawMode, InferDoc, InferKernelConfig,
     PhiDelta, PhiModel, Priors, SampleConfig,
 };
+use culda::sampler::{depth_for, DEFAULT_FANOUT};
 
 /// FNV-1a over a byte stream.
 fn fnv(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -144,6 +148,17 @@ fn fixtures() -> Vec<Fixture> {
     vec![repeats, long, empty]
 }
 
+/// The sampling fixtures: [`fixtures`] plus two wide-K ones whose p* trees
+/// have two upper levels. K = 4096 keeps p* and its tree in shared memory,
+/// and its sparse ϕ rows start past column 0. At K = 10 000 p* and the
+/// tree spill shared memory.
+fn sample_fixtures() -> Vec<Fixture> {
+    let mut fx = fixtures();
+    fx.push(corpus_fixture("k4096", 4096, 30, 60, 40.0, 128));
+    fx.push(corpus_fixture("k10000", 10_000, 24, 50, 30.0, 64));
+    fx
+}
+
 fn fresh(state: &ChunkState) -> ChunkState {
     ChunkState {
         z: AtomicU16Buf::from_vec(state.z.snapshot()),
@@ -175,12 +190,35 @@ fn fixtures_cover_runs_wide_rows_and_empty_s() {
     assert!(max_kd > 512, "long_rows fixture tops out at K_d = {max_kd}");
     assert!(fx[2].state.theta.row(0).0.is_empty());
     assert!(fx[2].chunk.token_doc.contains(&0), "doc 0 has no tokens");
+
+    let fx = sample_fixtures();
+    let budget = GpuSpec::titan_xp_pascal().shared_mem_per_block;
+    // The kernel's p* + tree shared-memory predicate.
+    let pstar_fits = |k: usize| (2 * k + k / 16 + 64) * 4 <= budget;
+    let (wide, spill) = (&fx[3], &fx[4]);
+    assert_eq!(depth_for(wide.phi.num_topics, DEFAULT_FANOUT), 3);
+    assert!(
+        pstar_fits(wide.phi.num_topics),
+        "k4096 p* must stay on-chip"
+    );
+    let m = &wide.phi.phi;
+    let late_sparse = (0..m.num_rows())
+        .filter(|&v| !m.row_is_dense(v))
+        .filter_map(|v| m.row_nonzeros(v).first().map(|&(t, _)| t))
+        .filter(|&t| t > 0)
+        .count();
+    assert!(
+        late_sparse > 10,
+        "k4096 has {late_sparse} sparse rows starting past column 0"
+    );
+    assert_eq!(depth_for(spill.phi.num_topics, DEFAULT_FANOUT), 3);
+    assert!(!pstar_fits(spill.phi.num_topics), "k10000 p* must spill");
 }
 
 #[test]
 fn lda_sample_charges_are_pinned() {
     let mut lines = Vec::new();
-    for f in fixtures() {
+    for f in sample_fixtures() {
         let inv = f.phi.inv_denominators();
         let map = build_block_map(&f.chunk, f.tokens_per_block);
         let mut z_hash = None;
@@ -569,6 +607,56 @@ const SAMPLE_PINS: &[&str] = &[
     "empty_s/auto/shared=0/l1=0/sparse=0 1303684 191044 0 388309 0 61 0x3ee750c626a8c66c",
     "empty_s/auto/shared=0/l1=0/sparse=1 1292344 187012 0 386145 0 61 0x3ee73a0a0246380c",
     "empty_s/z 0xee02cda9b9d670b7",
+    "k4096/tree/shared=1/l1=1/sparse=0 2041776 1307544 2726526 943317 0 62 0x3ef103d79d69e312",
+    "k4096/tree/shared=1/l1=1/sparse=1 530580 1307544 1714042 450438 0 62 0x3ee94ca6a4cd5161",
+    "k4096/tree/shared=1/l1=0/sparse=0 2281178 1307544 2363604 943317 0 62 0x3ef1b4e0c5bb4655",
+    "k4096/tree/shared=1/l1=0/sparse=1 769982 1307544 1351120 450438 0 62 0x3eeaaeb8f57017e8",
+    "k4096/tree/shared=0/l1=1/sparse=0 2382552 2448920 362922 943317 0 62 0x3ef54be197b07bb5",
+    "k4096/tree/shared=0/l1=1/sparse=1 871356 1469668 362922 450438 0 62 0x3eec346e7e82311c",
+    "k4096/tree/shared=0/l1=0/sparse=0 2621954 2448920 0 943317 0 62 0x3ef5fceac001def9",
+    "k4096/tree/shared=0/l1=0/sparse=1 1110758 1469668 0 450438 0 62 0x3eed9680cf24f7a2",
+    "k4096/butterfly/shared=1/l1=1/sparse=0 1733232 150472 2741122 994258 0 62 0x3ee9901021467bc2",
+    "k4096/butterfly/shared=1/l1=1/sparse=1 222036 150472 1728638 501379 0 62 0x3ee0d5078b4006fe",
+    "k4096/butterfly/shared=1/l1=0/sparse=0 1972634 150472 2378200 994258 0 62 0x3eeaf22271e94248",
+    "k4096/butterfly/shared=1/l1=0/sparse=1 461438 150472 1365716 501379 0 62 0x3ee23719dbe2cd85",
+    "k4096/butterfly/shared=0/l1=1/sparse=0 2035256 1178104 362922 994258 0 62 0x3ef09f4d0c185cdf",
+    "k4096/butterfly/shared=0/l1=1/sparse=1 524060 198852 362922 501379 0 62 0x3ee2db456751f36f",
+    "k4096/butterfly/shared=0/l1=0/sparse=0 2274658 1178104 0 994258 0 62 0x3ef150563469c022",
+    "k4096/butterfly/shared=0/l1=0/sparse=1 763462 198852 0 501379 0 62 0x3ee43d57b7f4b9f5",
+    "k4096/auto/shared=1/l1=1/sparse=0 1733232 150472 2726526 989630 0 62 0x3ee9901021467bc2",
+    "k4096/auto/shared=1/l1=1/sparse=1 222036 150472 1714042 496751 0 62 0x3ee0d5078b4006fe",
+    "k4096/auto/shared=1/l1=0/sparse=0 1972634 150472 2363604 989630 0 62 0x3eeaf22271e94248",
+    "k4096/auto/shared=1/l1=0/sparse=1 461438 150472 1351120 496751 0 62 0x3ee23719dbe2cd85",
+    "k4096/auto/shared=0/l1=1/sparse=0 2035256 1178104 362922 994258 0 62 0x3ef09f4d0c185cdf",
+    "k4096/auto/shared=0/l1=1/sparse=1 524060 198852 362922 501379 0 62 0x3ee2db456751f36f",
+    "k4096/auto/shared=0/l1=0/sparse=0 2274658 1178104 0 994258 0 62 0x3ef150563469c022",
+    "k4096/auto/shared=0/l1=0/sparse=1 763462 198852 0 501379 0 62 0x3ee43d57b7f4b9f5",
+    "k4096/z 0x37823b69a7891b84",
+    "k10000/tree/shared=1/l1=1/sparse=0 3627840 2679372 129936 1684968 0 54 0x3efa3bec94cd55da",
+    "k10000/tree/shared=1/l1=1/sparse=1 397072 546204 129936 615968 0 54 0x3ee454db121d9b77",
+    "k10000/tree/shared=1/l1=0/sparse=0 3703120 2679372 0 1684968 0 54 0x3efa75a7a6a34766",
+    "k10000/tree/shared=1/l1=0/sparse=1 472352 546204 0 615968 0 54 0x3ee4c85135c97e8f",
+    "k10000/tree/shared=0/l1=1/sparse=0 3627840 2679372 129936 1684968 0 54 0x3efa3bec94cd55da",
+    "k10000/tree/shared=0/l1=1/sparse=1 397072 546204 129936 615968 0 54 0x3ee454db121d9b77",
+    "k10000/tree/shared=0/l1=0/sparse=0 3703120 2679372 0 1684968 0 54 0x3efa75a7a6a34766",
+    "k10000/tree/shared=0/l1=0/sparse=1 472352 546204 0 615968 0 54 0x3ee4c85135c97e8f",
+    "k10000/butterfly/shared=1/l1=1/sparse=0 3437856 2200272 129936 1704211 0 54 0x3ef83ad11ef6edda",
+    "k10000/butterfly/shared=1/l1=1/sparse=1 207088 67104 129936 635211 0 54 0x3ee052a42670cb76",
+    "k10000/butterfly/shared=1/l1=0/sparse=0 3513136 2200272 0 1704211 0 54 0x3ef8748c30ccdf65",
+    "k10000/butterfly/shared=1/l1=0/sparse=1 282368 67104 0 635211 0 54 0x3ee0c61a4a1cae8e",
+    "k10000/butterfly/shared=0/l1=1/sparse=0 3437856 2200272 129936 1704211 0 54 0x3ef83ad11ef6edda",
+    "k10000/butterfly/shared=0/l1=1/sparse=1 207088 67104 129936 635211 0 54 0x3ee052a42670cb76",
+    "k10000/butterfly/shared=0/l1=0/sparse=0 3513136 2200272 0 1704211 0 54 0x3ef8748c30ccdf65",
+    "k10000/butterfly/shared=0/l1=0/sparse=1 282368 67104 0 635211 0 54 0x3ee0c61a4a1cae8e",
+    "k10000/auto/shared=1/l1=1/sparse=0 3437856 2200272 129936 1704211 0 54 0x3ef83ad11ef6edda",
+    "k10000/auto/shared=1/l1=1/sparse=1 207088 67104 129936 635211 0 54 0x3ee052a42670cb76",
+    "k10000/auto/shared=1/l1=0/sparse=0 3513136 2200272 0 1704211 0 54 0x3ef8748c30ccdf65",
+    "k10000/auto/shared=1/l1=0/sparse=1 282368 67104 0 635211 0 54 0x3ee0c61a4a1cae8e",
+    "k10000/auto/shared=0/l1=1/sparse=0 3437856 2200272 129936 1704211 0 54 0x3ef83ad11ef6edda",
+    "k10000/auto/shared=0/l1=1/sparse=1 207088 67104 129936 635211 0 54 0x3ee052a42670cb76",
+    "k10000/auto/shared=0/l1=0/sparse=0 3513136 2200272 0 1704211 0 54 0x3ef8748c30ccdf65",
+    "k10000/auto/shared=0/l1=0/sparse=1 282368 67104 0 635211 0 54 0x3ee0c61a4a1cae8e",
+    "k10000/z 0xe92d0480c4d1d49e",
 ];
 
 const INFER_PINS: &[&str] = &[
