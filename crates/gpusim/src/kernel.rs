@@ -120,6 +120,36 @@ pub fn run_grid<F>(
 where
     F: Fn(&mut BlockCtx) + Sync,
 {
+    run_grid_with(
+        gpu,
+        name,
+        num_blocks,
+        workers,
+        metrics,
+        || (),
+        |ctx, _| body(ctx),
+    )
+}
+
+/// [`run_grid`] with host scratch: each executor calls `scratch` once per
+/// launch and hands the value to every block it runs, so a kernel reuses
+/// its host buffers across blocks instead of allocating them per block.
+/// The scratch is host storage only: a block still claims its modelled
+/// shared memory from [`BlockCtx::shared`], and must not let anything it
+/// leaves in the scratch reach the next block's results or charges.
+pub fn run_grid_with<S, I, F>(
+    gpu: &GpuSpec,
+    name: &str,
+    num_blocks: u32,
+    workers: usize,
+    metrics: Option<&Arc<MetricsRegistry>>,
+    scratch: I,
+    body: F,
+) -> LaunchReport
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut BlockCtx, &mut S) + Sync,
+{
     assert!(num_blocks > 0, "launching an empty grid is a logic error");
     let started = std::time::Instant::now();
     let next = AtomicU32::new(0);
@@ -127,6 +157,7 @@ where
     let workers = workers.max(1).min(num_blocks as usize);
     let run_blocks = || {
         let mut local = KernelCost::default();
+        let mut scratch = scratch();
         loop {
             let id = next.fetch_add(1, Ordering::Relaxed);
             if id >= num_blocks {
@@ -139,7 +170,7 @@ where
                 traffic: TrafficCounter::default(),
                 metrics: metrics.cloned(),
             };
-            body(&mut ctx);
+            body(&mut ctx, &mut scratch);
             local.merge(&ctx.traffic.into_cost());
         }
         total.lock().unwrap().merge(&local);
@@ -251,6 +282,36 @@ mod tests {
         run_grid(&gpu(), "one", 1, 8, None, |_| {
             assert_eq!(std::thread::current().id(), caller);
         });
+    }
+
+    #[test]
+    fn scratch_is_made_once_per_executor_and_reused_by_its_blocks() {
+        let made = AtomicU32::new(0);
+        let seen = AtomicU32Buf::zeros(40);
+        for workers in [1usize, 3] {
+            made.store(0, Ordering::Relaxed);
+            let report = run_grid_with(
+                &gpu(),
+                "scratch",
+                40,
+                workers,
+                None,
+                || {
+                    made.fetch_add(1, Ordering::Relaxed);
+                    Vec::<u32>::new()
+                },
+                |ctx, blocks: &mut Vec<u32>| {
+                    // Every block this executor ran before is still here.
+                    assert!(blocks.iter().all(|&b| b < ctx.block_id));
+                    blocks.push(ctx.block_id);
+                    seen.fetch_add(ctx.block_id as usize, 1);
+                    ctx.flop(1);
+                },
+            );
+            assert_eq!(made.load(Ordering::Relaxed) as usize, workers);
+            assert_eq!(report.cost.flops, 40);
+        }
+        assert!(seen.snapshot().iter().all(|&n| n == 2));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use butterfly::{
 pub use checkpoint::{load_phi, save_phi};
 pub use count::{
     choose_sparse_sampling, dense_cutover, pstar_block_cost, row_encoding, sparse_sampling_cutover,
-    CountMatrix, PstarCost, RowFormat,
+    CountMatrix, PstarCost, RowFormat, SmoothedBaseline,
 };
 pub use delta::PhiDelta;
 pub use dense::DenseCgs;
