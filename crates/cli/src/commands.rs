@@ -1615,6 +1615,32 @@ mod tests {
     }
 
     #[test]
+    fn a_model_that_fits_no_device_is_a_usage_error() {
+        // A five-entry docword whose header declares W = 100,000: at
+        // K = 65,536 the two phi replicas need 26 GB of a 16 GiB device at
+        // every chunk count, which must exit 2 rather than panic. (A larger
+        // W reaches the same planner error, but `read_uci` first pads the
+        // vocabulary to W synthetic words.)
+        let docword = tmp("huge_w.docword");
+        let vocab = tmp("huge_w.vocab");
+        std::fs::write(
+            &docword,
+            "3\n100000\n5\n1 1 2\n1 7 1\n2 3 4\n3 2 1\n3 9 3\n",
+        )
+        .unwrap();
+        std::fs::write(&vocab, "a\nb\nc\n").unwrap();
+        let e = train(&args(&format!(
+            "train --docword {} --vocab {} --model {} --topics 65536 --iters 1",
+            docword.display(),
+            vocab.display(),
+            tmp("huge_w.phi").display()
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("cannot fit device memory"), "{e}");
+        assert_eq!(exit_code(e.as_ref()), 2);
+    }
+
+    #[test]
     fn generate_rejects_unknown_preset() {
         let e = generate(&args(
             "generate --preset wikipedia --docword /dev/null --vocab /dev/null",

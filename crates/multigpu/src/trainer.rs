@@ -109,12 +109,14 @@ impl CuldaTrainer {
     }
 
     /// Fallible counterpart of [`Self::new`]: a degenerate configuration
-    /// comes back as [`CuldaError::Config`] instead of a panic.
+    /// comes back as [`CuldaError::Config`], and a corpus whose model and
+    /// chunks fit device memory at no `M` as [`CuldaError::Invalid`],
+    /// instead of a panic.
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         cfg.validate()?;
         // The chunk plan comes from the *per-node* platform: C = M × G for
         // any node count, which keeps an N-node run bit-identical to one.
-        let (part, plan) = plan_partition(corpus, &cfg);
+        let (part, plan) = plan_partition(corpus, &cfg)?;
         let gpus_per_node = cfg.platform.num_gpus;
         // One flat device pool with globally unique ids 0..N·G. `with_gpus`
         // caps at the installed count, so widen a clone directly — the

@@ -544,7 +544,7 @@ mod tests {
             .seed(11)
             .build()
             .unwrap();
-        let (part, _plan) = crate::schedule::plan_partition(&corpus, &cfg);
+        let (part, _plan) = crate::schedule::plan_partition(&corpus, &cfg).unwrap();
         let priors = Priors::paper(cfg.num_topics);
         let chunk = &part.chunks[0];
         let state = ChunkState::init_random(chunk, cfg.num_topics, 7);
