@@ -61,44 +61,34 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
 grep -q 'recovery: 1 fault(s) injected, 1 retry(s)' "$smoke/fault.log"
 cmp "$smoke/c.phi" "$smoke/f.phi"
 
-echo "==> sync-mode matrix smoke test"
-# Every ϕ synchronization strategy must train the bit-identical model;
-# only modelled time and bytes moved may differ.
-for sync_mode in dense-tree dense-ring delta auto; do
-    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-        --vocab "$smoke/c.v" --model "$smoke/s-$sync_mode.phi" --topics 8 \
-        --iters 3 --score-every 0 --platform pascal --gpus 2 \
-        --sync-mode "$sync_mode"
-done
-for sync_mode in dense-ring delta auto; do
-    cmp "$smoke/s-dense-tree.phi" "$smoke/s-$sync_mode.phi"
-done
-
-echo "==> sampling-mode matrix smoke test"
-# Every p* fill path must sample the bit-identical model; only the
-# modelled sampling time may differ.
-for sampling_mode in dense sparse auto; do
-    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-        --vocab "$smoke/c.v" --model "$smoke/p-$sampling_mode.phi" --topics 8 \
-        --iters 3 --score-every 0 --platform pascal --gpus 2 \
-        --sampling-mode "$sampling_mode"
-done
-for sampling_mode in sparse auto; do
-    cmp "$smoke/p-dense.phi" "$smoke/p-$sampling_mode.phi"
-done
-
-echo "==> draw-mode matrix smoke test"
-# Every p1 draw engine must sample the bit-identical model; only the
-# modelled memory traffic may differ.
-for draw_mode in tree butterfly auto; do
-    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-        --vocab "$smoke/c.v" --model "$smoke/d-$draw_mode.phi" --topics 8 \
-        --iters 3 --score-every 0 --platform pascal --gpus 2 \
-        --draw-mode "$draw_mode"
-done
-for draw_mode in butterfly auto; do
-    cmp "$smoke/d-tree.phi" "$smoke/d-$draw_mode.phi"
-done
+echo "==> mode-matrix smoke tests (sync, sampling, draw)"
+# Every phi sync strategy, p* fill path and p1 draw engine must train the
+# bit-identical model; only modelled time and bytes may differ. Each row
+# names the flag, the topic count and the modes, the first being the one
+# the others are compared with. At K = 8 every index tree has one level;
+# the sampling and draw matrices also run at K = 4096, where the p* tree
+# has two upper levels.
+while read -r flag topics modes; do
+    reference=""
+    for mode in $modes; do
+        model="$smoke/$flag-$topics-$mode.phi"
+        cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+            --vocab "$smoke/c.v" --model "$model" --topics "$topics" \
+            --iters 3 --score-every 0 --platform pascal --gpus 2 \
+            "--$flag" "$mode" < /dev/null
+        if [ -z "$reference" ]; then
+            reference="$model"
+        else
+            cmp "$reference" "$model"
+        fi
+    done
+done <<'MATRIX'
+sync-mode 8 dense-tree dense-ring delta auto
+sampling-mode 8 dense sparse auto
+sampling-mode 4096 dense sparse auto
+draw-mode 8 tree butterfly auto
+draw-mode 4096 tree butterfly auto
+MATRIX
 
 echo "==> multi-node smoke test"
 # A 2-node cluster run must train the bit-identical model to the 1-node
@@ -108,7 +98,7 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --score-every 0 --platform pascal --gpus 2 --nodes 2 \
     | tee "$smoke/nodes.log"
 grep -q 'cluster: 2 node(s)' "$smoke/nodes.log"
-cmp "$smoke/s-dense-tree.phi" "$smoke/n.phi"
+cmp "$smoke/sync-mode-8-dense-tree.phi" "$smoke/n.phi"
 # Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
 # write the same model as the 3 straight ones.
 cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
