@@ -82,6 +82,55 @@ fn serving_is_deterministic_across_workers_and_batching() {
     assert_ne!(wide.theta, other.theta);
 }
 
+/// `Σ_w ln Σ_k θ̂_k (ϕ_{w,k} + β)·inv_k` for one document, reading ϕ one
+/// cell at a time.
+fn per_cell_log_predictive(model: &FrozenModel, words: &[u32], theta: &[f64]) -> f64 {
+    let phi = model.phi();
+    let beta = model.priors().beta;
+    let inv = phi.inv_denominators();
+    let mut ll = 0.0;
+    for &w in words {
+        let mut p = 0.0f64;
+        for (t, &th) in theta.iter().enumerate() {
+            p += th * (phi.phi.get(w as usize, t) as f64 + beta) * inv[t] as f64;
+        }
+        ll += p.max(f64::MIN_POSITIVE).ln();
+    }
+    ll
+}
+
+#[test]
+fn engine_scores_equal_a_per_cell_reference() {
+    let (bytes, held) = trained();
+    let model = FrozenModel::load(&bytes[..]).unwrap();
+    let m = &model.phi().phi;
+    let dense = (0..m.num_rows()).filter(|&v| m.row_is_dense(v)).count();
+    assert!(
+        dense > 0 && dense < m.num_rows(),
+        "{dense} of {} rows dense",
+        m.num_rows()
+    );
+    let out = engine(
+        ServeConfig::builder(31)
+            .workers(2)
+            .batch_size(7)
+            .build()
+            .unwrap(),
+    )
+    .infer_corpus(held)
+    .unwrap();
+    let want: Vec<f64> = held
+        .docs
+        .iter()
+        .zip(&out.theta)
+        .map(|(doc, theta)| per_cell_log_predictive(&model, &doc.words, theta))
+        .collect();
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    assert_eq!(bits(&out.doc_log_predictive), bits(&want));
+    let perplexity = (-want.iter().sum::<f64>() / out.tokens as f64).exp();
+    assert_eq!(out.perplexity.to_bits(), perplexity.to_bits());
+}
+
 #[test]
 fn theta_rows_are_normalized_probability_vectors() {
     let (_, held) = trained();
