@@ -980,6 +980,16 @@ mod tests {
             vocab.display()
         )))
         .unwrap();
+        // A sweep count past u32 is a usage error, not one wrapped sweep.
+        let e = infer(&args(&format!(
+            "infer --model {} --docword {} --vocab {} --burnin 4294967295 --samples 1",
+            model.display(),
+            docword.display(),
+            vocab.display()
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("overflows the sweep count"), "{e}");
+        assert_eq!(exit_code(e.as_ref()), 2);
         info(&args(&format!("info --model {}", model.display()))).unwrap();
         // Save-state / resume round trip through the CLI surface.
         let state = tmp("c.state");

@@ -44,12 +44,27 @@ cargo run --release -q -p culda-cli -- generate --preset tiny --seed 3 \
 cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --vocab "$smoke/c.v" --model "$smoke/c.phi" --topics 8 --iters 3 \
     --score-every 0 --platform maxwell
+# Every document draws from its own RNG stream, so the worker count and
+# the micro-batch size must not change θ̂ or any perplexity.
+for shape in "1 64" "2 16"; do
+    read -r workers batch <<< "$shape"
+    cargo run --release -q -p culda-cli -- infer --model "$smoke/c.phi" \
+        --docword "$smoke/c.dw" --vocab "$smoke/c.v" --workers "$workers" \
+        --batch-size "$batch" --burnin 3 --samples 2 \
+        --out "$smoke/theta-$workers-$batch.json"
+done
+python3 -c 'import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:])
+keys = ("theta", "perplexity", "perplexity_by_sweep")
+sys.exit(0 if a["theta"] and all(a[k] == b[k] for k in keys) else 1)' \
+    "$smoke/theta-1-64.json" "$smoke/theta-2-16.json" \
+    || { echo "infer: results depend on --workers/--batch-size"; exit 1; }
+# A sweep count past u32 is a usage error (exit 2), not one wrapped sweep.
+status=0
 cargo run --release -q -p culda-cli -- infer --model "$smoke/c.phi" \
-    --docword "$smoke/c.dw" --vocab "$smoke/c.v" --workers 2 \
-    --batch-size 16 --burnin 3 --samples 2 --out "$smoke/theta.json"
-test -s "$smoke/theta.json"
-grep -q '"theta"' "$smoke/theta.json"
-grep -q '"perplexity"' "$smoke/theta.json"
+    --docword "$smoke/c.dw" --vocab "$smoke/c.v" --burnin 4294967295 \
+    --samples 1 --out "$smoke/overflow.json" 2> /dev/null || status=$?
+test "$status" -eq 2 || { echo "infer: overflowing --burnin exited $status, not 2"; exit 1; }
 
 echo "==> fault-injection smoke test"
 # A transient launch fault mid-training must recover (exit 0), report
