@@ -1,96 +1,34 @@
 //! # culda-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation (Section 7), plus micro-benchmarks for the
-//! individual kernels and substrates (see [`harness`]).
+//! paper's evaluation (Section 7), the design ablations and extensions,
+//! and the mode-grid benchmark that CI gates.
 //!
-//! Binaries (one per table/figure — see DESIGN.md §4 for the full index):
+//! Binaries (see DESIGN.md §4 for the full index):
 //!
-//! | binary   | regenerates |
-//! |----------|-------------|
-//! | `table1` | Flops/Byte of the sampling steps |
-//! | `table3` | dataset statistics |
-//! | `table4` | avg tokens/s, CuLDA × 3 platforms vs WarpLDA |
-//! | `table5` | execution-time breakdown |
-//! | `fig7`   | tokens/s vs iteration |
-//! | `fig8`   | log-likelihood/token vs time |
-//! | `fig9`   | multi-GPU scaling |
+//! | binary           | regenerates |
+//! |------------------|-------------|
+//! | `table1`         | Flops/Byte of the sampling steps |
+//! | `table3`         | dataset statistics |
+//! | `table4`         | avg tokens/s, CuLDA × 3 platforms vs WarpLDA |
+//! | `table5`         | execution-time breakdown |
+//! | `fig7`           | tokens/s vs iteration |
+//! | `fig8`           | log-likelihood/token vs time |
+//! | `fig9`           | multi-GPU scaling |
+//! | `ablation`       | Section 4–6 design ablations |
+//! | `ext_perplexity` | held-out perplexity vs iterations |
+//! | `bench_modes`    | the mode grid: sync, sampling and draw modes, node counts, serving hot-swap (`BENCH_modes.jsonl`) |
 //!
-//! Every binary prints the paper's reported values next to the measured
-//! ones and writes CSV into `results/`. Workload scale and iteration count
-//! are tuned for a laptop-class box and can be overridden with the
-//! `CULDA_SCALE` (relative, default 1.0) and `CULDA_ITERS` env vars.
+//! The paper harnesses print the paper's reported values next to the
+//! measured ones and write CSV into `results/`. Their workload scale and
+//! iteration count are tuned for a laptop-class box and can be overridden
+//! with the `CULDA_SCALE` (relative, default 1.0) and `CULDA_ITERS` env
+//! vars. `bench_modes` takes neither: its stdout is compared byte for byte
+//! with the committed `BENCH_modes.jsonl`.
 
 use culda_corpus::{Corpus, SynthSpec};
 use std::io::Write as _;
 use std::path::PathBuf;
-
-pub mod harness {
-    //! A dependency-free micro-benchmark harness (the offline build has no
-    //! criterion): warm up briefly, then report mean wall time per call.
-    //! Durations are tuned so a full bench binary stays under a few
-    //! seconds; override with `CULDA_BENCH_MS`.
-
-    use std::time::{Duration, Instant};
-
-    fn measure_window() -> Duration {
-        let ms = std::env::var("CULDA_BENCH_MS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(300u64);
-        Duration::from_millis(ms)
-    }
-
-    /// Times `f` and prints `name: <µs>/iter`.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-        // Warm-up: at least one call, up to ~1/4 of the window.
-        let warm_until = Instant::now() + measure_window() / 4;
-        loop {
-            std::hint::black_box(f());
-            if Instant::now() >= warm_until {
-                break;
-            }
-        }
-        let start = Instant::now();
-        let mut iters = 0u64;
-        loop {
-            std::hint::black_box(f());
-            iters += 1;
-            if start.elapsed() >= measure_window() {
-                break;
-            }
-        }
-        let per = start.elapsed().as_secs_f64() / iters as f64;
-        println!("{name:<48} {:>12.3} µs/iter  ({iters} iters)", per * 1e6);
-    }
-
-    /// Times `f` alone, re-running `setup` before every call (setup cost is
-    /// excluded from the reported time).
-    pub fn bench_with_setup<S, T>(
-        name: &str,
-        mut setup: impl FnMut() -> S,
-        mut f: impl FnMut(S) -> T,
-    ) {
-        std::hint::black_box(f(setup())); // warm-up
-        let window = measure_window();
-        let mut busy = Duration::ZERO;
-        let mut iters = 0u64;
-        while busy < window {
-            let input = setup();
-            let start = Instant::now();
-            std::hint::black_box(f(input));
-            busy += start.elapsed();
-            iters += 1;
-        }
-        let per = busy.as_secs_f64() / iters as f64;
-        println!("{name:<48} {:>12.3} µs/iter  ({iters} iters)", per * 1e6);
-    }
-
-    /// Prints a group header, mirroring criterion's group output.
-    pub fn group(name: &str) {
-        println!("\n== {name} ==");
-    }
-}
 
 /// Default number of topics for the headline experiments (the paper sweeps
 /// 1k–10k; 1024 keeps every shared-memory structure comfortably in budget).

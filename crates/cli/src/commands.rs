@@ -94,7 +94,7 @@ USAGE:
                  [--batch-size B] [--rate RPS] [--duration S] [--tenants T]
                  [--docs-per-request D] [--swap-at S] [--slo-ms MS]
                  [--seed N] [--platform maxwell|pascal|volta]
-                 [--out BENCH_serving.json]
+                 [--out serving.json]
   culda info     --model M.phi
   culda profile  --docword PATH --vocab PATH [--policy {policy}] [--topics K]
                  [--iters N] [--platform maxwell|pascal|volta] [--gpus G]
@@ -408,7 +408,7 @@ pub fn train(args: &Args) -> CmdResult {
     let mut monitor = HealthMonitor::new(HealthConfig::default());
     let mut cumulative_sim = 0.0;
     let multi_gpu = trainer.num_gpus() > 1;
-    let sync_label = trainer.config().effective_sync_mode().to_string();
+    let sync_label = trainer.config().sync_mode.to_string();
 
     for i in 0..iters {
         let stat = trainer.try_step()?;

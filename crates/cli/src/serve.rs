@@ -7,8 +7,8 @@
 //! [`LoadGenerator`] offers Poisson traffic against it — optionally
 //! firing a blue/green hot-swap mid-run (`--swap-at`, serving
 //! `--model-b` or a republished copy of the same checkpoint). The JSON
-//! report is the same document `scripts/bench_serving.sh` commits as
-//! `BENCH_serving.json`.
+//! report has the same shape as the serving line that `bench_modes`
+//! commits in `BENCH_modes.jsonl`.
 
 use crate::args::Args;
 use crate::commands::{load_corpus, platform_or, CmdResult};

@@ -13,7 +13,8 @@
 //! * [`coherence`] — UMass topic coherence (quality extension).
 //! * [`series`] — named curves + CSV/ASCII emitters for the figure harnesses.
 //! * [`json`] — a dependency-free JSON value (build / render / parse).
-//! * [`registry`] — hot-path counters, gauges, log-bucketed histograms.
+//! * [`registry`] — hot-path counters, gauges, log-bucketed histograms,
+//!   exact nearest-rank quantiles.
 //! * [`trace`] — Chrome Trace Event Format timelines (Perfetto-loadable).
 //! * [`health`] — longitudinal anomaly detectors over the iteration stream.
 //! * [`snapshot`] — append-only JSONL per-iteration telemetry records.
@@ -42,7 +43,7 @@ pub use json::Json;
 pub use lgamma::{digamma, ln_gamma, ln_gamma_ratio};
 pub use loglik::LdaLoglik;
 pub use openmetrics::{lint_openmetrics, parse_openmetrics, render_openmetrics};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use registry::{nearest_rank, Counter, Gauge, Histogram, MetricsRegistry};
 pub use roofline::{Roofline, SamplingStep};
 pub use series::{sparkline, Ewma, Figure, Series};
 pub use snapshot::{parse_snapshots, EvalRecord, MetricsSnapshot, SnapshotRecord, SnapshotWriter};

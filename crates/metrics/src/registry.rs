@@ -237,6 +237,18 @@ impl Histogram {
     }
 }
 
+/// Exact nearest-rank `q`-quantile (`q` in `(0, 1]`) of `sorted`, which
+/// must be in ascending order: the `⌈q·n⌉`-th smallest value, clamped to
+/// the first. Unlike [`Histogram::quantile`] there is no bucketing, so any
+/// change in a sample can move it. `None` when `sorted` is empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> Option<f64> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
+
 /// A process-wide bag of named instruments.
 ///
 /// Handles are `Arc`s: resolve once, record many times. The registry itself
@@ -405,6 +417,16 @@ fn fmt_opt(v: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nearest_rank_is_exact() {
+        let v: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(nearest_rank(&v, 0.5), Some(50.0));
+        assert_eq!(nearest_rank(&v, 0.99), Some(99.0));
+        assert_eq!(nearest_rank(&v, 1.0), Some(100.0));
+        assert_eq!(nearest_rank(&[3.0], 0.99), Some(3.0));
+        assert_eq!(nearest_rank(&[], 0.5), None);
+    }
 
     #[test]
     fn counter_and_gauge_round_trip() {

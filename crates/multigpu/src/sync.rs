@@ -92,7 +92,7 @@ impl SyncReport {
 }
 
 /// Running totals over a whole run's synchronizations (what `culda
-/// profile` and `bench_sync` report).
+/// profile` and `bench_modes` report).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SyncTotals {
     /// Encoded bytes moved, summed over every sync.

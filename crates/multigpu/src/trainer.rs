@@ -758,7 +758,7 @@ impl CuldaTrainer {
         // their ϕ updates and overlaps the (already-executed) θ updates.
         // After a rebalance the migrated ϕ lands last, so the sync waits
         // for everything on the node.
-        let mode = self.cfg.effective_sync_mode();
+        let mode = self.cfg.sync_mode;
         let gpu = &self.cfg.platform.gpu;
         let multi_node = self.num_nodes() > 1;
         let reduce_nodes = self.num_alive_nodes() > 1;
@@ -1643,21 +1643,21 @@ mod tests {
     #[test]
     fn ring_sync_changes_time_not_results() {
         let c = corpus();
-        let run = |ring: bool| {
-            let mut config = cfg(Platform::pascal())
+        let run = |mode: SyncMode| {
+            let config = cfg(Platform::pascal())
                 .score_every(0)
                 .iterations(3)
+                .sync_mode(mode)
                 .build()
                 .unwrap();
-            config.ring_sync = ring;
             let mut t = CuldaTrainer::new(&c, config);
             for _ in 0..3 {
                 t.step();
             }
             (t.loglik_per_token(), t.history().total_sim_seconds())
         };
-        let (ll_tree, t_tree) = run(false);
-        let (ll_ring, t_ring) = run(true);
+        let (ll_tree, t_tree) = run(SyncMode::DenseTree);
+        let (ll_ring, t_ring) = run(SyncMode::DenseRing);
         assert!(
             (ll_tree - ll_ring).abs() < 1e-12,
             "sync algorithm changed results"

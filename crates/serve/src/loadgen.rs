@@ -7,8 +7,8 @@
 //! offered load. Arrival times, tenant choices, and document picks all
 //! come from one [`Xoshiro256`] stream keyed by the spec seed: the same
 //! spec replays the same workload, request for request, which is what
-//! lets `BENCH_serving.json` be a regression artifact rather than a dice
-//! roll.
+//! lets the serving line of `BENCH_modes.jsonl` be a regression artifact
+//! rather than a dice roll.
 //!
 //! The generator can fire one mid-run [`hot_swap`](ServingPlane::hot_swap)
 //! (`swap_at`), making it the harness for the zero-downtime claim: the
@@ -19,7 +19,7 @@ use crate::error::ServeError;
 use crate::plane::{ServingPlane, SwapReport};
 use crate::router::CompletedRequest;
 use culda_corpus::Xoshiro256;
-use culda_metrics::{Histogram, Json};
+use culda_metrics::{nearest_rank, Json};
 
 /// Workload shape for one load-generation run.
 #[derive(Debug, Clone)]
@@ -91,7 +91,8 @@ pub struct LoadReport {
     pub sustained_rps: f64,
     /// Simulated time of the last completion.
     pub makespan: f64,
-    /// `(p50, p95, p99)` end-to-end request latency, seconds.
+    /// `(p50, p95, p99)` end-to-end request latency, seconds: exact
+    /// nearest-rank values over every completed request.
     pub latency: Option<(f64, f64, f64)>,
     /// Mean end-to-end request latency, seconds.
     pub latency_mean: Option<f64>,
@@ -100,7 +101,8 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// Renders the report as the `BENCH_serving.json` document.
+    /// Renders the report as one JSON document: the `culda serve --out`
+    /// file and the serving line of `BENCH_modes.jsonl`.
     pub fn to_json(&self, spec: &LoadSpec, pools: usize) -> Json {
         let latency = match (self.latency, self.latency_mean) {
             (Some((p50, p95, p99)), Some(mean)) => Json::obj()
@@ -172,7 +174,6 @@ impl LoadGenerator {
     pub fn run(&self, plane: &mut ServingPlane) -> Result<LoadReport, ServeError> {
         let spec = &self.spec;
         let mut rng = Xoshiro256::from_seed_stream(spec.seed, 0x10ad);
-        let latency = Histogram::default();
         let mut offered = 0u64;
         let mut rejected = 0u64;
         let mut completed: Vec<CompletedRequest> = Vec::new();
@@ -225,19 +226,21 @@ impl LoadGenerator {
         let mut docs = 0u64;
         let mut tokens = 0u64;
         let mut latency_sum = 0.0f64;
+        let mut latencies = Vec::with_capacity(completed.len());
         for c in &completed {
-            latency.record(c.latency());
+            latencies.push(c.latency());
             latency_sum += c.latency();
             makespan = makespan.max(c.completed_at);
             docs += c.docs as u64;
             tokens += c.tokens;
         }
         let n = completed.len() as u64;
+        latencies.sort_by(f64::total_cmp);
         let quantiles = (|| {
             Some((
-                latency.quantile(0.5)?,
-                latency.quantile(0.95)?,
-                latency.quantile(0.99)?,
+                nearest_rank(&latencies, 0.5)?,
+                nearest_rank(&latencies, 0.95)?,
+                nearest_rank(&latencies, 0.99)?,
             ))
         })();
         Ok(LoadReport {

@@ -12,9 +12,6 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
-echo "==> trace golden test"
-cargo test -q --test trace_golden
-
 echo "==> benchmark tests (smoke runs, BENCHMARK.json contract)"
 # The benchmark is a package of its own, outside the workspace, so the
 # workspace test run above does not reach it.
@@ -161,17 +158,16 @@ grep -q '"from":"default@v1"' "$smoke/serving.json"
 grep -q '"to":"default@v2"' "$smoke/serving.json"
 grep -q '"p99_s"' "$smoke/serving.json"
 
-echo "==> bench regression gate"
-scripts/bench_gate.sh
-
-echo "==> draw-path gate"
-scripts/bench_draw.sh
-
-echo "==> serving gate"
-scripts/bench_serving.sh
-
-echo "==> cluster gate"
-scripts/bench_cluster.sh
+echo "==> mode-grid gate (bench_modes against BENCH_modes.jsonl)"
+# One run of every sync, sampling and draw mode, node count and the serving
+# hot-swap. The bin exits non-zero when a check fails: a mode or node count
+# trains a different model, auto models slower than the best fixed mode, the
+# swap drops a request. Every printed number is on the modelled clock, so
+# the output must equal the committed file byte for byte. After a
+# deliberate modelled change, re-record it:
+#   cargo run --release -q -p culda-bench --bin bench_modes > BENCH_modes.jsonl
+cargo run --release -q -p culda-bench --bin bench_modes > "$smoke/modes.jsonl"
+diff -u BENCH_modes.jsonl "$smoke/modes.jsonl"
 
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
