@@ -402,26 +402,30 @@ pub fn trace_staging(
     }
 }
 
-/// Runs `f(worker_index, worker)` for every worker, each on its own host
-/// thread, returning results **in worker order** regardless of finish
-/// order. A panic in any worker propagates after all threads join. With a
-/// single worker the closure runs inline (1-GPU runs pay no threading
-/// overhead). The `&mut` counterpart of
-/// [`culda_gpusim::GpuCluster::par_each_gpu`].
-pub fn run_workers<R, F>(workers: &mut [GpuWorker], f: F) -> Vec<R>
+/// Runs `f(index, item)` for every item, each on its own host thread,
+/// returning results **in item order** regardless of finish order. A
+/// panic in any body propagates after all threads join. With a single
+/// item the closure runs inline (1-GPU runs pay no threading overhead).
+/// The `&mut` counterpart of [`culda_gpusim::GpuCluster::par_each_gpu`].
+///
+/// The items are any disjoint `&mut` borrows: the trainers fan out their
+/// [`GpuWorker`]s, and the serving router fans out the engine pools that
+/// have work in one dispatch.
+pub fn run_workers<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
+    T: Send,
     R: Send,
-    F: Fn(usize, &mut GpuWorker) -> R + Sync,
+    F: Fn(usize, &mut T) -> R + Sync,
 {
-    if workers.len() == 1 {
-        return vec![f(0, &mut workers[0])];
+    if items.len() == 1 {
+        return vec![f(0, &mut items[0])];
     }
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
+        let handles: Vec<_> = items
             .iter_mut()
             .enumerate()
-            .map(|(i, w)| scope.spawn(move || f(i, w)))
+            .map(|(i, item)| scope.spawn(move || f(i, item)))
             .collect();
         handles
             .into_iter()

@@ -53,8 +53,8 @@ impl fmt::Display for ModelVersion {
 /// `infer_batch` takes `&self` on purpose: the engine serializes its fleet
 /// internally, so registry entries and router pools can share backends
 /// without threading `&mut` through the whole control plane. `Send + Sync`
-/// bounds let pools live behind the router while load generators and
-/// evaluation drive them from worker threads.
+/// bounds let the router serve its pools from one host thread each, and
+/// let load generators and evaluation drive them from worker threads.
 pub trait Infer: Send + Sync {
     /// Infers θ̂ and held-out perplexity for a batch of documents (token
     /// word-id lists), in input order.

@@ -427,17 +427,7 @@ impl InferenceEngine {
     /// survivors — per-document RNG streams are keyed by arrival index,
     /// so the re-served results are bit-identical to a fault-free run.
     pub fn infer_batch(&self, docs: &[Vec<u32>]) -> Result<InferenceOutcome, ServeError> {
-        if docs.is_empty() {
-            return Err(ServeError::Invalid("no documents to infer".into()));
-        }
-        let vocab = self.model.vocab_size();
-        for (d, doc) in docs.iter().enumerate() {
-            if let Some(&w) = doc.iter().find(|&&w| w as usize >= vocab) {
-                return Err(ServeError::Invalid(format!(
-                    "document {d} has word id {w}, outside the model vocabulary of {vocab}"
-                )));
-            }
-        }
+        check_docs(docs, self.model.vocab_size())?;
         // Hand-assembled configs bypass the builder's validation; a zero
         // batch size would otherwise never finish packing.
         let batch_size = self.cfg.batch_size.max(1);
@@ -780,6 +770,24 @@ fn redistribute_batches(
         assigned[survivors[n % survivors.len()]].push((*mb, range.clone()));
     }
     assigned
+}
+
+/// Refuses a batch the engine cannot infer: no documents, or a word id at
+/// or past `vocab`. The serving plane applies the same check per request
+/// at submit, so one bad request never fails the batch it is admitted
+/// with.
+pub(crate) fn check_docs(docs: &[Vec<u32>], vocab: usize) -> Result<(), ServeError> {
+    if docs.is_empty() {
+        return Err(ServeError::Invalid("no documents to infer".into()));
+    }
+    for (d, doc) in docs.iter().enumerate() {
+        if let Some(&w) = doc.iter().find(|&&w| w as usize >= vocab) {
+            return Err(ServeError::Invalid(format!(
+                "document {d} has word id {w}, outside the model vocabulary of {vocab}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// `exp(−ll / tokens)`, with the empty-batch convention of 1.

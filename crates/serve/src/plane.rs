@@ -31,11 +31,12 @@
 
 use crate::admission::{AdmissionConfig, AdmissionQueue};
 use crate::api::{Infer, ModelVersion};
-use crate::engine::{InferenceEngine, ServeConfig};
+use crate::engine::{check_docs, InferenceEngine, ServeConfig};
 use crate::error::ServeError;
 use crate::registry::ModelRegistry;
 use crate::router::{CompletedRequest, ShardRouter, ROUTER_TRACE_TID};
 use culda_metrics::{MetricsRegistry, TraceSink};
+use culda_sampler::LdaModel;
 use std::sync::Arc;
 
 /// Shape of a serving plane.
@@ -102,6 +103,9 @@ pub struct ServingPlane {
     registry: Arc<ModelRegistry>,
     cfg: PlaneConfig,
     serving: ModelVersion,
+    /// Vocabulary size of the serving version, for checking requests at
+    /// submit.
+    vocab: usize,
     queue: AdmissionQueue,
     router: ShardRouter,
     swaps: u64,
@@ -126,13 +130,14 @@ impl ServingPlane {
     /// admission queue. Errs if the name was never published.
     pub fn new(registry: Arc<ModelRegistry>, cfg: PlaneConfig) -> Result<Self, ServeError> {
         cfg.validate()?;
-        let (serving, engines) = build_pools(&registry, &cfg)?;
+        let (serving, vocab, engines) = build_pools(&registry, &cfg)?;
         let router = ShardRouter::new(engines, cfg.capacity, cfg.engine.seed)?;
         let queue = AdmissionQueue::new(cfg.admission.clone())?;
         Ok(Self {
             registry,
             cfg,
             serving,
+            vocab,
             queue,
             router,
             swaps: 0,
@@ -174,13 +179,18 @@ impl ServingPlane {
         self.swaps
     }
 
-    /// Submits one tenant request at simulated time `now`.
+    /// Submits one tenant request at simulated time `now`. A request the
+    /// engines would refuse — no documents, or a word id outside the
+    /// serving version's vocabulary — is rejected here with
+    /// [`ServeError::Invalid`], before it is queued: it takes no id, and
+    /// the requests it would have been admitted with still complete.
     pub fn submit(
         &mut self,
         tenant: impl Into<String>,
         docs: Vec<Vec<u32>>,
         now: f64,
     ) -> Result<u64, ServeError> {
+        check_docs(&docs, self.vocab)?;
         let id = self.queue.submit(tenant, docs, now);
         self.export_gauges();
         id
@@ -218,8 +228,9 @@ impl ServingPlane {
         // Drain: everything queued completes on the blue version.
         let drained = self.drain(now)?;
         // Swap: green engines from the registry's latest snapshot.
-        let (to, engines) = build_pools(&self.registry, &self.cfg)?;
+        let (to, vocab, engines) = build_pools(&self.registry, &self.cfg)?;
         self.router.replace_engines(engines)?;
+        self.vocab = vocab;
         let from = std::mem::replace(&mut self.serving, to.clone());
         self.swaps += 1;
         if let Some(t) = &self.trace {
@@ -257,11 +268,13 @@ impl ServingPlane {
 }
 
 /// Builds one engine per pool over the registry's latest snapshot of the
-/// plane's model name.
+/// plane's model name; also returns the snapshot's version and vocabulary
+/// size.
+#[allow(clippy::type_complexity)]
 fn build_pools(
     registry: &ModelRegistry,
     cfg: &PlaneConfig,
-) -> Result<(ModelVersion, Vec<Box<dyn Infer>>), ServeError> {
+) -> Result<(ModelVersion, usize, Vec<Box<dyn Infer>>), ServeError> {
     let (version, model) = registry
         .latest(&cfg.model)
         .ok_or_else(|| ServeError::UnknownModel(cfg.model.clone()))?;
@@ -273,7 +286,7 @@ fn build_pools(
             ) as Box<dyn Infer>
         })
         .collect();
-    Ok((version, engines))
+    Ok((version, model.vocab_size(), engines))
 }
 
 #[cfg(test)]
@@ -348,6 +361,37 @@ mod tests {
             assert!(c.latency() >= 0.0);
         }
         assert_eq!(plane.queue().depth(), 0);
+    }
+
+    #[test]
+    fn invalid_requests_are_refused_at_submit_and_spare_their_batch() {
+        let reg = Arc::new(ModelRegistry::new());
+        let (model, docs) = frozen(3);
+        let vocab = model.vocab_size() as u32;
+        reg.publish("news", model);
+        let mut plane = ServingPlane::new(Arc::clone(&reg), small_cfg("news")).unwrap();
+        let first = plane.submit("tenant-a", vec![docs[0].clone()], 0.0);
+        assert_eq!(first.unwrap(), 0);
+        match plane.submit("tenant-b", vec![vec![vocab + 5]], 0.0) {
+            Err(ServeError::Invalid(msg)) => assert_eq!(
+                msg,
+                format!(
+                    "document 0 has word id {}, outside the model vocabulary of {vocab}",
+                    vocab + 5
+                )
+            ),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        match plane.submit("tenant-c", Vec::new(), 0.0) {
+            Err(ServeError::Invalid(msg)) => assert_eq!(msg, "no documents to infer"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert_eq!(plane.queue().submitted(), 1, "nothing rejected is queued");
+        let done = plane.pump(1.0).unwrap();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].tenant, "tenant-a");
+        let next = plane.submit("tenant-b", vec![docs[1].clone()], 1.0);
+        assert_eq!(next.unwrap(), 1, "the rejected requests took no id");
     }
 
     #[test]

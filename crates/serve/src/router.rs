@@ -20,12 +20,20 @@
 //! pool serves its calls back-to-back from the batch's admission time,
 //! and distinct pools run in parallel — the same critical-path model the
 //! training fan-out reports.
+//!
+//! The host runs them in parallel too: every pool with work in a
+//! dispatch is served on its own host thread (through the trainers'
+//! [`run_workers`] fan-out), and the outcomes are applied in ascending
+//! pool order afterwards. Each pool owns its engine, its RNG streams and
+//! its clock, and the frozen ϕ they share is read-only, so θ̂,
+//! completion times and the order of completed requests are the same as
+//! serving the pools one after another.
 
 use crate::admission::{AdmittedBatch, ServeRequest};
 use crate::api::{Infer, ModelVersion};
 use crate::error::ServeError;
 use culda_metrics::{MetricsRegistry, TraceSink};
-use std::collections::BTreeMap;
+use culda_multigpu::run_workers;
 use std::sync::Arc;
 
 /// Trace `tid` for router control-plane events (pool deaths, swaps) —
@@ -208,21 +216,46 @@ impl ShardRouter {
     /// capacity-limited engine calls, and re-route off any pool that dies
     /// mid-dispatch. Errs only when no live pool remains to absorb the
     /// work (or on a caller bug like out-of-vocabulary input).
+    ///
+    /// Every pool with work is served at the same time, one host thread
+    /// per pool (a lone pool runs inline). Their outcomes are then applied
+    /// in ascending pool order: completed requests are appended pool by
+    /// pool, a pool-fatal error kills its pool and re-routes that pool's
+    /// unserved requests in the next pass, and a non-fatal error returns
+    /// the first such error in pool order. Unlike serving the pools one
+    /// after another, the pools after a failing one have then also served
+    /// their calls, so their counters and engines have advanced.
     pub fn dispatch(&mut self, batch: AdmittedBatch) -> Result<Vec<CompletedRequest>, ServeError> {
         let admitted_at = batch.admitted_at;
+        let capacity = self.capacity;
         let mut pending = batch.requests;
         let mut completed = Vec::with_capacity(pending.len());
         while !pending.is_empty() {
             // Group FIFO-ordered requests by their routed pool.
-            let mut by_pool: BTreeMap<usize, Vec<ServeRequest>> = BTreeMap::new();
+            let mut by_pool: Vec<Vec<ServeRequest>> = vec![Vec::new(); self.pools.len()];
             for req in pending.drain(..) {
                 let Some(pool) = self.route(&req.tenant) else {
                     return Err(ServeError::AllWorkersLost);
                 };
-                by_pool.entry(pool).or_default().push(req);
+                by_pool[pool].push(req);
             }
-            for (pool_id, requests) in by_pool {
-                match self.serve_on_pool(pool_id, requests, admitted_at) {
+            let mut work: Vec<(usize, &mut Pool, Vec<ServeRequest>)> = self
+                .pools
+                .iter_mut()
+                .zip(by_pool)
+                .enumerate()
+                .filter(|(_, (_, requests))| !requests.is_empty())
+                .map(|(pool_id, (pool, requests))| (pool_id, pool, requests))
+                .collect();
+            let outcomes = run_workers(&mut work, |_, (pool_id, pool, requests)| {
+                let requests = std::mem::take(requests);
+                (
+                    *pool_id,
+                    Self::serve_on_pool(pool, *pool_id, capacity, requests, admitted_at),
+                )
+            });
+            for (pool_id, outcome) in outcomes {
+                match outcome {
                     Ok(done) => completed.extend(done),
                     Err((unserved, err)) => {
                         // Engine-level recovery is exhausted: the pool is a
@@ -272,13 +305,16 @@ impl ShardRouter {
         Ok(())
     }
 
-    /// Serves `requests` on one pool: capacity-limited calls back-to-back
-    /// on the pool's simulated clock. On a fatal engine error, returns
-    /// every not-yet-completed request so the caller can re-route.
+    /// Serves `requests` on one pool: calls of at most `capacity` documents
+    /// back-to-back on the pool's simulated clock. It borrows only its own
+    /// pool, so the router can serve several pools at once. On a fatal
+    /// engine error, returns every not-yet-completed request so the caller
+    /// can re-route.
     #[allow(clippy::type_complexity)]
     fn serve_on_pool(
-        &mut self,
+        pool: &mut Pool,
         pool_id: usize,
+        capacity: usize,
         requests: Vec<ServeRequest>,
         admitted_at: f64,
     ) -> Result<Vec<CompletedRequest>, (Vec<ServeRequest>, ServeError)> {
@@ -287,7 +323,7 @@ impl ShardRouter {
         let mut calls: Vec<Vec<ServeRequest>> = Vec::new();
         let mut docs = 0usize;
         for req in requests {
-            if calls.is_empty() || docs + req.num_docs() > self.capacity {
+            if calls.is_empty() || docs + req.num_docs() > capacity {
                 calls.push(Vec::new());
                 docs = 0;
             }
@@ -295,17 +331,16 @@ impl ShardRouter {
             calls.last_mut().expect("just pushed").push(req);
         }
 
-        let version = self.pools[pool_id].engine.model_version();
+        let version = pool.engine.model_version();
         let mut clock = admitted_at;
         let mut completed = Vec::new();
         let mut calls = calls.into_iter();
         while let Some(call) = calls.next() {
             let flat: Vec<Vec<u32>> = call.iter().flat_map(|r| r.docs.iter().cloned()).collect();
-            match self.pools[pool_id].engine.infer_batch(&flat) {
+            match pool.engine.infer_batch(&flat) {
                 Ok(outcome) => {
                     clock += outcome.sim_seconds;
                     let mut theta = outcome.theta.into_iter();
-                    let pool = &mut self.pools[pool_id];
                     for req in call {
                         let n = req.num_docs();
                         let req_theta: Vec<Vec<f64>> = theta.by_ref().take(n).collect();
@@ -375,7 +410,8 @@ mod tests {
     use super::*;
     use crate::engine::InferenceOutcome;
     use culda_multigpu::RecoveryStats;
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     /// A scripted backend: serves a fixed seconds-per-doc rate, dying
     /// permanently after an optional call budget.
@@ -563,6 +599,80 @@ mod tests {
         for s in r.pool_stats() {
             assert_eq!(s.version.name, "new");
         }
+    }
+
+    /// Where two pools' engines meet: each call marks its pool entered,
+    /// then waits until both have.
+    #[derive(Default)]
+    struct Rendezvous {
+        entered: Mutex<[bool; 2]>,
+        both_in: Condvar,
+    }
+
+    /// A healthy backend that serves only once the other pool's engine is
+    /// inside a call too — or fails after a bounded wait.
+    struct MeetingEngine {
+        pool: usize,
+        meet: Arc<Rendezvous>,
+        inner: Box<dyn Infer>,
+    }
+
+    impl Infer for MeetingEngine {
+        fn infer_batch(&self, docs: &[Vec<u32>]) -> Result<InferenceOutcome, ServeError> {
+            let mut entered = self.meet.entered.lock().unwrap();
+            entered[self.pool] = true;
+            self.meet.both_in.notify_all();
+            let (_entered, wait) = self
+                .meet
+                .both_in
+                .wait_timeout_while(entered, Duration::from_secs(10), |e| !e[0] || !e[1])
+                .unwrap();
+            if wait.timed_out() {
+                return Err(ServeError::Invalid(format!(
+                    "pool {} ran alone for 10 s",
+                    self.pool
+                )));
+            }
+            self.inner.infer_batch(docs)
+        }
+
+        fn latency_quantiles(&self) -> Option<(f64, f64, f64)> {
+            None
+        }
+
+        fn recovery(&self) -> RecoveryStats {
+            RecoveryStats::default()
+        }
+
+        fn model_version(&self) -> ModelVersion {
+            self.inner.model_version()
+        }
+    }
+
+    #[test]
+    fn pools_with_work_overlap_in_host_time() {
+        let meet = Arc::new(Rendezvous::default());
+        let engines: Vec<Box<dyn Infer>> = (0..2)
+            .map(|pool| {
+                Box::new(MeetingEngine {
+                    pool,
+                    meet: Arc::clone(&meet),
+                    inner: FakeEngine::healthy("m"),
+                }) as Box<dyn Infer>
+            })
+            .collect();
+        let mut r = ShardRouter::new(engines, 64, 7).unwrap();
+        let tenants = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let first = |pool| {
+            *tenants
+                .iter()
+                .find(|t| r.route(t) == Some(pool))
+                .expect("eight tenants reach both pools")
+        };
+        let (t0, t1) = (first(0), first(1));
+        let done = r.dispatch(batch(&[t0, t1], 1, 0.0)).unwrap();
+        let pools: Vec<usize> = done.iter().map(|c| c.pool).collect();
+        assert_eq!(pools, vec![0, 1], "outcomes applied in pool order");
     }
 
     #[test]

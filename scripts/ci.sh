@@ -157,6 +157,14 @@ grep -q '"dropped":0' "$smoke/serving.json"
 grep -q '"from":"default@v1"' "$smoke/serving.json"
 grep -q '"to":"default@v2"' "$smoke/serving.json"
 grep -q '"p99_s"' "$smoke/serving.json"
+# The two pools serve each dispatch concurrently on the host. Every field of
+# the report is on the simulated clock, so a second run must write the same
+# report byte for byte; any dependence on which pool finished first fails.
+cargo run --release -q -p culda-cli -- serve --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/c.phi" --model-b "$smoke/green.phi" \
+    --pools 2 --pool-workers 1 --rate 300 --duration 0.2 --swap-at 0.1 \
+    --out "$smoke/serving2.json" > /dev/null
+cmp "$smoke/serving.json" "$smoke/serving2.json"
 
 echo "==> mode-grid gate (bench_modes against BENCH_modes.jsonl)"
 # One run of every sync, sampling and draw mode, node count and the serving

@@ -7,7 +7,7 @@
 //! replayable from the printed seed.
 
 use culda::corpus::{Corpus, SynthSpec, Xoshiro256};
-use culda::gpusim::Platform;
+use culda::gpusim::{FaultKind, FaultPlan, FaultSpec, Platform};
 use culda::multigpu::{build_trainer, PartitionPolicy, RecoveryStats, TrainerConfig};
 use culda::serve::{
     AdmissionConfig, AdmissionQueue, FrozenModel, Infer, InferenceEngine, InferenceOutcome,
@@ -275,4 +275,147 @@ fn swap_to_the_same_version_set_is_idempotent_for_routing() {
         .map(|i| plane.router().route(&format!("tenant-{i}")))
         .collect();
     assert_eq!(before, after, "swap must not move tenants between pools");
+}
+
+/// An engine whose calls take one lock shared by every pool, so pools
+/// that the router serves concurrently run one call at a time.
+struct Serialised {
+    inner: InferenceEngine,
+    lock: Arc<Mutex<()>>,
+}
+
+impl Infer for Serialised {
+    fn infer_batch(&self, docs: &[Vec<u32>]) -> Result<InferenceOutcome, ServeError> {
+        let _one_at_a_time = self.lock.lock().unwrap();
+        self.inner.infer_batch(docs)
+    }
+
+    fn latency_quantiles(&self) -> Option<(f64, f64, f64)> {
+        self.inner.latency_quantiles()
+    }
+
+    fn recovery(&self) -> RecoveryStats {
+        self.inner.recovery()
+    }
+
+    fn model_version(&self) -> ModelVersion {
+        Infer::model_version(&self.inner)
+    }
+}
+
+/// Everything a served request carries, with the floats as bits.
+type Served = (
+    u64,
+    String,
+    usize,
+    ModelVersion,
+    usize,
+    u64,
+    Vec<Vec<u64>>,
+    u64,
+);
+
+/// One pool's `PoolStats`: pool, version, alive, requests, documents.
+type PoolCounters = (usize, ModelVersion, bool, u64, u64);
+
+/// Serves one seeded schedule through 3 pools of real engines, capacity 4
+/// under 12-document batches, so each pool makes several calls per
+/// dispatch. `dying` arms a permanent launch fault on that pool's only
+/// device from its fourth engine call on; `serialise` makes every engine
+/// call take one shared lock. Returns every completed request and every
+/// pool's counters.
+fn serve_schedule(serialise: bool, dying: Option<usize>) -> (Vec<Served>, Vec<PoolCounters>) {
+    let (blue, _, docs) = checkpoints();
+    let lock = Arc::new(Mutex::new(()));
+    let cfg = plane_cfg("news", 3, 4, 13).engine;
+    let engines: Vec<Box<dyn Infer>> = (0..3)
+        .map(|pool| {
+            let mut engine = InferenceEngine::new(Arc::clone(blue), cfg.clone())
+                .with_version(ModelVersion::new("news", 1));
+            if dying == Some(pool) {
+                let fault = FaultSpec::new(FaultKind::KernelLaunch, 0, 3).permanent();
+                engine.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![fault])));
+            }
+            if serialise {
+                Box::new(Serialised {
+                    inner: engine,
+                    lock: Arc::clone(&lock),
+                }) as Box<dyn Infer>
+            } else {
+                Box::new(engine) as Box<dyn Infer>
+            }
+        })
+        .collect();
+    let mut router = ShardRouter::new(engines, 4, 13).unwrap();
+    let mut queue = AdmissionQueue::new(AdmissionConfig {
+        max_batch_docs: 12,
+        max_queue_docs: 1024,
+        slo_wait_seconds: 0.005,
+    })
+    .unwrap();
+    let mut rng = Xoshiro256::from_seed_stream(41, 0x5E71);
+    let mut completed = Vec::new();
+    let mut now = 0.0f64;
+    let mut cursor = 0usize;
+    for _ in 0..80 {
+        now += -(1.0 - rng.next_f64()).ln() / 600.0;
+        while let Some(batch) = queue.admit(now) {
+            completed.extend(router.dispatch(batch).unwrap());
+        }
+        let n = 1 + (rng.next_u64() % 3) as usize;
+        let request: Vec<Vec<u32>> = (cursor..cursor + n)
+            .map(|i| docs[i % docs.len()].clone())
+            .collect();
+        cursor += n;
+        let tenant = format!("tenant-{}", rng.next_u64() % 9);
+        queue.submit(tenant, request, now).unwrap();
+    }
+    for batch in queue.drain(now) {
+        completed.extend(router.dispatch(batch).unwrap());
+    }
+    let served = completed
+        .into_iter()
+        .map(|c| {
+            let theta = c
+                .theta
+                .iter()
+                .map(|row| row.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (
+                c.id,
+                c.tenant,
+                c.pool,
+                c.version,
+                c.docs,
+                c.tokens,
+                theta,
+                c.completed_at.to_bits(),
+            )
+        })
+        .collect();
+    let stats = router
+        .pool_stats()
+        .into_iter()
+        .map(|s| (s.pool, s.version, s.alive, s.requests, s.docs))
+        .collect();
+    (served, stats)
+}
+
+#[test]
+fn concurrent_dispatch_equals_serialised_dispatch_bit_for_bit() {
+    for dying in [None, Some(1)] {
+        let (concurrent, concurrent_stats) = serve_schedule(false, dying);
+        let (serialised, serialised_stats) = serve_schedule(true, dying);
+        assert_eq!(concurrent.len(), 80, "every request completes");
+        assert!(
+            concurrent == serialised,
+            "pool death {dying:?}: completed requests differ"
+        );
+        assert_eq!(concurrent_stats, serialised_stats, "pool death {dying:?}");
+        // The doomed pool dies mid-run: it served before its fault fired.
+        for (pool, _, alive, requests, _) in &concurrent_stats {
+            assert_eq!(*alive, dying != Some(*pool), "pool {pool}");
+            assert!(*requests > 0, "pool {pool} served nothing");
+        }
+    }
 }
