@@ -1,6 +1,6 @@
 //! Walker alias tables: O(1) draws from a fixed discrete distribution.
 //!
-//! The WarpLDA/LightLDA family ([10], [35]) replaces the O(K) CGS
+//! The WarpLDA/LightLDA family (\[10\], \[35\]) replaces the O(K) CGS
 //! conditional with Metropolis–Hastings proposals drawn from alias tables
 //! that are rebuilt once per pass — amortized O(1) per token. This module
 //! is the substrate for our WarpLDA-class CPU baseline.

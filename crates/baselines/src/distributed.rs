@@ -1,4 +1,4 @@
-//! A distributed parameter-server LDA — the LDA* [34] proxy.
+//! A distributed parameter-server LDA — the LDA* \[34\] proxy.
 //!
 //! LDA* trains on a CPU cluster (the paper cites its 20-node PubMed
 //! configuration) with workers synchronizing the topic–word model through

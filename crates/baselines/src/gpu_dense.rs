@@ -2,7 +2,7 @@
 //! memory-hierarchy optimization — the strawman behind the paper's claim
 //! that "simply porting existing CPU-based … LDA solutions to GPUs can not
 //! deliver good performance" (Section 1) and the BIDMach-class prior
-//! work [8] it groups under earlier GPU LDA attempts.
+//! work \[8\] it groups under earlier GPU LDA attempts.
 //!
 //! Differences from the CuLDA kernel, each an optimization this baseline
 //! deliberately lacks:

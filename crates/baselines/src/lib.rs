@@ -6,15 +6,15 @@
 //! constant plus a runnable approximation — see DESIGN.md §1):
 //!
 //! * [`dense_cgs`] — the textbook O(K) CGS with a host time model.
-//! * [`sparse_cgs`] — SparseLDA-class S/Q CGS on the CPU (Yao et al. [32]).
-//! * [`warplda`] — the WarpLDA-class MH + alias-table sampler [10], the
+//! * [`sparse_cgs`] — SparseLDA-class S/Q CGS on the CPU (Yao et al. \[32\]).
+//! * [`warplda`] — the WarpLDA-class MH + alias-table sampler \[10\], the
 //!   paper's main CPU comparison (Table 4, Figures 7–8).
 //! * [`alias`] — Walker alias tables (substrate for the MH samplers).
 //! * [`gpu_dense`] — the naive one-thread-per-token dense GPU port
-//!   (BIDMach-class [8]), the Section 1 strawman.
+//!   (BIDMach-class \[8\]), the Section 1 strawman.
 //! * [`distributed`] — a parameter-server LDA over simulated 10 Gb/s
-//!   ethernet, the LDA* [34] proxy (Figure 8, PubMed).
-//! * [`saber`] — SaberLDA [20] reported numbers + a runnable
+//!   ethernet, the LDA* \[34\] proxy (Figure 8, PubMed).
+//! * [`saber`] — SaberLDA \[20\] reported numbers + a runnable
 //!   approximation on a GTX 1080 spec (Figure 8).
 //!
 //! All baselines score themselves with the same `culda-metrics` joint

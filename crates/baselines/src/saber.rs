@@ -1,6 +1,6 @@
-//! SaberLDA [20] — the prior GPU LDA the paper compares against.
+//! SaberLDA \[20\] — the prior GPU LDA the paper compares against.
 //!
-//! SaberLDA is closed source; Section 7.2 therefore "cite[s] the best
+//! SaberLDA is closed source; Section 7.2 therefore "cite\[s\] the best
 //! reported performance in the paper": **120M tokens/s for NYTimes on a
 //! GTX 1080**. We expose those reported numbers, plus a *runnable
 //! approximation*: the CuLDA sampler configured on a GTX 1080 spec with

@@ -1,4 +1,4 @@
-//! Sparsity-aware CPU CGS (Yao et al. [32] style) — the algorithm CuLDA's
+//! Sparsity-aware CPU CGS (Yao et al. \[32\] style) — the algorithm CuLDA's
 //! GPU sampler is derived from, running on the host.
 //!
 //! Uses the same S/Q decomposition as the GPU kernel (Eqs. 6–8) but with

@@ -1,7 +1,7 @@
 //! A WarpLDA-class CPU baseline: Metropolis–Hastings LDA with alias
 //! tables (cycle proposals), amortized O(1) per token.
 //!
-//! WarpLDA [10] is the paper's CPU comparison point (Table 4: 108.0M
+//! WarpLDA \[10\] is the paper's CPU comparison point (Table 4: 108.0M
 //! tokens/s on NYTimes, 93.5M on PubMed, on the Volta platform's Xeons).
 //! Its source is built around two ideas we reproduce: (a) replace the O(K)
 //! CGS conditional with MH steps that alternate a **document proposal**
@@ -227,7 +227,7 @@ impl WarpLda {
         self.z.len() as u64
     }
 
-    /// Exports the current topic–word counts as a [`PhiModel`], so the
+    /// Exports the current topic–word counts as a [`PhiModel`](culda_sampler::PhiModel), so the
     /// trained baseline can drive the same fold-in inference and
     /// checkpointing machinery as CuLDA.
     pub fn export_phi(&self) -> culda_sampler::PhiModel {

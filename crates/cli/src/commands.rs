@@ -235,7 +235,7 @@ pub(crate) fn platform_or(
 }
 
 /// Parses `--policy doc|word` (default: the paper's partition-by-document).
-/// A bad value propagates as a typed [`ModeParseError`] so the exit code
+/// A bad value propagates as a typed [`ModeParseError`](culda_multigpu::ModeParseError) so the exit code
 /// maps to usage (2), same as the other mode flags.
 fn policy(args: &Args) -> Result<PartitionPolicy, Box<dyn std::error::Error>> {
     Ok(args.get_or("policy", "doc").parse::<PartitionPolicy>()?)
@@ -1648,6 +1648,25 @@ mod tests {
         .unwrap_err();
         assert!(e.to_string().contains("cannot fit device memory"), "{e}");
         assert_eq!(exit_code(e.as_ref()), 2);
+    }
+
+    #[test]
+    fn a_repeated_vocab_word_is_an_io_error() {
+        // A duplicate line would shift every later word id; `train` must
+        // refuse the corpus like any other malformed one.
+        let docword = tmp("dup_vocab.docword");
+        let vocab = tmp("dup_vocab.vocab");
+        std::fs::write(&docword, "1\n3\n1\n1 3 2\n").unwrap();
+        std::fs::write(&vocab, "apple\napple\ncherry\n").unwrap();
+        let e = train(&args(&format!(
+            "train --docword {} --vocab {} --model {} --topics 4 --iters 1",
+            docword.display(),
+            vocab.display(),
+            tmp("dup_vocab.phi").display()
+        )))
+        .unwrap_err();
+        assert!(e.to_string().contains("both name \"apple\""), "{e}");
+        assert_eq!(exit_code(e.as_ref()), 4);
     }
 
     #[test]

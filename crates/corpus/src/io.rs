@@ -90,15 +90,35 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(docword: R1, vocab_lines: R2) -> io::R
         ));
     }
 
-    // Vocabulary: one word per line, padded with synthetic names if short.
+    // Vocabulary: line `i` names word id `i − 1`, and a short file is
+    // padded with synthetic names. `intern` returns the existing id of a
+    // name it has seen, so a repeated name would shift every later id.
+    let duplicate = |word: &str, first: u32, line: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("vocab line {} and {line} both name {word:?}", first + 1),
+        )
+    };
     let mut vocab = Vocab::new();
-    for line in vocab_lines.lines() {
+    for (i, line) in vocab_lines.lines().enumerate() {
         let word = line?;
-        vocab.intern(word.trim());
+        let word = word.trim();
+        let id = vocab.intern(word);
+        if id as usize != i {
+            return Err(duplicate(word, id, format!("line {}", i + 1)));
+        }
     }
     while vocab.len() < w {
         let id = vocab.len();
-        vocab.intern(&format!("w{id:06}"));
+        let name = format!("w{id:06}");
+        if let Some(first) = vocab.id_of(&name) {
+            return Err(duplicate(
+                &name,
+                first,
+                format!("the padding of word id {id}"),
+            ));
+        }
+        vocab.intern(&name);
     }
     if vocab.len() > w {
         return Err(io::Error::new(
@@ -188,6 +208,36 @@ mod tests {
         assert!(read_strs("1\n1\n2\n1 1 1\n", "a\n").is_err()); // NNZ mismatch
         assert!(read_strs("1\nx\n1\n1 1 1\n", "a\n").is_err()); // bad header
         assert!(read_strs("1\n1\n1\n1 1 1\n", "a\nb\n").is_err()); // long vocab
+    }
+
+    #[test]
+    fn rejects_a_repeated_vocab_word() {
+        // File word 3 is `cherry`; a repeated `apple` must not shift it to
+        // id 1 and hand id 2 a synthetic name.
+        let e = read_strs("1\n3\n1\n1 3 2\n", "apple\napple\ncherry\n").unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string()
+                .contains("vocab line 1 and line 2 both name \"apple\""),
+            "{e}"
+        );
+        // A file longer than W is rejected for the duplicate, not read.
+        let e = read_strs("1\n2\n1\n1 1 1\n", "a\na\nb\n").unwrap_err();
+        assert!(e.to_string().contains("vocab line 1 and line 2"), "{e}");
+        // Names equal after trimming are the same word.
+        assert!(read_strs("1\n2\n1\n1 1 1\n", "a\n a \n").is_err());
+    }
+
+    #[test]
+    fn rejects_a_vocab_word_that_a_padding_name_repeats() {
+        // W = 3 with one line that reads like the padding name of id 1.
+        let e = read_strs("1\n3\n1\n1 1 1\n", "w000001\n").unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(
+            e.to_string()
+                .contains("vocab line 1 and the padding of word id 1 both name \"w000001\""),
+            "{e}"
+        );
     }
 
     #[test]

@@ -26,6 +26,7 @@ impl SplitMix64 {
     }
 
     /// Next 64 random bits.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -45,6 +46,11 @@ impl Xoshiro256 {
     /// Creates a stream from a global seed and a stream id. Different
     /// `stream_id`s give statistically independent sequences (the ids are
     /// mixed through SplitMix64 before becoming state).
+    ///
+    /// The sampling kernels seed one stream per token, so this is marked
+    /// `#[inline]`: its all-zero guard loop otherwise keeps it out of line
+    /// in other crates.
+    #[inline]
     pub fn from_seed_stream(seed: u64, stream_id: u64) -> Self {
         let mut mix = SplitMix64::new(seed ^ stream_id.wrapping_mul(0xA076_1D64_78BD_642F));
         // Guard against the all-zero state, which is a fixed point.

@@ -1,9 +1,9 @@
-//! A set-associative L1 data-cache model.
+//! Set-associative L1 data-cache models.
 //!
 //! Section 6.1.2: "NVIDIA GPUs are equipped with L1 data cache and
 //! developers can decide which memory access instructions can access the
 //! cache. To further improve the performance, following the performance
-//! models shown in [28], we let the sparse matrix index access
+//! models shown in \[28\], we let the sparse matrix index access
 //! instructions use the L1 cache." This module gives kernels that choice:
 //! a per-SM (here: per-block, matching how one block's accesses behave
 //! within its SM) set-associative LRU cache that classifies each address
@@ -14,6 +14,17 @@
 //! `line_size` bytes with true-LRU replacement — because what the paper's
 //! optimization exploits is simple: CSR row reads are *sequential*, so
 //! routing them through L1 turns `nnz` accesses into `nnz/16` line fills.
+//!
+//! Two types model it:
+//!
+//! - [`CacheSim`] is the general model: it walks every line of every
+//!   access through per-set LRU tags. It accepts any access order and is
+//!   the reference the other model is tested against.
+//! - [`AscendingCache`] is the same model for an access stream that never
+//!   moves backwards, in closed form: it keeps only the previous access's
+//!   line span and returns the same missed-line count for every access.
+//!   The sampling kernel's θ-row loads form such a stream within a block,
+//!   so this is the model it uses.
 
 /// Configuration of an L1 cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,6 +172,88 @@ impl CacheSim {
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
         self.replayable = None;
+    }
+}
+
+/// [`CacheSim`]'s model, in closed form, for a stream whose accesses
+/// never move backwards.
+///
+/// Each access must start at or after the last line of the previous one
+/// since the last flush, or repeat that access's span exactly. Then no
+/// state beyond the previous access's line span `[a, b]` matters; for an
+/// access over lines `[c, e]`, `L = e − c + 1` lines:
+///
+/// - the first access after a flush misses all `L` lines;
+/// - a repeat, `(c, e) == (a, b)`: consecutive lines map to consecutive
+///   sets, so each set holds `q = L / sets` or `q + 1` of the span's lines
+///   (`r = L % sets` sets hold `q + 1`), and after the first pass each set
+///   keeps the last `ways` of them, most recent last. A set holding at most
+///   `ways` of them hits all of them again in the same order; a set
+///   holding more evicts each one before its reuse (LRU over a cyclic
+///   sweep) and misses all of them. This is 0 whenever `L ≤ sets × ways`;
+/// - `c ≥ b`: no line past `b` has been touched since the flush, so every
+///   line misses except line `b` itself when `c == b`, which is resident:
+///   it was the last line touched.
+///
+/// [`access`](Self::access) panics on any other access. Tests check every
+/// access's count against [`CacheSim`] on random ascending streams and on
+/// the sampling kernel's own θ-row streams.
+#[derive(Debug, Clone)]
+pub struct AscendingCache {
+    cfg: CacheConfig,
+    /// Line span `(first, last)` of the previous access since the flush.
+    prev: Option<(u64, u64)>,
+}
+
+impl AscendingCache {
+    /// An empty (cold) cache.
+    pub fn new(cfg: CacheConfig) -> Self {
+        assert!(cfg.line_bytes.is_power_of_two(), "line size must be 2^n");
+        assert!(cfg.sets > 0 && cfg.ways > 0, "degenerate cache shape");
+        Self { cfg, prev: None }
+    }
+
+    /// Accesses `bytes` bytes at `addr`; returns the number of missed
+    /// lines, as [`CacheSim::access`] would.
+    ///
+    /// # Panics
+    /// Panics on a zero-byte access, and on an access that starts before
+    /// the last line of the previous one without repeating it exactly.
+    #[inline]
+    pub fn access(&mut self, addr: u64, bytes: usize) -> usize {
+        assert!(bytes > 0, "zero-byte access");
+        let line = self.cfg.line_bytes as u64;
+        let (first, last) = (addr / line, (addr + bytes as u64 - 1) / line);
+        let span = last - first + 1;
+        let missed = match self.prev {
+            None => span,
+            Some(prev) if prev == (first, last) => {
+                let (sets, ways) = (self.cfg.sets as u64, self.cfg.ways as u64);
+                let (q, r) = (span / sets, span % sets);
+                let thrashed = |n: u64| if n > ways { n } else { 0 };
+                r * thrashed(q + 1) + (sets - r) * thrashed(q)
+            }
+            Some((_, b)) => {
+                assert!(
+                    first >= b,
+                    "ascending stream moved backwards: lines {first}..={last} start before \
+                     line {b}, the last of the previous access"
+                );
+                span - u64::from(first == b)
+            }
+        };
+        self.prev = Some((first, last));
+        missed as usize
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> CacheConfig {
+        self.cfg
+    }
+
+    /// Invalidates everything (new kernel, new block).
+    pub fn flush(&mut self) {
+        self.prev = None;
     }
 }
 
@@ -316,6 +409,84 @@ mod tests {
             c.flush();
             assert!(c.access(addr, bytes as usize) > 0);
         }
+    }
+
+    #[test]
+    fn ascending_cache_matches_the_lru_walk_access_by_access() {
+        // Ascending streams over many geometries: rows shorter than, equal
+        // to and longer than `sets × ways` lines, exact repeats, rows that
+        // start inside the previous row's last line (as adjacent CSR rows
+        // do when a row ends mid-line), gaps, and flushes mid-stream.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut thrashing_repeats, mut shared_lines) = (0, 0);
+        for line in [32u64, 64, 128, 256] {
+            for sets in 1..=8usize {
+                for ways in [1usize, 2, 3, 4, 5, 8, 16] {
+                    let cfg = CacheConfig {
+                        line_bytes: line as usize,
+                        sets,
+                        ways,
+                    };
+                    let mut sim = CacheSim::new(cfg);
+                    let mut fast = AscendingCache::new(cfg);
+                    let capacity = (sets * ways) as u64;
+                    let (mut addr, mut bytes) = (0u64, 0u64);
+                    for i in 0..600 {
+                        if next() % 40 == 0 {
+                            sim.flush();
+                            fast.flush();
+                        }
+                        let repeat = bytes > 0 && next() % 3 == 0;
+                        if !repeat {
+                            let end = addr + bytes;
+                            let prev_last = end.saturating_sub(1) / line;
+                            addr = match next() % 3 {
+                                0 => end,
+                                1 => prev_last * line + next() % line,
+                                _ => end + next() % (2 * capacity * line),
+                            };
+                            if bytes > 0 && addr / line == prev_last {
+                                shared_lines += 1;
+                            }
+                            let span = match next() % 4 {
+                                0 => capacity,
+                                1 => capacity + 1 + next() % (2 * capacity),
+                                _ => 1 + next() % capacity,
+                            };
+                            // Exactly `span` lines from `addr`, ending
+                            // anywhere in the last one.
+                            let room = span * line - addr % line;
+                            bytes = room - next() % room.min(line);
+                        }
+                        let want = sim.access(addr, bytes as usize);
+                        let got = fast.access(addr, bytes as usize);
+                        assert_eq!(
+                            got, want,
+                            "{sets} sets × {ways} ways × {line} B, access {i}: \
+                             addr {addr}, {bytes} B, repeat {repeat}"
+                        );
+                        if repeat && want > 0 {
+                            thrashing_repeats += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(thrashing_repeats > 0 && shared_lines > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending stream moved backwards")]
+    fn ascending_cache_rejects_a_backward_access() {
+        let mut c = AscendingCache::new(CacheConfig::l1_default());
+        c.access(1024, 256);
+        c.access(512, 8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`Device`](crate::Device) with
 //! [`attach_faults`](crate::Device::attach_faults); the fallible launch and
 //! transfer paths consult it and surface hits as
-//! [`SimFault`](crate::SimFault) values. Devices without a plan attached
+//! [`SimFault`] values. Devices without a plan attached
 //! pay nothing: the fault check is a `None` branch on an already-held lock.
 //!
 //! Faults come in three kinds, mirroring what real fleets lose:

@@ -57,7 +57,7 @@ pub mod shared;
 pub mod stream;
 pub mod warp;
 
-pub use cache::{CacheConfig, CacheSim};
+pub use cache::{AscendingCache, CacheConfig, CacheSim};
 pub use clock::SimClock;
 pub use cost::{
     coalesced_bytes, strided_bytes, KernelCost, COALESCE_SEGMENT_BYTES, DRAM_SECTOR_BYTES,

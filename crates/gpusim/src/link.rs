@@ -33,7 +33,7 @@ impl Link {
         }
     }
 
-    /// The 10 Gb/s ethernet of the LDA* cluster [34] = 1.25 GB/s.
+    /// The 10 Gb/s ethernet of the LDA* cluster \[34\] = 1.25 GB/s.
     pub fn ethernet_10gbit() -> Self {
         Self {
             bandwidth_gbps: 1.25,

@@ -3,7 +3,7 @@
 //! The paper's sampler design (Section 6.1) hinges on what fits in shared
 //! memory: the `p*(k)` vector and the `p1`/`p2` index trees are placed
 //! there, and "the shared memory is not large enough to accommodate the
-//! entire [probability] array" is the constraint that motivates the
+//! entire \[probability\] array" is the constraint that motivates the
 //! tree-based sampling. [`SharedMem`] enforces that budget for real: every
 //! allocation inside a block draws from the 48 KiB (configurable) arena and
 //! overflow panics with the kernel's name — making "does it fit?" a tested

@@ -149,7 +149,7 @@ pub fn shfl_xor<T: Copy>(lanes: &mut [T], mask: usize) {
     }
 }
 
-/// The "find minimal k with prefix[k] > u" search step of the tree-based
+/// The "find minimal k with prefix\[k\] > u" search step of the tree-based
 /// sampler, done warp-cooperatively: each lane tests one child of a 32-ary
 /// node and a ballot picks the first hit. Returns the child index.
 ///

@@ -1,8 +1,8 @@
 //! The unified trainer surface.
 //!
-//! [`CuldaTrainer`](crate::CuldaTrainer) (partition-by-document, the
+//! [`CuldaTrainer`] (partition-by-document, the
 //! paper's choice) and
-//! [`WordPartitionedTrainer`](crate::WordPartitionedTrainer) (the
+//! [`WordPartitionedTrainer`] (the
 //! Section 4 alternative) grew near-duplicate accessor surfaces that every
 //! consumer — CLI, benches, checkpointing, and now serving — had to
 //! special-case. [`LdaTrainer`] is the one object-safe contract they both

@@ -3,7 +3,7 @@
 //! Each GPU's write replica is cleared at the top of the iteration and
 //! rebuilt from its own chunks, so the replica *is* the iteration's Δϕ
 //! against zero, and the rows it can be nonzero in are exactly the rows
-//! the per-worker [`PhiDelta`](culda_sampler::PhiDelta) bitmap marked.
+//! the per-worker [`PhiDelta`] bitmap marked.
 //! [`DeltaPayload::from_replica`] scans only those rows and captures the
 //! nonzero `(topic, count)` cells; payloads then merge pairwise up the
 //! Figure 4 reduce tree (integer adds, commutative) and the global payload

@@ -14,7 +14,7 @@
 //! transfer. Rounds within a level run in parallel across disjoint pairs.
 //!
 //! Three strategies share that skeleton (selected by
-//! [`SyncMode`](crate::config::SyncMode)):
+//! [`SyncMode`]):
 //!
 //! * [`sync_phi_replicas`] — the paper's dense tree.
 //! * [`sync_phi_ring`] — dense ring all-reduce (extension).

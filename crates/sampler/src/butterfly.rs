@@ -75,7 +75,7 @@ impl ButterflyBatch {
 
     /// Writes lane `lane`'s inclusive prefix sums over `weights` into the
     /// interleaved layout and returns the total. The accumulation order is
-    /// serial — identical to [`IndexTree::rebuild`] — so the stored
+    /// serial — identical to [`IndexTree::rebuild`](crate::ptree::IndexTree::rebuild) — so the stored
     /// prefixes (and any draw over them) are bit-identical to the tree
     /// path's.
     pub fn set_lane(&mut self, lane: usize, weights: &[f32]) -> f32 {

@@ -1,7 +1,7 @@
 //! LDA hyper-parameters.
 //!
 //! Section 2.1: "we set α as 50/K and β as 0.01", the same values as
-//! WarpLDA [10] and SaberLDA [20]. (The paper's text writes the α
+//! WarpLDA \[10\] and SaberLDA \[20\]. (The paper's text writes the α
 //! convention both as `K/50` and `50/k`; 50/K is the standard Griffiths &
 //! Steyvers prior that every cited system uses, and is what we use.)
 

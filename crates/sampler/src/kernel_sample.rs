@@ -31,6 +31,15 @@
 //! - A sampler's run of tokens from one document (adjacent in the
 //!   word-major sort) shares one `p1` prefix pass: θ and `p*` are
 //!   read-only for the launch, and every charge is still made per token.
+//! - The L1 model walks no lines: [`AscendingCache`] computes each θ-row
+//!   load's missed lines in closed form from the previous load's line
+//!   span, the count a line-by-line LRU walk ([`CacheSim`]) gives. That
+//!   needs a block's loads never to move backwards, and they do not: a
+//!   block is a contiguous slice of one word's tokens, which the
+//!   word-major sort keeps in ascending document order; its samplers take
+//!   contiguous sub-slices and run in order; and θ is CSR, so a later
+//!   document's row starts at or after the end of an earlier one's. A
+//!   repeated document loads exactly the same span again.
 //! - The host buffers (`p*`, its prefix, the `p1` prefix, the butterfly
 //!   batch, the L1 model) are made once per executor per launch and
 //!   reused by every block it runs ([`run_grid_with`]); the L1 model is
@@ -43,6 +52,7 @@
 //!
 //! [`CountMatrix::fill_smoothed_prefix`]: crate::count::CountMatrix::fill_smoothed_prefix
 //! [`run_grid_with`]: culda_gpusim::kernel::run_grid_with
+//! [`CacheSim`]: culda_gpusim::CacheSim
 //!
 //! Every token draws from its own deterministic RNG stream keyed by
 //! `(seed, iteration, global token index)`, so results are bit-identical
@@ -59,10 +69,10 @@ use crate::ptree::{
     depth_for, prefix_into, sample_prefix, shared_bytes_for, IndexTree, DEFAULT_FANOUT,
 };
 use crate::spq::p1_weights;
-use culda_corpus::{SortedChunk, Xoshiro256};
+use culda_corpus::{CsrMatrix, SortedChunk, Xoshiro256};
 use culda_gpusim::warp::WARP_SIZE;
 use culda_gpusim::{
-    CacheConfig, CacheSim, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault,
+    AscendingCache, CacheConfig, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault,
 };
 
 /// Tuning and bookkeeping for one sampling launch.
@@ -131,6 +141,14 @@ struct SamplerInstruments {
     tree_depth: std::sync::Arc<culda_metrics::Histogram>,
 }
 
+/// A block gets a *slice* of its SM's L1 (several blocks share one SM):
+/// 1/8 of the 24 KiB, 6 sets × 4 ways × 128 B.
+const BLOCK_L1: CacheConfig = CacheConfig {
+    line_bytes: 128,
+    sets: 6,
+    ways: 4,
+};
+
 /// One block executor's host storage, made once per launch and reused by
 /// every block the executor runs. Nothing in it outlives its block's use:
 /// the `p*` arrays are overwritten whole, each sampler fills its `p1`
@@ -145,7 +163,7 @@ struct BlockScratch {
     /// The butterfly engine's 32 interleaved lanes.
     batch: ButterflyBatch,
     /// The block's slice of its SM's L1 when index loads go through it.
-    l1: Option<CacheSim>,
+    l1: Option<AscendingCache>,
 }
 
 impl BlockScratch {
@@ -155,15 +173,7 @@ impl BlockScratch {
             prefix: vec![0.0; k],
             p1: Vec::new(),
             batch: ButterflyBatch::new(),
-            // A block gets a *slice* of its SM's L1 (several blocks share
-            // one SM): model 1/8 of the 24 KiB — 6 sets × 4 ways × 128 B.
-            l1: use_l1.then(|| {
-                CacheSim::new(CacheConfig {
-                    line_bytes: 128,
-                    sets: 6,
-                    ways: 4,
-                })
-            }),
+            l1: use_l1.then(|| AscendingCache::new(BLOCK_L1)),
         }
     }
 }
@@ -219,6 +229,15 @@ impl P1Engine<'_> {
             P1Engine::Butterfly(_) => search_steps(kd),
         }
     }
+}
+
+/// Byte address and length of document `d`'s θ row as a sampler loads
+/// it: CSR rows back to back, `entry_bytes` per non-zero. Within a block
+/// these loads never move backwards (see the module doc), as
+/// [`AscendingCache`] requires.
+fn theta_row_span(theta: &CsrMatrix, d: usize, entry_bytes: usize) -> (u64, usize) {
+    let (start, end) = theta.row_range(d);
+    ((start * entry_bytes) as u64, (end - start) * entry_bytes)
 }
 
 /// Draws one token's topic the plain way — the weights, then a full tree
@@ -284,7 +303,8 @@ pub fn try_run_sampling_kernel(
     let alpha = phi.priors.alpha as f32;
     let beta = phi.priors.beta as f32;
     let phi_elem_bytes = if cfg.compressed { 2 } else { 4 };
-    let theta_col_bytes = if cfg.compressed { 2 } else { 4 };
+    // A θ CSR entry: column index plus u32 count.
+    let theta_entry_bytes = 4 + if cfg.compressed { 2 } else { 4 };
     let stream_seed = cfg.stream_seed();
     let baseline = SmoothedBaseline::new(beta, inv_denom);
     // The p* tree's shape depends on K alone: the depth and bytes the cost
@@ -406,12 +426,10 @@ pub fn try_run_sampling_kernel(
                 // θ row load (CSR: col idx + value per non-zero), optionally
                 // through the L1 model: repeated rows hit, cold rows pay
                 // full line fills.
-                let row_bytes = kd * (theta_col_bytes + 4);
+                let (addr, row_bytes) = theta_row_span(&state.theta, d, theta_entry_bytes);
                 if row_bytes > 0 {
                     match l1.as_mut() {
                         Some(cache) => {
-                            let (start, _) = state.theta.row_range(d);
-                            let addr = (start * (theta_col_bytes + 4)) as u64;
                             let missed = cache.access(addr, row_bytes);
                             ctx.dram_read(missed * cache.config().line_bytes);
                             ctx.shared_access(row_bytes); // L1-served
@@ -548,7 +566,7 @@ mod tests {
     use crate::hyper::Priors;
     use crate::model::accumulate_phi_host;
     use culda_corpus::{partition_by_tokens, SynthSpec};
-    use culda_gpusim::GpuSpec;
+    use culda_gpusim::{CacheSim, GpuSpec};
 
     fn setup() -> (SortedChunk, ChunkState, PhiModel) {
         let corpus = SynthSpec::tiny().generate();
@@ -898,6 +916,64 @@ mod tests {
         let (_, auto) = run_with_draw(&chunk, &state, &phi, &cfg);
         assert_eq!(auto.cost.dram_bytes(), tree.cost.dram_bytes());
         assert_eq!(auto.cost.shared_bytes, tree.cost.shared_bytes);
+    }
+
+    #[test]
+    fn block_theta_streams_match_the_lru_walk_access_by_access() {
+        // K = 1024 and documents long enough for θ rows past K_d = 512,
+        // longer than the block's 24-line L1 slice at either entry size.
+        let corpus = {
+            let mut spec = SynthSpec::tiny();
+            spec.num_docs = 24;
+            spec.vocab_size = 60;
+            spec.avg_doc_len = 900.0;
+            spec.generate()
+        };
+        let chunks = partition_by_tokens(&corpus, 1);
+        let chunk = SortedChunk::build(&corpus, &chunks[0]);
+        let state = ChunkState::init_random(&chunk, 1024, 7);
+        assert!((0..chunk.num_docs).any(|d| state.theta.row_nnz(d) > 512));
+        let capacity = BLOCK_L1.capacity();
+        let mut sim = CacheSim::new(BLOCK_L1);
+        let mut fast = AscendingCache::new(BLOCK_L1);
+        let line = BLOCK_L1.line_bytes as u64;
+        for entry_bytes in [6, 8] {
+            for tokens_per_block in [64, 4096] {
+                // Repeats of a row too long to stay resident, and rows that
+                // start in the previous row's last line.
+                let (mut thrashing_repeats, mut shared_lines) = (0, 0);
+                for (b, work) in build_block_map(&chunk, tokens_per_block).iter().enumerate() {
+                    sim.flush();
+                    fast.flush();
+                    let mut prev: Option<(u64, usize)> = None;
+                    for t in (0..SAMPLERS_PER_BLOCK).flat_map(|s| work.sampler_tokens(s)) {
+                        let d = chunk.token_doc[t] as usize;
+                        let (addr, bytes) = theta_row_span(&state.theta, d, entry_bytes);
+                        if bytes == 0 {
+                            continue;
+                        }
+                        let missed = sim.access(addr, bytes);
+                        assert_eq!(
+                            fast.access(addr, bytes),
+                            missed,
+                            "{entry_bytes}-byte entries, block {b}, token {t}, doc {d}"
+                        );
+                        match prev {
+                            Some(p) if p == (addr, bytes) => {
+                                thrashing_repeats += usize::from(missed > 0 && bytes > capacity);
+                            }
+                            Some((a, n)) => {
+                                shared_lines +=
+                                    usize::from(addr / line == (a + n as u64 - 1) / line);
+                            }
+                            None => {}
+                        }
+                        prev = Some((addr, bytes));
+                    }
+                }
+                assert!(thrashing_repeats > 0 && shared_lines > 0);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! prefix sums: the upper levels (one entry per group of `fanout` leaves)
 //! are small enough to live in shared memory, so a sample touches only
 //! `log_F(n)` shared-memory nodes plus at most `fanout` leaf entries in
-//! global memory ("only the two elements of p[8] are in the memory").
+//! global memory ("only the two elements of p\[8\] are in the memory").
 //! CuLDA uses `fanout = 32` so each level's scan is one warp ballot.
 //!
 //! The same structure serves both distributions of the sparsity-aware

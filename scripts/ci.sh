@@ -177,6 +177,10 @@ echo "==> mode-grid gate (bench_modes against BENCH_modes.jsonl)"
 cargo run --release -q -p culda-bench --bin bench_modes > "$smoke/modes.jsonl"
 diff -u BENCH_modes.jsonl "$smoke/modes.jsonl"
 
+echo "==> cargo doc (warnings denied)"
+# Broken intra-doc links and bracketed text read as links fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
