@@ -65,9 +65,6 @@ pub struct CacheSim {
     /// recent first; a set that is not yet full has its [`EMPTY`] ways at
     /// the least-recent end, so a miss always evicts way 0.
     tags: Vec<u64>,
-    /// Line span `(first, last)` of the previous access when replaying it
-    /// is provably all hits with no change to the LRU state.
-    replayable: Option<(u64, u64)>,
     hits: u64,
     misses: u64,
 }
@@ -80,7 +77,6 @@ impl CacheSim {
         Self {
             cfg,
             tags: vec![EMPTY; cfg.sets * cfg.ways],
-            replayable: None,
             hits: 0,
             misses: 0,
         }
@@ -89,28 +85,15 @@ impl CacheSim {
     /// Accesses `bytes` bytes at `addr`; returns the number of *missed
     /// lines* (each costing one DRAM line fill). Accesses may straddle
     /// lines.
-    ///
-    /// An immediate repeat of an access spanning at most `sets × ways`
-    /// lines is answered without walking them: its consecutive lines put
-    /// at most `ways` lines in any one set, so after the first access they
-    /// are all resident as each set's most recent entries, in access order.
-    /// Touching them again in that order hits every one and moves each to
-    /// the most-recent slot in turn, which restores exactly the same order.
     pub fn access(&mut self, addr: u64, bytes: usize) -> usize {
         assert!(bytes > 0, "zero-byte access");
         let line = self.cfg.line_bytes as u64;
         let first = addr / line;
         let last = (addr + bytes as u64 - 1) / line;
         assert!(last != EMPTY, "address past the modelled range");
-        let span = last - first + 1;
-        if self.replayable == Some((first, last)) {
-            self.hits += span;
-            return 0;
-        }
         let missed = self.walk(first, last);
-        self.hits += span - missed as u64;
+        self.hits += last - first + 1 - missed as u64;
         self.misses += missed as u64;
-        self.replayable = (span <= (self.cfg.sets * self.cfg.ways) as u64).then_some((first, last));
         missed
     }
 
@@ -171,7 +154,6 @@ impl CacheSim {
     /// Invalidates everything (new kernel, new block).
     pub fn flush(&mut self) {
         self.tags.fill(EMPTY);
-        self.replayable = None;
     }
 }
 
@@ -405,7 +387,7 @@ mod tests {
                 total_lines += (addr + bytes - 1) / 128 - addr / 128 + 1;
             }
             assert_eq!(c.hits() + c.misses(), total_lines);
-            // A flush forgets the replay shortcut along with the lines.
+            // A flush forgets every line.
             c.flush();
             assert!(c.access(addr, bytes as usize) > 0);
         }
