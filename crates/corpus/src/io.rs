@@ -93,10 +93,10 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(docword: R1, vocab_lines: R2) -> io::R
     // Vocabulary: line `i` names word id `i − 1`, and a short file is
     // padded with synthetic names. `intern` returns the existing id of a
     // name it has seen, so a repeated name would shift every later id.
-    let duplicate = |word: &str, first: u32, line: String| {
+    let duplicate = |word: &str, first: u32, other: String| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("vocab line {} and {line} both name {word:?}", first + 1),
+            format!("vocab line {} and {other} both name {word:?}", first + 1),
         )
     };
     let mut vocab = Vocab::new();
@@ -111,14 +111,14 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(docword: R1, vocab_lines: R2) -> io::R
     while vocab.len() < w {
         let id = vocab.len();
         let name = format!("w{id:06}");
-        if let Some(first) = vocab.id_of(&name) {
+        let first = vocab.intern(&name);
+        if first as usize != id {
             return Err(duplicate(
                 &name,
                 first,
                 format!("the padding of word id {id}"),
             ));
         }
-        vocab.intern(&name);
     }
     if vocab.len() > w {
         return Err(io::Error::new(
