@@ -15,7 +15,7 @@ use culda_bench::{banner, user_iters, user_scale, write_result};
 use culda_corpus::{imbalance, partition_by_docs, partition_by_tokens, SynthSpec};
 use culda_gpusim::{Link, Platform};
 use culda_metrics::format_tokens_per_sec;
-use culda_multigpu::{CuldaTrainer, TrainerConfig};
+use culda_multigpu::{build_trainer, CuldaTrainer, PartitionPolicy, TrainerConfig};
 
 fn main() {
     let iters = user_iters(8);
@@ -130,28 +130,23 @@ fn main() {
         "policy,phi_bytes,{},0\npolicy,theta_bytes,{},0\n",
         cmp.phi_bytes, cmp.theta_bytes
     ));
-    // Executable comparison: both trainers, same corpus and iterations.
-    let mut word_trainer = culda_multigpu::WordPartitionedTrainer::new(
-        &corpus,
-        TrainerConfig::builder(k, Platform::pascal())
-            .iterations(iters)
-            .score_every(0)
-            .build()
-            .unwrap(),
-    );
-    let mut word_secs = 0.0;
-    for _ in 0..iters {
-        word_secs += word_trainer.step().sim_seconds;
-    }
-    let word_tps = corpus.num_tokens() as f64 * iters as f64 / word_secs;
-    let mut doc_cfg = TrainerConfig::builder(k, Platform::pascal())
+    // Executable comparison: one trainer per policy, from one config. The
+    // chunk layout and what the sync reduces are all that differ.
+    let mut policy_cfg = TrainerConfig::builder(k, Platform::pascal())
         .iterations(iters)
         .score_every(0)
         .build()
         .unwrap();
-    doc_cfg.chunks_per_gpu = Some(1);
-    let doc_out = culda_multigpu::CuldaTrainer::new(&corpus, doc_cfg).train();
-    let doc_tps = doc_out.history.avg_tokens_per_sec(iters as usize);
+    policy_cfg.chunks_per_gpu = Some(1);
+    let measure = |policy| {
+        let mut t = build_trainer(policy, &corpus, policy_cfg.clone()).unwrap();
+        for _ in 0..iters {
+            t.step();
+        }
+        t.history().avg_tokens_per_sec(iters as usize)
+    };
+    let doc_tps = measure(PartitionPolicy::Document);
+    let word_tps = measure(PartitionPolicy::Word);
     println!(
         "  measured 4-GPU: by-document {:>10}/s vs by-word {:>10}/s",
         format_tokens_per_sec(doc_tps),

@@ -109,11 +109,13 @@ USAGE:
                  [--out report.md]
 
 `--policy` picks the Section 4 partition policy (default doc, the paper's
-choice). `--workers N` on train/profile/trace sets the host threads each
-simulated GPU uses; results are bit-identical for any value. On `infer`,
-`--workers W` is the number of simulated GPUs micro-batches fan across.
-`--sync-mode` picks the ϕ synchronization strategy (default dense-tree,
-the paper's Figure 4); `delta` ships only the touched counts, `auto`
+choice); `word` trains word ranges over every document and syncs θ
+instead of ϕ, on one node. `--workers N` on train/profile/trace sets the
+host threads each simulated GPU uses; results are bit-identical for any
+value. On `infer`, `--workers W` is the number of simulated GPUs
+micro-batches fan across. `--sync-mode` picks the doc policy's ϕ
+synchronization strategy (default dense-tree, the paper's Figure 4);
+`delta` ships only the touched counts, `auto`
 picks the cheapest per iteration from modelled cost. Checkpoints are
 byte-identical across all modes — only modelled sync time/bytes change.
 `--sampling-mode` picks the p* fill path inside the sampling kernel

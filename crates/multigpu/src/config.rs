@@ -247,6 +247,7 @@ pub struct TrainerConfig {
     pub peer_link: Option<Link>,
     /// Replica combination strategy (see [`SyncMode`]). The default,
     /// [`SyncMode::DenseTree`], reproduces the paper's timing exactly.
+    /// Partition-by-word syncs θ over the tree instead, whatever the mode.
     pub sync_mode: SyncMode,
     /// `p*` fill strategy in the sampling kernel (see [`SamplingMode`]).
     /// The default, [`SamplingMode::Dense`], reproduces the paper's

@@ -1,7 +1,8 @@
 //! # culda-multigpu
 //!
 //! Multi-GPU orchestration for CuLDA_CGS (Sections 4–5): token-balanced
-//! partition-by-document ([`partition`]), the `M` memory-planning rule and
+//! partition-by-document, or partition-by-word for the Section 4
+//! comparison ([`partition`]), the `M` memory-planning rule and
 //! round-robin schedule of Algorithm 1 ([`schedule`]), the Figure 4
 //! reduce/broadcast ϕ synchronization ([`sync`], dense or sparse-Δϕ via
 //! [`delta`]), the per-GPU worker that
@@ -9,7 +10,8 @@
 //! body on its own host thread ([`worker`]), and the end-to-end trainer
 //! with WorkSchedule1/WorkSchedule2 and sync/θ-update overlap
 //! ([`trainer`]) — on one node or, through the parameter server of
-//! [`cluster`], on many.
+//! [`cluster`], on many. Both partition policies run through that one
+//! trainer; [`build_trainer`] picks the chunk layout.
 
 //! ```
 //! use culda_corpus::SynthSpec;
@@ -40,7 +42,6 @@ pub mod resume;
 pub mod schedule;
 pub mod sync;
 pub mod trainer;
-pub mod word_trainer;
 pub mod worker;
 
 pub use api::{build_trainer, LdaTrainer, PartitionPolicy};
@@ -53,11 +54,10 @@ pub use delta::{dense_cutover, row_encoding, DeltaPayload, RowFormat};
 pub use error::{CuldaError, RecoveryStats};
 pub use partition::PartitionedCorpus;
 pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
-pub use resume::{resume_any, resume_training, resume_word_training, save_training};
+pub use resume::{resume_any, resume_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{
     sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
 };
 pub use trainer::{CuldaTrainer, TrainOutcome};
-pub use word_trainer::WordPartitionedTrainer;
 pub use worker::{run_workers, run_workers_traced, GpuWorker};

@@ -8,6 +8,7 @@
 //! (double-buffering for the Section 5.1 transfer/compute overlap) plus
 //! the ϕ replica.
 
+use crate::api::PartitionPolicy;
 use crate::config::TrainerConfig;
 use crate::error::CuldaError;
 use crate::partition::PartitionedCorpus;
@@ -30,26 +31,42 @@ pub struct MemoryPlan {
 
 /// Rough device bytes of one chunk's full state (corpus arrays + z + θ).
 /// θ is bounded by `min(tokens, docs·K)` non-zeros at 6 B each plus row
-/// pointers.
+/// pointers, where the tokens are those behind the chunk's θ rows
+/// ([`PartitionedCorpus::theta_tokens`]).
 pub fn chunk_state_bytes(part: &PartitionedCorpus, i: usize, num_topics: usize) -> u64 {
     let ch = &part.chunks[i];
-    let theta_nnz = (ch.num_tokens() as u64).min(ch.num_docs as u64 * num_topics as u64);
+    let theta_nnz = part
+        .theta_tokens(i)
+        .min(ch.num_docs as u64 * num_topics as u64);
     part.chunk_device_bytes(i) + theta_nnz * 6 + (ch.num_docs as u64 + 1) * 8
 }
 
 /// Chooses the smallest feasible `M` (or validates a forced one) and
-/// returns the partition alongside the plan.
+/// returns the partition in `policy`'s layout alongside the plan.
 ///
 /// Fails with [`CuldaError::Invalid`] when even the largest sensible `M`
 /// cannot fit (a single chunk plus the model exceeds device memory, as
-/// when a corpus header declares a huge vocabulary), or when a forced `M`
-/// does not fit.
+/// when a corpus header declares a huge vocabulary), when a forced `M`
+/// does not fit, or when the word layout would need more word ranges than
+/// the vocabulary has words.
 pub fn plan_partition(
     corpus: &Corpus,
     cfg: &TrainerConfig,
+    policy: PartitionPolicy,
 ) -> Result<(PartitionedCorpus, MemoryPlan), CuldaError> {
     let g = cfg.platform.num_gpus;
     let capacity = cfg.platform.gpu.memory_bytes;
+    // A document chunk needs a document and a word chunk a word.
+    let max_chunks = match policy {
+        PartitionPolicy::Document => corpus.num_docs(),
+        PartitionPolicy::Word => corpus.vocab_size(),
+    };
+    let first_c = g * cfg.chunks_per_gpu.unwrap_or(1);
+    if policy == PartitionPolicy::Word && first_c > max_chunks {
+        return Err(CuldaError::Invalid(format!(
+            "more chunks ({first_c}) than vocabulary words ({max_chunks})"
+        )));
+    }
     // Two ϕ buffers per GPU: the read snapshot and the write accumulator
     // (see `trainer`), so the model budget is doubled.
     let phi_bytes = 2 * cfg.phi_device_bytes(corpus.vocab_size());
@@ -71,10 +88,10 @@ pub fn plan_partition(
     };
     for &m in &candidates {
         let c = m * g;
-        if c > corpus.num_docs() {
+        if c > max_chunks {
             break; // cannot split further
         }
-        let part = PartitionedCorpus::prepare(corpus, c);
+        let part = PartitionedCorpus::prepare(corpus, c, policy);
         // Resident set: M = 1 keeps all assigned chunks on the GPU; M > 1
         // keeps two chunk slots (double buffering).
         let resident = if m == 1 {
@@ -137,7 +154,7 @@ mod tests {
         let cfg = TrainerConfig::builder(16, Platform::pascal())
             .build()
             .unwrap();
-        let (part, plan) = plan_partition(&corpus, &cfg).unwrap();
+        let (part, plan) = plan_partition(&corpus, &cfg, PartitionPolicy::Document).unwrap();
         assert_eq!(plan.m, 1);
         assert_eq!(plan.c, 4);
         assert_eq!(part.num_chunks(), 4);
@@ -159,7 +176,7 @@ mod tests {
             ..platform.gpu
         };
         let cfg = TrainerConfig::builder(16, platform).build().unwrap();
-        let (part, plan) = plan_partition(&corpus, &cfg).unwrap();
+        let (part, plan) = plan_partition(&corpus, &cfg, PartitionPolicy::Document).unwrap();
         assert!(plan.m > 1, "expected out-of-core plan, got M = {}", plan.m);
         assert_eq!(part.num_chunks(), plan.c);
         assert!(plan.resident_bytes <= plan.capacity_bytes);
@@ -172,7 +189,7 @@ mod tests {
             .build()
             .unwrap();
         cfg.chunks_per_gpu = Some(4);
-        let (part, plan) = plan_partition(&corpus, &cfg).unwrap();
+        let (part, plan) = plan_partition(&corpus, &cfg, PartitionPolicy::Document).unwrap();
         assert_eq!(plan.m, 4);
         assert_eq!(part.num_chunks(), 8);
     }
@@ -188,7 +205,7 @@ mod tests {
         let cfg = TrainerConfig::builder(16, platform.clone())
             .build()
             .unwrap();
-        let e = plan_partition(&corpus, &cfg).unwrap_err();
+        let e = plan_partition(&corpus, &cfg, PartitionPolicy::Document).unwrap_err();
         assert!(matches!(&e, CuldaError::Invalid(m) if m.contains("cannot fit device memory")));
         // A forced M = 1 where only a larger M fits (the out-of-core
         // device above) is the same typed error.
@@ -196,8 +213,23 @@ mod tests {
         platform.gpu.memory_bytes = phi + corpus.num_tokens() * 10 / 2;
         let mut cfg = TrainerConfig::builder(16, platform).build().unwrap();
         cfg.chunks_per_gpu = Some(1);
-        let e = plan_partition(&corpus, &cfg).unwrap_err();
+        let e = plan_partition(&corpus, &cfg, PartitionPolicy::Document).unwrap_err();
         assert!(matches!(&e, CuldaError::Invalid(m) if m.contains("forced M = 1")));
+    }
+
+    #[test]
+    fn word_layout_plans_m_and_refuses_more_chunks_than_words() {
+        let corpus = tiny_corpus();
+        let mut cfg = TrainerConfig::builder(16, Platform::volta())
+            .build()
+            .unwrap();
+        cfg.chunks_per_gpu = Some(4);
+        let (part, plan) = plan_partition(&corpus, &cfg, PartitionPolicy::Word).unwrap();
+        assert_eq!((plan.m, part.num_chunks()), (4, 8));
+        assert_eq!(part.policy, PartitionPolicy::Word);
+        cfg.chunks_per_gpu = Some(corpus.vocab_size());
+        let e = plan_partition(&corpus, &cfg, PartitionPolicy::Word).unwrap_err();
+        assert!(matches!(&e, CuldaError::Invalid(m) if m.contains("vocabulary words")));
     }
 
     #[test]

@@ -464,6 +464,42 @@ pub fn sync_phi_auto(
     }
 }
 
+/// Modelled cost of the partition-by-word sync ("we only need to
+/// synchronize the replicas of θ", Section 4): the Figure 4 tree applied
+/// to θ replicas of `theta_bytes` each (θ plus the `n_k` vector),
+/// `⌈log₂G⌉` rounds each way, each moving the full θ bytes, plus an add
+/// pass per reduce round. θ travels dense both ways: `2(G−1)` full-θ
+/// transfers in total.
+pub(crate) fn theta_sync_report(
+    g: usize,
+    theta_bytes: u64,
+    gpu: &GpuSpec,
+    link: &Link,
+) -> SyncReport {
+    if g <= 1 {
+        return SyncReport::default();
+    }
+    let rounds = tree_rounds(g);
+    let add = KernelCost {
+        dram_read_bytes: 2 * theta_bytes,
+        dram_write_bytes: theta_bytes,
+        flops: theta_bytes / 4,
+        blocks: (theta_bytes / 4096).max(1),
+        ..Default::default()
+    }
+    .sim_seconds(gpu);
+    let moved = 2 * (g as u64 - 1) * theta_bytes;
+    SyncReport {
+        reduce_seconds: rounds as f64 * (link.transfer_seconds(theta_bytes) + add),
+        broadcast_seconds: rounds as f64 * link.transfer_seconds(theta_bytes),
+        rounds,
+        bytes_moved: moved,
+        dense_bytes: moved,
+        nnz: theta_bytes / 4,
+        ..SyncReport::default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -28,7 +28,6 @@
 //! * [`plan`] — [`KernelSet`]/[`IterationPlan`]: one GPU's iteration body
 //!   (sample → ϕ → θ, resident or pipelined) submitted as a unit.
 //! * [`dense`] — the textbook O(K) CGS used as correctness oracle/baseline.
-//! * [`infer`] — fold-in inference and held-out perplexity (extension).
 //! * [`validate`] — cross-kernel count-conservation checks.
 
 #![warn(missing_docs)]
@@ -40,7 +39,6 @@ pub mod count;
 pub mod delta;
 pub mod dense;
 pub mod hyper;
-pub mod infer;
 pub mod kernel_infer;
 pub mod kernel_phi;
 pub mod kernel_sample;
@@ -65,7 +63,6 @@ pub use count::{
 pub use delta::PhiDelta;
 pub use dense::DenseCgs;
 pub use hyper::Priors;
-pub use infer::FoldIn;
 pub use kernel_infer::{
     infer_reference, run_infer_kernel, try_run_infer_kernel, DocPosterior, InferDoc,
     InferKernelConfig,

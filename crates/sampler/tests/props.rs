@@ -8,7 +8,7 @@ use culda_sampler::spq::{
     compute_pstar, exact_conditional, p1_weights, pstar_tree, q_mass, sample_token_reference,
     sample_token_tree,
 };
-use culda_sampler::{PhiModel, Priors};
+use culda_sampler::{run_infer_kernel, InferDoc, InferKernelConfig, PhiModel, Priors};
 
 /// A small pseudo-random model state: K topics × V words of ϕ counts plus
 /// a θ row with the same column space.
@@ -174,9 +174,18 @@ fn fold_in_theta_always_conserves_length() {
             word: 0,
         };
         let phi = build_phi(&case);
-        let fold = culda_sampler::FoldIn::new(&phi);
-        let theta = fold.infer_document(&words, iters, 9);
-        let total: u32 = theta.iter().sum();
-        assert_eq!(total as usize, words.len());
+        let device = culda_gpusim::Device::new(0, culda_gpusim::GpuSpec::titan_xp_pascal());
+        let cfg = InferKernelConfig {
+            burnin: iters / 2,
+            samples: iters - iters / 2,
+            ..InferKernelConfig::new(9)
+        };
+        let docs = [InferDoc {
+            stream_id: 0,
+            words: &words,
+        }];
+        let (post, _) = run_infer_kernel(&device, &phi, &phi.inv_denominators(), &docs, &cfg);
+        let total: u64 = post[0].theta_acc.iter().sum();
+        assert_eq!(total, words.len() as u64 * u64::from(post[0].acc_sweeps));
     }
 }

@@ -73,21 +73,22 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
 grep -q 'recovery: 1 fault(s) injected, 1 retry(s)' "$smoke/fault.log"
 cmp "$smoke/c.phi" "$smoke/f.phi"
 
-echo "==> mode-matrix smoke tests (sync, sampling, draw)"
+echo "==> mode-matrix smoke tests (sync, sampling, draw; both policies)"
 # Every phi sync strategy, p* fill path and p1 draw engine must train the
 # bit-identical model; only modelled time and bytes may differ. Each row
-# names the flag, the topic count and the modes, the first being the one
-# the others are compared with. At K = 8 every index tree has one level;
-# the sampling and draw matrices also run at K = 4096, where the p* tree
-# has two upper levels.
-while read -r flag topics modes; do
+# names the partition policy, the flag, the topic count and the modes, the
+# first being the one the others are compared with. At K = 8 every index
+# tree has one level; the sampling and draw matrices also run at K = 4096,
+# where the p* tree has two upper levels. The word policy runs the same
+# kernels over word-range chunks; the sync mode does not apply to it.
+while read -r policy flag topics modes; do
     reference=""
     for mode in $modes; do
-        model="$smoke/$flag-$topics-$mode.phi"
+        model="$smoke/$policy-$flag-$topics-$mode.phi"
         cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
             --vocab "$smoke/c.v" --model "$model" --topics "$topics" \
             --iters 3 --score-every 0 --platform pascal --gpus 2 \
-            "--$flag" "$mode" < /dev/null
+            --policy "$policy" "--$flag" "$mode" < /dev/null
         if [ -z "$reference" ]; then
             reference="$model"
         else
@@ -95,12 +96,36 @@ while read -r flag topics modes; do
         fi
     done
 done <<'MATRIX'
-sync-mode 8 dense-tree dense-ring delta auto
-sampling-mode 8 dense sparse auto
-sampling-mode 4096 dense sparse auto
-draw-mode 8 tree butterfly auto
-draw-mode 4096 tree butterfly auto
+doc sync-mode 8 dense-tree dense-ring delta auto
+doc sampling-mode 8 dense sparse auto
+doc sampling-mode 4096 dense sparse auto
+doc draw-mode 8 tree butterfly auto
+doc draw-mode 4096 tree butterfly auto
+word sampling-mode 8 dense sparse auto
+word sampling-mode 4096 dense sparse auto
+word draw-mode 8 tree butterfly auto
+word draw-mode 4096 tree butterfly auto
 MATRIX
+
+echo "==> word-policy fault and resume smoke tests"
+# A transient launch fault under the word policy must recover to the clean
+# word model, and 2 + 1 iterations through --save-state/--resume must write
+# the same model as 3 straight ones (the word rows of the matrix above).
+word_clean="$smoke/word-sampling-mode-8-dense.phi"
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/wf.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform pascal --gpus 2 --policy word \
+    --fault-plan launch:0:1 | tee "$smoke/word-fault.log"
+grep -q 'recovery: 1 fault(s) injected, 1 retry(s)' "$smoke/word-fault.log"
+cmp "$word_clean" "$smoke/wf.phi"
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/wr.phi" --topics 8 --iters 2 \
+    --score-every 0 --platform pascal --gpus 2 --policy word \
+    --save-state "$smoke/w.state"
+cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/wr.phi" --topics 8 --iters 1 \
+    --score-every 0 --platform pascal --gpus 2 --resume "$smoke/w.state"
+cmp "$word_clean" "$smoke/wr.phi"
 
 echo "==> multi-node smoke test"
 # A 2-node cluster run must train the bit-identical model to the 1-node
@@ -110,7 +135,7 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --score-every 0 --platform pascal --gpus 2 --nodes 2 \
     | tee "$smoke/nodes.log"
 grep -q 'cluster: 2 node(s)' "$smoke/nodes.log"
-cmp "$smoke/sync-mode-8-dense-tree.phi" "$smoke/n.phi"
+cmp "$smoke/doc-sync-mode-8-dense-tree.phi" "$smoke/n.phi"
 # Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
 # write the same model as the 3 straight ones.
 cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \

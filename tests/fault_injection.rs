@@ -15,7 +15,6 @@ use culda::gpusim::{FaultKind, FaultPlan, FaultSpec, Platform};
 use culda::metrics::{MetricsRegistry, TraceSink};
 use culda::multigpu::{
     build_trainer, CuldaError, CuldaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
-    WordPartitionedTrainer,
 };
 use culda::sampler::PhiModel;
 use std::sync::Arc;
@@ -223,7 +222,7 @@ fn exhausted_retries_surface_as_worker_lost_not_panic() {
 }
 
 #[test]
-fn word_policy_retries_transients_and_fails_cleanly_on_permanent_loss() {
+fn word_policy_retries_transients_and_migrates_chunks_on_permanent_loss() {
     let c = corpus();
     let cfg2 = TrainerConfig::builder(K, Platform::pascal().with_gpus(2))
         .iterations(ITERS)
@@ -231,12 +230,13 @@ fn word_policy_retries_transients_and_fails_cleanly_on_permanent_loss() {
         .seed(17)
         .build()
         .unwrap();
-    let mut reference = WordPartitionedTrainer::try_new(&c, cfg2.clone()).unwrap();
+    let word = PartitionPolicy::Word;
+    let mut reference = build_trainer(word, &c, cfg2.clone()).unwrap();
     for _ in 0..ITERS {
         reference.try_step().unwrap();
     }
 
-    let mut faulty = WordPartitionedTrainer::try_new(&c, cfg2.clone()).unwrap();
+    let mut faulty = build_trainer(word, &c, cfg2.clone()).unwrap();
     faulty.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
         FaultKind::KernelLaunch,
         1,
@@ -249,19 +249,27 @@ fn word_policy_retries_transients_and_fails_cleanly_on_permanent_loss() {
     assert_eq!(reference.assignments(), faulty.assignments());
     assert!((reference.loglik_per_token() - faulty.loglik_per_token()).abs() < 1e-12);
 
-    // ϕ columns are private per GPU under this policy — a dead worker
-    // cannot be rebalanced, so permanent loss is a clean error.
-    let mut doomed = WordPartitionedTrainer::try_new(&c, cfg2).unwrap();
-    doomed.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+    // Word chunks carry their own state, so a permanently lost GPU's
+    // chunks migrate to the survivor like document chunks, and the run
+    // ends on the fault-free model.
+    let mut lossy = build_trainer(word, &c, cfg2).unwrap();
+    lossy.attach_fault_plan(Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
         FaultKind::KernelLaunch,
         0,
         0,
     )
     .permanent()])));
-    match doomed.try_step() {
-        Err(CuldaError::WorkerLost { device: 0, .. }) => {}
-        other => panic!("expected WorkerLost, got {other:?}"),
+    for _ in 0..ITERS {
+        lossy
+            .try_step()
+            .expect("the survivor absorbs the lost GPU's word range");
     }
+    let rec = lossy.recovery();
+    assert_eq!(rec.workers_lost, 1, "{rec}");
+    assert_eq!(rec.chunks_migrated, 1, "{rec}");
+    lossy.check_invariants();
+    assert_eq!(reference.assignments(), lossy.assignments());
+    assert_eq!(phi_counts(reference.phi()), phi_counts(lossy.phi()));
 }
 
 #[test]
