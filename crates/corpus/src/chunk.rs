@@ -27,7 +27,8 @@ impl ChunkSpec {
 }
 
 /// Partitions `corpus` into `c` chunks of consecutive documents with
-/// near-equal token counts (greedy prefix splitting at token quantiles).
+/// near-equal token counts (greedy prefix splitting at token quantiles,
+/// see [`split_by_weight`]).
 ///
 /// # Panics
 /// Panics if `c == 0` or `c` exceeds the number of documents (chunks may
@@ -39,47 +40,57 @@ pub fn partition_by_tokens(corpus: &Corpus, c: usize) -> Vec<ChunkSpec> {
         c <= d,
         "cannot split {d} documents into {c} non-empty chunks"
     );
-    let total = corpus.num_tokens();
-    let mut chunks = Vec::with_capacity(c);
-    let mut doc = 0usize;
+    let len = |doc: usize| corpus.docs[doc].len() as u64;
+    split_by_weight(d, c, len)
+        .into_iter()
+        .enumerate()
+        .map(|(id, docs)| ChunkSpec {
+            id,
+            tokens: docs.clone().map(len).sum(),
+            docs: docs.start as u32..docs.end as u32,
+        })
+        .collect()
+}
+
+/// Splits items `0..n` into `c` contiguous, non-empty ranges of near-equal
+/// total `weight`: greedy prefix splitting at weight quantiles. Items left
+/// once every range has closed (possible when trailing weights are zero)
+/// go to the last range. Both Section 4 layouts split this way: documents
+/// weighted by length ([`partition_by_tokens`]) and words weighted by
+/// token count.
+///
+/// # Panics
+/// Panics if `c == 0` or `c > n`.
+pub fn split_by_weight(n: usize, c: usize, weight: impl Fn(usize) -> u64) -> Vec<Range<usize>> {
+    assert!(c > 0 && c <= n, "cannot split {n} items into {c} ranges");
+    let total: u64 = (0..n).map(&weight).sum();
+    let mut ranges = Vec::with_capacity(c);
+    let mut next = 0usize;
     let mut consumed = 0u64;
     for i in 0..c {
-        let start = doc;
-        // Token budget boundary for the end of chunk i.
+        let start = next;
+        // Weight boundary for the end of range i.
         let boundary = total * (i as u64 + 1) / c as u64;
-        let mut tokens = 0u64;
-        // Always take at least one document, and leave enough documents for
-        // the remaining chunks.
-        let docs_remaining_after = |doc: usize| d - doc;
-        while doc < d {
-            let must_take = doc == start;
-            let must_stop = docs_remaining_after(doc) < c - i;
+        // Always take at least one item, and leave enough items for the
+        // remaining ranges.
+        while next < n {
+            let must_take = next == start;
+            let must_stop = n - next < c - i;
             if !must_take && (must_stop || consumed >= boundary) {
                 break;
             }
-            let len = corpus.docs[doc].len() as u64;
-            tokens += len;
-            consumed += len;
-            doc += 1;
-            if must_take && docs_remaining_after(doc) < c - i {
+            consumed += weight(next);
+            next += 1;
+            if must_take && n - next < c - i {
                 break;
             }
         }
-        chunks.push(ChunkSpec {
-            id: i,
-            docs: start as u32..doc as u32,
-            tokens,
-        });
+        ranges.push(start..next);
     }
-    // Any leftover documents (possible when trailing docs are empty) go to
-    // the last chunk.
-    if doc < d {
-        let last = chunks.last_mut().unwrap();
-        let extra: u64 = corpus.docs[doc..].iter().map(|x| x.len() as u64).sum();
-        last.docs.end = d as u32;
-        last.tokens += extra;
+    if next < n {
+        ranges.last_mut().unwrap().end = n;
     }
-    chunks
+    ranges
 }
 
 /// The naive alternative partition — equal *document* counts — kept for
