@@ -334,6 +334,31 @@ fn fold_in_phi(g: &mut Xoshiro256, k: usize, v: usize) -> PhiModel {
     phi
 }
 
+/// A ϕ over `v` words whose rows 1 and `v - 1` hold a count from 2²⁴ + 1
+/// up on every topic, none of which f32 holds exactly; every other word
+/// but 0 has one small count. `phi_sum` stays far below `u32::MAX`.
+fn wide_count_phi(k: usize, v: usize) -> PhiModel {
+    let phi = PhiModel::zeros(k, v, Priors::paper(k));
+    for word in [1, v - 1] {
+        let mut cells: Vec<(u16, u32)> = (0..k)
+            .map(|t| (t as u16, (1 << (24 + t % 4)) + 1 + 2 * t as u32))
+            .collect();
+        phi.add_word_topics(word, &mut cells);
+    }
+    for word in 2..v - 1 {
+        phi.add_word_topics(word, &mut [((word * 7 % k) as u16, 1 + word as u32 % 5)]);
+    }
+    for word in [1, v - 1] {
+        for (_, c) in phi.phi.row_nonzeros(word) {
+            assert!(
+                c > 1 << 24 && c as f32 as u32 != c,
+                "k = {k}: {c} is exact in f32"
+            );
+        }
+    }
+    phi
+}
+
 #[test]
 fn tree_free_fold_in_equals_the_naive_oracle() {
     // `lda_infer` draws from a one-pass prefix with computed walk touches,
@@ -341,7 +366,9 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
     // distinct word once with its chains interleaved; the oracle rebuilds
     // and walks a tree per token and scores per token. Posteriors, every
     // sweep's score bits and the launch's charges must agree, whichever
-    // words the caches hold and wherever a scoring group ends.
+    // words the caches hold and wherever a scoring group ends. A second ϕ
+    // per K has counts past 2²⁴, which f32 rounds: a cache that smooths
+    // them in another precision or order moves a score bit.
     let mut g = cases(18);
     let v = 160;
     let many: Vec<u32> = (0..130).map(|i| (i * 37 % v) as u32).collect();
@@ -367,47 +394,57 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
     // The 130-word document overflows both count caches from K = 128 on;
     // at K = 1025 the rows cover 15 words and the tiles 8.
     const { assert!(CACHE_CELLS / 128 < 130) };
+    // Both wide words in a short document, and in one that names every
+    // word, where word `v - 1` is past the row cache and the tiles from
+    // K = 128 on.
+    let wide_docs: Vec<Vec<u32>> = vec![
+        vec![1, v as u32 - 1, 1, 3, 1, v as u32 - 1, 2],
+        (0..v as u32).chain([1, v as u32 - 1, 1]).collect(),
+    ];
     for k in [2usize, 31, 32, 33, 128, 1025, 4096] {
-        let phi = fold_in_phi(&mut g, k, v);
-        let inv = phi.inv_denominators();
-        let batch: Vec<InferDoc<'_>> = docs
-            .iter()
-            .enumerate()
-            .map(|(i, words)| InferDoc {
-                stream_id: 7 * k as u64 + i as u64,
-                words,
-            })
-            .collect();
-        for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
-            for shared in [true, false] {
-                for compressed in [true, false] {
-                    let mut cfg = InferKernelConfig::new(0xF01D ^ k as u64);
-                    cfg.burnin = 2;
-                    cfg.samples = (k % 3) as u32;
-                    cfg.draw = draw;
-                    cfg.use_shared_memory = shared;
-                    cfg.compressed = compressed;
-                    let label =
-                        format!("k = {k}, {draw}, shared={shared}, compressed={compressed}");
-                    let oracle = Device::new(0, GpuSpec::titan_xp_pascal());
-                    let (want, want_r) = infer_reference(&oracle, &phi, &inv, &batch, &cfg);
-                    let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
-                    let (got, got_r) = run_infer_kernel(&dev, &phi, &inv, &batch, &cfg);
-                    for (d, (got, want)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
-                        assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
-                        let ll = |p: &DocPosterior| -> Vec<u64> {
-                            p.sweep_log_predictive.iter().map(|x| x.to_bits()).collect()
-                        };
-                        assert_eq!(ll(got), ll(want), "{label}, doc {d}");
+        let fold_in = fold_in_phi(&mut g, k, v);
+        let wide = wide_count_phi(k, v);
+        for (phi, docs, first) in [(&fold_in, &docs, 0), (&wide, &wide_docs, docs.len())] {
+            let inv = phi.inv_denominators();
+            let batch: Vec<InferDoc<'_>> = docs
+                .iter()
+                .enumerate()
+                .map(|(i, words)| InferDoc {
+                    stream_id: 7 * k as u64 + (first + i) as u64,
+                    words,
+                })
+                .collect();
+            for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
+                for shared in [true, false] {
+                    for compressed in [true, false] {
+                        let mut cfg = InferKernelConfig::new(0xF01D ^ k as u64);
+                        cfg.burnin = 2;
+                        cfg.samples = (k % 3) as u32;
+                        cfg.draw = draw;
+                        cfg.use_shared_memory = shared;
+                        cfg.compressed = compressed;
+                        let label =
+                            format!("k = {k}, {draw}, shared={shared}, compressed={compressed}");
+                        let oracle = Device::new(0, GpuSpec::titan_xp_pascal());
+                        let (want, want_r) = infer_reference(&oracle, phi, &inv, &batch, &cfg);
+                        let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+                        let (got, got_r) = run_infer_kernel(&dev, phi, &inv, &batch, &cfg);
+                        for (d, (got, want)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
+                            assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
+                            let ll = |p: &DocPosterior| -> Vec<u64> {
+                                p.sweep_log_predictive.iter().map(|x| x.to_bits()).collect()
+                            };
+                            assert_eq!(ll(got), ll(want), "{label}, doc {d}");
+                        }
+                        assert_eq!(got.len(), want.len());
+                        assert_eq!(got_r.cost, want_r.cost, "{label}");
+                        assert_eq!(
+                            got_r.sim_seconds.to_bits(),
+                            want_r.sim_seconds.to_bits(),
+                            "{label}"
+                        );
                     }
-                    assert_eq!(got.len(), want.len());
-                    assert_eq!(got_r.cost, want_r.cost, "{label}");
-                    assert_eq!(
-                        got_r.sim_seconds.to_bits(),
-                        want_r.sim_seconds.to_bits(),
-                        "{label}"
-                    );
                 }
             }
         }
