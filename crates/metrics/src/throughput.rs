@@ -137,27 +137,6 @@ impl RunHistory {
     pub fn total_sim_seconds(&self) -> f64 {
         self.stats.iter().map(|s| s.sim_seconds).sum()
     }
-
-    /// Convergence detector over the scored log-likelihoods: true when the
-    /// last `window` scored values improved by less than `tol` per token in
-    /// total. Requires at least `window + 1` scored iterations.
-    ///
-    /// This is how a driver decides "hundreds of iterations" is enough
-    /// (Section 2.1) without a fixed budget.
-    pub fn has_converged(&self, window: usize, tol: f64) -> bool {
-        assert!(window > 0 && tol >= 0.0, "bad convergence parameters");
-        let scored: Vec<f64> = self
-            .stats
-            .iter()
-            .filter_map(|s| s.loglik_per_token)
-            .collect();
-        if scored.len() < window + 1 {
-            return false;
-        }
-        let last = scored[scored.len() - 1];
-        let ref_point = scored[scored.len() - 1 - window];
-        (last - ref_point).abs() < tol
-    }
 }
 
 /// Formats a raw tokens/sec value the way the paper's tables do ("173.6M").
@@ -236,28 +215,6 @@ mod tests {
             ..stat(2, 1, 1.0)
         });
         assert_eq!(h.loglik_series(), vec![(1.0, -9.0), (3.0, -8.0)]);
-    }
-
-    #[test]
-    fn convergence_detection() {
-        let mut h = RunHistory::new();
-        let lls = [-9.0, -7.0, -6.0, -5.9, -5.89, -5.888];
-        for (i, &ll) in lls.iter().enumerate() {
-            h.push(IterationStat {
-                loglik_per_token: Some(ll),
-                ..stat(i as u32, 10, 1.0)
-            });
-        }
-        assert!(!h.has_converged(2, 0.001), "still moving at tol 0.001");
-        assert!(h.has_converged(2, 0.05), "flat within 0.05 over 2 scores");
-        assert!(!h.has_converged(5, 0.05), "window too long to be flat");
-        // Not enough scored points yet.
-        let mut short = RunHistory::new();
-        short.push(IterationStat {
-            loglik_per_token: Some(-5.0),
-            ..stat(0, 10, 1.0)
-        });
-        assert!(!short.has_converged(2, 1.0));
     }
 
     #[test]

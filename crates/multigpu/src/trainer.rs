@@ -357,24 +357,9 @@ impl CuldaTrainer {
         self.metrics = metrics;
     }
 
-    /// The attached trace sink, if any.
-    pub fn trace_sink(&self) -> Option<Arc<TraceSink>> {
-        self.trace.clone()
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn metrics_registry(&self) -> Option<Arc<MetricsRegistry>> {
-        self.metrics.clone()
-    }
-
     /// The chosen memory plan (`M`, `C`, byte budgets — per node).
     pub fn plan(&self) -> &MemoryPlan {
         &self.plan
-    }
-
-    /// The partitioned corpus.
-    pub fn partition(&self) -> &PartitionedCorpus {
-        &self.part
     }
 
     /// The Section 4 partition policy whose chunk layout this run uses.
@@ -1235,37 +1220,6 @@ impl CuldaTrainer {
         })
     }
 
-    /// Trains until the scored log-likelihood flattens (less than `tol`
-    /// per-token improvement over the last `window` scores) or the
-    /// configured iteration cap is reached, whichever comes first.
-    /// Requires `score_every > 0`. Returns the outcome and the number of
-    /// iterations actually run.
-    pub fn train_until_converged(mut self, window: usize, tol: f64) -> (TrainOutcome, u32) {
-        assert!(
-            self.cfg.score_every > 0,
-            "convergence-driven training needs score_every > 0"
-        );
-        let mut ran = 0;
-        for _ in 0..self.cfg.iterations {
-            self.step();
-            ran += 1;
-            if self.history.has_converged(window, tol) {
-                break;
-            }
-        }
-        let final_ll = self.loglik_per_token();
-        let recovery = self.recovery();
-        (
-            TrainOutcome {
-                history: self.history,
-                breakdown: self.breakdown,
-                final_loglik_per_token: final_ll,
-                recovery,
-            },
-            ran,
-        )
-    }
-
     /// Joint log-likelihood per token of the current state. Accumulates
     /// in global chunk order so the value is independent of how chunks
     /// are distributed over GPUs and nodes.
@@ -1703,20 +1657,6 @@ mod tests {
     }
 
     #[test]
-    fn convergence_driven_training_stops_early() {
-        let c = corpus();
-        let config = cfg(Platform::maxwell())
-            .iterations(60)
-            .score_every(1)
-            .build()
-            .unwrap();
-        let (out, ran) = CuldaTrainer::new(&c, config).train_until_converged(3, 0.02);
-        assert!(ran < 60, "should converge before the cap, ran {ran}");
-        assert!(ran >= 4, "needs at least window+1 scores, ran {ran}");
-        assert_eq!(out.history.len() as u32, ran);
-    }
-
-    #[test]
     fn profile_log_records_every_kernel() {
         let c = corpus();
         let mut t = CuldaTrainer::new(&c, cfg(Platform::maxwell()).score_every(0).build().unwrap());
@@ -1814,7 +1754,6 @@ mod tests {
         // Metrics saw the launches and the sync.
         assert!(reg.counter("kernel.launches").value() >= 8);
         assert!(reg.histogram("sync.seconds").count() == 2);
-        assert!(t.trace_sink().is_some() && t.metrics_registry().is_some());
     }
 
     #[test]

@@ -164,14 +164,6 @@ impl GpuWorker {
         }
     }
 
-    /// The state of an owned chunk, by *global* chunk id.
-    pub fn state_for(&self, global_id: usize) -> Option<&ChunkState> {
-        self.chunk_ids
-            .iter()
-            .position(|&gi| gi == global_id)
-            .map(|local| &self.states[local])
-    }
-
     /// Swaps the ϕ replica pair: the freshly-summed write replica becomes
     /// the next iteration's read snapshot.
     pub fn swap_replicas(&mut self) {
@@ -617,18 +609,5 @@ mod tests {
         );
         assert!(w.breakdown.seconds(Phase::UpdateTheta) > 0.0);
         assert_eq!(w.breakdown.seconds(Phase::Transfer), 0.0);
-    }
-
-    #[test]
-    fn state_lookup_is_by_global_id() {
-        let mut w = bare_workers(1).pop().unwrap();
-        use culda_corpus::{partition_by_tokens, SortedChunk, SynthSpec};
-        let corpus = SynthSpec::tiny().generate();
-        let chunks = partition_by_tokens(&corpus, 2);
-        let sorted = SortedChunk::build(&corpus, &chunks[0]);
-        w.push_chunk(5, ChunkState::init_random(&sorted, 8, 1), Vec::new());
-        assert!(w.state_for(5).is_some());
-        assert!(w.state_for(0).is_none());
-        assert_eq!(w.num_chunks(), 1);
     }
 }

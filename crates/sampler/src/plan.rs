@@ -15,12 +15,9 @@
 //! constructor choice, not a fork in its iteration loop.
 
 use crate::blockmap::BlockWork;
-use crate::kernel_phi::{
-    run_phi_clear_kernel, run_phi_update_kernel, try_run_phi_clear_kernel,
-    try_run_phi_update_kernel,
-};
-use crate::kernel_sample::{run_sampling_kernel, try_run_sampling_kernel, SampleConfig};
-use crate::kernel_theta::{run_theta_update_kernel, try_run_theta_update_kernel};
+use crate::kernel_phi::{try_run_phi_clear_kernel, try_run_phi_update_kernel};
+use crate::kernel_sample::{try_run_sampling_kernel, SampleConfig};
+use crate::kernel_theta::try_run_theta_update_kernel;
 use crate::model::{ChunkState, PhiModel};
 use culda_corpus::SortedChunk;
 use culda_gpusim::{Device, EnginePipeline, LaunchReport, SimFault, Stage, StageIntervals};
@@ -41,49 +38,6 @@ impl<'d> KernelSet<'d> {
     /// The device the kernels launch on.
     pub fn device(&self) -> &'d Device {
         self.device
-    }
-
-    /// The sampling kernel (Algorithm 2) for one chunk.
-    pub fn sample(
-        &self,
-        chunk: &SortedChunk,
-        state: &ChunkState,
-        phi: &PhiModel,
-        inv_denom: &[f32],
-        block_map: &[BlockWork],
-        cfg: &SampleConfig,
-    ) -> LaunchReport {
-        run_sampling_kernel(self.device, chunk, state, phi, inv_denom, block_map, cfg)
-    }
-
-    /// The ϕ replica clear (memset) kernel. `sparse` selects the hybrid-
-    /// layout traffic model (see [`try_run_phi_clear_kernel`]); the
-    /// cleared state is identical either way.
-    pub fn clear_phi(&self, phi: &PhiModel, sparse: bool) -> LaunchReport {
-        run_phi_clear_kernel(self.device, phi, sparse)
-    }
-
-    /// The ϕ accumulation kernel for one chunk. Touched rows are recorded
-    /// in the replica's own [`CountMatrix`](crate::count::CountMatrix)
-    /// dirty bitmap for the sparse Δϕ synchronization.
-    pub fn update_phi(
-        &self,
-        chunk: &SortedChunk,
-        state: &ChunkState,
-        phi: &PhiModel,
-        block_map: &[BlockWork],
-    ) -> LaunchReport {
-        run_phi_update_kernel(self.device, chunk, state, phi, block_map)
-    }
-
-    /// The θ rebuild kernel for one chunk.
-    pub fn update_theta(
-        &self,
-        chunk: &SortedChunk,
-        state: &mut ChunkState,
-        num_topics: usize,
-    ) -> LaunchReport {
-        run_theta_update_kernel(self.device, chunk, state, num_topics)
     }
 
     /// Fallible sampling launch (see [`try_run_sampling_kernel`]).
@@ -413,6 +367,9 @@ mod tests {
     use super::*;
     use crate::blockmap::build_block_map;
     use crate::hyper::Priors;
+    use crate::kernel_phi::{run_phi_clear_kernel, run_phi_update_kernel};
+    use crate::kernel_sample::run_sampling_kernel;
+    use crate::kernel_theta::run_theta_update_kernel;
     use crate::model::accumulate_phi_host;
     use culda_corpus::{partition_by_tokens, SynthSpec};
     use culda_gpusim::{GpuSpec, LaunchPhase};
