@@ -42,20 +42,26 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --vocab "$smoke/c.v" --model "$smoke/c.phi" --topics 8 --iters 3 \
     --score-every 0 --platform maxwell
 # Every document draws from its own RNG stream, so the worker count and
-# the micro-batch size must not change θ̂ or any perplexity.
-for shape in "1 64" "2 16"; do
-    read -r workers batch <<< "$shape"
-    cargo run --release -q -p culda-cli -- infer --model "$smoke/c.phi" \
-        --docword "$smoke/c.dw" --vocab "$smoke/c.v" --workers "$workers" \
-        --batch-size "$batch" --burnin 3 --samples 2 \
-        --out "$smoke/theta-$workers-$batch.json"
-done
-python3 -c 'import json, sys
+# the micro-batch size must not change θ̂ or any perplexity of the model
+# given as $1.
+infer_shapes() {
+    local name
+    name="$(basename "$1" .phi)"
+    for shape in "1 64" "2 16"; do
+        read -r workers batch <<< "$shape"
+        cargo run --release -q -p culda-cli -- infer --model "$1" \
+            --docword "$smoke/c.dw" --vocab "$smoke/c.v" --workers "$workers" \
+            --batch-size "$batch" --burnin 3 --samples 2 \
+            --out "$smoke/theta-$name-$workers-$batch.json"
+    done
+    python3 -c 'import json, sys
 a, b = (json.load(open(p)) for p in sys.argv[1:])
 keys = ("theta", "perplexity", "perplexity_by_sweep")
 sys.exit(0 if a["theta"] and all(a[k] == b[k] for k in keys) else 1)' \
-    "$smoke/theta-1-64.json" "$smoke/theta-2-16.json" \
-    || { echo "infer: results depend on --workers/--batch-size"; exit 1; }
+        "$smoke/theta-$name-1-64.json" "$smoke/theta-$name-2-16.json" \
+        || { echo "infer $name: results depend on --workers/--batch-size"; exit 1; }
+}
+infer_shapes "$smoke/c.phi"
 # A sweep count past u32 is a usage error (exit 2), not one wrapped sweep.
 status=0
 cargo run --release -q -p culda-cli -- infer --model "$smoke/c.phi" \
@@ -106,6 +112,9 @@ word sampling-mode 4096 dense sparse auto
 word draw-mode 8 tree butterfly auto
 word draw-mode 4096 tree butterfly auto
 MATRIX
+# At K = 4096 the fold-in's row cache holds 4 words and no scoring tile
+# fits, so this runs the paths for words past both caches.
+infer_shapes "$smoke/doc-draw-mode-4096-tree.phi"
 
 echo "==> word-policy fault and resume smoke tests"
 # A transient launch fault under the word policy must recover to the clean
