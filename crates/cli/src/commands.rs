@@ -7,7 +7,7 @@
 
 use crate::args::{ArgError, Args};
 use culda_corpus::{read_uci, split_held_out, write_uci, Corpus, SynthSpec};
-use culda_gpusim::{FaultPlan, Platform};
+use culda_gpusim::{FaultPlan, Link, Platform};
 use culda_metrics::{
     format_tokens_per_sec, render_openmetrics, HealthConfig, HealthMonitor, HealthSample, Json,
     MetricsRegistry, MetricsSnapshot, Severity, SnapshotWriter, TraceSink,
@@ -348,7 +348,7 @@ pub fn train(args: &Args) -> CmdResult {
     )?
     .build()?;
     if cfg.nodes > 1 {
-        let link = cfg.effective_node_link();
+        let link = Link::node_100gbit();
         println!(
             "cluster: {} node(s) × {} GPU(s), Δϕ parameter server over a \
              {} GB/s / {} µs node link",

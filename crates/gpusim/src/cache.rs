@@ -131,16 +131,6 @@ impl CacheSim {
         self.misses
     }
 
-    /// Hit rate in `[0, 1]` (0 for an untouched cache).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
     /// Bytes of DRAM traffic caused so far (misses × line size).
     pub fn dram_bytes(&self) -> u64 {
         self.misses * self.cfg.line_bytes as u64
@@ -263,7 +253,6 @@ mod tests {
         assert_eq!(missed, 1);
         assert_eq!(c.misses(), 1);
         assert_eq!(c.hits(), 15);
-        assert!((c.hit_rate() - 15.0 / 16.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::clock::SimClock;
 use crate::error::SimFault;
 use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::{default_workers, run_grid_with, BlockCtx, LaunchReport};
-use crate::launcher::{KernelSpec, Launcher};
+use crate::launcher::KernelSpec;
 use crate::link::Link;
 use crate::memory::{MemoryLedger, OomError, Reservation};
 use crate::platform::GpuSpec;
@@ -117,11 +117,6 @@ impl Device {
         *locked(&self.faults) = Some(plan);
     }
 
-    /// Detaches the fault plan, if any.
-    pub fn detach_faults(&self) {
-        *locked(&self.faults) = None;
-    }
-
     /// The attached fault plan, if any.
     pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
         locked(&self.faults).clone()
@@ -160,12 +155,6 @@ impl Device {
         locked(&self.gbps_cache).clear();
     }
 
-    /// Detaches both observability sinks.
-    pub fn detach_observability(&self) {
-        *locked(&self.obs) = Observability::default();
-        locked(&self.gbps_cache).clear();
-    }
-
     /// The attached trace sink, if any.
     pub fn trace(&self) -> Option<Arc<TraceSink>> {
         locked(&self.obs).trace.clone()
@@ -185,11 +174,6 @@ impl Device {
     /// Host threads used to execute this device's blocks.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The launch entry point: submits [`KernelSpec`]s to this device.
-    pub fn launcher(&self) -> Launcher<'_> {
-        Launcher::new(self)
     }
 
     /// Launches `body` once per block and advances this device's clock by
@@ -523,8 +507,6 @@ mod tests {
         let b = observed.launch("k", 8, |ctx| ctx.dram_read(4096));
         assert_eq!(a.sim_seconds.to_bits(), b.sim_seconds.to_bits());
         assert_eq!(plain.now().to_bits(), observed.now().to_bits());
-        observed.detach_observability();
-        assert!(observed.trace().is_none() && observed.metrics().is_none());
     }
 
     #[test]
@@ -612,8 +594,6 @@ mod tests {
         // Transient: the retry goes through and charges time.
         let t = dev.try_transfer(1_000_000, &Link::pcie3()).unwrap();
         assert!(t > 0.0);
-        dev.detach_faults();
-        assert!(dev.fault_plan().is_none());
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The unified kernel-launch entry point.
+//! Kernel launch descriptions.
 //!
-//! Every kernel launch in the system goes through a [`KernelSpec`] — name,
-//! grid size, stream, phase tag — submitted via a device's [`Launcher`].
-//! Centralising the launch path gives three things the free-form
-//! `Device::launch` string API could not:
+//! Every kernel launch in the system is a [`KernelSpec`] — name, grid
+//! size, stream, phase tag — executed by
+//! [`Device::try_launch_spec_with`](crate::Device::try_launch_spec_with)
+//! or one of its wrappers. Describing launches this way gives three things
+//! the free-form `Device::launch` string API could not:
 //!
 //! * the per-device [`ProfileLog`](crate::ProfileLog) records the *phase*
 //!   of every launch, so Table-5-style breakdowns fall out of the log
@@ -11,10 +12,6 @@
 //! * stream tags survive into the launch history, letting the out-of-core
 //!   scheduler attribute kernel time to pipeline stages;
 //! * call sites can no longer bypass the clock/profile bookkeeping.
-
-use crate::device::Device;
-use crate::error::SimFault;
-use crate::kernel::{BlockCtx, LaunchReport};
 
 /// Which algorithmic phase a launch belongs to (Algorithm 1's structure).
 ///
@@ -90,52 +87,10 @@ impl KernelSpec {
     }
 }
 
-/// A handle that submits [`KernelSpec`]s to one device.
-///
-/// Obtained from [`Device::launcher`]; borrows the device shared, so any
-/// number of host threads can hold launchers onto different devices (the
-/// per-GPU worker model) while the device's interior-mutability clock and
-/// profile log keep the bookkeeping consistent.
-#[derive(Debug, Clone, Copy)]
-pub struct Launcher<'d> {
-    device: &'d Device,
-}
-
-impl<'d> Launcher<'d> {
-    /// Creates a launcher for `device`.
-    pub fn new(device: &'d Device) -> Self {
-        Self { device }
-    }
-
-    /// The device this launcher submits to.
-    pub fn device(&self) -> &'d Device {
-        self.device
-    }
-
-    /// Executes the launch: runs `body` once per block on the device's
-    /// host-thread pool, advances the device clock by the modelled kernel
-    /// time, and appends a tagged record to the device's profile log.
-    pub fn submit<F>(&self, spec: KernelSpec, body: F) -> LaunchReport
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        self.device.launch_spec(spec, body)
-    }
-
-    /// The fallible launch path: surfaces injected faults and user-shaped
-    /// mistakes (empty grids) as [`SimFault`] values instead of panicking.
-    /// See [`Device::try_launch_spec`] for the firing-order contract.
-    pub fn try_submit<F>(&self, spec: KernelSpec, body: F) -> Result<LaunchReport, SimFault>
-    where
-        F: Fn(&mut BlockCtx) + Sync,
-    {
-        self.device.try_launch_spec(spec, body)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::Device;
     use crate::platform::GpuSpec;
 
     #[test]
@@ -150,10 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn submit_records_a_tagged_launch() {
+    fn launch_spec_records_a_tagged_launch() {
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
-        let launcher = dev.launcher();
-        let r = launcher.submit(
+        let r = dev.launch_spec(
             KernelSpec::new("tagged", 4).with_phase(LaunchPhase::PhiUpdate),
             |ctx| ctx.dram_read(1024),
         );

@@ -7,7 +7,7 @@
 //! algorithms depend on:
 //!
 //! * **the programming model** — grids of thread blocks ([`kernel`]),
-//!   warps of 32 lanes with shuffle/scan/ballot collectives ([`warp`]),
+//!   the 32-lane warp width ([`warp`]), launch descriptions ([`launcher`]),
 //!   per-block shared memory with a hard 48 KiB budget ([`shared`]),
 //!   device-memory atomics ([`memory`]), streams that overlap transfers and
 //!   compute ([`stream`]);
@@ -66,7 +66,7 @@ pub use device::Device;
 pub use error::SimFault;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use kernel::{BlockCtx, LaunchReport};
-pub use launcher::{KernelSpec, LaunchPhase, Launcher};
+pub use launcher::{KernelSpec, LaunchPhase};
 pub use link::Link;
 pub use memory::{
     distinct_segments, AtomicF32Buf, AtomicU16Buf, AtomicU32Buf, MemoryLedger, OomError,

@@ -16,7 +16,6 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 /// Device memory exhausted.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -342,32 +341,6 @@ impl AtomicF32Buf {
     }
 }
 
-/// A host-side staging area guarded by a lock — the pinned host buffers the
-/// CPU uses to collect replicas (Algorithm 1's `DataTransfer` endpoints).
-#[derive(Debug, Default)]
-pub struct HostStaging<T> {
-    slot: Mutex<Option<T>>,
-}
-
-impl<T> HostStaging<T> {
-    /// Empty staging slot.
-    pub fn new() -> Self {
-        Self {
-            slot: Mutex::new(None),
-        }
-    }
-
-    /// Deposits a value, returning the previous occupant if any.
-    pub fn put(&self, v: T) -> Option<T> {
-        self.slot.lock().unwrap().replace(v)
-    }
-
-    /// Removes the value if present.
-    pub fn take(&self) -> Option<T> {
-        self.slot.lock().unwrap().take()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,15 +447,6 @@ mod tests {
             }
         });
         assert_eq!(buf.load(0), 4000.0);
-    }
-
-    #[test]
-    fn staging_put_take() {
-        let s: HostStaging<Vec<u32>> = HostStaging::new();
-        assert!(s.take().is_none());
-        assert!(s.put(vec![1]).is_none());
-        assert_eq!(s.put(vec![2]), Some(vec![1]));
-        assert_eq!(s.take(), Some(vec![2]));
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! The multi-GPU system: devices sharing a host and an interconnect.
 //!
 //! Matches Figure 2's master–slave organization: the CPU orchestrates `G`
-//! GPUs over PCIe. The cluster tracks per-device clocks and models
-//! peer-to-peer copies (which occupy both endpoints) and host copies
-//! (which occupy only the device — the host is never the bottleneck for a
-//! single transfer at a time, per the paper's pipelining discussion).
+//! GPUs over PCIe. The cluster tracks per-device clocks and models host
+//! copies (which occupy only the device — the host is never the bottleneck
+//! for a single transfer at a time, per the paper's pipelining discussion).
 //!
 //! Devices use interior mutability for their clocks, so the whole cluster
-//! is driven through shared references: [`GpuCluster::par_each_gpu`] runs
-//! one closure per device on real host threads — the execution shape of
-//! Algorithm 1, where every GPU runs its iteration body independently and
-//! the host joins them at the ϕ synchronisation point.
+//! can be driven through shared references from one host thread per device
+//! — the execution shape of Algorithm 1, where every GPU runs its
+//! iteration body independently and the host joins them at the ϕ
+//! synchronisation point.
 
 use crate::device::Device;
 use crate::link::Link;
@@ -60,36 +59,6 @@ impl GpuCluster {
         self.devices.len()
     }
 
-    /// Runs `f(gpu_index, device)` for every device, each on its own host
-    /// thread, and returns the results **in device-id order** regardless
-    /// of which thread finishes first — the join is deterministic. A panic
-    /// in any worker is propagated to the caller after all threads join.
-    ///
-    /// With a single device the closure runs inline on the calling thread,
-    /// so 1-GPU runs pay no threading overhead.
-    pub fn par_each_gpu<R, F>(&self, f: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(usize, &Device) -> R + Sync,
-    {
-        if self.devices.len() == 1 {
-            return vec![f(0, &self.devices[0])];
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .devices
-                .iter()
-                .enumerate()
-                .map(|(i, dev)| scope.spawn(move || f(i, dev)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    }
-
     /// Barrier: every device's clock advances to the latest. Returns the
     /// barrier time. This is the per-iteration join of Algorithm 1 ("after
     /// all GPUs finish their execution").
@@ -101,26 +70,9 @@ impl GpuCluster {
         t
     }
 
-    /// Peer-to-peer copy of `bytes` from device `src` to device `dst`:
-    /// starts when both are free, occupies both until done. Returns the
-    /// completion time.
-    pub fn peer_copy(&self, src: usize, dst: usize, bytes: u64) -> f64 {
-        assert!(src != dst, "self-copy is free and meaningless");
-        let start = self.devices[src].now().max(self.devices[dst].now());
-        let done = start + self.peer_link.transfer_seconds(bytes);
-        self.devices[src].advance_to(done);
-        self.devices[dst].advance_to(done);
-        done
-    }
-
     /// Host→device copy of `bytes`: occupies only the device.
     pub fn host_to_device(&self, dst: usize, bytes: u64) -> f64 {
         self.devices[dst].transfer(bytes, &self.host_link)
-    }
-
-    /// Device→host copy of `bytes`: occupies only the device.
-    pub fn device_to_host(&self, src: usize, bytes: u64) -> f64 {
-        self.devices[src].transfer(bytes, &self.host_link)
     }
 
     /// Latest clock among devices (current system time).
@@ -160,68 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn peer_copy_occupies_both_endpoints() {
-        let c = GpuCluster::from_platform(&Platform::pascal());
-        c.devices[0].advance(1.0);
-        // dst at 0, src at 1 → copy starts at 1.
-        let done = c.peer_copy(0, 1, 16_000_000_000);
-        assert!((done - 2.0).abs() < 1e-3, "done = {done}");
-        assert_eq!(c.devices[0].now(), done);
-        assert_eq!(c.devices[1].now(), done);
-        // Uninvolved device unchanged.
-        assert_eq!(c.devices[2].now(), 0.0);
-    }
-
-    #[test]
     fn host_copies_only_touch_their_device() {
         let c = GpuCluster::from_platform(&Platform::volta());
         let t = c.host_to_device(1, 1_600_000_000);
         assert!((t - 0.1).abs() < 1e-3);
         assert_eq!(c.devices[0].now(), 0.0);
         assert!((c.system_time() - t).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "self-copy")]
-    fn self_copy_rejected() {
-        let c = GpuCluster::from_platform(&Platform::volta());
-        c.peer_copy(1, 1, 10);
-    }
-
-    #[test]
-    fn par_each_gpu_joins_in_device_order() {
-        let c = GpuCluster::from_platform(&Platform::pascal());
-        // Later devices finish first; the result order must still be 0..G.
-        let ids = c.par_each_gpu(|i, dev| {
-            std::thread::sleep(std::time::Duration::from_millis(
-                (c.num_gpus() - i) as u64 * 5,
-            ));
-            dev.advance(i as f64);
-            i
-        });
-        assert_eq!(ids, vec![0, 1, 2, 3]);
-        assert_eq!(c.devices[3].now(), 3.0);
-    }
-
-    #[test]
-    fn par_each_gpu_really_runs_concurrently() {
-        // All four closures rendezvous on one std Barrier: this can only
-        // complete if they run on live threads at the same time.
-        let c = GpuCluster::from_platform(&Platform::pascal());
-        let gate = std::sync::Barrier::new(c.num_gpus());
-        let hits = c.par_each_gpu(|i, _dev| {
-            gate.wait();
-            i
-        });
-        assert_eq!(hits.len(), 4);
-    }
-
-    #[test]
-    fn single_gpu_runs_inline() {
-        let c = GpuCluster::from_platform(&Platform::pascal().with_gpus(1));
-        let main_thread = std::thread::current().id();
-        let same = c.par_each_gpu(|_, _| std::thread::current().id() == main_thread);
-        assert_eq!(same, vec![true]);
     }
 
     #[test]
@@ -237,13 +133,18 @@ mod tests {
         use crate::memory::AtomicU32Buf;
         let c = GpuCluster::from_platform(&Platform::pascal());
         let buf = AtomicU32Buf::zeros(4);
-        c.par_each_gpu(|i, dev| {
-            dev.launch("per_gpu", 8, |ctx| {
-                ctx.dram_read(1_000);
-                if ctx.block_id == 0 {
-                    buf.fetch_add(i, 1);
-                }
-            });
+        std::thread::scope(|scope| {
+            for (i, dev) in c.devices.iter().enumerate() {
+                let buf = &buf;
+                scope.spawn(move || {
+                    dev.launch("per_gpu", 8, |ctx| {
+                        ctx.dram_read(1_000);
+                        if ctx.block_id == 0 {
+                            buf.fetch_add(i, 1);
+                        }
+                    });
+                });
+            }
         });
         assert_eq!(buf.snapshot(), vec![1, 1, 1, 1]);
         for d in &c.devices {

@@ -157,16 +157,6 @@ impl GpuBreakdowns {
         total
     }
 
-    /// Seconds the busiest GPU spent in `phase` — the critical-path view
-    /// (phases run concurrently across devices, so the max, not the sum,
-    /// bounds the iteration time).
-    pub fn max_seconds(&self, phase: Phase) -> f64 {
-        self.per_gpu
-            .iter()
-            .map(|b| b.seconds(phase))
-            .fold(0.0f64, f64::max)
-    }
-
     /// Renders a table: one row per GPU, one column per phase that
     /// occurred anywhere, plus a total row.
     pub fn render(&self) -> String {
@@ -252,7 +242,7 @@ mod tests {
     }
 
     #[test]
-    fn per_gpu_accounts_merge_and_expose_critical_path() {
+    fn per_gpu_accounts_merge_and_render() {
         let mut g0 = Breakdown::new();
         g0.add(Phase::Sampling, 2.0);
         g0.add(Phase::UpdatePhi, 0.5);
@@ -261,7 +251,6 @@ mod tests {
         let per = GpuBreakdowns::new(vec![g0, g1]);
         assert_eq!(per.num_gpus(), 2);
         assert!((per.merged().seconds(Phase::Sampling) - 5.0).abs() < 1e-12);
-        assert!((per.max_seconds(Phase::Sampling) - 3.0).abs() < 1e-12);
         assert!((per.gpu(1).seconds(Phase::UpdatePhi)).abs() < 1e-12);
         let table = per.render();
         assert!(table.contains("Sampling"));

@@ -117,12 +117,6 @@ impl Roofline {
     pub fn is_memory_bound(&self, flops_per_byte: f64) -> bool {
         flops_per_byte < self.balance()
     }
-
-    /// Attainable GFLOP/s at a given arithmetic intensity — the roofline
-    /// curve itself: `min(peak_gflops, intensity × peak_gbps)`.
-    pub fn attainable_gflops(&self, flops_per_byte: f64) -> f64 {
-        self.peak_gflops.min(flops_per_byte * self.peak_gbps)
-    }
 }
 
 #[cfg(test)]
@@ -171,15 +165,5 @@ mod tests {
             assert!(cpu.is_memory_bound(step.flops_per_byte()));
         }
         assert!(cpu.is_memory_bound(average_intensity()));
-    }
-
-    #[test]
-    fn attainable_gflops_clamps_at_peak() {
-        let m = Roofline {
-            peak_gflops: 100.0,
-            peak_gbps: 10.0,
-        };
-        assert!((m.attainable_gflops(0.27) - 2.7).abs() < 1e-12);
-        assert!((m.attainable_gflops(50.0) - 100.0).abs() < 1e-12);
     }
 }

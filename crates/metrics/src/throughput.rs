@@ -35,12 +35,6 @@ impl IterationStat {
         assert!(self.sim_seconds > 0.0, "iteration with zero simulated time");
         self.tokens as f64 / self.sim_seconds
     }
-
-    /// `#Tokens/sec` on the host wall clock (used by the CPU baselines).
-    pub fn wall_tokens_per_sec(&self) -> f64 {
-        assert!(self.wall_seconds > 0.0, "iteration with zero wall time");
-        self.tokens as f64 / self.wall_seconds
-    }
 }
 
 /// History of a full training run.
@@ -89,15 +83,6 @@ impl RunHistory {
         assert!(!slice.is_empty(), "no iterations recorded");
         let tokens: u64 = slice.iter().map(|s| s.tokens).sum();
         let secs: f64 = slice.iter().map(|s| s.sim_seconds).sum();
-        tokens as f64 / secs
-    }
-
-    /// Same statistic on the host wall clock.
-    pub fn avg_wall_tokens_per_sec(&self, n: usize) -> f64 {
-        let slice = &self.stats[..n.min(self.stats.len())];
-        assert!(!slice.is_empty(), "no iterations recorded");
-        let tokens: u64 = slice.iter().map(|s| s.tokens).sum();
-        let secs: f64 = slice.iter().map(|s| s.wall_seconds).sum();
         tokens as f64 / secs
     }
 

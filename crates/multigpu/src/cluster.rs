@@ -26,9 +26,8 @@
 //! any node count, any sync mode, and prefetch on or off. Only the
 //! modelled time differs.
 
-use crate::config::SyncMode;
 use crate::delta::DeltaPayload;
-use crate::sync::{add_kernel_seconds, tree_rounds, SyncReport, SyncTotals};
+use crate::sync::{reduce_payloads, SyncReport, SyncTotals};
 use crate::trainer::CuldaTrainer;
 use culda_gpusim::{GpuSpec, Link};
 use culda_sampler::{PhiDelta, PhiModel};
@@ -67,12 +66,11 @@ impl ParameterServer {
     }
 
     /// One superstep's inter-node synchronization over a ϕ of
-    /// `num_topics × vocab_size`: merge the per-node payloads pairwise up
-    /// the reduce tree (each level costs its slowest pair — one encoded
-    /// transfer over the node link plus one merge-add kernel), then
-    /// broadcast the merged global payload back down. Returns the global
-    /// payload (for the caller to apply to every replica) and the
-    /// timing/traffic report.
+    /// `num_topics × vocab_size`: the per-node payloads merge up the
+    /// reduce tree and the global payload is broadcast back down, over the
+    /// node link (see [`reduce_payloads`]). Returns the global payload
+    /// (for the caller to apply to every replica) and the timing/traffic
+    /// report.
     pub(crate) fn reduce(
         &mut self,
         node_payloads: Vec<DeltaPayload>,
@@ -81,53 +79,14 @@ impl ParameterServer {
         gpu: &GpuSpec,
         elem_bytes: u64,
     ) -> (DeltaPayload, SyncReport) {
-        let n = node_payloads.len();
-        assert!(n > 0, "no node payloads to reduce");
-        let k = num_topics as u64;
-        let elements = (vocab_size as u64 + 1) * k;
-        let dense_bytes = 2 * (n as u64).saturating_sub(1) * elements * elem_bytes;
-
-        let mut payloads: Vec<Option<DeltaPayload>> = node_payloads.into_iter().map(Some).collect();
-        let mut reduce_seconds = 0.0;
-        let mut bytes_moved = 0u64;
-        let mut rounds = 0u32;
-        let mut stride = 1usize;
-        while stride < n {
-            let mut level_seconds: f64 = 0.0;
-            let mut i = 0;
-            while i + stride < n {
-                let sender = payloads[i + stride].take().expect("payload consumed twice");
-                let sent_bytes = sender.encoded_bytes(elem_bytes);
-                let recv = payloads[i].as_mut().expect("receiver payload missing");
-                recv.merge_from(&sender);
-                let pair_seconds = self.link.transfer_seconds(sent_bytes)
-                    + add_kernel_seconds(gpu, recv.nnz() + k, elem_bytes);
-                level_seconds = level_seconds.max(pair_seconds);
-                bytes_moved += sent_bytes;
-                i += 2 * stride;
-            }
-            if level_seconds > 0.0 {
-                reduce_seconds += level_seconds;
-                rounds += 1;
-            }
-            stride *= 2;
-        }
-        let global = payloads[0].take().expect("root payload missing");
-
-        let global_bytes = global.encoded_bytes(elem_bytes);
-        let broadcast_seconds =
-            f64::from(tree_rounds(n)) * self.link.transfer_seconds(global_bytes);
-        bytes_moved += (n as u64).saturating_sub(1) * global_bytes;
-
-        let report = SyncReport {
-            reduce_seconds,
-            broadcast_seconds,
-            rounds,
-            bytes_moved,
-            dense_bytes,
-            nnz: global.nnz(),
-            mode: SyncMode::Delta,
-        };
+        let (global, report) = reduce_payloads(
+            node_payloads,
+            num_topics,
+            vocab_size,
+            gpu,
+            &self.link,
+            elem_bytes,
+        );
         self.totals.absorb(&report);
         (global, report)
     }

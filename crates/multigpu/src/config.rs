@@ -268,15 +268,12 @@ pub struct TrainerConfig {
     /// Number of cluster nodes, each running `platform` as its own
     /// multi-GPU box (the `--nodes` knob). `1` = the paper's single-node
     /// machine; `> 1` engages the AD-LDA cluster layer: per-node document
-    /// shards, per-superstep Δϕ synchronization over [`Self::node_link`].
+    /// shards, per-superstep Δϕ synchronization over
+    /// [`Link::node_100gbit`].
     /// Training is bit-identical for any node count because the chunk
     /// layout is planned once from `platform` and the sampler RNG streams
     /// are keyed by global token index.
     pub nodes: usize,
-    /// Override for the inter-node link the cluster layer's Δϕ supersteps
-    /// ride on; `None` = [`Link::node_100gbit`]. Only consulted when
-    /// [`Self::nodes`] `> 1`.
-    pub node_link: Option<Link>,
     /// Host threads each simulated device uses to execute its thread
     /// blocks (the `--workers` knob). `None` = the simulator default.
     /// Results are bit-identical for any value; only wall-clock changes.
@@ -322,12 +319,6 @@ impl TrainerConfig {
             return Err(ConfigError::NoNodes);
         }
         Ok(())
-    }
-
-    /// The inter-node link after defaulting: [`Self::node_link`] if set,
-    /// else the 100 Gb/s datacenter fabric.
-    pub fn effective_node_link(&self) -> Link {
-        self.node_link.unwrap_or_else(Link::node_100gbit)
     }
 
     /// Bytes of one ϕ element under the current compression setting.
@@ -377,7 +368,6 @@ impl TrainerConfigBuilder {
                 draw_mode: DrawMode::Tree,
                 prefetch: true,
                 nodes: 1,
-                node_link: None,
                 host_workers: None,
                 retry: RetryPolicy::default(),
             },
@@ -466,12 +456,6 @@ impl TrainerConfigBuilder {
     /// Set the cluster node count (see [`TrainerConfig::nodes`]).
     pub fn nodes(mut self, n: usize) -> Self {
         self.cfg.nodes = n;
-        self
-    }
-
-    /// Override the inter-node link (see [`TrainerConfig::node_link`]).
-    pub fn node_link(mut self, link: Link) -> Self {
-        self.cfg.node_link = Some(link);
         self
     }
 

@@ -288,66 +288,83 @@ pub fn sync_phi_ring(
     dense_ring_report(g, elements, gpu, link, cfg.phi_elem_bytes())
 }
 
-/// The merged global payload plus its modelled cost, before application.
-/// `Auto` uses the plan to price delta sync without committing to it.
-struct DeltaPlan {
-    global: DeltaPayload,
-    report: SyncReport,
-}
-
-/// Builds per-GPU payloads, merges them up the Figure 4 tree, and prices
-/// every transfer at its *encoded* size. No replica is modified; the
-/// merge work is host-side bookkeeping and free in simulated time (its
-/// GPU-side cost is the add kernel charged per level).
+/// Builds per-GPU payloads and merges them up the Figure 4 tree (see
+/// [`reduce_payloads`]). No replica is modified: returns the merged global
+/// payload and its modelled cost, so `Auto` can price delta sync without
+/// committing to it.
 fn plan_phi_delta(
     replicas: &[&PhiModel],
     deltas: &[&PhiDelta],
     gpu: &GpuSpec,
     link: &Link,
     cfg: &TrainerConfig,
-) -> DeltaPlan {
+) -> (DeltaPayload, SyncReport) {
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     assert_eq!(replicas.len(), deltas.len(), "replica/delta count mismatch");
-    let g = replicas.len();
-    let e = cfg.phi_elem_bytes();
-    let elements = replica_elements(replicas[0]);
-    let k = replicas[0].num_topics;
-    let dense_bytes = 2 * (g as u64).saturating_sub(1) * elements * e;
-
-    let mut payloads: Vec<Option<DeltaPayload>> = replicas
+    let mut payloads: Vec<DeltaPayload> = replicas
         .iter()
         .zip(deltas)
-        .map(|(r, d)| Some(DeltaPayload::from_replica(r, d)))
+        .map(|(r, d)| DeltaPayload::from_replica(r, d))
         .collect();
-
-    if g == 1 {
-        return DeltaPlan {
-            global: payloads[0].take().unwrap(),
-            report: SyncReport {
-                mode: SyncMode::Delta,
-                ..SyncReport::default()
-            },
+    if payloads.len() == 1 {
+        let report = SyncReport {
+            mode: SyncMode::Delta,
+            ..SyncReport::default()
         };
+        return (payloads.pop().unwrap(), report);
     }
+    let r = replicas[0];
+    reduce_payloads(
+        payloads,
+        r.num_topics,
+        r.vocab_size,
+        gpu,
+        link,
+        cfg.phi_elem_bytes(),
+    )
+}
 
-    // --- Reduce: the same pairwise tree, but over payloads --------------
+/// Merges `payloads` (one per participant: GPUs here, nodes in the cluster
+/// layer) pairwise up the Figure 4 tree, then broadcasts the merged global
+/// payload back down, pricing every transfer over `link` at its *encoded*
+/// size. Pairs within a level run in parallel, so a level costs its
+/// slowest pair: the sender's transfer plus the merge-add kernel on the
+/// merged nnz and the dense `phi_sum` tail. The broadcast costs
+/// `⌈log₂ n⌉` transfers of the global payload. The merge itself is
+/// host-side bookkeeping and free in simulated time. Returns the global
+/// payload, for the caller to apply, and the report.
+///
+/// # Panics
+/// Panics if `payloads` is empty.
+pub(crate) fn reduce_payloads(
+    payloads: Vec<DeltaPayload>,
+    num_topics: usize,
+    vocab_size: usize,
+    gpu: &GpuSpec,
+    link: &Link,
+    e: u64,
+) -> (DeltaPayload, SyncReport) {
+    let n = payloads.len();
+    assert!(n > 0, "no payloads to reduce");
+    let k = num_topics as u64;
+    let elements = (vocab_size as u64 + 1) * k;
+    let dense_bytes = 2 * (n as u64 - 1) * elements * e;
+
+    let mut payloads: Vec<Option<DeltaPayload>> = payloads.into_iter().map(Some).collect();
     let mut reduce_seconds = 0.0;
     let mut bytes_moved = 0u64;
     let mut rounds = 0u32;
     let mut stride = 1usize;
-    while stride < g {
+    while stride < n {
         let mut level_seconds: f64 = 0.0;
         let mut i = 0;
-        while i + stride < g {
+        while i + stride < n {
             let sender = payloads[i + stride].take().expect("payload consumed twice");
             let sent_bytes = sender.encoded_bytes(e);
             let recv = payloads[i].as_mut().expect("receiver payload missing");
             recv.merge_from(&sender);
-            // Pairs within a level run in parallel: the level costs its
-            // slowest pair (transfer of the sender + merge-add on the
-            // merged nnz, plus the dense phi_sum tail).
-            let pair_seconds = link.transfer_seconds(sent_bytes)
-                + add_kernel_seconds(gpu, recv.nnz() + k as u64, e);
+            let pair_seconds =
+                link.transfer_seconds(sent_bytes) + add_kernel_seconds(gpu, recv.nnz() + k, e);
             level_seconds = level_seconds.max(pair_seconds);
             bytes_moved += sent_bytes;
             i += 2 * stride;
@@ -360,23 +377,20 @@ fn plan_phi_delta(
     }
     let global = payloads[0].take().expect("root payload missing");
 
-    // --- Broadcast: the merged payload back down the reverse tree -------
     let global_bytes = global.encoded_bytes(e);
-    let broadcast_seconds = f64::from(tree_rounds(g)) * link.transfer_seconds(global_bytes);
-    bytes_moved += (g as u64 - 1) * global_bytes;
+    let broadcast_seconds = f64::from(tree_rounds(n)) * link.transfer_seconds(global_bytes);
+    bytes_moved += (n as u64 - 1) * global_bytes;
 
-    DeltaPlan {
-        report: SyncReport {
-            reduce_seconds,
-            broadcast_seconds,
-            rounds,
-            bytes_moved,
-            dense_bytes,
-            nnz: global.nnz(),
-            mode: SyncMode::Delta,
-        },
-        global,
-    }
+    let report = SyncReport {
+        reduce_seconds,
+        broadcast_seconds,
+        rounds,
+        bytes_moved,
+        dense_bytes,
+        nnz: global.nnz(),
+        mode: SyncMode::Delta,
+    };
+    (global, report)
 }
 
 /// Sparse Δϕ synchronization: encode each GPU's touched rows, merge the
@@ -392,13 +406,13 @@ pub fn sync_phi_delta(
     link: &Link,
     cfg: &TrainerConfig,
 ) -> SyncReport {
-    let plan = plan_phi_delta(replicas, deltas, gpu, link, cfg);
+    let (global, report) = plan_phi_delta(replicas, deltas, gpu, link, cfg);
     if replicas.len() > 1 {
         for r in replicas {
-            plan.global.apply_to(r);
+            global.apply_to(r);
         }
     }
-    plan.report
+    report
 }
 
 /// Synchronizes `replicas` with the strategy `mode` names — the one
@@ -447,16 +461,16 @@ pub fn sync_phi_auto(
 
     let tree = dense_tree_report(g, elements, gpu, link, e);
     let ring = dense_ring_report(g, elements, gpu, link, e);
-    let delta = plan_phi_delta(replicas, deltas, gpu, link, cfg);
+    let (global, delta) = plan_phi_delta(replicas, deltas, gpu, link, cfg);
 
-    let delta_s = delta.report.total_seconds();
+    let delta_s = delta.total_seconds();
     if delta_s <= tree.total_seconds() && delta_s <= ring.total_seconds() {
         if g > 1 {
             for r in replicas {
-                delta.global.apply_to(r);
+                global.apply_to(r);
             }
         }
-        delta.report
+        delta
     } else if ring.total_seconds() <= tree.total_seconds() {
         sync_phi_ring(replicas, gpu, link, cfg)
     } else {

@@ -51,7 +51,7 @@ use crate::error::{CuldaError, RecoveryStats};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
 use crate::sync::{sync_phi, sync_phi_replicas, theta_sync_report, SyncReport, SyncTotals};
-use crate::worker::{run_workers_traced, trace_staging, GpuWorker};
+use crate::worker::{run_workers_traced, trace_staging, GpuWorker, IterationReport};
 use culda_corpus::{Corpus, CsrMatrix};
 use culda_gpusim::memory::Reservation;
 use culda_gpusim::{FaultPlan, GpuCluster, Link, ProfileLog};
@@ -61,7 +61,7 @@ use culda_metrics::{
 };
 use culda_sampler::{
     auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork, ChunkState,
-    IterationPlan, PhiModel, PlanReport, Priors,
+    PhiModel, Priors,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -249,7 +249,7 @@ impl CuldaTrainer {
         for (i, (state, map)) in states.into_iter().zip(block_maps).enumerate() {
             workers[chunk_owner(i, g)].push_chunk(i, state, map);
         }
-        let ps = ParameterServer::new(cfg.effective_node_link());
+        let ps = ParameterServer::new(Link::node_100gbit());
 
         Ok(Self {
             cfg,
@@ -592,11 +592,7 @@ impl CuldaTrainer {
     fn try_step_impl(&mut self, concurrent: bool) -> Result<IterationStat, CuldaError> {
         let wall_start = std::time::Instant::now();
         let t0 = self.system_time();
-        let plan = if self.plan.m == 1 {
-            IterationPlan::resident(self.cfg.num_topics)
-        } else {
-            IterationPlan::out_of_core(self.cfg.num_topics).with_prefetch(self.cfg.prefetch)
-        };
+        let out_of_core = self.plan.m > 1;
         let iteration = self.iteration;
         // Fault coordinates are (device, epoch); the trainer's epoch is
         // the iteration number.
@@ -636,15 +632,18 @@ impl CuldaTrainer {
         let metrics = self.metrics.clone();
 
         // One worker's failure domain: the iteration body plus its retry
-        // loop, run on the worker's own host thread. Returns the plan
+        // loop, run on the worker's own host thread. Returns the body's
         // report, retries performed, and simulated recovery seconds.
-        let body = |i: usize, w: &mut GpuWorker| -> Result<(PlanReport, u32, f64), CuldaError> {
+        let body = |i: usize,
+                    w: &mut GpuWorker|
+         -> Result<(IterationReport, u32, f64), CuldaError> {
             if !w.alive {
-                return Ok((PlanReport::default(), 0, 0.0));
+                return Ok((IterationReport::default(), 0, 0.0));
             }
             if !faulty {
                 // Fault-free fast path: no snapshot, no recovery state.
-                let r = w.try_run_iteration(part, cfg, plan, iteration, &host_link, sparse)?;
+                let r =
+                    w.try_run_iteration(part, cfg, out_of_core, iteration, &host_link, sparse)?;
                 return Ok((r, 0, 0.0));
             }
             let snap = w.snapshot_states();
@@ -652,7 +651,7 @@ impl CuldaTrainer {
             let mut recovery_seconds = 0.0;
             loop {
                 let before = w.device.now();
-                match w.try_run_iteration(part, cfg, plan, iteration, &host_link, sparse) {
+                match w.try_run_iteration(part, cfg, out_of_core, iteration, &host_link, sparse) {
                     Ok(r) => return Ok((r, attempt - 1, recovery_seconds)),
                     Err(fault) => {
                         // Time burned by the failed attempt (zero for a
@@ -718,7 +717,7 @@ impl CuldaTrainer {
 
         // Sort the joined results into reports and lost workers. Anything
         // other than a retry-exhausted loss is fatal.
-        let mut reports: Vec<PlanReport> = Vec::with_capacity(results.len());
+        let mut reports: Vec<IterationReport> = Vec::with_capacity(results.len());
         let mut lost: Vec<usize> = Vec::new();
         for (i, res) in results.into_iter().enumerate() {
             match res {
@@ -732,7 +731,7 @@ impl CuldaTrainer {
                     self.recovery.workers_lost += 1;
                     self.workers[i].alive = false;
                     lost.push(i);
-                    reports.push(PlanReport::default());
+                    reports.push(IterationReport::default());
                 }
                 Err(e) => return Err(e),
             }
@@ -743,7 +742,7 @@ impl CuldaTrainer {
             self.breakdown.add(Phase::Sampling, r.sampling_seconds);
             self.breakdown.add(Phase::UpdatePhi, r.phi_seconds);
             self.breakdown.add(Phase::UpdateTheta, r.theta_seconds);
-            if plan.is_out_of_core() {
+            if out_of_core {
                 self.breakdown
                     .add(Phase::Transfer, r.exposed_transfer_seconds);
             }
@@ -753,7 +752,7 @@ impl CuldaTrainer {
         // Surface the staging pipeline: per-chunk copy/kernel spans with
         // flow arrows (the visible prefetch overlap) and the fraction of
         // copy time this iteration's pipelines hid under compute.
-        if plan.is_out_of_core() {
+        if out_of_core {
             if let Some(sink) = &self.trace {
                 for (w, r) in self.workers.iter().zip(&reports).filter(|(w, _)| w.alive) {
                     trace_staging(
@@ -847,7 +846,7 @@ impl CuldaTrainer {
     /// payload, if any.
     fn sync_phi_nodes(
         &mut self,
-        reports: &[PlanReport],
+        reports: &[IterationReport],
         rebalanced: bool,
         t0: f64,
         iteration: u32,
@@ -1483,10 +1482,10 @@ mod tests {
         let part = &t.part;
         let cfgr = &t.cfg;
         let host_link = t.host_link;
-        let plan = IterationPlan::resident(cfgr.num_topics);
         let reports = run_workers(&mut t.workers, |_, w| {
             seen.lock().unwrap().push(std::thread::current().id());
-            w.run_iteration(part, cfgr, plan, 0, &host_link, false)
+            w.try_run_iteration(part, cfgr, false, 0, &host_link, false)
+                .unwrap()
         });
         assert_eq!(reports.len(), 4);
         let ids = seen.into_inner().unwrap();

@@ -18,12 +18,14 @@
 //! Now scan step `j` touches exactly one coalesced segment for the whole
 //! warp ([`coalesced_bytes`](culda_gpusim::coalesced_bytes); proven per step by
 //! [`distinct_segments`](culda_gpusim::distinct_segments) in this module's
-//! tests), and the running totals travel between lanes through `shfl_xor`
-//! butterfly exchanges ([`culda_gpusim::warp::shfl_xor`]) instead of
-//! memory. The subsequent lower-bound search runs over the transposed
-//! partials held in registers — `⌈log₂ kd⌉ + 1` shuffle-compare steps, no
-//! memory traffic — with at most one coalesced segment read to resolve the
-//! final 32-wide window when the distribution exceeds one register tile.
+//! tests), and the running totals travel between lanes through
+//! `__shfl_xor_sync` butterfly exchanges instead of memory. Those
+//! exchanges are modelled, not called: [`butterfly_p1_cost`] charges one
+//! per scan step. The subsequent lower-bound search runs over the
+//! transposed partials held in registers — `⌈log₂ kd⌉ + 1`
+//! shuffle-compare steps, no memory traffic — with at most one coalesced
+//! segment read to resolve the final 32-wide window when the distribution
+//! exceeds one register tile.
 //!
 //! **Bit-identity.** The butterfly changes *where bytes live*, never what
 //! is computed: [`ButterflyBatch::set_lane`] accumulates the f32 prefix in

@@ -145,11 +145,6 @@ impl DenseCgs {
             assert_eq!(row_sum, doc.len() as u64, "doc {di} row sum");
         }
     }
-
-    /// Read access for tests: θ row of document `d`.
-    pub fn theta_row(&self, d: usize) -> &[u32] {
-        &self.theta[d * self.num_topics..(d + 1) * self.num_topics]
-    }
 }
 
 #[cfg(test)]

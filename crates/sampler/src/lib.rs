@@ -25,10 +25,14 @@
 //! * [`kernel_theta`] / [`kernel_phi`] — the Section 6.2 update kernels.
 //! * [`delta`] — [`PhiDelta`], the touched-row tracker feeding sparse Δϕ
 //!   synchronization (the ϕ kernel marks one row per block).
-//! * [`plan`] — [`KernelSet`]/[`IterationPlan`]: one GPU's iteration body
-//!   (sample → ϕ → θ, resident or pipelined) submitted as a unit.
 //! * [`dense`] — the textbook O(K) CGS used as correctness oracle/baseline.
 //! * [`validate`] — cross-kernel count-conservation checks.
+//!
+//! Each kernel's `try_run_*_kernel` entry point launches through
+//! `Device::try_launch_spec_with`. The trainer's per-GPU iteration body,
+//! `culda_multigpu::GpuWorker::try_run_iteration`, calls them directly in
+//! Algorithm 1's order: sample, clear and rebuild ϕ, then rebuild θ,
+//! resident or streamed.
 
 #![warn(missing_docs)]
 
@@ -45,7 +49,6 @@ pub mod kernel_sample;
 pub mod kernel_theta;
 pub mod mode;
 pub mod model;
-pub mod plan;
 pub mod ptree;
 pub mod spq;
 pub mod validate;
@@ -79,5 +82,4 @@ pub use mode::{parse_mode, DrawMode, ModeParseError};
 pub use model::{
     accumulate_phi_host, build_theta_host, ChunkState, LdaModel, PhiModel, MAX_TOPICS,
 };
-pub use plan::{ChunkTask, IterationPlan, KernelSet, PlanReport};
 pub use ptree::{depth_for, linear_search, IndexTree, DEFAULT_FANOUT};

@@ -349,11 +349,6 @@ impl InferenceEngine {
         &self.model
     }
 
-    /// A shared handle to the frozen model (what the registry published).
-    pub fn model_arc(&self) -> Arc<FrozenModel> {
-        Arc::clone(&self.model)
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
@@ -600,11 +595,6 @@ impl InferenceEngine {
             sim_seconds,
             device_seconds,
         })
-    }
-
-    /// Per-micro-batch simulated latency across every batch served so far.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency
     }
 
     /// `(p50, p95, p99)` micro-batch latency in seconds, or `None` before

@@ -136,6 +136,24 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --score-every 0 --platform pascal --gpus 2 --resume "$smoke/w.state"
 cmp "$word_clean" "$smoke/wr.phi"
 
+echo "==> permanent GPU loss smoke tests (both policies)"
+# GPU 1 fails every launch from iteration 1 on: after its retries it is
+# declared lost, its chunk migrates to GPU 0 and re-runs there through the
+# rebalance path. The model must equal its policy's clean model from the
+# matrix above.
+for policy in doc word; do
+    case "$policy" in
+        doc) clean="$smoke/doc-sync-mode-8-dense-tree.phi" ;;
+        word) clean="$word_clean" ;;
+    esac
+    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+        --vocab "$smoke/c.v" --model "$smoke/lost-$policy.phi" --topics 8 \
+        --iters 3 --score-every 0 --platform pascal --gpus 2 --policy "$policy" \
+        --fault-plan launch:1:1:permanent | tee "$smoke/lost-$policy.log"
+    grep -q '1 worker(s) lost, 1 chunk(s) migrated' "$smoke/lost-$policy.log"
+    cmp "$clean" "$smoke/lost-$policy.phi"
+done
+
 echo "==> multi-node smoke test"
 # A 2-node cluster run must train the bit-identical model to the 1-node
 # run of the same configuration (the dense-tree model from above).

@@ -7,7 +7,6 @@ use culda::baselines::AliasTable;
 use culda::corpus::{
     partition_by_tokens, Corpus, CsrMatrix, Document, SortedChunk, Vocab, Xoshiro256,
 };
-use culda::gpusim::warp;
 use culda::gpusim::{Device, GpuSpec};
 use culda::sampler::kernel_infer::{CACHE_CELLS, SCORE_LANES};
 use culda::sampler::ptree::{
@@ -561,40 +560,6 @@ fn csr_dense_round_trip() {
         for (r, want) in rows.iter().enumerate() {
             assert_eq!(&m.row_to_dense(r), want);
         }
-    }
-}
-
-#[test]
-fn warp_scan_matches_serial() {
-    let mut g = cases(8);
-    for _ in 0..128 {
-        let n = 1 + g.next_below(32) as usize;
-        let lanes: Vec<f32> = (0..n).map(|_| g.next_f32() * 200.0 - 100.0).collect();
-        let mut scanned = lanes.clone();
-        let total = warp::inclusive_scan_f32(&mut scanned);
-        let mut acc = 0.0f32;
-        for (i, &x) in lanes.iter().enumerate() {
-            acc += x;
-            // Hillis–Steele adds in a different order than serial; allow
-            // f32 reassociation slack.
-            assert!((scanned[i] - acc).abs() <= 1e-3 * acc.abs().max(1.0));
-        }
-        assert!((total - scanned[n - 1]).abs() < 1e-6);
-    }
-}
-
-#[test]
-fn warp_ballot_round_trips() {
-    let mut g = cases(9);
-    for _ in 0..128 {
-        let n = 1 + g.next_below(32) as usize;
-        let bits: Vec<bool> = (0..n).map(|_| g.next_u64() & 1 == 1).collect();
-        let mask = warp::ballot(&bits);
-        for (i, &b) in bits.iter().enumerate() {
-            assert_eq!(mask & (1 << i) != 0, b);
-        }
-        let first_true = bits.iter().position(|&b| b);
-        assert_eq!(warp::first_set_lane(mask), first_true);
     }
 }
 
