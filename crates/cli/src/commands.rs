@@ -125,10 +125,11 @@ from the same cost model the delta sync uses. Like sync modes, every
 sampling mode draws identical topics — checkpoints are byte-identical
 and only the modelled sampling time changes.
 `--draw-mode` picks how each sampler turns its per-token p1 prefix into
-a topic (default tree, the paper's private index-tree walk): `butterfly`
-interleaves the warp's 32 distributions Steele–Tristan style so every
-scan step is one coalesced 128-byte segment instead of 32 strided
-sectors, and `auto` chooses per block — the tree while the per-sampler
+a topic (default tree, the paper's index-tree walk, one warp per
+sampler): `butterfly` interleaves 32 samplers' distributions
+Steele–Tristan style so every scan step is one coalesced 128-byte
+segment and the search reads one segment where the tree reads one per
+level, and `auto` chooses per block — the tree while the per-sampler
 scratch fits in shared memory, the butterfly once it would spill to
 DRAM. Same contract again: every draw mode samples bit-identical topics
 and only the modelled memory traffic changes.

@@ -15,25 +15,11 @@ use crate::platform::GpuSpec;
 /// lanes of a warp touch consecutive addresses.
 pub const COALESCE_SEGMENT_BYTES: usize = 128;
 
-/// The minimum DRAM transaction granularity: a 32-byte sector. A warp whose
-/// lanes scatter across the address space pays one full sector per lane
-/// even for a 4-byte load — the 8× bandwidth waste the butterfly layout
-/// exists to eliminate.
-pub const DRAM_SECTOR_BYTES: usize = 32;
-
 /// DRAM bytes for `steps` fully-coalesced warp-wide accesses: each step is
 /// one [`COALESCE_SEGMENT_BYTES`] transaction regardless of how many of the
 /// 32 lanes participate.
 pub fn coalesced_bytes(steps: usize) -> usize {
     steps * COALESCE_SEGMENT_BYTES
-}
-
-/// DRAM bytes for `touches` isolated (uncoalesced) element accesses: each
-/// touch lands in its own [`DRAM_SECTOR_BYTES`] sector. This is the honest
-/// charge for per-sampler private walks over strided scratch — adjacent
-/// lanes read unrelated addresses, so no transaction is shared.
-pub fn strided_bytes(touches: usize) -> usize {
-    touches * DRAM_SECTOR_BYTES
 }
 
 /// Accumulated resource usage of one kernel execution.
@@ -240,12 +226,9 @@ mod tests {
     }
 
     #[test]
-    fn coalesced_vs_strided_accounting() {
+    fn coalesced_accounting() {
         // A full warp reading 32 consecutive f32s: one 128-byte segment.
         assert_eq!(coalesced_bytes(1), 128);
         assert_eq!(coalesced_bytes(4), 512);
-        // The same 32 elements scattered: one 32-byte sector each — 8×.
-        assert_eq!(strided_bytes(32), 1024);
-        assert_eq!(strided_bytes(32) / coalesced_bytes(1), 8);
     }
 }

@@ -59,9 +59,7 @@ pub mod warp;
 
 pub use cache::{AscendingCache, CacheConfig, CacheSim};
 pub use clock::SimClock;
-pub use cost::{
-    coalesced_bytes, strided_bytes, KernelCost, COALESCE_SEGMENT_BYTES, DRAM_SECTOR_BYTES,
-};
+pub use cost::{coalesced_bytes, KernelCost, COALESCE_SEGMENT_BYTES};
 pub use device::Device;
 pub use error::SimFault;
 pub use fault::{FaultKind, FaultPlan, FaultSpec};

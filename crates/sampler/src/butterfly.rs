@@ -1,13 +1,9 @@
 //! Butterfly-patterned partial sums — the Steele–Tristan warp draw.
 //!
-//! The classic `p1` draw gives every sampler a *private* prefix-sum array:
-//! sampler `s` writes `prefix_s[0..kd]` and walks it. Private arrays are
-//! poison for a GPU memory system once they spill off-chip: at every step
-//! the 32 samplers of a warp touch addresses `max_kd · 4` bytes apart, so
-//! each 4-byte access pays a full 32-byte DRAM sector — an 8× bandwidth
-//! waste ([`strided_bytes`](culda_gpusim::strided_bytes)).
-//!
-//! Steele & Tristan's fix (PAPERS.md, "Butterfly-Patterned Partial Sums")
+//! Steele & Tristan (PAPERS.md, "Butterfly-Patterned Partial Sums") solve
+//! the case where each lane of a warp draws from a distribution of its
+//! own: with lane-private prefix arrays, the 32 lanes' element `j` sit
+//! `kd · 4` bytes apart, so no memory transaction is shared. Their fix
 //! is a *layout transpose*: interleave the 32 distributions so element `j`
 //! of every sampler sits in one contiguous 128-byte segment
 //!
@@ -27,6 +23,13 @@
 //! segment read to resolve the final 32-wide window when the distribution
 //! exceeds one register tile.
 //!
+//! CuLDA's classic `p1` draw is not that case. A sampler is one warp
+//! (DESIGN §1): its lanes write the token's `kd` leaf prefixes side by
+//! side and scan each level of the fanout-32 tree as one segment
+//! ([`tree_p1_cost`]). Once the per-sampler scratch spills, both layouts
+//! write the same `4 · kd` bytes; the butterfly reads one segment where
+//! the tree reads one per level.
+//!
 //! **Bit-identity.** The butterfly changes *where bytes live*, never what
 //! is computed: [`ButterflyBatch::set_lane`] accumulates the f32 prefix in
 //! the same serial order as
@@ -41,7 +44,7 @@
 use crate::blockmap::SAMPLERS_PER_BLOCK;
 use crate::ptree::{depth_for, DEFAULT_FANOUT};
 use culda_gpusim::warp::WARP_SIZE;
-use culda_gpusim::{COALESCE_SEGMENT_BYTES, DRAM_SECTOR_BYTES};
+use culda_gpusim::{coalesced_bytes, COALESCE_SEGMENT_BYTES};
 
 /// Elements of one distribution a lane can keep entirely in registers
 /// (one 32-slot register tile per lane; a draw over ≤ 32 outcomes never
@@ -206,35 +209,24 @@ impl DrawCost {
 ///
 /// On-chip (`on_chip`, i.e. the [`p1_scratch_floats`] budget fits after
 /// the block-shared structures): the walk is served from shared memory —
-/// the charging the kernel has always used. Spilled: the private strided
-/// layout pays one 32-byte sector per touched element, writes included —
-/// rebuilding the prefix writes `kd` strided elements and the walk reads
-/// `sh_touch + leaf_touch` more ([`strided_bytes`](culda_gpusim::strided_bytes)
-/// semantics).
+/// the charging the kernel has always used. Spilled: the sampler is one
+/// warp, so it writes its `kd` leaves as coalesced 4-byte lanes and scans
+/// each tree level as one 128-byte segment
+/// ([`coalesced_bytes`](culda_gpusim::coalesced_bytes) per level),
+/// whichever entries of a node the walk touches.
 pub fn tree_p1_cost(kd: usize, sh_touch: usize, leaf_touch: usize, on_chip: bool) -> DrawCost {
-    let walk = (sh_touch + leaf_touch) * 4;
     if on_chip {
         DrawCost {
-            shared: walk,
+            shared: (sh_touch + leaf_touch) * 4,
             ..DrawCost::default()
         }
     } else {
         DrawCost {
-            dram_write: kd * DRAM_SECTOR_BYTES,
-            dram_read: (sh_touch + leaf_touch) * DRAM_SECTOR_BYTES,
+            dram_write: kd * 4,
+            dram_read: coalesced_bytes(depth_for(kd, DEFAULT_FANOUT)),
             ..DrawCost::default()
         }
     }
-}
-
-/// Worst-case [`tree_p1_cost`] for a draw over `kd` weights (every node
-/// scan running to its full fanout) — what `DrawMode::Auto` compares
-/// before the walk has happened.
-pub fn tree_p1_cost_bound(kd: usize, on_chip: bool) -> DrawCost {
-    let depth = depth_for(kd, DEFAULT_FANOUT);
-    let leaf = kd.min(DEFAULT_FANOUT);
-    let upper = (depth - 1) * DEFAULT_FANOUT;
-    tree_p1_cost(kd, upper, leaf, on_chip)
 }
 
 /// Cost of one butterfly `p1` draw over `kd` weights.
@@ -379,8 +371,7 @@ mod tests {
     #[test]
     fn every_scan_step_is_one_coalesced_segment() {
         // The layout proof: at each scan step the 32 lanes' slots form
-        // exactly one 128-byte segment — while the private layout the tree
-        // path uses would scatter the same 32 accesses across 32 sectors.
+        // exactly one 128-byte segment.
         let mut batch = ButterflyBatch::new();
         let kd = 100;
         for lane in 0..WARP_SIZE {
@@ -394,13 +385,6 @@ mod tests {
                 "step {step} not coalesced"
             );
         }
-        // The private strided layout: lane l's element j at (l*kd + j)*4.
-        let private: Vec<u64> = (0..WARP_SIZE).map(|l| (l * kd * 4) as u64).collect();
-        assert_eq!(
-            distinct_segments(&private, DRAM_SECTOR_BYTES),
-            WARP_SIZE,
-            "private layout must scatter one sector per lane"
-        );
     }
 
     #[test]
@@ -417,21 +401,19 @@ mod tests {
     }
 
     #[test]
-    fn spilled_butterfly_moves_fewer_dram_bytes_than_spilled_tree() {
-        // The whole point: once the per-sampler scratch no longer fits
-        // on-chip, the interleaved layout's coalesced segments beat the
-        // private layout's sector-per-touch by ~8×.
-        for kd in [33usize, 64, 150, 500, 1000, 4000] {
-            let tree = tree_p1_cost_bound(kd, false);
+    fn spilled_tree_reads_one_segment_per_level_more_than_the_butterfly() {
+        // Spilled, a warp writes the same kd coalesced leaves in either
+        // layout; the tree scans one segment per level where the butterfly
+        // resolves one window. The touch counts do not change the charge.
+        for kd in [33usize, 64, 150, 500, 1000, 1025, 4000] {
             let bfly = butterfly_p1_cost(kd, false);
-            assert!(
-                bfly.dram_bytes() < tree.dram_bytes(),
-                "kd = {kd}: butterfly {} vs tree {}",
-                bfly.dram_bytes(),
-                tree.dram_bytes()
-            );
-            // The win is the sector/segment ratio, up to the walk reads.
-            assert!(tree.dram_bytes() >= 4 * bfly.dram_bytes(), "kd = {kd}");
+            let extra = (depth_for(kd, DEFAULT_FANOUT) - 1) * COALESCE_SEGMENT_BYTES;
+            for (sh, leaf) in [(0, 1), (32, 32), (64, 17)] {
+                let tree = tree_p1_cost(kd, sh, leaf, false);
+                assert_eq!(tree.dram_write, bfly.dram_write, "kd = {kd}");
+                assert_eq!(tree.dram_read, bfly.dram_read + extra, "kd = {kd}");
+                assert_eq!(tree.shared, 0);
+            }
         }
     }
 
@@ -462,7 +444,9 @@ mod tests {
             let mut prev_t = 0usize;
             let mut prev_b = 0usize;
             for kd in [1usize, 8, 32, 33, 64, 256, 1024, 4096] {
-                let t = tree_p1_cost_bound(kd, on_chip);
+                // The walk of a full-fanout scan at every level.
+                let upper = (depth_for(kd, DEFAULT_FANOUT) - 1) * DEFAULT_FANOUT;
+                let t = tree_p1_cost(kd, upper, kd.min(DEFAULT_FANOUT), on_chip);
                 let b = butterfly_p1_cost(kd, on_chip);
                 let tb = t.dram_bytes() + t.shared;
                 let bb = b.dram_bytes() + b.shared;

@@ -486,9 +486,9 @@ pub fn try_run_sampling_kernel(
                 }
                 if took_p1 {
                     // `p1` draw traffic by engine: the tree walk served
-                    // on-chip (or strided sector-per-touch DRAM when the
-                    // per-sampler scratch spills), vs the butterfly's
-                    // coalesced interleaved scan.
+                    // on-chip (or, when the per-sampler scratch spills, the
+                    // warp's coalesced leaf writes and one segment per
+                    // level), vs the butterfly's coalesced interleaved scan.
                     let dc = match draw {
                         DrawMode::Butterfly => butterfly_p1_cost(kd, p1_on_chip),
                         _ => tree_p1_cost(kd, sh_touch, leaf_touch, p1_on_chip),
@@ -815,7 +815,7 @@ mod tests {
     /// The spill-regime setup behind the draw-mode tests: K = 4096 keeps
     /// `p*` + tree on-chip (~34 KiB of 48) but the docs are long enough
     /// (avg ~150 distinct topics) that the per-sampler `p1` scratch cannot
-    /// also fit — the regime where the tree path pays strided DRAM.
+    /// also fit — the regime where the tree path pays DRAM.
     fn spill_setup() -> (SortedChunk, ChunkState, PhiModel) {
         let corpus = {
             let mut spec = SynthSpec::tiny();

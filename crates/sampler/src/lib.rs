@@ -55,8 +55,8 @@ pub mod validate;
 
 pub use blockmap::{auto_tokens_per_block, build_block_map, BlockWork, SAMPLERS_PER_BLOCK};
 pub use butterfly::{
-    butterfly_p1_cost, p1_scratch_floats, search_steps, tree_p1_cost, tree_p1_cost_bound,
-    ButterflyBatch, DrawCost, BUTTERFLY_TILE,
+    butterfly_p1_cost, p1_scratch_floats, search_steps, tree_p1_cost, ButterflyBatch, DrawCost,
+    BUTTERFLY_TILE,
 };
 pub use checkpoint::{load_phi, save_phi};
 pub use count::{

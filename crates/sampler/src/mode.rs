@@ -82,11 +82,12 @@ pub fn parse_mode<T: Copy>(
 pub enum DrawMode {
     /// Resolve per block from the shared-memory budget: the tree walk when
     /// the per-sampler `p1` scratch fits on-chip, the butterfly when it
-    /// would spill to strided DRAM.
+    /// would spill to DRAM.
     Auto,
-    /// The classic path: each sampler rebuilds a private Figure-5 index
+    /// The classic path: each sampler (one warp) rebuilds a Figure-5 index
     /// tree over its token's `p1` weights and walks it. On-chip when the
-    /// scratch fits; strided (sector-per-touch) DRAM when it spills.
+    /// scratch fits; when it spills, the warp writes its leaves coalesced
+    /// and reads one 128-byte DRAM segment per tree level.
     Tree,
     /// Steele–Tristan butterfly-patterned partial sums: the 32 samplers'
     /// prefixes interleave so every scan step is one coalesced 128-byte

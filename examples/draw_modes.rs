@@ -4,9 +4,9 @@
 //! All three draw the bit-identical topics (the example asserts the
 //! final log-likelihoods are bit-equal); what changes is how the 32
 //! samplers of a block lay out their prefix sums, and therefore how
-//! many DRAM bytes the `lda_sample` kernel moves. The butterfly layout
-//! interleaves the lanes so every warp-cooperative binary-search step
-//! probes one coalesced 128-byte segment instead of 32 strided sectors.
+//! many DRAM bytes the `lda_sample` kernel moves. Both layouts write a
+//! token's leaves coalesced; the tree walk then reads one 128-byte
+//! segment per level, the butterfly one segment for the final window.
 //!
 //! ```sh
 //! cargo run --release --example draw_modes
