@@ -536,10 +536,10 @@ const SAMPLE_PINS: &[&str] = &[
     "repeats/tree/shared=1/l1=1/sparse=1 234516 5808 1257764 320648 0 47 0x3ee05597f653ab08",
     "repeats/tree/shared=1/l1=0/sparse=0 657240 5808 634812 322812 0 47 0x3ee33e83c8e9962a",
     "repeats/tree/shared=1/l1=0/sparse=1 645900 5808 630188 320648 0 47 0x3ee32a881194d585",
-    "repeats/tree/shared=0/l1=1/sparse=0 1477212 1816400 627576 322812 0 47 0x3ef2ad09afe73b03",
-    "repeats/tree/shared=0/l1=1/sparse=1 1465872 1812368 627576 320648 0 47 0x3ef29f7e5e4feba4",
-    "repeats/tree/shared=0/l1=0/sparse=0 1888596 1816400 0 322812 0 47 0x3ef41781bd87d042",
-    "repeats/tree/shared=0/l1=0/sparse=1 1877256 1812368 0 320648 0 47 0x3ef409f66bf080e3",
+    "repeats/tree/shared=0/l1=1/sparse=0 1087132 242660 627576 322812 0 47 0x3ee7d5723d665d65",
+    "repeats/tree/shared=0/l1=1/sparse=1 1075792 238628 627576 320648 0 47 0x3ee7ba5b9a37bea8",
+    "repeats/tree/shared=0/l1=0/sparse=0 1498516 242660 0 322812 0 47 0x3eeaaa6258a787e2",
+    "repeats/tree/shared=0/l1=0/sparse=1 1487176 238628 0 320648 0 47 0x3eea8f4bb578e924",
     "repeats/butterfly/shared=1/l1=1/sparse=0 245856 5808 1471296 388999 0 47 0x3ee06993ada86bad",
     "repeats/butterfly/shared=1/l1=1/sparse=1 234516 5808 1466672 386835 0 47 0x3ee05597f653ab08",
     "repeats/butterfly/shared=1/l1=0/sparse=0 657240 5808 843720 388999 0 47 0x3ee33e83c8e9962a",
@@ -557,14 +557,14 @@ const SAMPLE_PINS: &[&str] = &[
     "repeats/auto/shared=0/l1=0/sparse=0 1306900 187460 0 388999 0 47 0x3ee8f77260ea5a28",
     "repeats/auto/shared=0/l1=0/sparse=1 1295560 183428 0 386835 0 47 0x3ee8dc5bbdbbbb6a",
     "repeats/z 0x68e2bae03077b4da",
-    "long_rows/tree/shared=1/l1=1/sparse=0 50886044 216643646 71789500 21678444 0 263 0x3f4861181590beb1",
-    "long_rows/tree/shared=1/l1=1/sparse=1 49341904 216643646 70761508 21180832 0 263 0x3f483d690e3b16d9",
-    "long_rows/tree/shared=1/l1=0/sparse=0 51440116 216643646 30048484 21678444 0 263 0x3f486de5efe0a822",
-    "long_rows/tree/shared=1/l1=0/sparse=1 49895976 216643646 29020492 21180832 0 263 0x3f484a36e88b004b",
-    "long_rows/tree/shared=0/l1=1/sparse=0 78746368 217720894 41741016 21678444 0 263 0x3f4afdd0d1a3a5a2",
-    "long_rows/tree/shared=0/l1=1/sparse=1 77202228 216727718 41741016 21180832 0 263 0x3f4ac32e3a4832d4",
-    "long_rows/tree/shared=0/l1=0/sparse=0 79300440 217720894 0 21678444 0 263 0x3f4b0a9eabf38f13",
-    "long_rows/tree/shared=0/l1=0/sparse=1 77756300 216727718 0 21180832 0 263 0x3f4acffc14981c45",
+    "long_rows/tree/shared=1/l1=1/sparse=0 45013052 27095770 71789500 21678444 0 263 0x3f2af45d5b2d0193",
+    "long_rows/tree/shared=1/l1=1/sparse=1 43468912 27095770 70761508 21180832 0 263 0x3f2a65a13dd66234",
+    "long_rows/tree/shared=1/l1=0/sparse=0 45567124 27095770 30048484 21678444 0 263 0x3f2b2794c46ca758",
+    "long_rows/tree/shared=1/l1=0/sparse=1 44022984 27095770 29020492 21180832 0 263 0x3f2a98d8a71607f8",
+    "long_rows/tree/shared=0/l1=1/sparse=0 72873376 28173018 41741016 21678444 0 263 0x3f32b3a025bc4eab",
+    "long_rows/tree/shared=0/l1=1/sparse=1 71329236 27179842 41741016 21180832 0 263 0x3f323e5af7056910",
+    "long_rows/tree/shared=0/l1=0/sparse=0 73427448 28173018 0 21678444 0 263 0x3f32cd3bda5c218d",
+    "long_rows/tree/shared=0/l1=0/sparse=1 71883308 27179842 0 21180832 0 263 0x3f3257f6aba53bf2",
     "long_rows/butterfly/shared=1/l1=1/sparse=0 43925436 27095770 71789500 28541478 0 263 0x3f2a8fd44d905dc5",
     "long_rows/butterfly/shared=1/l1=1/sparse=1 42381296 27095770 70761508 28043866 0 263 0x3f2a01183039be65",
     "long_rows/butterfly/shared=1/l1=0/sparse=0 44479508 27095770 30048484 28541478 0 263 0x3f2ac30bb6d00389",
@@ -586,10 +586,10 @@ const SAMPLE_PINS: &[&str] = &[
     "empty_s/tree/shared=1/l1=1/sparse=1 240276 5808 1255540 320420 0 61 0x3ee01a0ced1944ca",
     "empty_s/tree/shared=1/l1=0/sparse=0 656784 5808 638420 322584 0 61 0x3ee2820f1019f4dc",
     "empty_s/tree/shared=1/l1=0/sparse=1 645444 5808 633796 320420 0 61 0x3ee2714983f2d32d",
-    "empty_s/tree/shared=0/l1=1/sparse=0 1472916 1807888 621744 322584 0 61 0x3ef0d12cdc69df9b",
-    "empty_s/tree/shared=0/l1=1/sparse=1 1461576 1803856 621744 320420 0 61 0x3ef0c5ceca38986b",
-    "empty_s/tree/shared=0/l1=0/sparse=0 1878084 1807888 0 322584 0 61 0x3ef1fccb27d6a6cc",
-    "empty_s/tree/shared=0/l1=0/sparse=1 1866744 1803856 0 320420 0 61 0x3ef1f16d15a55f9c",
+    "empty_s/tree/shared=0/l1=1/sparse=0 1088340 244732 621744 322584 0 61 0x3ee661b000f4a9ec",
+    "empty_s/tree/shared=0/l1=1/sparse=1 1077000 240700 621744 320420 0 61 0x3ee64af3dc921b8d",
+    "empty_s/tree/shared=0/l1=0/sparse=0 1493508 244732 0 322584 0 61 0x3ee8b8ec97ce384e",
+    "empty_s/tree/shared=0/l1=0/sparse=1 1482168 240700 0 320420 0 61 0x3ee8a230736ba9f0",
     "empty_s/butterfly/shared=1/l1=1/sparse=0 251616 5808 1469984 388309 0 61 0x3ee02ad279406679",
     "empty_s/butterfly/shared=1/l1=1/sparse=1 240276 5808 1465360 386145 0 61 0x3ee01a0ced1944ca",
     "empty_s/butterfly/shared=1/l1=0/sparse=0 656784 5808 848240 388309 0 61 0x3ee2820f1019f4dc",
@@ -607,14 +607,14 @@ const SAMPLE_PINS: &[&str] = &[
     "empty_s/auto/shared=0/l1=0/sparse=0 1303684 191044 0 388309 0 61 0x3ee750c626a8c66c",
     "empty_s/auto/shared=0/l1=0/sparse=1 1292344 187012 0 386145 0 61 0x3ee73a0a0246380c",
     "empty_s/z 0xee02cda9b9d670b7",
-    "k4096/tree/shared=1/l1=1/sparse=0 2041776 1307544 2726526 943317 0 62 0x3ef103d79d69e312",
-    "k4096/tree/shared=1/l1=1/sparse=1 530580 1307544 1714042 450438 0 62 0x3ee94ca6a4cd5161",
-    "k4096/tree/shared=1/l1=0/sparse=0 2281178 1307544 2363604 943317 0 62 0x3ef1b4e0c5bb4655",
-    "k4096/tree/shared=1/l1=0/sparse=1 769982 1307544 1351120 450438 0 62 0x3eeaaeb8f57017e8",
-    "k4096/tree/shared=0/l1=1/sparse=0 2382552 2448920 362922 943317 0 62 0x3ef54be197b07bb5",
-    "k4096/tree/shared=0/l1=1/sparse=1 871356 1469668 362922 450438 0 62 0x3eec346e7e82311c",
-    "k4096/tree/shared=0/l1=0/sparse=0 2621954 2448920 0 943317 0 62 0x3ef5fceac001def9",
-    "k4096/tree/shared=0/l1=0/sparse=1 1110758 1469668 0 450438 0 62 0x3eed9680cf24f7a2",
+    "k4096/tree/shared=1/l1=1/sparse=0 1832432 165620 2726526 943317 0 62 0x3eea392e894363de",
+    "k4096/tree/shared=1/l1=1/sparse=1 321236 165620 1714042 450438 0 62 0x3ee17e25f33cef1a",
+    "k4096/tree/shared=1/l1=0/sparse=0 2071834 165620 2363604 943317 0 62 0x3eeb9b40d9e62a64",
+    "k4096/tree/shared=1/l1=0/sparse=1 560638 165620 1351120 450438 0 62 0x3ee2e03843dfb5a1",
+    "k4096/tree/shared=0/l1=1/sparse=0 2148024 1197124 362922 943317 0 62 0x3ef100c1d06eb2d7",
+    "k4096/tree/shared=0/l1=1/sparse=1 636828 217872 362922 450438 0 62 0x3ee39e2eeffe9f60",
+    "k4096/tree/shared=0/l1=0/sparse=0 2387426 1197124 0 943317 0 62 0x3ef1b1caf8c0161a",
+    "k4096/tree/shared=0/l1=0/sparse=1 876230 217872 0 450438 0 62 0x3ee5004140a165e6",
     "k4096/butterfly/shared=1/l1=1/sparse=0 1733232 150472 2741122 994258 0 62 0x3ee9901021467bc2",
     "k4096/butterfly/shared=1/l1=1/sparse=1 222036 150472 1728638 501379 0 62 0x3ee0d5078b4006fe",
     "k4096/butterfly/shared=1/l1=0/sparse=0 1972634 150472 2378200 994258 0 62 0x3eeaf22271e94248",
@@ -632,14 +632,14 @@ const SAMPLE_PINS: &[&str] = &[
     "k4096/auto/shared=0/l1=0/sparse=0 2274658 1178104 0 994258 0 62 0x3ef150563469c022",
     "k4096/auto/shared=0/l1=0/sparse=1 763462 198852 0 501379 0 62 0x3ee43d57b7f4b9f5",
     "k4096/z 0x37823b69a7891b84",
-    "k10000/tree/shared=1/l1=1/sparse=0 3627840 2679372 129936 1684968 0 54 0x3efa3bec94cd55da",
-    "k10000/tree/shared=1/l1=1/sparse=1 397072 546204 129936 615968 0 54 0x3ee454db121d9b77",
-    "k10000/tree/shared=1/l1=0/sparse=0 3703120 2679372 0 1684968 0 54 0x3efa75a7a6a34766",
-    "k10000/tree/shared=1/l1=0/sparse=1 472352 546204 0 615968 0 54 0x3ee4c85135c97e8f",
-    "k10000/tree/shared=0/l1=1/sparse=0 3627840 2679372 129936 1684968 0 54 0x3efa3bec94cd55da",
-    "k10000/tree/shared=0/l1=1/sparse=1 397072 546204 129936 615968 0 54 0x3ee454db121d9b77",
-    "k10000/tree/shared=0/l1=0/sparse=0 3703120 2679372 0 1684968 0 54 0x3efa75a7a6a34766",
-    "k10000/tree/shared=0/l1=0/sparse=1 472352 546204 0 615968 0 54 0x3ee4c85135c97e8f",
+    "k10000/tree/shared=1/l1=1/sparse=0 3499040 2226080 129936 1684968 0 54 0x3ef87d87818b8319",
+    "k10000/tree/shared=1/l1=1/sparse=1 268272 92912 129936 615968 0 54 0x3ee0d810eb99f5f6",
+    "k10000/tree/shared=1/l1=0/sparse=0 3574320 2226080 0 1684968 0 54 0x3ef8b742936174a5",
+    "k10000/tree/shared=1/l1=0/sparse=1 343552 92912 0 615968 0 54 0x3ee14b870f45d90d",
+    "k10000/tree/shared=0/l1=1/sparse=0 3499040 2226080 129936 1684968 0 54 0x3ef87d87818b8319",
+    "k10000/tree/shared=0/l1=1/sparse=1 268272 92912 129936 615968 0 54 0x3ee0d810eb99f5f6",
+    "k10000/tree/shared=0/l1=0/sparse=0 3574320 2226080 0 1684968 0 54 0x3ef8b742936174a5",
+    "k10000/tree/shared=0/l1=0/sparse=1 343552 92912 0 615968 0 54 0x3ee14b870f45d90d",
     "k10000/butterfly/shared=1/l1=1/sparse=0 3437856 2200272 129936 1704211 0 54 0x3ef83ad11ef6edda",
     "k10000/butterfly/shared=1/l1=1/sparse=1 207088 67104 129936 635211 0 54 0x3ee052a42670cb76",
     "k10000/butterfly/shared=1/l1=0/sparse=0 3513136 2200272 0 1704211 0 54 0x3ef8748c30ccdf65",
