@@ -59,7 +59,7 @@ fn main() {
         "\n{:<8} {:>14} {:>10} {:>10} {:>10}",
         "#GPUs", "tokens/sec", "speedup", "paper", "linear"
     );
-    let mut csv = String::from("gpus,tokens_per_sec,speedup,paper_speedup\n");
+    let mut csv = String::from("gpus,tokens_per_sec,speedup,paper_speedup,modelled_over_paper\n");
     let mut speedup_fig = Figure::new("Fig 9b — Scalability", "gpus", "speedup");
     let mut pts = Vec::new();
     for (i, (gpus, tps)) in scaling.iter().enumerate() {
@@ -70,7 +70,11 @@ fn main() {
             paper[i],
             *gpus as f64
         );
-        csv.push_str(&format!("{gpus},{tps},{s},{}\n", paper[i]));
+        csv.push_str(&format!(
+            "{gpus},{tps},{s},{},{:.3}\n",
+            paper[i],
+            s / paper[i]
+        ));
         pts.push((*gpus as f64, s));
     }
     speedup_fig.push(Series::new("CuLDA_CGS", pts.clone()));

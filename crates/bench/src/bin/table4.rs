@@ -55,7 +55,7 @@ fn main() {
         ("NYTimes", [173.6e6, 208.0e6, 633.0e6, 108.0e6]),
         ("PubMed", [155.6e6, 213.0e6, 686.2e6, 93.5e6]),
     ];
-    let mut csv = String::from("dataset,system,paper_tps,measured_tps\n");
+    let mut csv = String::from("dataset,system,paper_tps,measured_tps,modelled_over_paper\n");
     println!(
         "{:<10} {:>14} {:>14} {:>14} {:>14}",
         "Dataset", "Titan", "Pascal", "Volta", "WarpLDA"
@@ -92,7 +92,10 @@ fn main() {
             ("Volta", paper_row[2], volta),
             ("WarpLDA", paper_row[3], warp),
         ] {
-            csv.push_str(&format!("{name},{sys},{paper_v},{ours}\n"));
+            csv.push_str(&format!(
+                "{name},{sys},{paper_v},{ours},{:.3}\n",
+                ours / paper_v
+            ));
         }
         // Shape checks the paper's narrative depends on.
         let shape_ok = volta > pascal && pascal > titan && titan > 1.6 * warp;

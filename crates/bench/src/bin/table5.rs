@@ -37,7 +37,7 @@ fn main() {
         "{:<16} {:>8} {:>8} {:>8}    {:>8} {:>8} {:>8}",
         "Function", "Titan", "Pascal", "Volta", "(paper)", "", ""
     );
-    let mut csv = String::from("function,platform,paper_pct,measured_pct\n");
+    let mut csv = String::from("function,platform,paper_pct,measured_pct,modelled_over_paper\n");
     let phases = [Phase::Sampling, Phase::UpdateTheta, Phase::UpdatePhi];
     for ((name, paper_row), phase) in paper.into_iter().zip(phases) {
         print!("{name:<16}");
@@ -50,10 +50,11 @@ fn main() {
         }
         println!();
         for (i, plat) in ["Titan", "Pascal", "Volta"].iter().enumerate() {
+            let pct = 100.0 * measured[i].fraction(phase);
             csv.push_str(&format!(
-                "{name},{plat},{},{:.2}\n",
+                "{name},{plat},{},{pct:.2},{:.3}\n",
                 paper_row[i],
-                100.0 * measured[i].fraction(phase)
+                pct / paper_row[i]
             ));
         }
     }

@@ -75,12 +75,13 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes `content` to `results/<name>` and reports the path.
+/// Writes `content` to `results/<name>` and reports the path relative to
+/// the workspace root, so a captured log reads the same on every machine.
 pub fn write_result(name: &str, content: &str) {
     let path = results_dir().join(name);
     let mut f = std::fs::File::create(&path).expect("create result file");
     f.write_all(content.as_bytes()).expect("write result file");
-    println!("\nwrote {}", path.display());
+    println!("\nwrote results/{name}");
 }
 
 /// Standard experiment banner.

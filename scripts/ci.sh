@@ -229,6 +229,37 @@ echo "==> mode-grid gate (bench_modes against BENCH_modes.jsonl)"
 cargo run --release -q -p culda-bench --bin bench_modes > "$smoke/modes.jsonl"
 diff -u BENCH_modes.jsonl "$smoke/modes.jsonl"
 
+echo "==> paper shapes (table4, table5, fig9)"
+# Each paper harness prints the paper's shape check as HOLDS or VIOLATED;
+# each row names the harness, how many HOLDS lines it must print, and its
+# settings. table4 and table5 run at a cheap scale. fig9 runs at full
+# scale: its corpus is sized for the paper's compute-to-sync ratio, and a
+# smaller one bends the speed-ups below the paper's range. The harnesses
+# write into results/, which is put back as it was afterwards.
+cp -a results "$smoke/results"
+shapes_ok=1
+while read -r bin holds settings; do
+    log="$smoke/$bin.log"
+    # shellcheck disable=SC2086 # $settings is a list of VAR=value words
+    if ! env $settings cargo run --release -q -p culda-bench --bin "$bin" > "$log"; then
+        echo "$bin: run failed"
+        shapes_ok=0
+        continue
+    fi
+    grep -E 'HOLDS|VIOLATED' "$log" || true
+    if grep -q VIOLATED "$log" || [ "$(grep -c HOLDS "$log")" -lt "$holds" ]; then
+        echo "$bin: a paper shape check does not hold"
+        shapes_ok=0
+    fi
+done <<'SHAPES'
+table4 2 CULDA_ITERS=5 CULDA_SCALE=0.3
+table5 1 CULDA_ITERS=5 CULDA_SCALE=0.3
+fig9 1 CULDA_ITERS=5
+SHAPES
+rm -rf results
+mv "$smoke/results" results
+[ "$shapes_ok" -eq 1 ] || exit 1
+
 echo "==> cargo doc (warnings denied)"
 # Broken intra-doc links and bracketed text read as links fail here.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
