@@ -329,8 +329,9 @@ fn sampling(ny: &Corpus) -> Section {
 }
 
 /// p1 draw engines: modelled tokens/s and `lda_sample` DRAM bytes per
-/// `DrawMode`. K = 1024 keeps the p1 scratch on chip; K = 4096 spills
-/// it, the regime the butterfly layout exists for.
+/// `DrawMode`. At both K a block's p1 scratch spills once one of its
+/// documents holds enough topics (more than 158 at K = 1024), which is
+/// where the two layouts' charges differ.
 fn draw(ny: &Corpus) -> Section {
     const TOPIC_GRID: [usize; 2] = [1024, 4096];
     const ITERS: u32 = 6;
