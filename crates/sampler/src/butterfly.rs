@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Now scan step `j` touches exactly one coalesced segment for the whole
-//! warp ([`coalesced_bytes`](culda_gpusim::coalesced_bytes); proven per step by
+//! warp ([`coalesced_bytes`]; proven per step by
 //! [`distinct_segments`](culda_gpusim::distinct_segments) in this module's
 //! tests), and the running totals travel between lanes through
 //! `__shfl_xor_sync` butterfly exchanges instead of memory. Those
@@ -211,9 +211,8 @@ impl DrawCost {
 /// the block-shared structures): the walk is served from shared memory —
 /// the charging the kernel has always used. Spilled: the sampler is one
 /// warp, so it writes its `kd` leaves as coalesced 4-byte lanes and scans
-/// each tree level as one 128-byte segment
-/// ([`coalesced_bytes`](culda_gpusim::coalesced_bytes) per level),
-/// whichever entries of a node the walk touches.
+/// each tree level as one 128-byte segment ([`coalesced_bytes`] per
+/// level), whichever entries of a node the walk touches.
 pub fn tree_p1_cost(kd: usize, sh_touch: usize, leaf_touch: usize, on_chip: bool) -> DrawCost {
     if on_chip {
         DrawCost {
