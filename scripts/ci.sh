@@ -241,7 +241,8 @@ shapes_ok=1
 while read -r bin holds settings; do
     log="$smoke/$bin.log"
     # shellcheck disable=SC2086 # $settings is a list of VAR=value words
-    if ! env $settings cargo run --release -q -p culda-bench --bin "$bin" > "$log"; then
+    if ! env $settings cargo run --release -q -p culda-bench --bin "$bin" \
+        < /dev/null > "$log"; then
         echo "$bin: run failed"
         shapes_ok=0
         continue
