@@ -149,6 +149,12 @@ impl CsrMatrix {
         self.row_ptr[r + 1] - self.row_ptr[r]
     }
 
+    /// Largest stored value, zero for an empty matrix: one pass over the
+    /// non-zeros.
+    pub fn max_value(&self) -> u32 {
+        self.vals.iter().copied().max().unwrap_or(0)
+    }
+
     /// Value at `(r, c)`, zero if absent. Binary search over the row.
     pub fn get(&self, r: usize, c: usize) -> u32 {
         let (cols, vals) = self.row(r);
@@ -236,6 +242,8 @@ mod tests {
         assert_eq!(m.get(2, 3), 7);
         assert_eq!(m.row_nnz(1), 0);
         assert_eq!(m.row_sum(2), 12);
+        assert_eq!(m.max_value(), 7);
+        assert_eq!(CsrMatrix::zeros(2, 4).max_value(), 0);
     }
 
     #[test]

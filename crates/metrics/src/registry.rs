@@ -118,14 +118,27 @@ impl Histogram {
 
     /// Records one observation. Lock-free; safe from any thread.
     pub fn record(&self, v: f64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of `v` with one add per field — what `n`
+    /// calls to [`Histogram::record`] leave, exactly so when `v · n` and
+    /// the running sum are exact in f64 (integer observations, such as
+    /// tree depths).
+    pub fn record_n(&self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
         match Self::bucket_index(v) {
-            Some(i) => self.buckets[i].fetch_add(1, Ordering::Relaxed),
+            Some(i) => self.buckets[i].fetch_add(n, Ordering::Relaxed),
             // +inf counts as overflow; NaN and non-positive as underflow.
-            None if v >= (MIN_EXP as f64).exp2() => self.overflow.fetch_add(1, Ordering::Relaxed),
-            None => self.underflow.fetch_add(1, Ordering::Relaxed),
+            None if v >= (MIN_EXP as f64).exp2() => self.overflow.fetch_add(n, Ordering::Relaxed),
+            None => self.underflow.fetch_add(n, Ordering::Relaxed),
         };
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
         if v.is_finite() {
+            // `v · 1` is `v`: `record` adds what it always added.
+            let v = v * n as f64;
             let mut cur = self.sum_bits.load(Ordering::Relaxed);
             loop {
                 let next = (f64::from_bits(cur) + v).to_bits();
@@ -466,6 +479,33 @@ mod tests {
         assert_eq!(h.underflow(), 2);
         assert_eq!(h.overflow(), 1);
         assert_eq!(h.count(), 3);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        // Integer observations, as the sampler's depth tallies are, plus
+        // the under- and overflow edges and a zero count.
+        let once = Histogram::default();
+        let each = Histogram::default();
+        for (v, n) in [
+            (3.0, 5u64),
+            (1.0, 1),
+            (17.0, 1000),
+            (0.0, 4),
+            (1e30, 2),
+            (9.0, 0),
+        ] {
+            once.record_n(v, n);
+            for _ in 0..n {
+                each.record(v);
+            }
+        }
+        assert_eq!(once.nonzero_buckets(), each.nonzero_buckets());
+        assert_eq!(
+            (once.underflow(), once.overflow(), once.count()),
+            (each.underflow(), each.overflow(), each.count())
+        );
+        assert_eq!(once.sum().to_bits(), each.sum().to_bits());
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Butterfly-patterned partial sums — the Steele–Tristan warp draw.
+//! Butterfly-patterned partial sums — the Steele–Tristan warp draw, as a
+//! cost model.
 //!
 //! Steele & Tristan (PAPERS.md, "Butterfly-Patterned Partial Sums") solve
 //! the case where each lane of a warp draws from a distribution of its
@@ -30,16 +31,15 @@
 //! write the same `4 · kd` bytes; the butterfly reads one segment where
 //! the tree reads one per level.
 //!
-//! **Bit-identity.** The butterfly changes *where bytes live*, never what
-//! is computed: [`ButterflyBatch::set_lane`] accumulates the f32 prefix in
-//! the same serial order as
-//! [`IndexTree::rebuild`](crate::ptree::IndexTree::rebuild), and
-//! [`ButterflyBatch::select`] is the lower-bound rule — first `j` with
-//! `x < prefix[j]` — which is exactly
-//! [`linear_search`](crate::ptree::linear_search), which is exactly what
-//! the tree walk returns. Same RNG stream, same sums, same topic,
-//! different modelled traffic. That is the contract every mode flag in
-//! this codebase honors, and the identity grid enforces it.
+//! **Charged, not built.** The interleave changes *where bytes live*,
+//! never what is computed, so the host never builds it. In every draw
+//! mode the sampling kernel fills one contiguous serial f32 prefix and
+//! draws from it with the lower-bound rule — first `j` with
+//! `x < prefix[j]` ([`sample_prefix`](crate::ptree::sample_prefix)),
+//! which is what a tree walk and a warp's binary search over the
+//! transposed partials both return. Same RNG stream, same sums, same
+//! topic; only the charge differs. That is the contract every mode flag
+//! in this codebase honors, and the identity grid enforces it.
 
 use crate::blockmap::SAMPLERS_PER_BLOCK;
 use crate::ptree::{depth_for, DEFAULT_FANOUT};
@@ -50,114 +50,6 @@ use culda_gpusim::{coalesced_bytes, COALESCE_SEGMENT_BYTES};
 /// (one 32-slot register tile per lane; a draw over ≤ 32 outcomes never
 /// touches scratch memory at all).
 pub const BUTTERFLY_TILE: usize = WARP_SIZE;
-
-/// The 32 samplers' `p1` prefix sums in the butterfly-interleaved layout.
-///
-/// One instance serves a whole thread block, allocation-reused across
-/// tokens exactly like the private `p1` trees it replaces. Element `j` of
-/// lane `l` lives at `data[j * 32 + l]`, so the 32 lanes' element-`j`
-/// slots span one 128-byte segment.
-#[derive(Debug, Clone)]
-pub struct ButterflyBatch {
-    data: Vec<f32>,
-    lens: [usize; WARP_SIZE],
-}
-
-impl Default for ButterflyBatch {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ButterflyBatch {
-    /// An empty batch; grows (and then reuses) its scratch on demand.
-    pub fn new() -> Self {
-        Self {
-            data: Vec::new(),
-            lens: [0; WARP_SIZE],
-        }
-    }
-
-    /// Writes lane `lane`'s inclusive prefix sums over `weights` into the
-    /// interleaved layout and returns the total. The accumulation order is
-    /// serial — identical to [`IndexTree::rebuild`](crate::ptree::IndexTree::rebuild) — so the stored
-    /// prefixes (and any draw over them) are bit-identical to the tree
-    /// path's.
-    pub fn set_lane(&mut self, lane: usize, weights: &[f32]) -> f32 {
-        self.fill_lane(lane, weights.iter().copied())
-    }
-
-    /// [`ButterflyBatch::set_lane`] over weights produced on the fly, so a
-    /// caller computing them (the sampling kernel's `θ·p*` products) makes
-    /// one pass instead of materialising a weight vector first.
-    pub fn fill_lane<I>(&mut self, lane: usize, weights: I) -> f32
-    where
-        I: IntoIterator<Item = f32>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        assert!(lane < WARP_SIZE, "lane {lane} out of warp");
-        let weights = weights.into_iter();
-        let len = weights.len();
-        assert!(len > 0, "empty distribution");
-        let needed = len * WARP_SIZE;
-        if self.data.len() < needed {
-            self.data.resize(needed, 0.0);
-        }
-        let mut acc = 0.0f32;
-        // Step j's 32 slots are one chunk; this lane writes its entry.
-        for (step, w) in self.data.chunks_exact_mut(WARP_SIZE).zip(weights) {
-            debug_assert!(w >= 0.0 && w.is_finite(), "bad weight {w}");
-            acc += w;
-            step[lane] = acc;
-        }
-        self.lens[lane] = len;
-        acc
-    }
-
-    /// Number of prefix entries stored for `lane`.
-    pub fn lane_len(&self, lane: usize) -> usize {
-        self.lens[lane]
-    }
-
-    /// Prefix value `j` of lane `lane` (tests and proofs only).
-    pub fn prefix_value(&self, lane: usize, j: usize) -> f32 {
-        assert!(j < self.lens[lane], "index past lane length");
-        self.data[j * WARP_SIZE + lane]
-    }
-
-    /// Lower-bound draw for lane `lane`: the first index `j` with
-    /// `x < prefix[j]`, falling back to the last index when rounding pushes
-    /// `x` to (or past) the total — exactly
-    /// [`linear_search`](crate::ptree::linear_search)'s rule, hence exactly
-    /// the tree walk's result.
-    pub fn select(&self, lane: usize, x: f32) -> usize {
-        let n = self.lens[lane];
-        assert!(n > 0, "lane {lane} has no distribution");
-        // Binary lower bound over a non-decreasing prefix: the predicate
-        // `prefix[j] <= x` is monotone (true then false), so the partition
-        // point is the first j with x < prefix[j].
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.data[mid * WARP_SIZE + lane] <= x {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.min(n - 1)
-    }
-
-    /// Byte addresses the 32 lanes touch at scan step `step` (relative to
-    /// the batch base). The coalescing proof feeds these to
-    /// [`distinct_segments`](culda_gpusim::distinct_segments) and gets 1.
-    pub fn step_addresses(&self, step: usize) -> Vec<u64> {
-        (0..WARP_SIZE)
-            .map(|lane| ((step * WARP_SIZE + lane) * std::mem::size_of::<f32>()) as u64)
-            .collect()
-    }
-}
 
 /// Probe count of the lower-bound binary search over `len` entries
 /// (`⌈log₂ len⌉` shuffle-compare steps plus the final window resolve) —
@@ -270,133 +162,24 @@ pub fn butterfly_p1_cost(kd: usize, on_chip: bool) -> DrawCost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ptree::{linear_search, IndexTree};
     use culda_gpusim::distinct_segments;
-
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    }
-
-    fn random_weights(rng: &mut u64, n: usize) -> Vec<f32> {
-        (0..n)
-            .map(|_| {
-                if xorshift(rng).is_multiple_of(4) {
-                    0.0
-                } else {
-                    (xorshift(rng) % 1000 + 1) as f32 / 17.0
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn set_lane_total_is_bit_identical_to_serial_accumulation() {
-        let mut rng = 0xb0b_cafeu64;
-        let mut batch = ButterflyBatch::new();
-        for n in [1usize, 3, 32, 33, 100, 1000] {
-            let w = random_weights(&mut rng, n);
-            let total = batch.set_lane(7, &w);
-            let mut acc = 0.0f32;
-            for &v in &w {
-                acc += v;
-            }
-            assert_eq!(total.to_bits(), acc.to_bits(), "n = {n}");
-            // Stored prefixes match the serial order bit-for-bit too.
-            let mut acc = 0.0f32;
-            for (j, &v) in w.iter().enumerate() {
-                acc += v;
-                assert_eq!(batch.prefix_value(7, j).to_bits(), acc.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn select_agrees_with_linear_search_exhaustively() {
-        // Including ties and zero-weight entries: the lower-bound binary
-        // search and the linear scan are the same rule.
-        let mut rng = 0xdead_beefu64;
-        let mut batch = ButterflyBatch::new();
-        for trial in 0..100 {
-            let n = (xorshift(&mut rng) % 200) as usize + 1;
-            let lane = (xorshift(&mut rng) % WARP_SIZE as u64) as usize;
-            let w = random_weights(&mut rng, n);
-            let total = batch.set_lane(lane, &w);
-            if total <= 0.0 {
-                continue; // all-zero lane: the kernel never draws from it
-            }
-            let prefix: Vec<f32> = (0..n).map(|j| batch.prefix_value(lane, j)).collect();
-            for i in 0..=64 {
-                // Sweep through [0, total] inclusive: the endpoint checks
-                // the rounding fallback (x == total → last index).
-                let x = total * (i as f32 / 64.0);
-                assert_eq!(
-                    batch.select(lane, x),
-                    linear_search(&prefix, x),
-                    "trial {trial}, n = {n}, x = {x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn select_matches_the_index_tree_walk_bit_for_bit() {
-        // The full cross-path identity: same weights, same draw position,
-        // same answer as IndexTree::sample_scaled — which is the statement
-        // that makes DrawMode a pure cost-model flag.
-        let mut rng = 0x72ee_5eedu64;
-        let mut batch = ButterflyBatch::new();
-        let mut tree = IndexTree::build(&[1.0f32], DEFAULT_FANOUT);
-        for trial in 0..100 {
-            let n = (xorshift(&mut rng) % 500) as usize + 1;
-            let w = random_weights(&mut rng, n);
-            if w.iter().sum::<f32>() <= 0.0 {
-                continue;
-            }
-            tree.rebuild(&w);
-            let lane = (trial % WARP_SIZE as u64) as usize;
-            let total = batch.set_lane(lane, &w);
-            assert_eq!(total.to_bits(), tree.total().to_bits());
-            for i in 0..64 {
-                let x = total * (i as f32 / 64.0);
-                let (tree_idx, _, _) = tree.sample_scaled(x);
-                assert_eq!(batch.select(lane, x), tree_idx, "n = {n}, x = {x}");
-            }
-        }
-    }
 
     #[test]
     fn every_scan_step_is_one_coalesced_segment() {
-        // The layout proof: at each scan step the 32 lanes' slots form
-        // exactly one 128-byte segment.
-        let mut batch = ButterflyBatch::new();
-        let kd = 100;
-        for lane in 0..WARP_SIZE {
-            batch.set_lane(lane, &vec![1.0f32; kd]);
-        }
-        for step in 0..kd {
-            let addrs = batch.step_addresses(step);
+        // The layout proof: at each scan step the 32 lanes' slots,
+        // `(j·32 + lane)·4` bytes into the interleaved scratch, form
+        // exactly one 128-byte segment — the unit `butterfly_p1_cost`
+        // charges per step.
+        for step in 0..100usize {
+            let addrs: Vec<u64> = (0..WARP_SIZE)
+                .map(|lane| ((step * WARP_SIZE + lane) * 4) as u64)
+                .collect();
             assert_eq!(
                 distinct_segments(&addrs, COALESCE_SEGMENT_BYTES),
                 1,
                 "step {step} not coalesced"
             );
         }
-    }
-
-    #[test]
-    fn batch_reuses_its_allocation_across_tokens() {
-        let mut batch = ButterflyBatch::new();
-        batch.set_lane(0, &[1.0f32; 500]);
-        let cap = batch.data.capacity();
-        // Smaller and equal-size reloads must not reallocate.
-        batch.set_lane(0, &[2.0f32; 10]);
-        batch.set_lane(31, &[3.0f32; 500]);
-        assert_eq!(batch.data.capacity(), cap);
-        assert_eq!(batch.lane_len(0), 10);
-        assert_eq!(batch.lane_len(31), 500);
     }
 
     #[test]

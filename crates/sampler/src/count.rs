@@ -199,6 +199,13 @@ impl<'a> SmoothedBaseline<'a> {
             prefix,
         }
     }
+
+    /// The baseline `b[k]`: what a `p*` scratch holds between
+    /// [`CountMatrix::fill_smoothed_prefix`] and
+    /// [`CountMatrix::restore_baseline`] pairs.
+    pub fn values(&self) -> &[f32] {
+        &self.base
+    }
 }
 
 /// Whether the sparse sampling path would model strictly fewer ϕ-row bytes
@@ -498,16 +505,19 @@ impl CountMatrix {
         }
     }
 
-    /// [`Self::fill_smoothed`] fused with the serial f32 inclusive prefix of
-    /// its output, in one pass: `pstar` and `prefix` come out bit for bit
-    /// as `fill_smoothed` followed by an [`IndexTree`] build's leaves, and
-    /// the total (the last prefix) is returned.
+    /// [`Self::fill_smoothed`] over a scratch that holds the baseline,
+    /// fused with the serial f32 inclusive prefix: on entry `pstar` must
+    /// equal `baseline.values()`; on return `pstar` and `prefix` are bit
+    /// for bit `fill_smoothed` followed by an [`IndexTree`] build's leaves,
+    /// and the total (the last prefix) is returned.
+    /// [`Self::restore_baseline`] puts the baseline back.
     ///
-    /// A dense row computes both values in one loop. A sparse row holds
-    /// the baseline up to its first nonzero column, so it copies both
-    /// baseline arrays that far and continues the serial chain from there,
-    /// patching its cells on the way: the same f32 operations in the same
-    /// order as the two-pass path.
+    /// A sparse row writes only its cells into `pstar`. Below its first
+    /// cell it equals the baseline, so it copies the baseline prefix that
+    /// far and continues the serial chain from there over `pstar`, one
+    /// prefix store per entry. A dense row writes every `pstar` entry and
+    /// its prefix in one loop. Either way these are the f32 operations of
+    /// the two-pass path, in its order.
     ///
     /// [`IndexTree`]: crate::ptree::IndexTree
     pub fn fill_smoothed_prefix(
@@ -521,6 +531,13 @@ impl CountMatrix {
         assert_eq!(inv_denom.len(), self.cols, "baseline size");
         assert_eq!(pstar.len(), self.cols, "p* buffer size");
         assert_eq!(prefix.len(), self.cols, "prefix buffer size");
+        debug_assert!(
+            pstar
+                .iter()
+                .zip(&baseline.base)
+                .all(|(p, b)| p.to_bits() == b.to_bits()),
+            "p* scratch does not hold the baseline"
+        );
         let mut acc = 0.0f32;
         let slot = self.slots[row]
             .lock()
@@ -531,31 +548,47 @@ impl CountMatrix {
                     .iter()
                     .zip(inv_denom)
                     .map(|(&c, &inv)| (c as f32 + beta) * inv);
-                extend_chain(&mut acc, values, pstar, prefix);
+                for ((value, p), q) in values.zip(pstar).zip(prefix) {
+                    acc += value;
+                    *p = value;
+                    *q = acc;
+                }
             }
             RowStore::Sparse(cells) => {
+                for &(c, n) in cells {
+                    let c = c as usize;
+                    pstar[c] = (n as f32 + beta) * inv_denom[c];
+                }
                 let first = cells.first().map_or(self.cols, |&(t, _)| t as usize);
-                pstar[..first].copy_from_slice(&baseline.base[..first]);
                 prefix[..first].copy_from_slice(&baseline.prefix[..first]);
                 if let Some(t) = first.checked_sub(1) {
                     acc = baseline.prefix[t];
                 }
-                let mut t = first;
-                for &(c, n) in cells {
-                    let c = c as usize;
-                    let gap = baseline.base[t..c].iter().copied();
-                    extend_chain(&mut acc, gap, &mut pstar[t..c], &mut prefix[t..c]);
-                    let cell = (n as f32 + beta) * inv_denom[c];
-                    acc += cell;
-                    pstar[c] = cell;
-                    prefix[c] = acc;
-                    t = c + 1;
+                for (&p, q) in pstar[first..].iter().zip(&mut prefix[first..]) {
+                    acc += p;
+                    *q = acc;
                 }
-                let values = baseline.base[t..].iter().copied();
-                extend_chain(&mut acc, values, &mut pstar[t..], &mut prefix[t..]);
             }
         }
         acc
+    }
+
+    /// Puts the baseline back into the `pstar` entries
+    /// [`Self::fill_smoothed_prefix`] wrote for `row`: a sparse row's
+    /// cells, or all of a dense row.
+    pub fn restore_baseline(&self, row: usize, baseline: &SmoothedBaseline<'_>, pstar: &mut [f32]) {
+        assert_eq!(pstar.len(), self.cols, "p* buffer size");
+        let slot = self.slots[row]
+            .lock()
+            .expect("a writer panicked holding this row");
+        match &*slot {
+            RowStore::Dense(_) => pstar.copy_from_slice(&baseline.base),
+            RowStore::Sparse(cells) => {
+                for &(c, _) in cells {
+                    pstar[c as usize] = baseline.base[c as usize];
+                }
+            }
+        }
     }
 
     /// Zeroes every cell, demotes every row to the sparse layout, and
@@ -732,21 +765,6 @@ fn merge_into(cells: &mut Vec<(u16, u32)>, upd: &[(u16, u32)], op: impl Fn(u32, 
         }
     }
     debug_assert_eq!(i, w, "a present cell merged to zero");
-}
-
-/// Continues the serial f32 chain `acc` over `values`, writing each value
-/// to `pstar` and each running sum to `prefix`.
-fn extend_chain(
-    acc: &mut f32,
-    values: impl Iterator<Item = f32>,
-    pstar: &mut [f32],
-    prefix: &mut [f32],
-) {
-    for ((value, p), q) in values.zip(pstar).zip(prefix) {
-        *acc += value;
-        *p = value;
-        *q = *acc;
-    }
 }
 
 fn densify(cells: &[(u16, u32)], cols: usize) -> RowStore {

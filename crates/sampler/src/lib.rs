@@ -10,9 +10,10 @@
 //!   u16) + assignments `z` (u16), with host-side oracles for both update
 //!   kernels.
 //! * [`ptree`] — the Figure 5 N-ary prefix-sum index tree (fanout 32).
-//! * [`butterfly`] — the Steele–Tristan butterfly-patterned partial-sum
-//!   draw: coalesced interleaved prefixes + register-resident lower-bound
-//!   search, bit-identical to the tree walk.
+//! * [`butterfly`] — the cost model of the Steele–Tristan
+//!   butterfly-patterned partial-sum draw (coalesced interleaved prefixes
+//!   and a register-resident lower-bound search), charged over the same
+//!   contiguous prefix the tree draw uses.
 //! * [`mode`] — [`DrawMode`] and the shared canonical mode-flag machinery
 //!   (`ModeParseError`/`parse_mode`) every mode enum derives from.
 //! * [`spq`] — the Eq. 6–8 sparsity-aware S/Q decomposition with `p*(k)`
@@ -55,8 +56,7 @@ pub mod validate;
 
 pub use blockmap::{auto_tokens_per_block, build_block_map, BlockWork, SAMPLERS_PER_BLOCK};
 pub use butterfly::{
-    butterfly_p1_cost, p1_scratch_floats, search_steps, tree_p1_cost, ButterflyBatch, DrawCost,
-    BUTTERFLY_TILE,
+    butterfly_p1_cost, p1_scratch_floats, search_steps, tree_p1_cost, DrawCost, BUTTERFLY_TILE,
 };
 pub use checkpoint::{load_phi, save_phi};
 pub use count::{

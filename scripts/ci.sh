@@ -85,8 +85,10 @@ echo "==> mode-matrix smoke tests (sync, sampling, draw; both policies)"
 # names the partition policy, the flag, the topic count and the modes, the
 # first being the one the others are compared with. At K = 8 every index
 # tree has one level; the sampling and draw matrices also run at K = 4096,
-# where the p* tree has two upper levels. The word policy runs the same
-# kernels over word-range chunks; the sync mode does not apply to it.
+# where the p* tree has two upper levels, and at K = 1000, where the
+# sampler's p* scratch is padded to a power of two. The word policy runs
+# the same kernels over word-range chunks; the sync mode does not apply to
+# it.
 while read -r policy flag topics modes; do
     reference=""
     for mode in $modes; do
@@ -105,8 +107,10 @@ done <<'MATRIX'
 doc sync-mode 8 dense-tree dense-ring delta auto
 doc sampling-mode 8 dense sparse auto
 doc sampling-mode 4096 dense sparse auto
+doc sampling-mode 1000 dense sparse auto
 doc draw-mode 8 tree butterfly auto
 doc draw-mode 4096 tree butterfly auto
+doc draw-mode 1000 tree butterfly auto
 word sampling-mode 8 dense sparse auto
 word sampling-mode 4096 dense sparse auto
 word draw-mode 8 tree butterfly auto

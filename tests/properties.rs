@@ -13,10 +13,9 @@ use culda::sampler::ptree::{
     depth_for, linear_search, lower_bound, prefix_into, sample_prefix, shared_bytes_for,
     walk_touches,
 };
-use culda::sampler::spq::p1_weights;
 use culda::sampler::{
-    infer_reference, run_infer_kernel, ButterflyBatch, CountMatrix, DocPosterior, DrawMode,
-    IndexTree, InferDoc, InferKernelConfig, PhiModel, Priors, SmoothedBaseline,
+    infer_reference, run_infer_kernel, CountMatrix, DocPosterior, DrawMode, IndexTree, InferDoc,
+    InferKernelConfig, PhiModel, Priors, SmoothedBaseline,
 };
 
 fn cases(test_id: u64) -> Xoshiro256 {
@@ -201,9 +200,12 @@ fn lower_bound_draws_and_computed_touches_equal_the_tree_walk() {
 
 #[test]
 fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
-    // The sampling kernel writes p* and its prefix in one pass from the
-    // launch's β-baseline; they must be bit for bit `fill_smoothed` and a
-    // serial prefix over it, whatever the row's layout and first column.
+    // The sampling kernel patches each block's row over a p* scratch that
+    // holds the launch's β-baseline, writes the prefix in the same pass,
+    // and puts the baseline back after the block. Over a sequence of rows,
+    // every fill must be bit for bit `fill_smoothed` and a serial prefix
+    // over it, whatever the row's layout and first column, and every
+    // restore must leave exactly the baseline.
     let mut g = cases(17);
     for k in [1usize, 64, 300, 4096] {
         let m = CountMatrix::zeros(12, k);
@@ -228,23 +230,31 @@ fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
         }
         assert!(!m.row_is_dense(6) || cut == 1, "k = {k}: row 6 promoted");
         assert!(m.row_is_dense(7), "k = {k}: row 7 not promoted");
-        // Dense rows: forced with few cells, and full.
+        // Dense rows: forced with few cells, full, and forced with none;
+        // and a full row forced sparse, which patches every column.
         m.add(8, k / 3, count(&mut g));
         m.force_dense_row(8);
         for t in 0..k {
             m.add(9, t, count(&mut g));
+            m.add(11, t, count(&mut g));
         }
         m.force_dense_row(10);
+        m.force_sparse_row(11);
 
         let priors = Priors::paper(k);
         let beta = priors.beta as f32;
         let inv: Vec<f32> = (0..k).map(|_| 1.0 / (1.0 + g.next_f32() * 500.0)).collect();
         let baseline = SmoothedBaseline::new(beta, &inv);
-        let (mut pstar, mut prefix) = (vec![0.0f32; k], vec![0.0f32; k]);
+        let base: Vec<f32> = inv.iter().map(|&i| beta * i).collect();
+        assert_eq!(bits(baseline.values()), bits(&base), "k = {k}: baseline");
+        let (mut pstar, mut prefix) = (base.clone(), vec![0.0f32; k]);
         let mut want = vec![0.0f32; k];
-        for row in 0..12 {
-            // Stale values from the previous row must all be overwritten.
-            pstar.fill(f32::NAN);
+        // Every row once, then rows in random order, so each layout
+        // follows each other one.
+        let order = (0..12).chain((0..36).map(|_| g.next_below(12) as usize));
+        for row in order {
+            // Stale prefix values from the previous row must all be
+            // overwritten.
             prefix.fill(f32::NAN);
             let total = m.fill_smoothed_prefix(row, &baseline, &mut pstar, &mut prefix);
             m.fill_smoothed(row, beta, &inv, &mut want);
@@ -256,46 +266,8 @@ fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
                 serial[k - 1].to_bits(),
                 "k = {k}, row {row}"
             );
-        }
-    }
-}
-
-#[test]
-fn fused_butterfly_lane_fill_equals_set_lane() {
-    // The kernel feeds a lane the θ·p* products on the fly; the plain path
-    // materialises them with `p1_weights` first. Same S, same prefix bits,
-    // same draws — and the same prefix the tree engine stores.
-    let mut g = cases(15);
-    let mut fused = ButterflyBatch::new();
-    let mut plain = ButterflyBatch::new();
-    let pstar: Vec<f32> = (0..2048).map(|_| g.next_f32() * 0.01).collect();
-    let mut weights = Vec::new();
-    for round in 0..40 {
-        for kd in [1usize, 31, 32, 33, 1025] {
-            let cols: Vec<u16> = (0..kd).map(|_| g.next_below(2048) as u16).collect();
-            let vals: Vec<u32> = (0..kd).map(|_| 1 + g.next_below(40)).collect();
-            let lane = g.next_below(32) as usize;
-            let s = p1_weights(&cols, &vals, &pstar, &mut weights);
-            let products = cols
-                .iter()
-                .zip(&vals)
-                .map(|(&c, &n)| n as f32 * pstar[c as usize]);
-            let total = fused.fill_lane(lane, products);
-            assert_eq!(total.to_bits(), s.to_bits(), "kd = {kd}, round {round}");
-            assert_eq!(plain.set_lane(lane, &weights).to_bits(), s.to_bits());
-            assert_eq!(fused.lane_len(lane), kd);
-            let prefix = serial_prefix(&weights);
-            for (j, p) in prefix.iter().enumerate() {
-                assert_eq!(fused.prefix_value(lane, j).to_bits(), p.to_bits());
-                assert_eq!(plain.prefix_value(lane, j).to_bits(), p.to_bits());
-            }
-            let tree = IndexTree::build(&weights, 32);
-            for i in 0..=16 {
-                let x = s * (i as f32 / 16.0);
-                let want = tree.sample_scaled(x).0;
-                assert_eq!(fused.select(lane, x), want, "kd = {kd}, x = {x}");
-                assert_eq!(plain.select(lane, x), want, "kd = {kd}, x = {x}");
-            }
+            m.restore_baseline(row, &baseline, &mut pstar);
+            assert_eq!(bits(&pstar), bits(&base), "k = {k}, row {row}: restore");
         }
     }
 }
