@@ -116,9 +116,9 @@ impl IndexTree {
         self.upper.len() + 1
     }
 
-    /// The leaf-level inclusive prefix sums. Both draw paths search this
-    /// exact array — the tree by walking its upper index levels, the
-    /// butterfly by a lower-bound binary search — which is why they agree
+    /// The leaf-level inclusive prefix sums. A walk of this tree and a
+    /// lower-bound search over this array ([`lower_bound`]) land on the
+    /// same leaf, which is why the kernels' tree-free draws agree with it
     /// bit-for-bit.
     pub fn prefix(&self) -> &[f32] {
         &self.prefix
