@@ -175,15 +175,19 @@ pub fn pstar_block_cost(
 }
 
 /// The launch constants of the smoothed read: the β-baseline
-/// `b[k] = β·inv_denom[k]` — the `p*` value of every absent cell — and its
-/// serial f32 inclusive prefix, computed once per sampling launch
-/// (`pstar_block_cost` already prices them as iteration constants).
+/// `b[k] = β·inv_denom[k]` — the `p*` value of every absent cell — its
+/// serial f32 inclusive prefix and its f64 mass, computed once per sampling
+/// launch (`pstar_block_cost` already prices them as iteration constants).
 #[derive(Debug, Clone)]
 pub struct SmoothedBaseline<'a> {
     beta: f32,
     inv_denom: &'a [f32],
     base: Vec<f32>,
     prefix: Vec<f32>,
+    /// `Σ b[k]` in f64, or NaN when some `p*` value could be negative
+    /// (`β < 0` or a denominator not `≥ 0`), where the bound of
+    /// [`PatchedRow::total_bounds`] does not apply.
+    mass: f64,
 }
 
 impl<'a> SmoothedBaseline<'a> {
@@ -192,19 +196,122 @@ impl<'a> SmoothedBaseline<'a> {
         let base: Vec<f32> = inv_denom.iter().map(|&inv| beta * inv).collect();
         let mut prefix = Vec::new();
         prefix_into(&mut prefix, base.iter().copied());
+        // `(c + β)·inv ≥ β·inv ≥ 0` for every count when β and every
+        // denominator are non-negative: f32 `+` and `·` are monotone.
+        let nonnegative = beta >= 0.0 && inv_denom.iter().all(|&inv| inv >= 0.0);
+        let mass = if nonnegative {
+            base.iter().map(|&b| b as f64).sum()
+        } else {
+            f64::NAN
+        };
         Self {
             beta,
             inv_denom,
             base,
             prefix,
+            mass,
         }
     }
 
     /// The baseline `b[k]`: what a `p*` scratch holds between
-    /// [`CountMatrix::fill_smoothed_prefix`] and
-    /// [`CountMatrix::restore_baseline`] pairs.
+    /// [`CountMatrix::patch_smoothed`] and [`CountMatrix::restore_baseline`]
+    /// pairs.
     pub fn values(&self) -> &[f32] {
         &self.base
+    }
+
+    /// Writes the serial f32 inclusive prefix of a `p*` scratch that
+    /// [`CountMatrix::patch_smoothed`] patched with `row`, and returns its
+    /// total T, the last entry. Below the row's first patched column the
+    /// scratch equals the baseline, so the baseline prefix is copied that
+    /// far and the chain continues from it, one add and one store per
+    /// entry. These are the f32 additions of an [`IndexTree`] build's leaf
+    /// pass over `fill_smoothed`, in their order, so every prefix entry
+    /// and T are bit-identical to it.
+    ///
+    /// [`IndexTree`]: crate::ptree::IndexTree
+    pub fn chain(&self, row: &PatchedRow, pstar: &[f32], prefix: &mut [f32]) -> f32 {
+        assert_eq!(pstar.len(), self.base.len(), "p* buffer size");
+        assert_eq!(prefix.len(), self.base.len(), "prefix buffer size");
+        let first = row.first;
+        prefix[..first].copy_from_slice(&self.prefix[..first]);
+        let mut acc = first.checked_sub(1).map_or(0.0, |t| self.prefix[t]);
+        for (&p, q) in pstar[first..].iter().zip(&mut prefix[first..]) {
+            acc += p;
+            *q = acc;
+        }
+        acc
+    }
+}
+
+/// What [`CountMatrix::patch_smoothed`] learnt about the row it wrote into
+/// a `p*` scratch: where [`SmoothedBaseline::chain`] must start, and the
+/// row's mass, from which [`PatchedRow::total_bounds`] bounds the chain's
+/// total without running it.
+#[derive(Debug, Clone, Copy)]
+pub struct PatchedRow {
+    /// The first column the patch may have changed: a sparse row's first
+    /// cell (K when it has none), 0 for a dense row.
+    first: usize,
+    /// `Σ p*(k)` in f64: the baseline's mass plus each sparse cell's
+    /// difference from the baseline, or a dense row's values summed as
+    /// they were written. NaN when the baseline's is.
+    mass: f64,
+    /// K, the number of terms the chain adds.
+    len: usize,
+}
+
+impl PatchedRow {
+    /// `(lo, hi)` with `lo ≤ T ≤ hi` for the serial f32 total T that
+    /// [`SmoothedBaseline::chain`] would return; NaN when the values are
+    /// not known to be non-negative.
+    ///
+    /// Higham (*Accuracy and Stability of Numerical Algorithms*, §4.2)
+    /// bounds recursive summation of n values by `|T − Σx| ≤ γ_{n−1}·Σ|x|`,
+    /// `γ_m = m·u/(1 − m·u)` with `u = 2⁻²⁴`, and for non-negative values
+    /// `Σ|x| = Σx`. So `hi` is `mass·(1 + γ_{K−1} + slack)` rounded up to
+    /// f32 and `lo` is `mass·(1 − γ_{K−1} − slack)` rounded down. The
+    /// addition model holds through underflow (a subnormal sum is exact),
+    /// and a finite `hi` keeps every partial sum below f32's overflow
+    /// threshold.
+    pub fn total_bounds(&self) -> (f32, f32) {
+        // K ≤ 65 536 (u16 columns), so (K − 1)·u < 1.
+        let nu = self.len.saturating_sub(1) as f64 * F32_UNIT_ROUNDOFF;
+        let width = nu / (1.0 - nu) + F64_MASS_SLACK;
+        (
+            f32_at_or_below(self.mass * (1.0 - width)),
+            f32_at_or_above(self.mass * (1.0 + width)),
+        )
+    }
+}
+
+/// The unit roundoff of f32, `u = 2⁻²⁴`.
+const F32_UNIT_ROUNDOFF: f64 = 1.0 / (1u64 << 24) as f64;
+
+/// Relative slack for the error of an f64 mass and of the bound's own
+/// arithmetic. Over non-negative terms each f64 add, each cell's
+/// difference and each of the bound's two products rounds once, by at
+/// most `2⁻⁵³` relative: under `(2K + 3)·2⁻⁵³ < 2⁻³⁵` for K ≤ 65 536.
+/// The slack is eight times that.
+const F64_MASS_SLACK: f64 = 1.0 / (1u64 << 32) as f64;
+
+/// The largest f32 at or below `x` (NaN for NaN).
+fn f32_at_or_below(x: f64) -> f32 {
+    let y = x as f32;
+    if y as f64 > x {
+        y.next_down()
+    } else {
+        y
+    }
+}
+
+/// The smallest f32 at or above `x` (NaN for NaN).
+fn f32_at_or_above(x: f64) -> f32 {
+    let y = x as f32;
+    if (y as f64) < x {
+        y.next_up()
+    } else {
+        y
     }
 }
 
@@ -505,32 +612,24 @@ impl CountMatrix {
         }
     }
 
-    /// [`Self::fill_smoothed`] over a scratch that holds the baseline,
-    /// fused with the serial f32 inclusive prefix: on entry `pstar` must
-    /// equal `baseline.values()`; on return `pstar` and `prefix` are bit
-    /// for bit `fill_smoothed` followed by an [`IndexTree`] build's leaves,
-    /// and the total (the last prefix) is returned.
+    /// [`Self::fill_smoothed`] over a scratch that holds the baseline: on
+    /// entry `pstar` must equal `baseline.values()`; on return it is bit
+    /// for bit `fill_smoothed`'s output. A sparse row writes only its cells;
+    /// a dense row writes all K. The row's f64 mass is summed on the way
+    /// (the baseline's plus each sparse cell's difference from it, or a
+    /// dense row's values as they are written), so the returned
+    /// [`PatchedRow`] bounds the serial total without running the chain.
+    /// [`SmoothedBaseline::chain`] writes the prefix, and
     /// [`Self::restore_baseline`] puts the baseline back.
-    ///
-    /// A sparse row writes only its cells into `pstar`. Below its first
-    /// cell it equals the baseline, so it copies the baseline prefix that
-    /// far and continues the serial chain from there over `pstar`, one
-    /// prefix store per entry. A dense row writes every `pstar` entry and
-    /// its prefix in one loop. Either way these are the f32 operations of
-    /// the two-pass path, in its order.
-    ///
-    /// [`IndexTree`]: crate::ptree::IndexTree
-    pub fn fill_smoothed_prefix(
+    pub fn patch_smoothed(
         &self,
         row: usize,
         baseline: &SmoothedBaseline<'_>,
         pstar: &mut [f32],
-        prefix: &mut [f32],
-    ) -> f32 {
+    ) -> PatchedRow {
         let (beta, inv_denom) = (baseline.beta, baseline.inv_denom);
         assert_eq!(inv_denom.len(), self.cols, "baseline size");
         assert_eq!(pstar.len(), self.cols, "p* buffer size");
-        assert_eq!(prefix.len(), self.cols, "prefix buffer size");
         debug_assert!(
             pstar
                 .iter()
@@ -538,44 +637,48 @@ impl CountMatrix {
                 .all(|(p, b)| p.to_bits() == b.to_bits()),
             "p* scratch does not hold the baseline"
         );
-        let mut acc = 0.0f32;
         let slot = self.slots[row]
             .lock()
             .expect("a writer panicked holding this row");
-        match &*slot {
+        let (first, mass) = match &*slot {
             RowStore::Dense(cells) => {
-                let values = cells
-                    .iter()
-                    .zip(inv_denom)
-                    .map(|(&c, &inv)| (c as f32 + beta) * inv);
-                for ((value, p), q) in values.zip(pstar).zip(prefix) {
-                    acc += value;
-                    *p = value;
-                    *q = acc;
+                // Four partial sums, so no add waits on the one before; the
+                // bound holds for any order of the f64 adds.
+                let mut sums = [0.0f64; 4];
+                let lanes = cells.chunks(4).zip(inv_denom.chunks(4));
+                for ((counts, invs), out) in lanes.zip(pstar.chunks_mut(4)) {
+                    for (((&c, &inv), p), sum) in counts.iter().zip(invs).zip(out).zip(&mut sums) {
+                        *p = (c as f32 + beta) * inv;
+                        *sum += *p as f64;
+                    }
                 }
+                (0, sums.iter().sum())
             }
             RowStore::Sparse(cells) => {
+                let mut mass = baseline.mass;
                 for &(c, n) in cells {
                     let c = c as usize;
-                    pstar[c] = (n as f32 + beta) * inv_denom[c];
+                    let value = (n as f32 + beta) * inv_denom[c];
+                    pstar[c] = value;
+                    mass += value as f64 - baseline.base[c] as f64;
                 }
-                let first = cells.first().map_or(self.cols, |&(t, _)| t as usize);
-                prefix[..first].copy_from_slice(&baseline.prefix[..first]);
-                if let Some(t) = first.checked_sub(1) {
-                    acc = baseline.prefix[t];
-                }
-                for (&p, q) in pstar[first..].iter().zip(&mut prefix[first..]) {
-                    acc += p;
-                    *q = acc;
-                }
+                (cells.first().map_or(self.cols, |&(t, _)| t as usize), mass)
             }
+        };
+        PatchedRow {
+            first,
+            mass: if baseline.mass.is_nan() {
+                f64::NAN
+            } else {
+                mass
+            },
+            len: self.cols,
         }
-        acc
     }
 
     /// Puts the baseline back into the `pstar` entries
-    /// [`Self::fill_smoothed_prefix`] wrote for `row`: a sparse row's
-    /// cells, or all of a dense row.
+    /// [`Self::patch_smoothed`] wrote for `row`: a sparse row's cells, or
+    /// all of a dense row.
     pub fn restore_baseline(&self, row: usize, baseline: &SmoothedBaseline<'_>, pstar: &mut [f32]) {
         assert_eq!(pstar.len(), self.cols, "p* buffer size");
         let slot = self.slots[row]
@@ -978,6 +1081,36 @@ mod tests {
         assert_eq!(m.load(4 * 6 + 3), 10);
         assert_eq!(m.len(), 30);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn a_nan_mass_gives_nan_bounds() {
+        // A baseline that could hold a negative p* has a NaN mass; its
+        // bounds must show nothing, so the kernel chains before any token.
+        for len in [1, 2, 4096] {
+            let row = PatchedRow {
+                first: 0,
+                mass: f64::NAN,
+                len,
+            };
+            let (lo, hi) = row.total_bounds();
+            assert!(lo.is_nan() && hi.is_nan(), "K = {len}: [{lo}, {hi}]");
+        }
+        // Built by hand: `new` debug-asserts a non-negative prefix.
+        let inv = [0.5f32, -0.25];
+        let baseline = SmoothedBaseline {
+            beta: 0.1,
+            inv_denom: &inv,
+            base: vec![0.05, -0.025],
+            prefix: vec![0.05, 0.025],
+            mass: f64::NAN,
+        };
+        let m = CountMatrix::zeros(1, 2);
+        m.add(0, 1, 3);
+        m.force_dense_row(0);
+        let mut pstar = baseline.base.clone();
+        let (lo, hi) = m.patch_smoothed(0, &baseline, &mut pstar).total_bounds();
+        assert!(lo.is_nan() && hi.is_nan(), "dense row: [{lo}, {hi}]");
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::blockmap::BlockWork;
 use crate::model::{ChunkState, PhiModel};
+use crate::topic_counter::TopicCounter;
 use culda_corpus::SortedChunk;
 use culda_gpusim::{BlockCtx, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
 
@@ -101,11 +102,12 @@ pub fn run_phi_update_kernel(
 ///
 /// The model charges two atomics per token, as the paper's kernel issues
 /// them. The host batches them instead: a block's tokens all share one ϕ
-/// row, so [`PhiModel::add_word_topics`] sorts their topics into `(topic,
-/// run length)` cells, writes the row once (one row lock, one dirty mark)
-/// and adds each run to `phi_sum` with one atomic. Integer adds commute,
-/// so the counts, the row layouts and the dirty marks are exactly those of
-/// the per-token adds.
+/// row, so the executor's [`TopicCounter`] tallies their topics, and its
+/// ascending `(topic, count)` cells are written to the row once (one row
+/// lock, one dirty mark) and added to `phi_sum` with one atomic each.
+/// Integer adds commute and no row write can shrink a row, so the counts,
+/// the row layouts and the dirty marks are exactly those of the per-token
+/// adds.
 ///
 /// [`CountMatrix`]: crate::count::CountMatrix
 pub fn try_run_phi_update_kernel(
@@ -118,20 +120,19 @@ pub fn try_run_phi_update_kernel(
     assert_eq!(state.z.len(), chunk.num_tokens(), "z/chunk mismatch");
     let spec =
         KernelSpec::new("phi_update", block_map.len() as u32).with_phase(LaunchPhase::PhiUpdate);
-    device.try_launch_spec(spec, |ctx: &mut BlockCtx| {
+    let scratch = || (TopicCounter::new(phi.num_topics), Vec::new());
+    device.try_launch_spec_with(spec, scratch, |ctx, (counter, cells)| {
         let work = &block_map[ctx.block_id as usize];
         let word = chunk.word_ids[work.word_idx] as usize;
-        // Small stack scratch (it is zeroed per block); a block longer than
-        // one slice writes its row once per slice.
-        let mut cells = [(0u16, 0u32); RUN_SLICE];
-        for start in work.tokens.clone().step_by(RUN_SLICE) {
-            let end = (start + RUN_SLICE).min(work.tokens.end);
-            let slice = &mut cells[..end - start];
-            for (cell, t) in slice.iter_mut().zip(start..end) {
-                *cell = (state.z.load(t), 1);
-            }
-            phi.add_word_topics(word, slice);
+        for t in work.tokens.clone() {
+            counter.add(state.z.load(t));
         }
+        cells.clear();
+        counter.drain(|topic, count| {
+            cells.push((topic, count));
+            phi.phi_sum.fetch_add(topic as usize, count);
+        });
+        phi.phi.add_row(word, cells);
         // Per token: read z (2 B), two atomic read-modify-writes.
         let n = work.tokens.len();
         ctx.dram_read(n * 2);
@@ -140,9 +141,6 @@ pub fn try_run_phi_update_kernel(
         ctx.atomic(1); // one atomicOr into the row bitmap per block
     })
 }
-
-/// Tokens a ϕ-update block sorts into topic runs at a time.
-const RUN_SLICE: usize = 256;
 
 #[cfg(test)]
 mod tests {

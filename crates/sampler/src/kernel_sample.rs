@@ -20,13 +20,25 @@
 //! computes the same topics with less work, none of which reaches a
 //! charge:
 //!
-//! - The β-baseline `β·inv_denom[k]` and its prefix are launch constants
-//!   ([`SmoothedBaseline`]), and each executor's `p*` scratch holds the
-//!   baseline between blocks. A block patches its row over it and writes
-//!   the inclusive prefix in one pass
-//!   ([`CountMatrix::fill_smoothed_prefix`]): a sparse row writes only its
-//!   cells and copies the baseline prefix up to the first of them. After
-//!   the block, [`CountMatrix::restore_baseline`] puts the baseline back.
+//! - The β-baseline `β·inv_denom[k]`, its prefix and its f64 mass are
+//!   launch constants ([`SmoothedBaseline`]), and each executor's `p*`
+//!   scratch holds the baseline between blocks. A block patches its row
+//!   over it ([`CountMatrix::patch_smoothed`]): a sparse row writes only
+//!   its cells. After the block, [`CountMatrix::restore_baseline`] puts the
+//!   baseline back.
+//! - The `p*` prefix is chained only in blocks that need it. The patch
+//!   sums the row's mass in f64, which bounds the serial f32 total T
+//!   ([`PatchedRow::total_bounds`]), and since f32 `·`, `+` and `/` are
+//!   monotone, a token with `u_branch < S/(S + α·hi)` takes `p1` exactly as
+//!   it would against T ([`takes_p1`]). The first token that fails this
+//!   test (a `p2` draw, or a token within the bound's relative width of
+//!   the threshold) runs the chain ([`SmoothedBaseline::chain`]), which
+//!   writes the `p2` tree's leaves and returns T; later tokens decide
+//!   against T, and a `p2` draw reads the prefix through it. Most blocks
+//!   draw no `p2` token and never chain. The positive-finite check on T
+//!   runs on every block, from the bounds when they show it and on the
+//!   chained T otherwise. Debug builds check every decision and the bounds
+//!   against the exact total, and poison the prefix until the chain runs.
 //! - One `p1` engine in every draw mode: a sampler fills one contiguous
 //!   prefix and draws from it. The butterfly interleave is charged, not
 //!   built. The fill reads `p*` through a power-of-two mask and converts
@@ -60,8 +72,10 @@
 //! weights, rebuilds the `p1` tree and walks both. It is the oracle every
 //! shortcut is tested against.
 //!
-//! [`CountMatrix::fill_smoothed_prefix`]: crate::count::CountMatrix::fill_smoothed_prefix
+//! [`CountMatrix::patch_smoothed`]: crate::count::CountMatrix::patch_smoothed
 //! [`CountMatrix::restore_baseline`]: crate::count::CountMatrix::restore_baseline
+//! [`PatchedRow::total_bounds`]: crate::count::PatchedRow::total_bounds
+//! [`SmoothedBaseline::chain`]: crate::count::SmoothedBaseline::chain
 //! [`run_grid_with`]: culda_gpusim::kernel::run_grid_with
 //! [`CacheSim`]: culda_gpusim::CacheSim
 //!
@@ -76,7 +90,7 @@ use crate::count::{pstar_block_cost, SmoothedBaseline};
 use crate::mode::DrawMode;
 use crate::model::{ChunkState, PhiModel};
 use crate::ptree::{depth_for, sample_prefix, shared_bytes_for, IndexTree, DEFAULT_FANOUT};
-use crate::spq::p1_weights;
+use crate::spq::{p1_weights, takes_p1};
 use culda_corpus::{CsrMatrix, SortedChunk, Xoshiro256};
 use culda_gpusim::{
     AscendingCache, CacheConfig, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault,
@@ -181,16 +195,17 @@ const BLOCK_L1: CacheConfig = CacheConfig {
 /// One block executor's host storage, made once per launch and reused by
 /// every block the executor runs. Between blocks `pstar` holds the launch
 /// baseline: a block patches its row over it and puts the baseline back
-/// ([`CountMatrix::restore_baseline`]). The prefix is overwritten whole,
-/// each sampler fills its `p1` prefix before drawing, and the L1 model is
-/// flushed per block.
+/// ([`CountMatrix::restore_baseline`]). A block that chains overwrites the
+/// prefix whole, each sampler fills its `p1` prefix before drawing, and
+/// the L1 model is flushed per block.
 ///
 /// [`CountMatrix::restore_baseline`]: crate::count::CountMatrix::restore_baseline
 struct BlockScratch {
     /// The block's smoothed `p*(k)`, padded with unread entries to a power
     /// of two so the `p1` fill's masked gather needs no bounds check.
     pstar: Vec<f32>,
-    /// Its inclusive prefix: the leaves of the block-shared `p2` tree.
+    /// Its inclusive prefix: the leaves of the block-shared `p2` tree,
+    /// written only by a block that chains.
     prefix: Vec<f32>,
     /// One sampler's `p1` prefix at a time, in `p1[..K_d]`. It grows to
     /// the longest θ row and never shrinks.
@@ -348,9 +363,9 @@ pub fn try_run_sampling_kernel(
         // Drives the p1 spill predicate the executor charges from and
         // `DrawMode::Auto` chooses from — one predicate, so the chooser can
         // never disagree with the charger.
-        let max_kd = (0..SAMPLERS_PER_BLOCK)
-            .flat_map(|s| work.sampler_tokens(s))
-            .map(|t| state.theta.row(chunk.token_doc[t] as usize).0.len())
+        let max_kd = chunk.token_doc[work.tokens.clone()]
+            .iter()
+            .map(|&d| state.theta.row_nnz(d as usize))
             .max()
             .unwrap_or(0);
         let p1_on_chip = shared_ok
@@ -371,15 +386,37 @@ pub fn try_run_sampling_kernel(
         // path streams all K ϕ entries, the sparse path streams only the
         // row's CSR cells and patches the iteration-constant β-baseline.
         // The host patches the row over the baseline the scratch holds and
-        // writes the tree's leaf prefix in the same pass.
+        // bounds its serial total T from the row's f64 mass; the chain that
+        // writes the tree's leaf prefix and T runs only once a token needs
+        // them (see the per-sampler phase).
         let row_nnz = phi.phi.row_nnz(word);
-        let total = phi
-            .phi
-            .fill_smoothed_prefix(word, &baseline, &mut pstar[..k], prefix);
-        assert!(
-            total > 0.0 && total.is_finite(),
-            "distribution must have positive finite mass, got {total}"
-        );
+        let patch = phi.phi.patch_smoothed(word, &baseline, &mut pstar[..k]);
+        let (lo, hi) = patch.total_bounds();
+        // Debug builds poison the prefix until the chain writes it, and
+        // check every branch and the bounds against the exact total.
+        #[cfg(debug_assertions)]
+        let exact_total = {
+            prefix.fill(f32::NAN);
+            let t = pstar[..k].iter().fold(0.0f32, |acc, &p| acc + p);
+            assert!(
+                lo.is_nan() || (lo <= t && t <= hi),
+                "{t} outside [{lo}, {hi}]"
+            );
+            t
+        };
+        // An upper bound on T until `chained`, then T itself. Deciding
+        // against the bound needs α ≥ 0 as well as bounds that show T
+        // positive and finite.
+        let mut total = hi;
+        let mut chained = false;
+        if !(lo > 0.0 && hi.is_finite() && alpha >= 0.0) {
+            total = baseline.chain(&patch, &pstar[..k], prefix);
+            chained = true;
+            assert!(
+                total > 0.0 && total.is_finite(),
+                "distribution must have positive finite mass, got {total}"
+            );
+        }
         let pstar_cost = pstar_block_cost(
             k,
             row_nnz,
@@ -415,7 +452,6 @@ pub fn try_run_sampling_kernel(
             cache.flush();
         }
         let mut tally = DrawTally::default();
-        let q = alpha * total;
         for s in 0..SAMPLERS_PER_BLOCK {
             // The document whose p1 prefix (and S) `p1` holds for this
             // sampler. The word-major sort makes a document's tokens
@@ -463,7 +499,20 @@ pub fn try_run_sampling_kernel(
                     Xoshiro256::from_seed_stream(stream_seed, cfg.chunk_token_offset + t as u64);
                 let u_branch = rng.next_f32();
                 let u_inner = rng.next_f32();
-                let took_p1 = s_mass > 0.0 && u_branch < s_mass / (s_mass + q);
+                // Against the bound, a p1 decision is the one T gives
+                // (`takes_p1`); any other token chains first.
+                let mut took_p1 = takes_p1(s_mass, alpha, total, u_branch);
+                if !took_p1 && !chained {
+                    total = baseline.chain(&patch, &pstar[..k], prefix);
+                    chained = true;
+                    took_p1 = takes_p1(s_mass, alpha, total, u_branch);
+                }
+                #[cfg(debug_assertions)]
+                assert_eq!(
+                    took_p1,
+                    takes_p1(s_mass, alpha, exact_total, u_branch),
+                    "branch of token {t} differs from the exact total's"
+                );
                 let (topic, sh_touch, leaf_touch) = if took_p1 {
                     let (idx, sh, lf) = sample_prefix(&p1[..kd], DEFAULT_FANOUT, u_inner * s_mass);
                     (cols[idx], sh, lf)
@@ -598,6 +647,94 @@ mod tests {
         let map = build_block_map(&chunk, 128);
         run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
         assert_eq!(state.z.snapshot(), expected);
+
+        // K = 4096, where the p* chain runs only in blocks that need it:
+        // blocks that draw no p2 token never chain, blocks whose first p2
+        // draw comes after sampler 0 chain after deciding sampler 0's
+        // tokens against the bound, and a block with an empty θ row (S = 0)
+        // chains for it.
+        let (chunk, state, phi) = lazy_chain_setup();
+        let inv = phi.inv_denominators();
+        let map = build_block_map(&chunk, 64);
+        let kinds = block_kinds(&chunk, &state, &phi, &map, &cfg);
+        assert!(kinds.iter().all(|&n| n > 0), "block kinds {kinds:?}");
+        let expected = sample_chunk_reference(&chunk, &state, &phi, &inv, &cfg);
+        run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        assert_eq!(state.z.snapshot(), expected, "K = 4096");
+    }
+
+    /// A K = 4096 chunk of short documents, with the θ row of the first
+    /// token's document emptied, so every token of that document has
+    /// S = 0.
+    fn lazy_chain_setup() -> (SortedChunk, ChunkState, PhiModel) {
+        let corpus = {
+            let mut spec = SynthSpec::tiny();
+            spec.num_docs = 60;
+            spec.vocab_size = 120;
+            spec.avg_doc_len = 20.0;
+            spec.generate()
+        };
+        let chunks = partition_by_tokens(&corpus, 1);
+        let chunk = SortedChunk::build(&corpus, &chunks[0]);
+        let k = 4096;
+        let mut state = ChunkState::init_random(&chunk, k, 6);
+        let phi = PhiModel::zeros(k, corpus.vocab_size(), Priors::paper(k));
+        accumulate_phi_host(&chunk, &state.z, &phi);
+        let emptied = chunk.token_doc[0] as usize;
+        let rows: Vec<Vec<u32>> = (0..chunk.num_docs)
+            .map(|d| {
+                let mut row = vec![0u32; k];
+                let (cols, vals) = state.theta.row(d);
+                if d != emptied {
+                    for (&c, &n) in cols.iter().zip(vals) {
+                        row[c as usize] = n;
+                    }
+                }
+                row
+            })
+            .collect();
+        state.theta = CsrMatrix::from_dense_rows(&rows, k);
+        (chunk, state, phi)
+    }
+
+    /// How many blocks of `map` draw no p2 token, draw their first one
+    /// after sampler 0, and hold a token whose θ row is empty, from each
+    /// token's exact branch.
+    fn block_kinds(
+        chunk: &SortedChunk,
+        state: &ChunkState,
+        phi: &PhiModel,
+        map: &[BlockWork],
+        cfg: &SampleConfig,
+    ) -> [usize; 3] {
+        let k = phi.num_topics;
+        let inv = phi.inv_denominators();
+        let (alpha, beta) = (phi.priors.alpha as f32, phi.priors.beta as f32);
+        let (mut pstar, mut weights) = (vec![0.0f32; k], Vec::new());
+        let mut kinds = [0; 3];
+        for work in map {
+            let word = chunk.word_ids[work.word_idx] as usize;
+            phi.phi.fill_smoothed(word, beta, &inv, &mut pstar);
+            let total = pstar.iter().fold(0.0f32, |acc, &p| acc + p);
+            let first_p2 = (0..SAMPLERS_PER_BLOCK)
+                .flat_map(|s| work.sampler_tokens(s).map(move |t| (s, t)))
+                .find(|&(_, t)| {
+                    let (cols, vals) = state.theta.row(chunk.token_doc[t] as usize);
+                    let s_mass = p1_weights(cols, vals, &pstar, &mut weights);
+                    let offset = cfg.chunk_token_offset + t as u64;
+                    let u_branch =
+                        Xoshiro256::from_seed_stream(cfg.stream_seed(), offset).next_f32();
+                    !takes_p1(s_mass, alpha, total, u_branch)
+                });
+            match first_p2 {
+                None => kinds[0] += 1,
+                Some((s, _)) if s > 0 => kinds[1] += 1,
+                Some(_) => {}
+            }
+            let docs = &chunk.token_doc[work.tokens.clone()];
+            kinds[2] += usize::from(docs.iter().any(|&d| state.theta.row_nnz(d as usize) == 0));
+        }
+        kinds
     }
 
     #[test]

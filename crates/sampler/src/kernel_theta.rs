@@ -16,10 +16,18 @@
 //! within a block, so plain adds are the faithful equivalent). The rebuilt
 //! rows are deposited in per-document slots and assembled into the CSR on
 //! the host side of the launch, mirroring a device-wide compaction.
+//!
+//! The model charges both steps as the paper runs them: K cells zeroed,
+//! one atomic per token, a K-cell compaction scan. The host tallies a
+//! document's topics in its executor's [`TopicCounter`], whose bitmap
+//! yields the nonzero cells in ascending order without scanning K, so its
+//! work grows with the document, not with K. The row is the one the scan
+//! gives.
 
 use crate::model::ChunkState;
+use crate::topic_counter::TopicCounter;
 use culda_corpus::{CsrMatrix, SortedChunk};
-use culda_gpusim::{BlockCtx, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
+use culda_gpusim::{Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
 use std::sync::OnceLock;
 
 /// Rebuilds a chunk's θ replica from the current assignments.
@@ -55,18 +63,16 @@ pub fn try_run_theta_update_kernel(
 
     let spec =
         KernelSpec::new("theta_update", chunk.num_docs as u32).with_phase(LaunchPhase::ThetaUpdate);
-    let report = device.try_launch_spec(spec, |ctx: &mut BlockCtx| {
+    let scratch = || TopicCounter::new(num_topics);
+    let report = device.try_launch_spec_with(spec, scratch, |ctx, counter| {
         let d = ctx.block_id as usize;
         let positions = chunk.doc_tokens(d);
         // Step 1: dense scratch per document. The paper fills it with
         // global-memory atomic adds ("we use the atomic functions in this
         // step"), so its traffic is charged to DRAM: zero K cells, one
         // atomic per token, then a full K-read for the compaction scan.
-        let mut scratch = vec![0u32; num_topics];
         for &pos in positions {
-            let k = z.load(pos as usize) as usize;
-            debug_assert!(k < num_topics, "assignment out of range");
-            scratch[k] += 1;
+            counter.add(z.load(pos as usize));
         }
         // Doc-map reads (4 B index + 2 B z each).
         ctx.dram_read(positions.len() * (4 + 2));
@@ -74,16 +80,15 @@ pub fn try_run_theta_update_kernel(
         ctx.dram_write(num_topics * 4);
         ctx.atomic(positions.len());
         ctx.dram_read(num_topics * 4);
-        // Step 2: dense → CSR via prefix-sum compaction.
-        let nnz = scratch.iter().filter(|&&c| c != 0).count();
+        // Step 2: dense → CSR via prefix-sum compaction; the host walks
+        // only the counter's set bitmap words.
+        let nnz = counter.distinct();
         let mut cols = Vec::with_capacity(nnz);
         let mut vals = Vec::with_capacity(nnz);
-        for (k, &c) in scratch.iter().enumerate() {
-            if c != 0 {
-                cols.push(k as u16);
-                vals.push(c);
-            }
-        }
+        counter.drain(|k, c| {
+            cols.push(k);
+            vals.push(c);
+        });
         ctx.flop(num_topics); // the compaction scan
         ctx.dram_write(nnz * (2 + 4)); // CSR row out (compressed indices)
         rows[d]
@@ -123,16 +128,20 @@ mod tests {
 
     #[test]
     fn kernel_matches_host_oracle() {
+        // K = 65 and K = 1000 end their counter's bitmap in a partial word.
         let (chunk, mut state) = setup();
-        // Perturb z so theta must genuinely change.
-        for t in 0..chunk.num_tokens() {
-            state.z.store(t, ((t * 7) % 12) as u16);
+        for k in [12usize, 65, 1000] {
+            // Perturb z so theta must genuinely change; the stride reaches
+            // topics 0 and K − 1.
+            for t in 0..chunk.num_tokens() {
+                state.z.store(t, ((t * 7) % k) as u16);
+            }
+            let expected = build_theta_host(&chunk, &state.z, k);
+            let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
+            run_theta_update_kernel(&dev, &chunk, &mut state, k);
+            state.theta.check_invariants();
+            assert_eq!(state.theta, expected, "K = {k}");
         }
-        let expected = build_theta_host(&chunk, &state.z, 12);
-        let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
-        run_theta_update_kernel(&dev, &chunk, &mut state, 12);
-        state.theta.check_invariants();
-        assert_eq!(state.theta, expected);
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!   (`ModeParseError`/`parse_mode`) every mode enum derives from.
 //! * [`spq`] — the Eq. 6–8 sparsity-aware S/Q decomposition with `p*(k)`
 //!   sub-expression reuse, plus scalar reference samplers.
+//! * [`topic_counter`] — [`TopicCounter`], the update kernels' per-block
+//!   topic tally, drained in ascending order by its bitmap.
 //! * [`blockmap`] — Figure 6 word-first block assignment with heavy-word
 //!   splitting and smallest-ID-first scheduling.
 //! * [`kernel_sample`] — the warp-per-sampler sampling kernel (Algorithm 2).
@@ -52,6 +54,7 @@ pub mod mode;
 pub mod model;
 pub mod ptree;
 pub mod spq;
+pub mod topic_counter;
 pub mod validate;
 
 pub use blockmap::{auto_tokens_per_block, build_block_map, BlockWork, SAMPLERS_PER_BLOCK};
@@ -83,3 +86,5 @@ pub use model::{
     accumulate_phi_host, build_theta_host, ChunkState, LdaModel, PhiModel, MAX_TOPICS,
 };
 pub use ptree::{depth_for, linear_search, IndexTree, DEFAULT_FANOUT};
+pub use spq::takes_p1;
+pub use topic_counter::TopicCounter;

@@ -179,30 +179,6 @@ impl PhiModel {
         }
     }
 
-    /// Adds tokens of one word to ϕ and `phi_sum`. `cells` holds `(topic,
-    /// count)` cells on entry, typically one `(topic, 1)` per token; it is
-    /// sorted and folded in place into one cell per topic, the row is
-    /// written once through [`CountMatrix::add_row`] and each topic's run
-    /// is added to `phi_sum` with one atomic. The result equals one `add`
-    /// and one `phi_sum` add per cell, in any order.
-    pub fn add_word_topics(&self, word: usize, cells: &mut [(u16, u32)]) {
-        cells.sort_unstable_by_key(|&(topic, _)| topic);
-        let mut runs = 0;
-        for i in 0..cells.len() {
-            let (topic, count) = cells[i];
-            if runs > 0 && cells[runs - 1].0 == topic {
-                cells[runs - 1].1 += count;
-            } else {
-                cells[runs] = (topic, count);
-                runs += 1;
-            }
-        }
-        self.phi.add_row(word, &cells[..runs]);
-        for &(topic, count) in &cells[..runs] {
-            self.phi_sum.fetch_add(topic as usize, count);
-        }
-    }
-
     /// Verifies `phi_sum[k] == Σ_v phi[v,k]` and returns total tokens.
     pub fn check_sums(&self) -> u64 {
         let k = self.num_topics;

@@ -41,6 +41,19 @@ pub fn q_mass(alpha: f32, pstar_total: f32) -> f32 {
     alpha * pstar_total
 }
 
+/// Algorithm 2's branch: whether a token whose `p1` mass is `s` draws
+/// from `p1`, `S > 0` and `u_branch < S/(S + α·Σp*)` in f32.
+///
+/// For `α ≥ 0`, `S > 0` and `pstar_total ≤ hi`, f32 `·`, `+` and `/` are
+/// monotone, so `α·Σp* ≤ α·hi`, `S + α·Σp* ≤ S + α·hi` and `S/(S + α·Σp*) ≥
+/// S/(S + α·hi)`: a token that takes `p1` against an upper bound `hi`
+/// takes it against the total itself. The sampling kernel decides such
+/// tokens without the total.
+#[inline]
+pub fn takes_p1(s: f32, alpha: f32, pstar_total: f32, u_branch: f32) -> bool {
+    s > 0.0 && u_branch < s / (s + q_mass(alpha, pstar_total))
+}
+
 /// Computes the sparse `p1` weights for one token's document:
 /// `w_i = θ_vals[i] · p*(θ_cols[i])`. Returns `S = Σ w_i`.
 /// `weights` must have room for `θ_cols.len()` entries.

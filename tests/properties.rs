@@ -14,8 +14,8 @@ use culda::sampler::ptree::{
     walk_touches,
 };
 use culda::sampler::{
-    infer_reference, run_infer_kernel, CountMatrix, DocPosterior, DrawMode, IndexTree, InferDoc,
-    InferKernelConfig, PhiModel, Priors, SmoothedBaseline,
+    infer_reference, run_infer_kernel, takes_p1, CountMatrix, DocPosterior, DrawMode, IndexTree,
+    InferDoc, InferKernelConfig, PhiModel, Priors, SmoothedBaseline, TopicCounter,
 };
 
 fn cases(test_id: u64) -> Xoshiro256 {
@@ -201,11 +201,11 @@ fn lower_bound_draws_and_computed_touches_equal_the_tree_walk() {
 #[test]
 fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
     // The sampling kernel patches each block's row over a p* scratch that
-    // holds the launch's β-baseline, writes the prefix in the same pass,
-    // and puts the baseline back after the block. Over a sequence of rows,
-    // every fill must be bit for bit `fill_smoothed` and a serial prefix
-    // over it, whatever the row's layout and first column, and every
-    // restore must leave exactly the baseline.
+    // holds the launch's β-baseline, chains the prefix when a token needs
+    // it, and puts the baseline back after the block. Over a sequence of
+    // rows, every patch must be bit for bit `fill_smoothed` and every chain
+    // a serial prefix over it, whatever the row's layout and first column,
+    // and every restore must leave exactly the baseline.
     let mut g = cases(17);
     for k in [1usize, 64, 300, 4096] {
         let m = CountMatrix::zeros(12, k);
@@ -256,9 +256,10 @@ fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
             // Stale prefix values from the previous row must all be
             // overwritten.
             prefix.fill(f32::NAN);
-            let total = m.fill_smoothed_prefix(row, &baseline, &mut pstar, &mut prefix);
+            let patch = m.patch_smoothed(row, &baseline, &mut pstar);
             m.fill_smoothed(row, beta, &inv, &mut want);
             assert_eq!(bits(&pstar), bits(&want), "k = {k}, row {row}: p*");
+            let total = baseline.chain(&patch, &pstar, &mut prefix);
             let serial = serial_prefix(&want);
             assert_eq!(bits(&prefix), bits(&serial), "k = {k}, row {row}: prefix");
             assert_eq!(
@@ -272,6 +273,126 @@ fn fused_pstar_fill_equals_fill_smoothed_and_a_serial_prefix() {
     }
 }
 
+#[test]
+fn pstar_total_bounds_hold_and_the_lazy_branch_is_exact() {
+    // The sampling kernel decides a token's branch against an upper bound
+    // on the serial p* total T until some token needs T itself. Over rows
+    // empty, sparse, dense and full, with counts past 2²⁴ and a tiny and a
+    // huge β, the f64 mass must bound T from both sides, and for u_branch
+    // on either threshold and 1–3 ulps either side of it, "p1 against the
+    // bound, else against T" must be the decision against T.
+    let mut g = cases(23);
+    for k in [1usize, 2, 33, 64, 1000, 4096, 10_000] {
+        let m = CountMatrix::zeros(6, k);
+        let wide = |g: &mut Xoshiro256| (1 << 24) + 1 + g.next_below(1 << 26);
+        // Row 0 stays empty; row 1 holds a few wide cells; row 2 one cell
+        // short of the storage cutover; row 3 is forced dense with one
+        // cell; rows 4 and 5 are full, 5 held sparse.
+        for _ in 0..3.min(k) {
+            m.add(1, g.next_below(k as u32) as usize, wide(&mut g));
+        }
+        for t in 0..m.storage_cutover().saturating_sub(1) {
+            m.add(2, t, 1 + g.next_below(50));
+        }
+        m.add(3, k - 1, wide(&mut g));
+        m.force_dense_row(3);
+        for t in 0..k {
+            m.add(4, t, wide(&mut g));
+            m.add(5, t, 1 + g.next_below(1000));
+        }
+        m.force_sparse_row(5);
+        let inv: Vec<f32> = (0..k).map(|_| 1.0 / (1.0 + g.next_f32() * 1e6)).collect();
+        for beta in [1e-30f32, 0.01, 1e20] {
+            let baseline = SmoothedBaseline::new(beta, &inv);
+            let mut pstar = baseline.values().to_vec();
+            let mut want = vec![0.0f32; k];
+            for row in 0..6 {
+                let patch = m.patch_smoothed(row, &baseline, &mut pstar);
+                let (lo, hi) = patch.total_bounds();
+                m.fill_smoothed(row, beta, &inv, &mut want);
+                let t = want.iter().fold(0.0f32, |acc, &x| acc + x);
+                let case = format!("k = {k}, β = {beta:e}, row {row}");
+                assert!(lo <= t && t <= hi, "{case}: T = {t} outside [{lo}, {hi}]");
+                assert!(lo > 0.0 && hi.is_finite(), "{case}: bounds [{lo}, {hi}]");
+                for alpha in [50.0 / k as f32, 1e-3, 1e3] {
+                    for s in [0.0f32, t * 1e-6, t * 0.01, t, t * 1e4] {
+                        for threshold in [s / (s + alpha * t), s / (s + alpha * hi)] {
+                            let below =
+                                std::iter::successors(Some(threshold), |u| Some(u.next_down()));
+                            let above =
+                                std::iter::successors(Some(threshold), |u| Some(u.next_up()));
+                            for u in below.take(4).chain(above.skip(1).take(3)) {
+                                let exact = takes_p1(s, alpha, t, u);
+                                let lazy = takes_p1(s, alpha, hi, u) || exact;
+                                assert_eq!(lazy, exact, "{case}: α = {alpha}, S = {s}, u = {u}");
+                            }
+                        }
+                    }
+                }
+                m.restore_baseline(row, &baseline, &mut pstar);
+            }
+        }
+    }
+}
+
+#[test]
+fn topic_counter_emits_the_cells_a_sort_and_merge_gives() {
+    // The update kernels tally a block's or a document's topics and write
+    // the ascending (topic, count) cells: the counter must emit exactly
+    // what sorting the topics and merging equal neighbours gives, at K
+    // whose bitmap ends in a full or a partial word, and must be empty
+    // again after each drain, over blocks past the old 256-token slice.
+    let mut g = cases(29);
+    for k in [1usize, 63, 64, 65, 1000, 4096, 65_536] {
+        let mut counter = TopicCounter::new(k);
+        for n in [1usize, 257, 8192] {
+            for narrow in [false, true] {
+                // Uniform topics, or few topics repeated many times; the
+                // first and last token take topics K − 1 and 0.
+                let span = if narrow { 5.min(k) } else { k } as u32;
+                let offset = g.next_below((k - span as usize + 1) as u32);
+                let mut topics: Vec<u16> = (0..n)
+                    .map(|_| (offset + g.next_below(span)) as u16)
+                    .collect();
+                topics[0] = (k - 1) as u16;
+                if n > 1 {
+                    topics[n - 1] = 0;
+                }
+                for &t in &topics {
+                    counter.add(t);
+                }
+                let mut sorted = topics.clone();
+                sorted.sort_unstable();
+                let mut want: Vec<(u16, u32)> = Vec::new();
+                for t in sorted {
+                    match want.last_mut() {
+                        Some((last, c)) if *last == t => *c += 1,
+                        _ => want.push((t, 1)),
+                    }
+                }
+                let case = format!("k = {k}, n = {n}, narrow = {narrow}");
+                assert_eq!(counter.distinct(), want.len(), "{case}: distinct");
+                let mut got = Vec::new();
+                counter.drain(|t, c| got.push((t, c)));
+                assert_eq!(got, want, "{case}");
+                assert_eq!(counter.distinct(), 0, "{case}: not reset");
+            }
+        }
+        let mut got = Vec::new();
+        counter.drain(|t, c| got.push((t, c)));
+        assert!(got.is_empty(), "k = {k}: a drained counter emitted {got:?}");
+    }
+}
+
+/// Adds one word's `(topic, count)` cells, in strictly ascending topic
+/// order, to ϕ and `phi_sum`.
+fn add_word_cells(phi: &PhiModel, word: usize, cells: &[(u16, u32)]) {
+    phi.phi.add_row(word, cells);
+    for &(topic, count) in cells {
+        phi.phi_sum.fetch_add(topic as usize, count);
+    }
+}
+
 /// A ϕ over `v` words with rows on both sides of the storage cutover: an
 /// empty row, sparse rows, one cell short of the cutover, at it and one
 /// past it, a full row and rows forced dense with few cells.
@@ -281,10 +402,10 @@ fn fold_in_phi(g: &mut Xoshiro256, k: usize, v: usize) -> PhiModel {
     let run = |g: &mut Xoshiro256, word: usize, nnz: usize| {
         let nnz = nnz.min(k);
         let start = g.next_below((k - nnz + 1) as u32) as usize;
-        let mut cells: Vec<(u16, u32)> = (start..start + nnz)
+        let cells: Vec<(u16, u32)> = (start..start + nnz)
             .map(|t| (t as u16, 1 + g.next_below(50)))
             .collect();
-        phi.add_word_topics(word, &mut cells);
+        add_word_cells(&phi, word, &cells);
     };
     for (word, nnz) in [(1, 1), (2, 3), (3, cut - 1), (4, cut), (5, cut + 1), (6, k)] {
         run(g, word, nnz);
@@ -311,13 +432,13 @@ fn fold_in_phi(g: &mut Xoshiro256, k: usize, v: usize) -> PhiModel {
 fn wide_count_phi(k: usize, v: usize) -> PhiModel {
     let phi = PhiModel::zeros(k, v, Priors::paper(k));
     for word in [1, v - 1] {
-        let mut cells: Vec<(u16, u32)> = (0..k)
+        let cells: Vec<(u16, u32)> = (0..k)
             .map(|t| (t as u16, (1 << (24 + t % 4)) + 1 + 2 * t as u32))
             .collect();
-        phi.add_word_topics(word, &mut cells);
+        add_word_cells(&phi, word, &cells);
     }
     for word in 2..v - 1 {
-        phi.add_word_topics(word, &mut [((word * 7 % k) as u16, 1 + word as u32 % 5)]);
+        add_word_cells(&phi, word, &[((word * 7 % k) as u16, 1 + word as u32 % 5)]);
     }
     for word in [1, v - 1] {
         for (_, c) in phi.phi.row_nonzeros(word) {
