@@ -11,11 +11,11 @@
 //!   workers, node `n` being workers `n·G..(n+1)·G`, and deals the chunks
 //!   round-robin over all of them; a single node is the `N = 1` case;
 //! * ϕ replicas : PCIe reduce tree = node sums : [`ParameterServer`] —
-//!   after each node's intra-node sync, its summed replica is encoded as a
-//!   sparse [`DeltaPayload`] (the same COO/CSR/dense wire format the
-//!   Δϕ sync uses on PCIe) and merged up a reduce tree over the modelled
-//!   inter-node link ([`Link::node_100gbit`] by default), then the merged
-//!   global payload is broadcast back and applied to every replica.
+//!   each node's payload is its replicas' merged sparse [`DeltaPayload`]
+//!   (the same COO/CSR/dense wire format the Δϕ sync uses on PCIe); the
+//!   node payloads merge up a reduce tree over the modelled inter-node
+//!   link ([`Link::node_100gbit`] by default), and the merged global
+//!   payload is broadcast back and stored once into every alive replica.
 //!
 //! **Bit-identity.** The chunk layout is planned *once* from the per-node
 //! platform (`C = M × G`, independent of the node count), the sampler RNG
@@ -30,7 +30,6 @@ use crate::delta::DeltaPayload;
 use crate::sync::{reduce_payloads, SyncReport, SyncTotals};
 use crate::trainer::CuldaTrainer;
 use culda_gpusim::{GpuSpec, Link};
-use culda_sampler::{PhiDelta, PhiModel};
 
 /// The multi-node trainer is the document-partition trainer: one node is
 /// its `N = 1` case. The name stays for callers that spell it.
@@ -90,18 +89,4 @@ impl ParameterServer {
         self.totals.absorb(&report);
         (global, report)
     }
-}
-
-/// A node's Δϕ payload after its intra-node sync: each of `replicas` (the
-/// node's alive write replicas) holds the node sum, and the union of their
-/// dirty-row bitmaps covers exactly the rows that sum can be nonzero in
-/// (counts are non-negative, so no cancellation).
-pub(crate) fn node_payload(replicas: &[&PhiModel]) -> DeltaPayload {
-    let union = PhiDelta::new(replicas[0].vocab_size);
-    for r in replicas {
-        for v in r.phi.dirty().touched_rows() {
-            union.mark_row(v);
-        }
-    }
-    DeltaPayload::from_replica(replicas[0], &union)
 }

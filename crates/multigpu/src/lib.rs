@@ -4,8 +4,8 @@
 //! partition-by-document, or partition-by-word for the Section 4
 //! comparison ([`partition`]), the `M` memory-planning rule and
 //! round-robin schedule of Algorithm 1 ([`schedule`]), the Figure 4
-//! reduce/broadcast ϕ synchronization ([`sync`], dense or sparse-Δϕ via
-//! [`delta`]), the per-GPU worker that
+//! reduce/broadcast ϕ synchronization ([`sync`], summed through the Δϕ
+//! payloads of [`delta`] and charged dense or sparse), the per-GPU worker that
 //! owns a device plus its chunks and ϕ replicas and runs the iteration
 //! body on its own host thread ([`worker`]), and the end-to-end trainer
 //! with WorkSchedule1/WorkSchedule2 and sync/θ-update overlap
@@ -56,8 +56,6 @@ pub use partition::PartitionedCorpus;
 pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
 pub use resume::{resume_any, resume_training, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
-pub use sync::{
-    sync_phi_auto, sync_phi_delta, sync_phi_replicas, sync_phi_ring, SyncReport, SyncTotals,
-};
+pub use sync::{sync_phi, SyncReport, SyncTotals};
 pub use trainer::{CuldaTrainer, TrainOutcome};
 pub use worker::{run_workers, run_workers_traced, GpuWorker};

@@ -317,6 +317,68 @@ mod tests {
     }
 
     #[test]
+    fn doc_trainer_resume_books_the_sync_it_replaces() {
+        // The resume rebuilds ϕ through the step's node sum, so it books
+        // the sync of the iteration it replaces in the configured mode and
+        // over the configured nodes: the phase breakdown, the intra-node
+        // sync totals and the parameter server's totals.
+        use crate::config::SyncMode;
+        use culda_metrics::Phase;
+        let mut spec = SynthSpec::tiny();
+        spec.seed = 5;
+        let c = spec.generate();
+        let cases = [
+            (SyncMode::DenseTree, 1, 2),
+            (SyncMode::DenseRing, 1, 2),
+            (SyncMode::Delta, 1, 2),
+            (SyncMode::Auto, 1, 2),
+            (SyncMode::DenseTree, 2, 1),
+            (SyncMode::Delta, 2, 2),
+        ];
+        for (mode, nodes, gpus) in cases {
+            let what = format!("{mode} on {nodes} node(s) of {gpus} GPU(s)");
+            let cfg = || {
+                TrainerConfig::builder(8, Platform::pascal().with_gpus(gpus))
+                    .score_every(0)
+                    .seed(31)
+                    .sync_mode(mode)
+                    .nodes(nodes)
+                    .build()
+                    .unwrap()
+            };
+            let books = |t: &CuldaTrainer| {
+                let s = t.breakdown().seconds(Phase::SyncPhi);
+                (s, t.sync_totals(), t.parameter_server().totals())
+            };
+            let mut first = CuldaTrainer::new(&c, cfg());
+            first.step();
+            let (s1, intra1, inter1) = books(&first);
+            first.step();
+            let (s2, intra2, inter2) = books(&first);
+            let mut buf = Vec::new();
+            save_training(&first, &mut buf).unwrap();
+            let resumed = resume_training(&c, cfg(), buf.as_slice()).unwrap();
+            let (s, intra, inter) = books(&resumed);
+            assert!(s2 - s1 > 0.0, "{what}: the second step booked no sync");
+            assert!(
+                (s - (s2 - s1)).abs() < 1e-15,
+                "{what}: the resume booked {s} s, the step it replaces {} s",
+                s2 - s1
+            );
+            for (got, before, after) in [(intra, intra1, intra2), (inter, inter1, inter2)] {
+                let step = (
+                    after.bytes_moved - before.bytes_moved,
+                    after.dense_bytes - before.dense_bytes,
+                    after.nnz - before.nnz,
+                );
+                assert_eq!((got.bytes_moved, got.dense_bytes, got.nnz), step, "{what}");
+                let step_s = after.seconds - before.seconds;
+                assert!((got.seconds - step_s).abs() < 1e-15, "{what}");
+            }
+        }
+    }
+
+    #[test]
     fn word_checkpoint_in_the_one_shard_per_gpu_layout_resumes_or_is_refused() {
         // Earlier word checkpoints held one shard per GPU, each the tokens
         // of a token-balanced word range in (word, document) order: what

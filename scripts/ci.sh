@@ -160,24 +160,30 @@ done
 
 echo "==> multi-node smoke test"
 # A 2-node cluster run must train the bit-identical model to the 1-node
-# run of the same configuration (the dense-tree model from above).
-cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-    --vocab "$smoke/c.v" --model "$smoke/n.phi" --topics 8 --iters 3 \
-    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
-    | tee "$smoke/nodes.log"
-grep -q 'cluster: 2 node(s)' "$smoke/nodes.log"
-cmp "$smoke/doc-sync-mode-8-dense-tree.phi" "$smoke/n.phi"
+# run of the same configuration (the dense-tree model from above), in
+# every sync mode: each runs the same node merges and single store.
+for mode in dense-tree dense-ring delta auto; do
+    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+        --vocab "$smoke/c.v" --model "$smoke/n-$mode.phi" --topics 8 --iters 3 \
+        --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
+        | tee "$smoke/nodes-$mode.log"
+    grep -q 'cluster: 2 node(s)' "$smoke/nodes-$mode.log"
+    cmp "$smoke/doc-sync-mode-8-dense-tree.phi" "$smoke/n-$mode.phi"
+done
 # Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
-# write the same model as the 3 straight ones.
-cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-    --vocab "$smoke/c.v" --model "$smoke/nr.phi" --topics 8 --iters 2 \
-    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
-    --save-state "$smoke/n.state"
-cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-    --vocab "$smoke/c.v" --model "$smoke/nr.phi" --topics 8 --iters 1 \
-    --score-every 0 --platform pascal --gpus 2 --nodes 2 \
-    --resume "$smoke/n.state"
-cmp "$smoke/n.phi" "$smoke/nr.phi"
+# write the same model as the 3 straight ones, whether the resume's
+# rebuild is charged as the dense tree or as delta.
+for mode in dense-tree delta; do
+    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+        --vocab "$smoke/c.v" --model "$smoke/nr-$mode.phi" --topics 8 --iters 2 \
+        --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
+        --save-state "$smoke/n-$mode.state"
+    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+        --vocab "$smoke/c.v" --model "$smoke/nr-$mode.phi" --topics 8 --iters 1 \
+        --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
+        --resume "$smoke/n-$mode.state"
+    cmp "$smoke/n-$mode.phi" "$smoke/nr-$mode.phi"
+done
 
 echo "==> telemetry smoke test (eval, snapshots, report, openmetrics)"
 # A telemetry-laden run must stream parseable snapshots, export a lintable

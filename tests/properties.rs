@@ -671,42 +671,74 @@ fn priors_masses_are_linear() {
 #[test]
 fn phi_sync_equals_serial_sum() {
     use culda::gpusim::{Link, Platform};
-    use culda::multigpu::{sync_phi_replicas, TrainerConfig};
+    use culda::multigpu::{sync_phi, SyncMode, TrainerConfig};
     use culda::sampler::PhiModel;
+    // Everything a sync leaves in a replica: counts, column sums, and each
+    // row's nnz and physical layout.
+    let model = |m: &PhiModel| {
+        let rows: Vec<(usize, bool)> = (0..m.vocab_size)
+            .map(|v| (m.phi.row_nnz(v), m.phi.row_is_dense(v)))
+            .collect();
+        (m.phi.snapshot(), m.phi_sum.snapshot(), rows)
+    };
     let mut rng = cases(11);
-    for _ in 0..24 {
+    for case in 0..96 {
+        let mode = [
+            SyncMode::DenseTree,
+            SyncMode::DenseRing,
+            SyncMode::Delta,
+            SyncMode::Auto,
+        ][case % 4];
         let g = 1 + rng.next_below(6) as usize;
+        // Word 1 is zero on every replica and some replicas are entirely
+        // zero. At K = 8 a row turns dense at 4 nonzeros, so some summed
+        // rows cross the storage cutover that no replica's own row reached.
+        let (k, v) = (8, 5);
         let replica_fills: Vec<Vec<u32>> = (0..g)
-            .map(|_| (0..12).map(|_| rng.next_below(7)).collect())
+            .map(|_| {
+                let empty = rng.next_below(3) == 0;
+                (0..k * v)
+                    .map(|slot| {
+                        let c = rng.next_below(9).saturating_sub(6);
+                        if empty || slot / k == 1 {
+                            0
+                        } else {
+                            c
+                        }
+                    })
+                    .collect()
+            })
             .collect();
         let replicas: Vec<PhiModel> = replica_fills
             .iter()
             .map(|cells| {
-                let m = PhiModel::zeros(3, 4, Priors::paper(3));
+                let m = PhiModel::zeros(k, v, Priors::paper(k));
                 for (i, &c) in cells.iter().enumerate() {
                     if c > 0 {
                         m.phi.store(i, c);
-                        m.phi_sum.fetch_add(i % 3, c);
+                        m.phi_sum.fetch_add(i % k, c);
                     }
                 }
                 m
             })
             .collect();
-        let mut want = [0u64; 12];
+        let mut want = [0u64; 40];
         for cells in &replica_fills {
             for (slot, w) in want.iter_mut().enumerate() {
                 *w += cells[slot] as u64;
             }
         }
-        let cfg = TrainerConfig::builder(3, Platform::pascal())
+        let cfg = TrainerConfig::builder(k, Platform::pascal())
             .build()
             .unwrap();
         let refs: Vec<&_> = replicas.iter().collect();
-        sync_phi_replicas(&refs, &Platform::pascal().gpu, &Link::pcie3(), &cfg);
+        sync_phi(mode, &refs, &Platform::pascal().gpu, &Link::pcie3(), &cfg);
         for r in &replicas {
             for (slot, &w) in want.iter().enumerate() {
-                assert_eq!(r.phi.load(slot) as u64, w, "g = {g}");
+                assert_eq!(r.phi.load(slot) as u64, w, "{mode}, g = {g}");
             }
+            r.check_sums();
+            assert_eq!(model(r), model(&replicas[0]), "{mode}, g = {g}");
         }
     }
 }
