@@ -13,7 +13,10 @@
 //! pairwise up the Figure 4 tree (`reduce_payloads`), and the merged
 //! global payload is stored once into every replica. That is bit-identical
 //! to a dense sum because the adds are commutative integers and a cleared
-//! replica's nonzero cells are a subset of the global payload's.
+//! replica's nonzero cells are a subset of the global payload's. Every
+//! replica participates at once, as every GPU does in the paper: the
+//! captures run one host thread per replica, and so do the stores; the
+//! tree merge runs on the calling thread, in the tree's order.
 //!
 //! [`SyncMode`] only picks the modelled charge:
 //!
@@ -36,6 +39,7 @@
 
 use crate::config::{SyncMode, TrainerConfig};
 use crate::delta::DeltaPayload;
+use crate::worker::run_workers;
 use culda_gpusim::{GpuSpec, KernelCost, Link};
 use culda_sampler::PhiModel;
 
@@ -284,7 +288,7 @@ pub(crate) fn reduce_payloads(
 }
 
 /// Captures `replica`'s Δϕ: the nonzero cells of the rows it marked dirty.
-pub(crate) fn capture(replica: &PhiModel) -> DeltaPayload {
+fn capture(replica: &PhiModel) -> DeltaPayload {
     debug_assert!(
         (0..replica.vocab_size)
             .all(|v| replica.phi.row_nnz(v) == 0 || replica.phi.dirty().is_marked(v)),
@@ -293,31 +297,50 @@ pub(crate) fn capture(replica: &PhiModel) -> DeltaPayload {
     DeltaPayload::from_replica(replica, replica.phi.dirty())
 }
 
-/// One node's half of a sync: each of `replicas`' dirty rows captured
-/// once as a [`DeltaPayload`] and merged up the Figure 4 tree
-/// ([`reduce_payloads`]), and the report `mode` charges for it. Stores
-/// nothing. The payload is the node's sum, or `None` for a lone replica,
-/// which holds that sum already and is not captured.
+/// Captures every one of `replicas`, one host thread per replica; the
+/// payloads come back in replica order.
+pub(crate) fn capture_each(replicas: &[&PhiModel]) -> Vec<DeltaPayload> {
+    run_workers(&mut replicas.to_vec(), |_, r| capture(r))
+}
+
+/// Stores `global` into every one of `replicas`, one host thread per
+/// replica.
+pub(crate) fn store_each(global: &DeltaPayload, replicas: &[&PhiModel]) {
+    run_workers(&mut replicas.to_vec(), |_, r| global.apply_to(r));
+}
+
+/// One node's half of a sync: its replicas' captured payloads merged up
+/// the Figure 4 tree ([`reduce_payloads`]), and the report `mode` charges
+/// for it. `payloads` holds each of `replicas`' capture, in order, or
+/// nothing for a lone replica no other node needs. Stores nothing. The
+/// payload returned is the node's sum, or `None` for a lone replica left
+/// uncaptured, which holds that sum already.
 ///
 /// # Panics
-/// Panics if `replicas` is empty or shapes disagree.
+/// Panics if `replicas` is empty, `payloads` does not match them, or shapes
+/// disagree.
 pub(crate) fn merge_node(
     mode: SyncMode,
     replicas: &[&PhiModel],
+    mut payloads: Vec<DeltaPayload>,
     gpu: &GpuSpec,
     link: &Link,
     cfg: &TrainerConfig,
 ) -> (Option<DeltaPayload>, SyncReport) {
     assert!(!replicas.is_empty(), "no replicas to synchronize");
     let (g, r, e) = (replicas.len(), replicas[0], cfg.phi_elem_bytes());
+    assert!(
+        payloads.len() == g || (g == 1 && payloads.is_empty()),
+        "{} payloads for {g} replicas",
+        payloads.len()
+    );
     let (node, delta) = if g == 1 {
         let delta = SyncReport {
             mode: SyncMode::Delta,
             ..SyncReport::default()
         };
-        (None, delta)
+        (payloads.pop(), delta)
     } else {
-        let payloads = replicas.iter().map(|&r| capture(r)).collect();
         let (node, delta) = reduce_payloads(payloads, r.num_topics, r.vocab_size, gpu, link, e);
         (Some(node), delta)
     };
@@ -351,11 +374,15 @@ pub fn sync_phi(
     link: &Link,
     cfg: &TrainerConfig,
 ) -> SyncReport {
-    let (node, report) = merge_node(mode, replicas, gpu, link, cfg);
+    // A lone replica already holds the sum: nothing to capture or store.
+    let payloads = if replicas.len() > 1 {
+        capture_each(replicas)
+    } else {
+        Vec::new()
+    };
+    let (node, report) = merge_node(mode, replicas, payloads, gpu, link, cfg);
     if let Some(global) = node {
-        for r in replicas {
-            global.apply_to(r);
-        }
+        store_each(&global, replicas);
     }
     report
 }

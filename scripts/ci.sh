@@ -82,20 +82,23 @@ cmp "$smoke/c.phi" "$smoke/f.phi"
 echo "==> mode-matrix smoke tests (sync, sampling, draw; both policies)"
 # Every phi sync strategy, p* fill path and p1 draw engine must train the
 # bit-identical model; only modelled time and bytes may differ. Each row
-# names the partition policy, the flag, the topic count and the modes, the
-# first being the one the others are compared with. At K = 8 every index
-# tree has one level; the sampling and draw matrices also run at K = 4096,
-# where the p* tree has two upper levels, and at K = 1000, where the
-# sampler's p* scratch is padded to a power of two. The word policy runs
-# the same kernels over word-range chunks; the sync mode does not apply to
-# it.
-while read -r policy flag topics modes; do
+# names the partition policy, the flag, the topic count, the GPU count and
+# the modes, the first being the one the others are compared with. At K = 8
+# every index tree has one level; the sampling and draw matrices also run
+# at K = 4096, where the p* tree has two upper levels, and at K = 1000,
+# where the sampler's p* scratch is padded to a power of two. The sync
+# matrix runs at K = 8, where summed rows turn dense, and at K = 4096,
+# where every row stays sparse; on 4 GPUs the replicas merge up a
+# two-level tree and the global payload is stored into four replicas at
+# once. The word policy runs the same kernels over word-range chunks; the
+# sync mode does not apply to it.
+while read -r policy flag topics gpus modes; do
     reference=""
     for mode in $modes; do
-        model="$smoke/$policy-$flag-$topics-$mode.phi"
+        model="$smoke/$policy-$flag-$topics-$gpus-$mode.phi"
         cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
             --vocab "$smoke/c.v" --model "$model" --topics "$topics" \
-            --iters 3 --score-every 0 --platform pascal --gpus 2 \
+            --iters 3 --score-every 0 --platform pascal --gpus "$gpus" \
             --policy "$policy" "--$flag" "$mode" < /dev/null
         if [ -z "$reference" ]; then
             reference="$model"
@@ -104,27 +107,30 @@ while read -r policy flag topics modes; do
         fi
     done
 done <<'MATRIX'
-doc sync-mode 8 dense-tree dense-ring delta auto
-doc sampling-mode 8 dense sparse auto
-doc sampling-mode 4096 dense sparse auto
-doc sampling-mode 1000 dense sparse auto
-doc draw-mode 8 tree butterfly auto
-doc draw-mode 4096 tree butterfly auto
-doc draw-mode 1000 tree butterfly auto
-word sampling-mode 8 dense sparse auto
-word sampling-mode 4096 dense sparse auto
-word draw-mode 8 tree butterfly auto
-word draw-mode 4096 tree butterfly auto
+doc sync-mode 8 2 dense-tree dense-ring delta auto
+doc sync-mode 4096 2 dense-tree dense-ring delta auto
+doc sync-mode 8 4 dense-tree dense-ring delta auto
+doc sync-mode 4096 4 dense-tree dense-ring delta auto
+doc sampling-mode 8 2 dense sparse auto
+doc sampling-mode 4096 2 dense sparse auto
+doc sampling-mode 1000 2 dense sparse auto
+doc draw-mode 8 2 tree butterfly auto
+doc draw-mode 4096 2 tree butterfly auto
+doc draw-mode 1000 2 tree butterfly auto
+word sampling-mode 8 2 dense sparse auto
+word sampling-mode 4096 2 dense sparse auto
+word draw-mode 8 2 tree butterfly auto
+word draw-mode 4096 2 tree butterfly auto
 MATRIX
 # At K = 4096 the fold-in's row cache holds 4 words and no scoring tile
 # fits, so this runs the paths for words past both caches.
-infer_shapes "$smoke/doc-draw-mode-4096-tree.phi"
+infer_shapes "$smoke/doc-draw-mode-4096-2-tree.phi"
 
 echo "==> word-policy fault and resume smoke tests"
 # A transient launch fault under the word policy must recover to the clean
 # word model, and 2 + 1 iterations through --save-state/--resume must write
 # the same model as 3 straight ones (the word rows of the matrix above).
-word_clean="$smoke/word-sampling-mode-8-dense.phi"
+word_clean="$smoke/word-sampling-mode-8-2-dense.phi"
 cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --vocab "$smoke/c.v" --model "$smoke/wf.phi" --topics 8 --iters 3 \
     --score-every 0 --platform pascal --gpus 2 --policy word \
@@ -147,7 +153,7 @@ echo "==> permanent GPU loss smoke tests (both policies)"
 # matrix above.
 for policy in doc word; do
     case "$policy" in
-        doc) clean="$smoke/doc-sync-mode-8-dense-tree.phi" ;;
+        doc) clean="$smoke/doc-sync-mode-8-2-dense-tree.phi" ;;
         word) clean="$word_clean" ;;
     esac
     cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
@@ -168,7 +174,7 @@ for mode in dense-tree dense-ring delta auto; do
         --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
         | tee "$smoke/nodes-$mode.log"
     grep -q 'cluster: 2 node(s)' "$smoke/nodes-$mode.log"
-    cmp "$smoke/doc-sync-mode-8-dense-tree.phi" "$smoke/n-$mode.phi"
+    cmp "$smoke/doc-sync-mode-8-2-dense-tree.phi" "$smoke/n-$mode.phi"
 done
 # Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
 # write the same model as the 3 straight ones, whether the resume's

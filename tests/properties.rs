@@ -744,6 +744,110 @@ fn phi_sync_equals_serial_sum() {
 }
 
 #[test]
+fn tree_merged_payload_equals_the_summed_snapshot() {
+    use culda::multigpu::{row_encoding, DeltaPayload};
+    let mut rng = cases(31);
+    let (mut dense_rows, mut empty_replicas) = (0, 0);
+    for case in 0..64 {
+        // At K = 8 a row turns dense at 4 nonzeros; at K = 4096 every row
+        // here stays sparse.
+        let k = if case % 2 == 0 { 8 } else { 4096 };
+        let g = 1 + rng.next_below(8) as usize;
+        let v = 1 + rng.next_below(12) as usize;
+        // Which rows each replica writes: every replica the same rows, rows
+        // dealt out disjointly, or each row on a coin flip.
+        let pattern = case / 2 % 3;
+        let replicas: Vec<PhiModel> = (0..g)
+            .map(|r| {
+                let m = PhiModel::zeros(k, v, Priors::paper(k));
+                let empty = rng.next_below(4) == 0;
+                empty_replicas += usize::from(empty);
+                for word in 0..v {
+                    let writes = match pattern {
+                        0 => word % 2 == 0,
+                        1 => word % g == r,
+                        _ => rng.next_below(2) == 0,
+                    };
+                    if empty || !writes {
+                        continue;
+                    }
+                    for _ in 0..1 + rng.next_below(if k == 8 { 6 } else { 40 }) {
+                        let topic = rng.next_below(k as u32) as usize;
+                        let c = 1 + rng.next_below(5);
+                        m.phi.add(word, topic, c);
+                        m.phi_sum.fetch_add(topic, c);
+                    }
+                }
+                m
+            })
+            .collect();
+        // The naive oracle: the replicas' dense snapshots summed cell by cell.
+        let mut want = vec![0u32; k * v];
+        let mut want_sums = vec![0u32; k];
+        for r in &replicas {
+            want.iter_mut()
+                .zip(r.phi.snapshot())
+                .for_each(|(w, c)| *w += c);
+            want_sums
+                .iter_mut()
+                .zip(r.phi_sum.snapshot())
+                .for_each(|(w, c)| *w += c);
+        }
+        let row_nnz: Vec<usize> = want
+            .chunks(k)
+            .map(|row| row.iter().filter(|&&c| c != 0).count())
+            .collect();
+
+        // Capture every replica and merge pairwise up the Figure 4 tree.
+        let mut tree: Vec<Option<DeltaPayload>> = replicas
+            .iter()
+            .map(|r| Some(DeltaPayload::from_replica(r, r.phi.dirty())))
+            .collect();
+        let mut stride = 1;
+        while stride < g {
+            for i in (0..g - stride).step_by(2 * stride) {
+                let sender = tree[i + stride].take().expect("sent once");
+                tree[i].as_mut().expect("receiver").merge_from(&sender);
+            }
+            stride *= 2;
+        }
+        let global = tree[0].take().expect("root");
+
+        let what = format!("case {case}: k = {k}, g = {g}, v = {v}, pattern {pattern}");
+        assert_eq!(global.nnz(), row_nnz.iter().sum::<usize>() as u64, "{what}");
+        assert_eq!(
+            global.num_rows(),
+            row_nnz.iter().filter(|&&n| n > 0).count(),
+            "{what}"
+        );
+        for e in [2, 4] {
+            let rows: u64 = row_nnz
+                .iter()
+                .filter(|&&n| n > 0)
+                .map(|&n| row_encoding(n, k, e).1)
+                .sum();
+            assert_eq!(
+                global.encoded_bytes(e),
+                rows + k as u64 * e,
+                "{what}, e = {e}"
+            );
+        }
+        for r in &replicas {
+            global.apply_to(r);
+            assert_eq!(r.phi.snapshot(), want, "{what}");
+            assert_eq!(r.phi_sum.snapshot(), want_sums, "{what}");
+            for (word, &n) in row_nnz.iter().enumerate() {
+                assert_eq!(r.phi.row_nnz(word), n, "{what}, word {word}");
+                assert!(k == 8 || !r.phi.row_is_dense(word), "{what}, word {word}");
+                dense_rows += usize::from(r.phi.row_is_dense(word));
+            }
+            r.check_sums();
+        }
+    }
+    assert!(dense_rows > 0 && empty_replicas > 0);
+}
+
+#[test]
 fn count_matrix_dense_sparse_round_trip_preserves_totals() {
     use culda::sampler::CountMatrix;
     let mut g = cases(13);
@@ -814,7 +918,9 @@ fn batched_row_writes_equal_per_cell_writes() {
             }
         }
         // A few batches per case: sorted distinct columns; adds may carry
-        // zero deltas (no-ops), stores carry only nonzero counts.
+        // zero deltas (no-ops), stores carry only nonzero counts and name
+        // every column the row holds, as the ϕ sync's stores do (a
+        // replica's nonzero cells are a subset of the global payload's).
         for _ in 0..3 {
             let row = g.next_below(v as u32) as usize;
             let add = g.next_below(2) == 0;
@@ -822,7 +928,8 @@ fn batched_row_writes_equal_per_cell_writes() {
             let zeros = if add { g.next_below(100) } else { 0 };
             let mut cells: Vec<(u16, u32)> = Vec::new();
             for t in 0..k {
-                if g.next_below(100) < density {
+                let held = !add && batched.get(row, t) != 0;
+                if held || g.next_below(100) < density {
                     let c = if g.next_below(100) < zeros {
                         0
                     } else {
