@@ -103,7 +103,7 @@ mod tests {
     use culda_corpus::{partition_by_tokens, SynthSpec};
     use culda_gpusim::GpuSpec;
     use culda_sampler::{
-        accumulate_phi_host, build_block_map, run_sampling_kernel, Priors, SampleConfig,
+        accumulate_phi_host, build_block_map, try_run_sampling_kernel, Priors, SampleConfig,
     };
 
     fn setup(k: usize) -> (SortedChunk, ChunkState, PhiModel) {
@@ -147,7 +147,7 @@ mod tests {
 
         let dev_culda = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
         let map = build_block_map(&chunk, 512);
-        let culda = run_sampling_kernel(
+        let culda = try_run_sampling_kernel(
             &dev_culda,
             &chunk,
             &state,
@@ -155,7 +155,8 @@ mod tests {
             &inv,
             &map,
             &SampleConfig::new(7),
-        );
+        )
+        .unwrap();
         let speedup = naive.sim_seconds / culda.sim_seconds;
         assert!(
             speedup > 5.0,

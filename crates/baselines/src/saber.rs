@@ -10,7 +10,7 @@
 
 use culda_corpus::Corpus;
 use culda_gpusim::{GpuSpec, Platform};
-use culda_multigpu::{CuldaTrainer, TrainerConfig};
+use culda_multigpu::{CuldaError, CuldaTrainer, TrainerConfig};
 
 /// SaberLDA's reported NYTimes throughput (tokens/s) on a GTX 1080.
 pub const SABER_REPORTED_NYTIMES_TPS: f64 = 120.0e6;
@@ -32,15 +32,19 @@ pub fn saber_platform() -> Platform {
 }
 
 /// A trainer configured as the SaberLDA approximation: GTX 1080, one GPU,
-/// no sub-expression sharing in shared memory.
-pub fn saber_like_trainer(corpus: &Corpus, num_topics: usize, iterations: u32) -> CuldaTrainer {
+/// no sub-expression sharing in shared memory. A degenerate `num_topics`
+/// or a corpus that fits the GTX 1080 at no `M` is a [`CuldaError`].
+pub fn saber_like_trainer(
+    corpus: &Corpus,
+    num_topics: usize,
+    iterations: u32,
+) -> Result<CuldaTrainer, CuldaError> {
     let mut cfg = TrainerConfig::builder(num_topics, saber_platform())
         .iterations(iterations)
         .score_every(1)
-        .build()
-        .unwrap();
+        .build()?;
     cfg.use_shared_memory = false;
-    CuldaTrainer::new(corpus, cfg)
+    CuldaTrainer::try_new(corpus, cfg)
 }
 
 #[cfg(test)]
@@ -64,8 +68,8 @@ mod tests {
         spec.avg_doc_len = 100.0;
         let corpus = spec.generate();
 
-        let saber = saber_like_trainer(&corpus, 32, 2).train();
-        let culda = CuldaTrainer::new(
+        let saber = saber_like_trainer(&corpus, 32, 2).unwrap().train();
+        let culda = CuldaTrainer::try_new(
             &corpus,
             TrainerConfig::builder(32, Platform::maxwell())
                 .iterations(2)
@@ -73,6 +77,7 @@ mod tests {
                 .build()
                 .unwrap(),
         )
+        .unwrap()
         .train();
         let saber_tps = saber.history.avg_tokens_per_sec(2);
         let culda_tps = culda.history.avg_tokens_per_sec(2);

@@ -329,7 +329,7 @@ mod tests {
         }
         let phi = s.export_phi();
         assert_eq!(phi.check_sums(), c.num_tokens());
-        use culda_sampler::{run_infer_kernel, InferDoc, InferKernelConfig};
+        use culda_sampler::{try_run_infer_kernel, InferDoc, InferKernelConfig};
         let device = culda_gpusim::Device::new(0, culda_gpusim::GpuSpec::titan_xp_pascal());
         let doc: Vec<u32> = c.docs[0].words.clone();
         let cfg = InferKernelConfig::new(1);
@@ -337,7 +337,8 @@ mod tests {
             stream_id: 0,
             words: &doc,
         }];
-        let (post, _) = run_infer_kernel(&device, &phi, &phi.inv_denominators(), &docs, &cfg);
+        let (post, _) =
+            try_run_infer_kernel(&device, &phi, &phi.inv_denominators(), &docs, &cfg).unwrap();
         let total: u64 = post[0].theta_acc.iter().sum();
         assert_eq!(total, doc.len() as u64 * u64::from(post[0].acc_sweeps));
     }

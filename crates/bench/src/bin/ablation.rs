@@ -34,7 +34,7 @@ fn main() {
             .build()
             .unwrap();
         mutate(&mut cfg);
-        let out = CuldaTrainer::new(&corpus, cfg).train();
+        let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
         (
             out.history.avg_tokens_per_sec(iters as usize),
             out.final_loglik_per_token,
@@ -188,7 +188,7 @@ fn main() {
             .build()
             .unwrap();
         cfg.peer_link = link;
-        let out = CuldaTrainer::new(&sync_corpus, cfg).train();
+        let out = CuldaTrainer::try_new(&sync_corpus, cfg).unwrap().train();
         let tps = out.history.avg_tokens_per_sec(iters as usize);
         println!("  {label:<22} {:>12}/s", format_tokens_per_sec(tps));
         csv.push_str(&format!("interconnect,{label},{tps},0\n"));

@@ -58,7 +58,7 @@ fn main() {
         .score_every(0)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&train, cfg);
+    let mut trainer = CuldaTrainer::try_new(&train, cfg).unwrap();
     let mut culda_points = Vec::new();
     for i in 0..iters {
         trainer.step();

@@ -22,7 +22,8 @@ fn culda_series(corpus: &Corpus, platform: Platform, iters: u32) -> Vec<(f64, f6
         .score_every(0)
         .build()
         .unwrap();
-    CuldaTrainer::new(corpus, cfg)
+    CuldaTrainer::try_new(corpus, cfg)
+        .unwrap()
         .train()
         .history
         .throughput_series()

@@ -21,7 +21,8 @@ fn culda_series(corpus: &Corpus, platform: Platform, iters: u32) -> Vec<(f64, f6
         .score_every(1)
         .build()
         .unwrap();
-    CuldaTrainer::new(corpus, cfg)
+    CuldaTrainer::try_new(corpus, cfg)
+        .unwrap()
         .train()
         .history
         .loglik_series()
@@ -54,6 +55,7 @@ fn ldastar_series(corpus: &Corpus, iters: u32) -> Vec<(f64, f64)> {
 
 fn saber_series(corpus: &Corpus, iters: u32) -> Vec<(f64, f64)> {
     culda_baselines::saber_like_trainer(corpus, BENCH_TOPICS, iters)
+        .expect("the Saber-like trainer fits its corpus")
         .train()
         .history
         .loglik_series()

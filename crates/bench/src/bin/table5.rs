@@ -29,7 +29,7 @@ fn main() {
             .score_every(0)
             .build()
             .unwrap();
-        let out = CuldaTrainer::new(&corpus, cfg).train();
+        let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
         measured.push(out.breakdown);
     }
 

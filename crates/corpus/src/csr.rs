@@ -68,10 +68,13 @@ impl CsrMatrix {
         m
     }
 
-    /// Builds a CSR matrix from dense rows, dropping zeros.
+    /// Builds a CSR matrix from dense rows, dropping zeros. The index and
+    /// value arrays are sized to the nonzero count, not to the cells.
     pub fn from_dense_rows(rows: &[Vec<u32>], cols: usize) -> Self {
         let mut m = Self::zeros(rows.len(), cols);
-        m.cols.reserve(rows.iter().map(|r| r.len()).sum());
+        let nnz = rows.iter().flatten().filter(|&&v| v != 0).count();
+        m.cols.reserve_exact(nnz);
+        m.vals.reserve_exact(nnz);
         for (r, row) in rows.iter().enumerate() {
             assert!(row.len() <= cols, "row {r} wider than the matrix");
             for (c, &v) in row.iter().enumerate() {
@@ -220,6 +223,31 @@ mod tests {
 
     fn sample() -> CsrMatrix {
         CsrMatrix::from_dense_rows(&[vec![0, 2, 0, 1], vec![0, 0, 0, 0], vec![5, 0, 0, 7]], 4)
+    }
+
+    #[test]
+    fn dense_rows_reserve_only_their_nonzeros() {
+        // 100 × 4096 cells, one nonzero per row: the arrays hold at most the
+        // 100 nonzeros, not a slot per cell.
+        let rows: Vec<Vec<u32>> = (0..100)
+            .map(|r| {
+                let mut row = vec![0; 4096];
+                row[r * 37 % 4096] = 1;
+                row
+            })
+            .collect();
+        let m = CsrMatrix::from_dense_rows(&rows, 4096);
+        assert_eq!(m.nnz(), 100);
+        assert!(
+            m.cols.capacity() <= 100,
+            "{} column slots",
+            m.cols.capacity()
+        );
+        assert!(
+            m.vals.capacity() <= 100,
+            "{} value slots",
+            m.vals.capacity()
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! [`LdaTrainer`] is the object-safe contract every consumer — CLI,
 //! benches, checkpointing, serving — drives: stepping, scoring, phase
-//! accounting, observability attachment, and the assignment
-//! snapshot/restore pair that checkpoints are built from. [`CuldaTrainer`]
+//! accounting, observability attachment, and the assignment snapshot that
+//! checkpoints are written from (a resume builds a new trainer from one,
+//! see [`crate::resume`]). [`CuldaTrainer`]
 //! implements it for both Section 4 partition policies, which differ only
 //! in their chunk layout and what their sync reduces; [`build_trainer`]
 //! picks the layout. Consumers hold a `Box<dyn LdaTrainer>` and stop
@@ -17,6 +18,7 @@ use culda_metrics::{
     Breakdown, GpuBreakdowns, IterationStat, MetricsRegistry, RunHistory, TraceSink,
 };
 use culda_sampler::PhiModel;
+use std::any::Any;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -79,11 +81,12 @@ impl FromStr for PartitionPolicy {
 ///
 /// Object-safe on purpose: the CLI and benches drive a
 /// `Box<dyn LdaTrainer>` chosen at runtime by `--policy`. The assignment
-/// snapshot methods make checkpointing policy-agnostic — a trainer's full
+/// snapshot makes checkpointing policy-agnostic — a trainer's full
 /// resumable state is `(iteration, assignments())`, because the RNG
 /// streams are keyed by `(seed, iteration, token)` and θ/ϕ are pure
-/// functions of the assignments.
-pub trait LdaTrainer {
+/// functions of the assignments. It is [`Any`], so a consumer that needs
+/// the concrete [`CuldaTrainer`] (its workers, say) can downcast to it.
+pub trait LdaTrainer: Any {
     /// The partition policy whose chunk layout the run uses.
     fn policy(&self) -> PartitionPolicy;
 
@@ -150,10 +153,6 @@ pub trait LdaTrainer {
     /// chunk/shard in the policy's canonical order (the checkpoint
     /// payload).
     fn assignments(&self) -> Vec<Vec<u16>>;
-
-    /// Restores a checkpointed `(iteration, assignments)` state; rebuilds
-    /// θ/ϕ and resets timing so the chain continues bit-identically.
-    fn restore_assignments(&mut self, iteration: u32, z: &[Vec<u16>]) -> Result<(), String>;
 }
 
 impl LdaTrainer for CuldaTrainer {
@@ -227,10 +226,6 @@ impl LdaTrainer for CuldaTrainer {
 
     fn assignments(&self) -> Vec<Vec<u16>> {
         self.states().iter().map(|s| s.z.snapshot()).collect()
-    }
-
-    fn restore_assignments(&mut self, iteration: u32, z: &[Vec<u16>]) -> Result<(), String> {
-        CuldaTrainer::restore_assignments(self, iteration, z)
     }
 }
 
@@ -315,33 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_continues_bit_identically_for_both_policies() {
-        let c = corpus();
-        for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
-            let mut reference = build_trainer(policy, &c, cfg()).unwrap();
-            let mut resumed = build_trainer(policy, &c, cfg()).unwrap();
-            reference.step();
-            reference.step();
-            let snap = reference.assignments();
-            let iter = reference.iterations_done();
-            resumed
-                .restore_assignments(iter, &snap)
-                .expect("restore must succeed");
-            reference.step();
-            resumed.step();
-            assert_eq!(
-                reference.assignments(),
-                resumed.assignments(),
-                "{policy} diverged after restore"
-            );
-            assert!(
-                (reference.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12,
-                "{policy} loglik diverged"
-            );
-        }
-    }
-
-    #[test]
     fn word_policy_refuses_multiple_nodes() {
         let c = corpus();
         let mut two_nodes = cfg();
@@ -351,18 +319,5 @@ mod tests {
             Ok(_) => panic!("word policy with 2 nodes must be rejected"),
         };
         assert!(matches!(err, CuldaError::Invalid(_)), "{err}");
-    }
-
-    #[test]
-    fn restore_rejects_shape_mismatch() {
-        let c = corpus();
-        let mut t = build_trainer(PartitionPolicy::Word, &c, cfg()).unwrap();
-        let mut snap = t.assignments();
-        snap.pop();
-        assert!(t.restore_assignments(1, &snap).is_err());
-        let mut t2 = build_trainer(PartitionPolicy::Document, &c, cfg()).unwrap();
-        let mut snap2 = t2.assignments();
-        snap2[0].pop();
-        assert!(t2.restore_assignments(1, &snap2).is_err());
     }
 }

@@ -11,11 +11,12 @@
 //!   workers, node `n` being workers `n·G..(n+1)·G`, and deals the chunks
 //!   round-robin over all of them; a single node is the `N = 1` case;
 //! * ϕ replicas : PCIe reduce tree = node sums : [`ParameterServer`] —
-//!   each node's payload is its replicas' merged sparse [`DeltaPayload`]
-//!   (the same COO/CSR/dense wire format the Δϕ sync uses on PCIe); the
-//!   node payloads merge up a reduce tree over the modelled inter-node
-//!   link ([`Link::node_100gbit`] by default), and the merged global
-//!   payload is broadcast back and stored once into every alive replica.
+//!   each node's payload is its replicas' merged sparse
+//!   [`DeltaPayload`](crate::DeltaPayload) (the same COO/CSR/dense wire
+//!   format the Δϕ sync uses on PCIe); the node payloads merge up a
+//!   reduce tree over the modelled inter-node link
+//!   ([`Link::node_100gbit`] by default), and the merged global payload
+//!   is broadcast back and stored once into every alive replica.
 //!
 //! **Bit-identity.** The chunk layout is planned *once* from the per-node
 //! platform (`C = M × G`, independent of the node count), the sampler RNG
@@ -26,19 +27,18 @@
 //! any node count, any sync mode, and prefetch on or off. Only the
 //! modelled time differs.
 
-use crate::delta::DeltaPayload;
-use crate::sync::{reduce_payloads, SyncReport, SyncTotals};
+use crate::sync::{SyncReport, SyncTotals};
 use crate::trainer::CuldaTrainer;
-use culda_gpusim::{GpuSpec, Link};
+use culda_gpusim::Link;
 
 /// The multi-node trainer is the document-partition trainer: one node is
 /// its `N = 1` case. The name stays for callers that spell it.
 pub type ClusterTrainer = CuldaTrainer;
 
-/// The cluster-level merge point: reduces the per-node Δϕ payloads up a
-/// tree over the inter-node link and keeps the run's inter-node traffic
-/// totals. It holds no ϕ of its own — once the merged payload is applied,
-/// every alive replica is the global model.
+/// The cluster-level merge point: the inter-node link the per-node Δϕ
+/// payloads merge up a tree over, and the run's inter-node traffic totals.
+/// It holds no ϕ of its own — once the merged payload is applied, every
+/// alive replica is the global model.
 #[derive(Debug)]
 pub struct ParameterServer {
     link: Link,
@@ -64,29 +64,10 @@ impl ParameterServer {
         self.totals
     }
 
-    /// One superstep's inter-node synchronization over a ϕ of
-    /// `num_topics × vocab_size`: the per-node payloads merge up the
-    /// reduce tree and the global payload is broadcast back down, over the
-    /// node link (see [`reduce_payloads`]). Returns the global payload
-    /// (for the caller to apply to every replica) and the timing/traffic
-    /// report.
-    pub(crate) fn reduce(
-        &mut self,
-        node_payloads: Vec<DeltaPayload>,
-        num_topics: usize,
-        vocab_size: usize,
-        gpu: &GpuSpec,
-        elem_bytes: u64,
-    ) -> (DeltaPayload, SyncReport) {
-        let (global, report) = reduce_payloads(
-            node_payloads,
-            num_topics,
-            vocab_size,
-            gpu,
-            &self.link,
-            elem_bytes,
-        );
-        self.totals.absorb(&report);
-        (global, report)
+    /// Adds one superstep's inter-node report to the totals. The trainer
+    /// books it with the sync it belongs to, so a sum that is not booked
+    /// leaves no totals behind.
+    pub(crate) fn absorb(&mut self, report: &SyncReport) {
+        self.totals.absorb(report);
     }
 }

@@ -11,6 +11,11 @@
 //! **bit-identically** — the golden property the tests pin: train 2+3
 //! iterations with a save/load in between ≡ train 5 straight.
 //!
+//! A resume plans the corpus's chunk layout, reads the checkpoint against
+//! that plan, and then builds the trainer once from the checkpoint's
+//! assignments: the build a fresh run makes from random ones (Algorithm 1,
+//! lines 7–9), so θ and ϕ are derived from z in one place.
+//!
 //! Format: `"CULDARUN"`, version (u32), policy tag (u32, v2+), seed
 //! (u64), K (u64), iteration (u32), chunk count (u64), then per chunk a
 //! token count (u64) and the u16 assignments. Version-1 checkpoints had
@@ -22,8 +27,10 @@
 use crate::api::{LdaTrainer, PartitionPolicy};
 use crate::config::TrainerConfig;
 use crate::error::CuldaError;
+use crate::partition::PartitionedCorpus;
 use crate::trainer::CuldaTrainer;
 use culda_corpus::Corpus;
+use culda_sampler::ChunkState;
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 8] = b"CULDARUN";
@@ -64,17 +71,28 @@ fn policy_tag(policy: PartitionPolicy) -> u32 {
 /// config identity (seed, K, shard count), the iteration counter, and
 /// each chunk/shard's assignments.
 pub fn save_training<W: Write>(trainer: &dyn LdaTrainer, out: W) -> Result<(), CuldaError> {
-    Ok(save_training_io(trainer, out)?)
+    let (iteration, shards) = (trainer.iterations_done(), trainer.assignments());
+    save_assignments(trainer.policy(), trainer.config(), iteration, &shards, out)
 }
 
-fn save_training_io<W: Write>(trainer: &dyn LdaTrainer, mut out: W) -> io::Result<()> {
+/// Writes a checkpoint from its parts: `shards` holds each chunk's
+/// assignments in `policy`'s layout after `iteration` iterations of the
+/// run `cfg` configures (its seed and K). [`save_training`] writes a
+/// trainer's state through it; a test that needs a given state resumes
+/// from what this writes.
+pub fn save_assignments<W: Write>(
+    policy: PartitionPolicy,
+    cfg: &TrainerConfig,
+    iteration: u32,
+    shards: &[Vec<u16>],
+    mut out: W,
+) -> Result<(), CuldaError> {
     out.write_all(MAGIC)?;
     w32(&mut out, VERSION)?;
-    w32(&mut out, policy_tag(trainer.policy()))?;
-    w64(&mut out, trainer.config().seed)?;
-    w64(&mut out, trainer.config().num_topics as u64)?;
-    w32(&mut out, trainer.iterations_done())?;
-    let shards = trainer.assignments();
+    w32(&mut out, policy_tag(policy))?;
+    w64(&mut out, cfg.seed)?;
+    w64(&mut out, cfg.num_topics as u64)?;
+    w32(&mut out, iteration)?;
     w64(&mut out, shards.len() as u64)?;
     for z in shards {
         w64(&mut out, z.len() as u64)?;
@@ -89,9 +107,9 @@ fn save_training_io<W: Write>(trainer: &dyn LdaTrainer, mut out: W) -> io::Resul
 struct Header {
     policy: PartitionPolicy,
     seed: u64,
-    num_topics: usize,
+    num_topics: u64,
     iteration: u32,
-    num_shards: usize,
+    num_shards: u64,
 }
 
 /// Reads the magic, the version and (v2+) the policy tag: at most the
@@ -115,33 +133,30 @@ fn read_policy<R: Read>(input: &mut R) -> io::Result<PartitionPolicy> {
 }
 
 fn read_header<R: Read>(input: &mut R) -> io::Result<Header> {
-    let policy = read_policy(input)?;
-    let seed = r64(input)?;
-    let num_topics = r64(input)? as usize;
-    let iteration = r32(input)?;
-    let num_shards = r64(input)? as usize;
     Ok(Header {
-        policy,
-        seed,
-        num_topics,
-        iteration,
-        num_shards,
+        policy: read_policy(input)?,
+        seed: r64(input)?,
+        num_topics: r64(input)?,
+        iteration: r32(input)?,
+        num_shards: r64(input)?,
     })
 }
 
-/// Shared resume back-end: validates the header against `cfg` and the
-/// freshly constructed `trainer`, reads the payload, and restores.
-fn resume_into<R: Read>(
-    mut trainer: CuldaTrainer,
+/// Reads a checkpoint against `part`, the plan of the corpus being
+/// resumed, and `cfg`: the policy, seed, K, shard count, every shard's
+/// token count and every assignment below K. A shard is allocated only
+/// once its token count matches the plan. Returns the iteration counter
+/// and each chunk's state, in global chunk order.
+fn read_states<R: Read>(
+    part: &PartitionedCorpus,
     cfg: &TrainerConfig,
     mut input: R,
-) -> io::Result<CuldaTrainer> {
+) -> io::Result<(u32, Vec<ChunkState>)> {
     let header = read_header(&mut input)?;
-    if header.policy != trainer.policy() {
+    if header.policy != part.policy {
         return Err(invalid(format!(
             "checkpoint was taken with the {} policy, resuming as {}",
-            header.policy,
-            trainer.policy()
+            header.policy, part.policy
         )));
     }
     if header.seed != cfg.seed {
@@ -150,45 +165,57 @@ fn resume_into<R: Read>(
             header.seed, cfg.seed
         )));
     }
-    if header.num_topics != cfg.num_topics {
+    let k = cfg.num_topics;
+    if header.num_topics != k as u64 {
         return Err(invalid(format!(
-            "checkpoint K = {} != config K = {}",
-            header.num_topics, cfg.num_topics
+            "checkpoint K = {} != config K = {k}",
+            header.num_topics
         )));
     }
-    let shapes: Vec<usize> = trainer.assignments().iter().map(Vec::len).collect();
-    if shapes.len() != header.num_shards {
+    if header.num_shards != part.num_chunks() as u64 {
         return Err(invalid(format!(
             "checkpoint has {} shards, corpus partitions into {}",
             header.num_shards,
-            shapes.len()
+            part.num_chunks()
         )));
     }
-    let k = header.num_topics;
-    let mut all_z = Vec::with_capacity(header.num_shards);
-    for (ci, &expect) in shapes.iter().enumerate() {
-        let n = r64(&mut input)? as usize;
-        if n != expect {
+    let mut states = Vec::with_capacity(part.num_chunks());
+    let mut buf = [0u8; 4096];
+    for (ci, chunk) in part.chunks.iter().enumerate() {
+        let (n, expect) = (r64(&mut input)?, chunk.num_tokens());
+        if n != expect as u64 {
             return Err(invalid(format!(
                 "shard {ci} has {n} tokens in the checkpoint but {expect} in the corpus"
             )));
         }
-        let mut z = Vec::with_capacity(n);
-        let mut b = [0u8; 2];
-        for _ in 0..n {
-            input.read_exact(&mut b)?;
-            let v = u16::from_le_bytes(b);
-            if v as usize >= k {
-                return Err(invalid(format!("assignment {v} out of range K = {k}")));
+        let mut z = Vec::with_capacity(expect);
+        while z.len() < expect {
+            let take = (2 * (expect - z.len())).min(buf.len());
+            input.read_exact(&mut buf[..take])?;
+            for pair in buf[..take].chunks_exact(2) {
+                let v = u16::from_le_bytes([pair[0], pair[1]]);
+                if v as usize >= k {
+                    return Err(invalid(format!("assignment {v} out of range K = {k}")));
+                }
+                z.push(v);
             }
-            z.push(v);
         }
-        all_z.push(z);
+        states.push(ChunkState::from_assignments(chunk, z, k));
     }
-    trainer
-        .restore_assignments(header.iteration, &all_z)
-        .map_err(invalid)?;
-    Ok(trainer)
+    Ok((header.iteration, states))
+}
+
+/// Plans `corpus` in `policy`'s layout, reads the checkpoint against the
+/// plan, and builds the trainer from its assignments.
+fn resume_as<R: Read>(
+    corpus: &Corpus,
+    cfg: TrainerConfig,
+    policy: PartitionPolicy,
+    input: R,
+) -> Result<CuldaTrainer, CuldaError> {
+    let (part, plan) = CuldaTrainer::plan_layout(corpus, &cfg, policy)?;
+    let (iteration, states) = read_states(&part, &cfg, input)?;
+    Ok(CuldaTrainer::resume(cfg, part, plan, states, iteration))
 }
 
 /// Rebuilds a partition-by-document trainer from `corpus` + `cfg` and a
@@ -204,8 +231,7 @@ pub fn resume_training<R: Read>(
     cfg: TrainerConfig,
     input: R,
 ) -> Result<CuldaTrainer, CuldaError> {
-    let trainer = CuldaTrainer::try_new(corpus, cfg.clone())?;
-    Ok(resume_into(trainer, &cfg, input)?)
+    resume_as(corpus, cfg, PartitionPolicy::Document, input)
 }
 
 /// Policy-dispatching resume: reads the tag from the checkpoint itself
@@ -222,8 +248,7 @@ pub fn resume_any<R: Read>(
     input.read_exact(&mut head)?;
     let policy = read_policy(&mut head.as_slice())?;
     let replay = io::Cursor::new(head).chain(input);
-    let trainer = CuldaTrainer::try_with_policy(corpus, cfg.clone(), policy)?;
-    Ok(Box::new(resume_into(trainer, &cfg, replay)?))
+    Ok(Box::new(resume_as(corpus, cfg, policy, replay)?))
 }
 
 #[cfg(test)]
@@ -262,12 +287,12 @@ mod tests {
     fn resume_is_bit_identical_to_straight_training() {
         let c = corpus();
         // Straight: 5 iterations.
-        let mut straight = CuldaTrainer::new(&c, cfg());
+        let mut straight = CuldaTrainer::try_new(&c, cfg()).unwrap();
         for _ in 0..5 {
             straight.step();
         }
         // Split: 2 iterations, checkpoint, resume, 3 more.
-        let mut first = CuldaTrainer::new(&c, cfg());
+        let mut first = CuldaTrainer::try_new(&c, cfg()).unwrap();
         first.step();
         first.step();
         let mut buf = Vec::new();
@@ -350,7 +375,7 @@ mod tests {
                 let s = t.breakdown().seconds(Phase::SyncPhi);
                 (s, t.sync_totals(), t.parameter_server().totals())
             };
-            let mut first = CuldaTrainer::new(&c, cfg());
+            let mut first = CuldaTrainer::try_new(&c, cfg()).unwrap();
             first.step();
             let (s1, intra1, inter1) = books(&first);
             first.step();
@@ -386,24 +411,15 @@ mod tests {
         // plan with more chunks it is a typed refusal, never a panic.
         let c = corpus();
         let word = PartitionPolicy::Word;
-        let shards = crate::api::build_trainer(word, &c, multi_gpu_cfg())
+        let shards: Vec<Vec<u16>> = crate::api::build_trainer(word, &c, multi_gpu_cfg())
             .unwrap()
-            .assignments();
+            .assignments()
+            .iter()
+            .map(|z| (0..z.len()).map(|t| (t % 8) as u16).collect())
+            .collect();
         assert_eq!(shards.len(), 2);
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        w32(&mut buf, 2).unwrap();
-        w32(&mut buf, policy_tag(word)).unwrap();
-        w64(&mut buf, multi_gpu_cfg().seed).unwrap();
-        w64(&mut buf, 8).unwrap();
-        w32(&mut buf, 4).unwrap();
-        w64(&mut buf, shards.len() as u64).unwrap();
-        for z in &shards {
-            w64(&mut buf, z.len() as u64).unwrap();
-            for t in 0..z.len() {
-                buf.extend_from_slice(&((t % 8) as u16).to_le_bytes());
-            }
-        }
+        save_assignments(word, &multi_gpu_cfg(), 4, &shards, &mut buf).unwrap();
         let mut resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
         assert_eq!(resumed.iterations_done(), 4);
         resumed.check_invariants();
@@ -414,6 +430,94 @@ mod tests {
             Err(CuldaError::Checkpoint(msg)) => assert!(msg.contains("shards"), "{msg}"),
             Err(e) => panic!("expected a checkpoint error, got {e}"),
             Ok(_) => panic!("a 2-shard checkpoint resumed into 4 chunks"),
+        }
+    }
+
+    #[test]
+    fn a_written_snapshot_resumes_bit_identically_for_both_policies() {
+        // A checkpoint written from a trainer's assignments resumes into a
+        // trainer that steps exactly as the original does.
+        let c = corpus();
+        for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
+            let mut reference = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
+            reference.step();
+            reference.step();
+            let (iter, snap) = (reference.iterations_done(), reference.assignments());
+            let mut buf = Vec::new();
+            save_assignments(policy, &multi_gpu_cfg(), iter, &snap, &mut buf).unwrap();
+            let mut resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
+            assert_eq!(resumed.iterations_done(), iter);
+            reference.step();
+            resumed.step();
+            assert_eq!(
+                reference.assignments(),
+                resumed.assignments(),
+                "{policy} diverged after the resume"
+            );
+            assert!(
+                (reference.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12,
+                "{policy} loglik diverged"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shard_one_token_short_or_one_shard_too_few_is_a_checkpoint_error() {
+        let c = corpus();
+        for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
+            let snap = crate::api::build_trainer(policy, &c, multi_gpu_cfg())
+                .unwrap()
+                .assignments();
+            let mut short = snap.clone();
+            short[1].pop();
+            let mut too_few = snap;
+            too_few.pop();
+            for (shards, want) in [(short, "shard 1 has"), (too_few, "1 shards")] {
+                let mut buf = Vec::new();
+                save_assignments(policy, &multi_gpu_cfg(), 1, &shards, &mut buf).unwrap();
+                match resume_any(&c, multi_gpu_cfg(), buf.as_slice()) {
+                    Err(CuldaError::Checkpoint(msg)) => assert!(msg.contains(want), "{msg}"),
+                    Err(e) => panic!("{policy}: expected a checkpoint error, got {e}"),
+                    Ok(_) => panic!("{policy}: a mis-shaped checkpoint resumed"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_header_byte_flip_resumes_or_is_a_typed_error() {
+        // A checkpoint small enough to resume from every one of its
+        // prefixes. A truncation must be refused; a flipped header byte may
+        // resume (the iteration counter is free) but must never panic.
+        let mut spec = SynthSpec::tiny();
+        spec.num_docs = 12;
+        spec.vocab_size = 30;
+        spec.avg_doc_len = 5.0;
+        let c = spec.generate();
+        for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
+            let mut t = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
+            t.step();
+            let mut buf = Vec::new();
+            save_training(t.as_ref(), &mut buf).unwrap();
+            assert!(resume_any(&c, multi_gpu_cfg(), buf.as_slice()).is_ok());
+            for cut in 0..buf.len() {
+                match resume_any(&c, multi_gpu_cfg(), &buf[..cut]) {
+                    Err(CuldaError::Checkpoint(_) | CuldaError::Io(_)) => {}
+                    Err(e) => panic!("{policy}: cut at {cut}: unexpected error {e}"),
+                    Ok(_) => panic!("{policy}: a checkpoint cut at {cut} resumed"),
+                }
+            }
+            for at in 0..44 {
+                for flip in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xff] {
+                    let mut bad = buf.clone();
+                    bad[at] ^= flip;
+                    let resumed = resume_any(&c, multi_gpu_cfg(), bad.as_slice());
+                    // Bytes 32..36 are the iteration counter.
+                    if (32..36).contains(&at) {
+                        assert!(resumed.is_ok(), "{policy}: byte {at} ^ {flip:#x}");
+                    }
+                }
+            }
         }
     }
 
@@ -481,7 +585,7 @@ mod tests {
     #[test]
     fn mismatched_config_is_rejected() {
         let c = corpus();
-        let mut t = CuldaTrainer::new(&c, cfg());
+        let mut t = CuldaTrainer::try_new(&c, cfg()).unwrap();
         t.step();
         let mut buf = Vec::new();
         save_training(&t, &mut buf).unwrap();
@@ -506,7 +610,7 @@ mod tests {
     fn garbage_is_rejected_not_panicked() {
         let c = corpus();
         assert!(resume_training(&c, cfg(), &b"nonsense"[..]).is_err());
-        let mut t = CuldaTrainer::new(&c, cfg());
+        let mut t = CuldaTrainer::try_new(&c, cfg()).unwrap();
         t.step();
         let mut buf = Vec::new();
         save_training(&t, &mut buf).unwrap();

@@ -86,10 +86,21 @@ pub fn plan_partition(
         // Doubling search keeps the partition rebuilds cheap.
         None => (0..12).map(|e| 1usize << e).collect(),
     };
+    let tokens = corpus.num_tokens();
     for &m in &candidates {
         let c = m * g;
         if c > max_chunks {
             break; // cannot split further
+        }
+        // `chunk_state_bytes` charges a chunk at least 10 B per token, so a
+        // searched M whose average chunk overflows the device cannot fit:
+        // skip it without building its partition.
+        let least = match m {
+            1 => phi_bytes + 10 * tokens / g as u64,
+            _ => phi_bytes + 2 * (10 * tokens / c as u64),
+        };
+        if least > capacity && cfg.chunks_per_gpu.is_none() {
+            continue;
         }
         let part = PartitionedCorpus::prepare(corpus, c, policy);
         // Resident set: M = 1 keeps all assigned chunks on the GPU; M > 1
@@ -180,6 +191,41 @@ mod tests {
         assert!(plan.m > 1, "expected out-of-core plan, got M = {}", plan.m);
         assert_eq!(part.num_chunks(), plan.c);
         assert!(plan.resident_bytes <= plan.capacity_bytes);
+    }
+
+    #[test]
+    fn the_search_picks_the_smallest_m_that_fits() {
+        // The search skips the M whose average chunk overflows without
+        // building them. Forcing each smaller M must still fail, and
+        // forcing the chosen one must give the same plan.
+        let corpus = tiny_corpus();
+        let base = TrainerConfig::builder(16, Platform::maxwell())
+            .build()
+            .unwrap();
+        let phi = 2 * base.phi_device_bytes(corpus.vocab_size());
+        for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
+            for sixteenths in [4, 6, 9, 14, 23, 40, 80, 200] {
+                let mut cfg = base.clone();
+                cfg.platform.gpu.memory_bytes = phi + corpus.num_tokens() * sixteenths / 16;
+                let forced = |m| {
+                    let mut cfg = cfg.clone();
+                    cfg.chunks_per_gpu = Some(m);
+                    plan_partition(&corpus, &cfg, policy).map(|(_, plan)| plan)
+                };
+                let what = format!("{policy}, {sixteenths}/16 B per token");
+                let plan = match plan_partition(&corpus, &cfg, policy) {
+                    Ok((_, plan)) => plan,
+                    Err(_) => {
+                        assert!(forced(1).is_err(), "{what}: M = 1 fits");
+                        continue;
+                    }
+                };
+                for m in (0..).map(|e| 1usize << e).take_while(|&m| m < plan.m) {
+                    assert!(forced(m).is_err(), "{what}: M = {m} fits, chose {}", plan.m);
+                }
+                assert_eq!(forced(plan.m).unwrap(), plan, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -52,9 +52,10 @@ use crate::error::{CuldaError, RecoveryStats};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::{chunk_owner, chunk_state_bytes, plan_partition, MemoryPlan};
 use crate::sync::{
-    capture_each, merge_node, store_each, theta_sync_report, SyncReport, SyncTotals,
+    capture_each, merge_node, reduce_payloads, store_each, theta_sync_report, SyncReport,
+    SyncTotals,
 };
-use crate::worker::{run_workers_traced, trace_staging, GpuWorker, IterationReport};
+use crate::worker::{run_workers, run_workers_traced, trace_staging, GpuWorker, IterationReport};
 use culda_corpus::{Corpus, CsrMatrix};
 use culda_gpusim::memory::Reservation;
 use culda_gpusim::{FaultPlan, GpuCluster, Link, ProfileLog};
@@ -63,11 +64,16 @@ use culda_metrics::{
     TraceSink, NODE_TID_BASE, SIM_PID, SYNC_TID,
 };
 use culda_sampler::{
-    auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork, ChunkState,
-    PhiModel, Priors,
+    add_block_to_phi, auto_tokens_per_block, build_block_map, choose_sparse_sampling, BlockWork,
+    ChunkState, PhiModel, Priors, TopicCounter,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+/// One sum of the write replicas, as [`CuldaTrainer::sum_write_replicas`]
+/// returns it: each alive node's index with the report the configured mode
+/// charges for it, and the parameter server's report.
+type NodeSums = (Vec<(usize, SyncReport)>, Option<SyncReport>);
 
 /// Result of a completed training run.
 #[derive(Debug)]
@@ -114,31 +120,43 @@ impl CuldaTrainer {
     /// Prepares a training run: plans `M`, partitions and sorts the corpus,
     /// initializes random assignments, builds the initial model, deals the
     /// chunks round-robin over the `nodes × G` workers, and charges the
-    /// initial host→device transfers (Algorithm 1, lines 7–9).
-    ///
-    /// Panics on an invalid configuration; fallible callers use
-    /// [`Self::try_new`].
-    pub fn new(corpus: &Corpus, cfg: TrainerConfig) -> Self {
-        Self::try_new(corpus, cfg).unwrap_or_else(|e| panic!("invalid TrainerConfig: {e}"))
-    }
-
-    /// Fallible counterpart of [`Self::new`]: a degenerate configuration
-    /// comes back as [`CuldaError::Config`], and a corpus whose model and
-    /// chunks fit device memory at no `M` as [`CuldaError::Invalid`],
-    /// instead of a panic.
+    /// initial host→device transfers (Algorithm 1, lines 7–9). A degenerate
+    /// configuration comes back as [`CuldaError::Config`], and a corpus
+    /// whose model and chunks fit device memory at no `M` as
+    /// [`CuldaError::Invalid`].
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         Self::try_with_policy(corpus, cfg, PartitionPolicy::Document)
     }
 
     /// [`Self::try_new`] in `policy`'s chunk layout (what
-    /// [`crate::build_trainer`] calls). Partition-by-word runs on one node:
-    /// `cfg.nodes > 1` is [`CuldaError::Invalid`], and so is a layout that
-    /// needs more word ranges than the vocabulary has words.
+    /// [`crate::build_trainer`] calls).
     pub(crate) fn try_with_policy(
         corpus: &Corpus,
         cfg: TrainerConfig,
         policy: PartitionPolicy,
     ) -> Result<Self, CuldaError> {
+        let (part, plan) = Self::plan_layout(corpus, &cfg, policy)?;
+        // Random init per chunk; chunk id in the seed keeps streams apart.
+        let states = part
+            .chunks
+            .iter()
+            .enumerate()
+            .map(|(i, ch)| ChunkState::init_random(ch, cfg.num_topics, cfg.seed ^ (i as u64) << 32))
+            .collect();
+        // Setup is not timed (the paper's metric is per iteration), so the
+        // build's sum is not booked.
+        Ok(Self::build(cfg, part, plan, states).0)
+    }
+
+    /// Validates `cfg` and plans `policy`'s chunk layout of `corpus`: the
+    /// half of a build that needs no assignments. Partition-by-word runs on
+    /// one node: `cfg.nodes > 1` is [`CuldaError::Invalid`], and so is a
+    /// layout that needs more word ranges than the vocabulary has words.
+    pub(crate) fn plan_layout(
+        corpus: &Corpus,
+        cfg: &TrainerConfig,
+        policy: PartitionPolicy,
+    ) -> Result<(PartitionedCorpus, MemoryPlan), CuldaError> {
         cfg.validate()?;
         if policy == PartitionPolicy::Word && cfg.nodes > 1 {
             return Err(CuldaError::Invalid(format!(
@@ -148,7 +166,53 @@ impl CuldaTrainer {
         }
         // The chunk plan comes from the *per-node* platform: C = M × G for
         // any node count, which keeps an N-node run bit-identical to one.
-        let (part, plan) = plan_partition(corpus, &cfg, policy)?;
+        plan_partition(corpus, cfg, policy)
+    }
+
+    /// Builds from a checkpointed state, the back end of [`crate::resume`]:
+    /// `states` holds each chunk's checkpointed assignments, in global
+    /// chunk order, and `iteration` the iterations they had run. Timing
+    /// state (clocks, history, breakdown) starts from zero; the *chain*
+    /// continues bit-identically because the RNG streams are keyed by
+    /// `(seed, iteration, token)`.
+    pub(crate) fn resume(
+        cfg: TrainerConfig,
+        part: PartitionedCorpus,
+        plan: MemoryPlan,
+        states: Vec<ChunkState>,
+        iteration: u32,
+    ) -> Self {
+        let (mut trainer, (nodes, inter)) = Self::build(cfg, part, plan, states);
+        // Unlike a fresh build's untimed setup, the resume's sum replaces
+        // an iteration-time sync the original run performed — book it as
+        // the step would, so resumed runs profile identically to fresh
+        // ones. Under partition-by-word that sync is the θ one.
+        match trainer.part.policy {
+            PartitionPolicy::Document => trainer.book_phi_sync(&nodes, inter.as_ref()),
+            PartitionPolicy::Word => {
+                let theta = trainer.theta_sync_report(trainer.num_alive());
+                trainer.breakdown.add(Phase::SyncPhi, theta.total_seconds());
+                trainer.sync_totals.absorb(&theta);
+            }
+        }
+        trainer.iteration = iteration;
+        trainer
+    }
+
+    /// The one build body, from `states` (one per chunk of `part`, in
+    /// global chunk order) whichever their source. Deals the chunks
+    /// round-robin over the `nodes × G` workers, reserves device residency
+    /// and charges the initial transfers, and derives ϕ from z as a step
+    /// leaves it: each chunk into its owner's write replica, the step's
+    /// sum over the nodes ([`Self::sum_write_replicas`]), and each write
+    /// replica copied into its read replica. Returns the sum's reports,
+    /// unbooked.
+    fn build(
+        cfg: TrainerConfig,
+        part: PartitionedCorpus,
+        plan: MemoryPlan,
+        states: Vec<ChunkState>,
+    ) -> (Self, NodeSums) {
         let gpus_per_node = cfg.platform.num_gpus;
         // One flat device pool with globally unique ids 0..N·G. `with_gpus`
         // caps at the installed count, so widen a clone directly — the
@@ -164,14 +228,6 @@ impl CuldaTrainer {
         }
         let g = cluster.num_gpus();
         let priors = Priors::paper(cfg.num_topics);
-
-        // Random init per chunk; chunk id in the seed keeps streams apart.
-        let states: Vec<ChunkState> = part
-            .chunks
-            .iter()
-            .enumerate()
-            .map(|(i, ch)| ChunkState::init_random(ch, cfg.num_topics, cfg.seed ^ (i as u64) << 32))
-            .collect();
 
         // Block maps sized to saturate the device (≥ 2 blocks per SM).
         let min_blocks = 2 * cfg.platform.gpu.sm_count as usize;
@@ -190,21 +246,6 @@ impl CuldaTrainer {
                 build_block_map(ch, tpb)
             })
             .collect();
-
-        // Two ϕ buffers per GPU (read snapshot + write accumulator).
-        let mk_phi = || PhiModel::zeros(cfg.num_topics, part.vocab_size, priors);
-        let read_phi: Vec<PhiModel> = (0..g).map(|_| mk_phi()).collect();
-        let write_phi: Vec<PhiModel> = (0..g).map(|_| mk_phi()).collect();
-
-        // Build the initial model: accumulate every chunk into one replica
-        // and copy it into every other replica, read and write. Setup is
-        // not timed (the paper's metric is per iteration), so no sync runs.
-        for (i, ch) in part.chunks.iter().enumerate() {
-            culda_sampler::accumulate_phi_host(ch, &states[i].z, &write_phi[0]);
-        }
-        for r in read_phi.iter().chain(&write_phi[1..]) {
-            r.copy_from(&write_phi[0]);
-        }
 
         // Reserve device residency and charge the initial transfers.
         let mut residency = Vec::new();
@@ -233,25 +274,38 @@ impl CuldaTrainer {
         }
         cluster.reset_clocks();
 
-        // Hand each device its worker and distribute the chunks
-        // round-robin (worker `w` owns global chunks `w, w+G, w+2G, …`).
+        // Hand each device its worker and its two ϕ buffers (read snapshot
+        // + write accumulator), and distribute the chunks round-robin
+        // (worker `w` owns global chunks `w, w+G, w+2G, …`).
         let GpuCluster {
             devices,
             peer_link,
             host_link,
         } = cluster;
+        let mk_phi = || PhiModel::zeros(cfg.num_topics, part.vocab_size, priors);
         let mut workers: Vec<GpuWorker> = devices
             .into_iter()
-            .zip(read_phi)
-            .zip(write_phi)
-            .map(|((device, read), write)| GpuWorker::new(device, read, write))
+            .map(|device| GpuWorker::new(device, mk_phi(), mk_phi()))
             .collect();
         for (i, (state, map)) in states.into_iter().zip(block_maps).enumerate() {
             workers[chunk_owner(i, g)].push_chunk(i, state, map);
         }
+        // Each worker writes its chunks' blocks into its own write replica
+        // through the ϕ-update kernel's block body, one host thread each.
+        run_workers(&mut workers, |_, w| {
+            let mut counter = TopicCounter::new(cfg.num_topics);
+            let mut cells = Vec::new();
+            let chunks = w.chunk_ids.iter().zip(&w.states).zip(&w.block_maps);
+            for ((&gi, state), map) in chunks {
+                for work in map {
+                    let (chunk, phi) = (&part.chunks[gi], w.write_replica());
+                    add_block_to_phi(chunk, &state.z, work, phi, &mut counter, &mut cells);
+                }
+            }
+        });
         let ps = ParameterServer::new(Link::node_100gbit());
 
-        Ok(Self {
+        let mut trainer = Self {
             cfg,
             part,
             plan,
@@ -271,7 +325,12 @@ impl CuldaTrainer {
             recovery: RecoveryStats::default(),
             sync_totals: SyncTotals::default(),
             _residency: residency,
-        })
+        };
+        let sums = trainer.sum_write_replicas();
+        for w in &trainer.workers {
+            w.read_replica().copy_from(w.write_replica());
+        }
+        (trainer, sums)
     }
 
     /// Arms fault injection: every worker device consults `plan` on its
@@ -449,96 +508,6 @@ impl CuldaTrainer {
             w.device.advance_to(t);
         }
         t
-    }
-
-    /// The worker index and worker-local slot of a global chunk id. A
-    /// search, not arithmetic: rebalancing can move chunks off the
-    /// round-robin [`chunk_owner`] layout.
-    fn chunk_slot(&self, global_id: usize) -> (usize, usize) {
-        for (wi, w) in self.workers.iter().enumerate() {
-            if let Some(local) = w.chunk_ids.iter().position(|&gi| gi == global_id) {
-                return (wi, local);
-            }
-        }
-        panic!("chunk {global_id} has no owner");
-    }
-
-    /// Restores a checkpointed state: overwrites every chunk's assignments,
-    /// rebuilds θ and ϕ from them, and sets the iteration counter — the
-    /// back-end of `crate::resume`. Timing state (clocks, history,
-    /// breakdown) restarts from zero; the *chain* continues bit-identically
-    /// because the RNG streams are keyed by `(seed, iteration, token)`.
-    ///
-    /// Returns `Err` (and leaves the trainer unusable) on shape mismatch.
-    pub fn restore_assignments(
-        &mut self,
-        iteration: u32,
-        z_per_chunk: &[Vec<u16>],
-    ) -> Result<(), String> {
-        if z_per_chunk.len() != self.part.num_chunks() {
-            return Err(format!(
-                "{} chunks supplied, trainer has {}",
-                z_per_chunk.len(),
-                self.part.num_chunks()
-            ));
-        }
-        for (ci, z) in z_per_chunk.iter().enumerate() {
-            let (wi, local) = self.chunk_slot(ci);
-            if z.len() != self.workers[wi].states[local].z.len() {
-                return Err(format!("chunk {ci} token-count mismatch"));
-            }
-            if let Some(&bad) = z.iter().find(|&&v| v as usize >= self.cfg.num_topics) {
-                return Err(format!("assignment {bad} out of range"));
-            }
-            let state = &mut self.workers[wi].states[local];
-            for (t, &v) in z.iter().enumerate() {
-                state.z.store(t, v);
-            }
-            state.theta = culda_sampler::build_theta_host(
-                &self.part.chunks[ci],
-                &state.z,
-                self.cfg.num_topics,
-            );
-        }
-        // Rebuild ϕ as a step leaves it: each chunk into its owner's write
-        // replica, then the step's sum over the nodes.
-        for w in &self.workers {
-            w.write_replica().clear();
-        }
-        for (i, ch) in self.part.chunks.iter().enumerate() {
-            let (wi, local) = self.chunk_slot(i);
-            culda_sampler::accumulate_phi_host(
-                ch,
-                &self.workers[wi].states[local].z,
-                self.workers[wi].write_replica(),
-            );
-        }
-        let (nodes, inter) = self.sum_write_replicas();
-        for w in &self.workers {
-            w.read_replica().copy_from(w.write_replica());
-        }
-        self.iteration = iteration;
-        self.history = RunHistory::new();
-        self.breakdown = Breakdown::new();
-        // Unlike `new()`'s untimed setup, the resume sync replaces an
-        // iteration-time sync the original run performed — book it as the
-        // step would, so resumed runs profile identically to fresh ones.
-        // Under partition-by-word that sync is the θ one.
-        match self.part.policy {
-            PartitionPolicy::Document => self.book_phi_sync(&nodes, inter.as_ref()),
-            PartitionPolicy::Word => {
-                let theta = self.theta_sync_report(self.num_alive());
-                self.breakdown.add(Phase::SyncPhi, theta.total_seconds());
-                self.sync_totals.absorb(&theta);
-            }
-        }
-        self.profile.clear();
-        for w in &mut self.workers {
-            w.breakdown = Breakdown::new();
-            w.device.reset_clock();
-            w.device.clear_profile();
-        }
-        Ok(())
     }
 
     /// Runs one full iteration over the corpus; returns its stats.
@@ -836,7 +805,7 @@ impl CuldaTrainer {
 
     /// Sums the alive write replicas into every one of them, the host half
     /// of every sync whatever its mode charges: the step's ϕ sync, the
-    /// resume's rebuild and partition-by-word's data-only sum. Every alive
+    /// build's and partition-by-word's data-only sum. Every alive
     /// write replica is captured, one host thread each, unless it is the
     /// only one alive. Each alive node's payloads merge up its own tree
     /// ([`merge_node`]); with more than one node alive, the node payloads
@@ -845,7 +814,7 @@ impl CuldaTrainer {
     /// not at all when only one is alive. Returns each alive node's index
     /// with the report the configured mode charges for it, and the
     /// parameter server's report.
-    fn sum_write_replicas(&mut self) -> (Vec<(usize, SyncReport)>, Option<SyncReport>) {
+    fn sum_write_replicas(&mut self) -> NodeSums {
         let reduce_nodes = self.num_alive_nodes() > 1;
         let gpu = &self.cfg.platform.gpu;
         let alive: Vec<&PhiModel> = self
@@ -883,11 +852,12 @@ impl CuldaTrainer {
             payloads.extend(payload);
         }
         let (global, inter) = if reduce_nodes {
-            let (global, inter) = self.ps.reduce(
+            let (global, inter) = reduce_payloads(
                 payloads,
                 self.cfg.num_topics,
                 self.part.vocab_size,
                 gpu,
+                &self.ps.link(),
                 self.cfg.phi_elem_bytes(),
             );
             (Some(global), Some(inter))
@@ -901,8 +871,8 @@ impl CuldaTrainer {
     }
 
     /// Books one ϕ sync: each node's report, then the parameter server's,
-    /// into the phase breakdown, and the node reports into the sync totals
-    /// (the parameter server keeps its own).
+    /// into the phase breakdown, the node reports into the sync totals and
+    /// the parameter server's into its own.
     fn book_phi_sync(&mut self, nodes: &[(usize, SyncReport)], inter: Option<&SyncReport>) {
         for (_, sync) in nodes {
             self.breakdown.add(Phase::SyncPhi, sync.total_seconds());
@@ -910,6 +880,7 @@ impl CuldaTrainer {
         }
         if let Some(inter) = inter {
             self.breakdown.add(Phase::SyncPhi, inter.total_seconds());
+            self.ps.absorb(inter);
         }
     }
 
@@ -1452,7 +1423,7 @@ mod tests {
     #[test]
     fn single_gpu_trains_and_conserves_counts() {
         let c = corpus();
-        let mut t = CuldaTrainer::new(&c, cfg(Platform::maxwell()).build().unwrap());
+        let mut t = CuldaTrainer::try_new(&c, cfg(Platform::maxwell()).build().unwrap()).unwrap();
         assert_eq!(t.plan().m, 1);
         for _ in 0..3 {
             let stat = t.step();
@@ -1465,14 +1436,15 @@ mod tests {
     #[test]
     fn loglik_improves_over_training() {
         let c = corpus();
-        let mut t = CuldaTrainer::new(
+        let mut t = CuldaTrainer::try_new(
             &c,
             cfg(Platform::maxwell())
                 .iterations(12)
                 .score_every(0)
                 .build()
                 .unwrap(),
-        );
+        )
+        .unwrap();
         let before = t.loglik_per_token();
         for _ in 0..12 {
             t.step();
@@ -1490,7 +1462,7 @@ mod tests {
                 .build()
                 .unwrap();
             config.chunks_per_gpu = Some(m);
-            let mut t = CuldaTrainer::new(&c, config);
+            let mut t = CuldaTrainer::try_new(&c, config).unwrap();
             for _ in 0..2 {
                 t.step();
             }
@@ -1518,7 +1490,7 @@ mod tests {
             .build()
             .unwrap();
         config.chunks_per_gpu = Some(1);
-        let mut t = CuldaTrainer::new(&c, config);
+        let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         let seen: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
         let part = &t.part;
         let cfgr = &t.cfg;
@@ -1543,7 +1515,7 @@ mod tests {
             .build()
             .unwrap();
         config.chunks_per_gpu = Some(1);
-        let mut t = CuldaTrainer::new(&c, config);
+        let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         for _ in 0..2 {
             t.step();
         }
@@ -1582,7 +1554,7 @@ mod tests {
                 .seed(42)
                 .build()
                 .unwrap();
-            let t = CuldaTrainer::new(&c, config);
+            let t = CuldaTrainer::try_new(&c, config).unwrap();
             let out = t.train();
             out.history.avg_tokens_per_sec(2)
         };
@@ -1606,14 +1578,14 @@ mod tests {
         let c = corpus();
         let mut forced = cfg(Platform::maxwell()).score_every(0).build().unwrap();
         forced.chunks_per_gpu = Some(4);
-        let mut out_of_core = CuldaTrainer::new(&c, forced);
+        let mut out_of_core = CuldaTrainer::try_new(&c, forced).unwrap();
         assert_eq!(out_of_core.plan().m, 4, "forced M must hold");
         let mut resident_cfg = cfg(Platform::pascal().with_gpus(4))
             .score_every(0)
             .build()
             .unwrap();
         resident_cfg.chunks_per_gpu = Some(1);
-        let mut resident = CuldaTrainer::new(&c, resident_cfg);
+        let mut resident = CuldaTrainer::try_new(&c, resident_cfg).unwrap();
         for _ in 0..2 {
             out_of_core.step();
             resident.step();
@@ -1644,7 +1616,8 @@ mod tests {
             },
             ..small_mem.gpu
         };
-        let mut t = CuldaTrainer::new(&c, cfg(small_mem).score_every(0).build().unwrap());
+        let mut t =
+            CuldaTrainer::try_new(&c, cfg(small_mem).score_every(0).build().unwrap()).unwrap();
         assert!(
             t.plan().m > 1,
             "expected out-of-core plan, got {}",
@@ -1662,7 +1635,7 @@ mod tests {
             .score_every(0)
             .build()
             .unwrap();
-        let t = CuldaTrainer::new(&c, config);
+        let t = CuldaTrainer::try_new(&c, config).unwrap();
         let out = t.train();
         let frac = out.breakdown.fraction(Phase::Sampling);
         assert!(
@@ -1688,7 +1661,7 @@ mod tests {
             .build()
             .unwrap();
         config.chunks_per_gpu = Some(1);
-        let mut t = CuldaTrainer::new(&c, config);
+        let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         for _ in 0..2 {
             let stat = t.step();
             assert_eq!(stat.tokens, c.num_tokens());
@@ -1699,7 +1672,9 @@ mod tests {
     #[test]
     fn profile_log_records_every_kernel() {
         let c = corpus();
-        let mut t = CuldaTrainer::new(&c, cfg(Platform::maxwell()).score_every(0).build().unwrap());
+        let mut t =
+            CuldaTrainer::try_new(&c, cfg(Platform::maxwell()).score_every(0).build().unwrap())
+                .unwrap();
         for _ in 0..2 {
             t.step();
         }
@@ -1727,7 +1702,7 @@ mod tests {
                 .build()
                 .unwrap();
             config.chunks_per_gpu = Some(1);
-            let mut t = CuldaTrainer::new(&c, config);
+            let mut t = CuldaTrainer::try_new(&c, config).unwrap();
             if observe {
                 t.attach_observability(
                     Some(Arc::new(TraceSink::new())),
@@ -1757,7 +1732,7 @@ mod tests {
             .build()
             .unwrap();
         config.chunks_per_gpu = Some(1);
-        let mut t = CuldaTrainer::new(&c, config);
+        let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         let sink = Arc::new(TraceSink::new());
         let reg = Arc::new(MetricsRegistry::new());
         t.attach_observability(Some(sink.clone()), Some(reg.clone()));
@@ -1806,7 +1781,7 @@ mod tests {
                 .sync_mode(mode)
                 .build()
                 .unwrap();
-            let mut t = CuldaTrainer::new(&c, config);
+            let mut t = CuldaTrainer::try_new(&c, config).unwrap();
             for _ in 0..3 {
                 t.step();
             }
@@ -1824,7 +1799,8 @@ mod tests {
     #[test]
     fn history_records_every_iteration() {
         let c = corpus();
-        let t = CuldaTrainer::new(&c, cfg(Platform::volta()).iterations(4).build().unwrap());
+        let t = CuldaTrainer::try_new(&c, cfg(Platform::volta()).iterations(4).build().unwrap())
+            .unwrap();
         let out = t.train();
         assert_eq!(out.history.len(), 4);
         assert!(out.final_loglik_per_token.is_finite());
@@ -1859,8 +1835,8 @@ mod tests {
     #[test]
     fn cluster_matches_single_node_bit_for_bit() {
         let c = corpus();
-        let mut single = CuldaTrainer::new(&c, cluster_cfg(1));
-        let mut cluster = CuldaTrainer::new(&c, cluster_cfg(3));
+        let mut single = CuldaTrainer::try_new(&c, cluster_cfg(1)).unwrap();
+        let mut cluster = CuldaTrainer::try_new(&c, cluster_cfg(3)).unwrap();
         assert_eq!((cluster.num_nodes(), cluster.num_gpus()), (3, 6));
         for _ in 0..3 {
             single.step();
@@ -1883,7 +1859,7 @@ mod tests {
         let c = corpus();
         let mut cfg = cluster_cfg(2);
         cfg.host_workers = Some(1);
-        let t = CuldaTrainer::new(&c, cfg);
+        let t = CuldaTrainer::try_new(&c, cfg).unwrap();
         assert_eq!(t.num_gpus(), 4);
         assert!(t.workers().iter().all(|w| w.device.workers() == 1));
     }
@@ -1937,11 +1913,9 @@ mod tests {
         // worker's holds stale counts on rows marked dirty.
         for w in t.workers.iter().filter(|w| w.alive) {
             w.write_replica().clear();
-        }
-        for (i, ch) in t.part.chunks.iter().enumerate() {
-            let (wi, local) = t.chunk_slot(i);
-            let w = &t.workers[wi];
-            culda_sampler::accumulate_phi_host(ch, &w.states[local].z, w.write_replica());
+            for (&gi, state) in w.chunk_ids.iter().zip(&w.states) {
+                culda_sampler::accumulate_phi_host(&t.part.chunks[gi], &state.z, w.write_replica());
+            }
         }
         let lost = t.workers[1].write_replica();
         for v in 0..t.part.vocab_size {

@@ -724,8 +724,8 @@ mod tests {
     fn resident_body_matches_hand_sequenced_kernels() {
         use culda_gpusim::LaunchPhase;
         use culda_sampler::{
-            run_phi_clear_kernel, run_phi_update_kernel, run_sampling_kernel,
-            run_theta_update_kernel,
+            try_run_phi_clear_kernel, try_run_phi_update_kernel, try_run_sampling_kernel,
+            try_run_theta_update_kernel,
         };
         let cfg = TrainerConfig::builder(8, Platform::maxwell())
             .seed(11)
@@ -754,11 +754,11 @@ mod tests {
         };
         let (chunk, map, read) = (&part.chunks[0], &w.block_maps[0], w.read_replica());
         let inv = read.inv_denominators();
-        run_sampling_kernel(&ref_dev, chunk, &ref_state, read, &inv, map, &sample_cfg);
-        run_phi_clear_kernel(&ref_dev, &ref_write, false);
-        run_phi_update_kernel(&ref_dev, chunk, &ref_state, &ref_write, map);
+        try_run_sampling_kernel(&ref_dev, chunk, &ref_state, read, &inv, map, &sample_cfg).unwrap();
+        try_run_phi_clear_kernel(&ref_dev, &ref_write, false).unwrap();
+        try_run_phi_update_kernel(&ref_dev, chunk, &ref_state, &ref_write, map).unwrap();
         let ref_phi_done = ref_dev.now();
-        run_theta_update_kernel(&ref_dev, chunk, &mut ref_state, cfg.num_topics);
+        try_run_theta_update_kernel(&ref_dev, chunk, &mut ref_state, cfg.num_topics).unwrap();
 
         let report = w
             .try_run_iteration(&part, &cfg, false, 0, &Link::pcie3(), false)

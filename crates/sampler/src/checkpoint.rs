@@ -234,14 +234,16 @@ mod tests {
         let mut buf = Vec::new();
         save_phi(&phi, &mut buf).unwrap();
         let loaded = load_phi(buf.as_slice()).unwrap();
-        use crate::kernel_infer::{run_infer_kernel, InferDoc, InferKernelConfig};
+        use crate::kernel_infer::{try_run_infer_kernel, InferDoc, InferKernelConfig};
         let device = culda_gpusim::Device::new(0, culda_gpusim::GpuSpec::titan_xp_pascal());
         let docs = [InferDoc {
             stream_id: 0,
             words: &[0, 1, 2],
         }];
         let cfg = InferKernelConfig::new(1);
-        let (post, _) = run_infer_kernel(&device, &loaded, &loaded.inv_denominators(), &docs, &cfg);
+        let (post, _) =
+            try_run_infer_kernel(&device, &loaded, &loaded.inv_denominators(), &docs, &cfg)
+                .unwrap();
         assert_eq!(
             post[0].theta_acc.iter().sum::<u64>(),
             3 * u64::from(post[0].acc_sweeps)

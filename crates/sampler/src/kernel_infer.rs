@@ -717,22 +717,7 @@ fn launch_docs<S>(
 
 /// Launches the fold-in kernel for one micro-batch on `device`: one block
 /// per document, ϕ strictly read-only. Returns per-document posteriors in
-/// input order plus the launch report.
-///
-/// Panics on a simulated fault; resilient callers use
-/// [`try_run_infer_kernel`].
-pub fn run_infer_kernel(
-    device: &Device,
-    phi: &PhiModel,
-    inv_denom: &[f32],
-    docs: &[InferDoc<'_>],
-    cfg: &InferKernelConfig,
-) -> (Vec<DocPosterior>, LaunchReport) {
-    try_run_infer_kernel(device, phi, inv_denom, docs, cfg)
-        .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-}
-
-/// Fallible fold-in launch. ϕ is read-only and posteriors are derived from
+/// input order plus the launch report. Posteriors are derived from
 /// per-document RNG streams, so a failed micro-batch can be re-run on any
 /// device with bit-identical results.
 pub fn try_run_infer_kernel(
@@ -816,7 +801,7 @@ mod tests {
         let oracle = Device::new(0, GpuSpec::titan_x_maxwell());
         let (expected, want) = infer_reference(&oracle, &phi, &inv, &batch, &cfg);
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
-        let (got, report) = run_infer_kernel(&dev, &phi, &inv, &batch, &cfg);
+        let (got, report) = try_run_infer_kernel(&dev, &phi, &inv, &batch, &cfg).unwrap();
         assert_eq!(got, expected);
         assert_eq!(report.cost, want.cost);
         assert_eq!(report.sim_seconds.to_bits(), want.sim_seconds.to_bits());
@@ -836,7 +821,7 @@ mod tests {
             let mut cfg = base;
             cfg.draw = draw;
             let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
-            let (got, report) = run_infer_kernel(&dev, &phi, &inv, &batch, &cfg);
+            let (got, report) = try_run_infer_kernel(&dev, &phi, &inv, &batch, &cfg).unwrap();
             assert_eq!(got, expected, "draw={draw} changed posteriors");
             traffic.push(report.cost.shared_bytes + report.cost.dram_bytes());
         }
@@ -851,12 +836,12 @@ mod tests {
         let cfg = InferKernelConfig::new(7);
         let batch = as_infer_docs(&docs);
         let dev = Device::new(0, GpuSpec::v100_volta()).with_workers(3);
-        let (whole, _) = run_infer_kernel(&dev, &phi, &inv, &batch, &cfg);
+        let (whole, _) = try_run_infer_kernel(&dev, &phi, &inv, &batch, &cfg).unwrap();
         // Same documents split across two launches on a different device:
         // per-document RNG streams make the split invisible.
         let dev2 = Device::new(1, GpuSpec::titan_x_maxwell()).with_workers(1);
-        let (mut a, _) = run_infer_kernel(&dev2, &phi, &inv, &batch[..4], &cfg);
-        let (b, _) = run_infer_kernel(&dev2, &phi, &inv, &batch[4..], &cfg);
+        let (mut a, _) = try_run_infer_kernel(&dev2, &phi, &inv, &batch[..4], &cfg).unwrap();
+        let (b, _) = try_run_infer_kernel(&dev2, &phi, &inv, &batch[4..], &cfg).unwrap();
         a.extend(b);
         assert_eq!(whole, a);
     }
@@ -868,7 +853,7 @@ mod tests {
         let cfg = InferKernelConfig::new(3);
         let batch = as_infer_docs(&docs);
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-        let (post, _) = run_infer_kernel(&dev, &phi, &inv, &batch, &cfg);
+        let (post, _) = try_run_infer_kernel(&dev, &phi, &inv, &batch, &cfg).unwrap();
         for (p, d) in post.iter().zip(&docs) {
             let theta = p.theta(d.len(), phi.priors.alpha, phi.num_topics);
             let sum: f64 = theta.iter().sum();
@@ -884,7 +869,7 @@ mod tests {
         let before: Vec<u32> = (0..phi.phi.len()).map(|i| phi.phi.load(i)).collect();
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
         let batch = as_infer_docs(&docs);
-        run_infer_kernel(&dev, &phi, &inv, &batch, &InferKernelConfig::new(1));
+        try_run_infer_kernel(&dev, &phi, &inv, &batch, &InferKernelConfig::new(1)).unwrap();
         let after: Vec<u32> = (0..phi.phi.len()).map(|i| phi.phi.load(i)).collect();
         assert_eq!(before, after, "inference must leave ϕ frozen");
     }
@@ -899,7 +884,8 @@ mod tests {
             words: &empty,
         }];
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-        let (post, _) = run_infer_kernel(&dev, &phi, &inv, &batch, &InferKernelConfig::new(9));
+        let (post, _) =
+            try_run_infer_kernel(&dev, &phi, &inv, &batch, &InferKernelConfig::new(9)).unwrap();
         let theta = post[0].theta(0, phi.priors.alpha, phi.num_topics);
         let expect = 1.0 / phi.num_topics as f64;
         assert!(theta.iter().all(|&x| (x - expect).abs() < 1e-12));

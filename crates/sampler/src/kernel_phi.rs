@@ -16,18 +16,11 @@ use crate::blockmap::BlockWork;
 use crate::model::{ChunkState, PhiModel};
 use crate::topic_counter::TopicCounter;
 use culda_corpus::SortedChunk;
+use culda_gpusim::memory::AtomicU16Buf;
 use culda_gpusim::{BlockCtx, Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
 
-/// Zeroes a ϕ replica (the memset kernel that precedes accumulation).
-///
-/// Panics on a simulated fault; resilient callers use
-/// [`try_run_phi_clear_kernel`].
-pub fn run_phi_clear_kernel(device: &Device, phi: &PhiModel, sparse: bool) -> LaunchReport {
-    try_run_phi_clear_kernel(device, phi, sparse)
-        .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-}
-
-/// Fallible ϕ clear launch. Idempotent (a memset), so retry is a re-run.
+/// Zeroes a ϕ replica: the memset kernel that precedes accumulation.
+/// Idempotent (a memset), so retry is a re-run.
 ///
 /// Block 0 performs the whole logical clear through [`PhiModel::clear`] —
 /// one operation that zeroes the counts, demotes every hybrid row back to
@@ -74,24 +67,10 @@ pub fn try_run_phi_clear_kernel(
     })
 }
 
-/// Accumulates one chunk's assignments into the ϕ replica with atomic adds.
-///
-/// Panics on a simulated fault; resilient callers use
-/// [`try_run_phi_update_kernel`].
-pub fn run_phi_update_kernel(
-    device: &Device,
-    chunk: &SortedChunk,
-    state: &ChunkState,
-    phi: &PhiModel,
-    block_map: &[BlockWork],
-) -> LaunchReport {
-    try_run_phi_update_kernel(device, chunk, state, phi, block_map)
-        .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-}
-
-/// Fallible ϕ accumulation launch. *Not* idempotent on its own (atomic
-/// adds double-count on a blind re-run) — recovery re-runs the whole
-/// iteration body starting from the clear.
+/// Accumulates one chunk's assignments into the ϕ replica with atomic
+/// adds. *Not* idempotent on its own (atomic adds double-count on a blind
+/// re-run) — recovery re-runs the whole iteration body starting from the
+/// clear.
 ///
 /// Each block marks the single ϕ row it writes in the [`CountMatrix`]
 /// dirty bitmap (one extra `atomicOr` per block — negligible next to the
@@ -101,13 +80,7 @@ pub fn run_phi_update_kernel(
 /// iteration.
 ///
 /// The model charges two atomics per token, as the paper's kernel issues
-/// them. The host batches them instead: a block's tokens all share one ϕ
-/// row, so the executor's [`TopicCounter`] tallies their topics, and its
-/// ascending `(topic, count)` cells are written to the row once (one row
-/// lock, one dirty mark) and added to `phi_sum` with one atomic each.
-/// Integer adds commute and no row write can shrink a row, so the counts,
-/// the row layouts and the dirty marks are exactly those of the per-token
-/// adds.
+/// them. The host batches them instead, in [`add_block_to_phi`].
 ///
 /// [`CountMatrix`]: crate::count::CountMatrix
 pub fn try_run_phi_update_kernel(
@@ -123,16 +96,7 @@ pub fn try_run_phi_update_kernel(
     let scratch = || (TopicCounter::new(phi.num_topics), Vec::new());
     device.try_launch_spec_with(spec, scratch, |ctx, (counter, cells)| {
         let work = &block_map[ctx.block_id as usize];
-        let word = chunk.word_ids[work.word_idx] as usize;
-        for t in work.tokens.clone() {
-            counter.add(state.z.load(t));
-        }
-        cells.clear();
-        counter.drain(|topic, count| {
-            cells.push((topic, count));
-            phi.phi_sum.fetch_add(topic as usize, count);
-        });
-        phi.phi.add_row(word, cells);
+        add_block_to_phi(chunk, &state.z, work, phi, counter, cells);
         // Per token: read z (2 B), two atomic read-modify-writes.
         let n = work.tokens.len();
         ctx.dram_read(n * 2);
@@ -140,6 +104,39 @@ pub fn try_run_phi_update_kernel(
         ctx.dram_write(n * 8); // atomics dirty one ϕ and one sum cell each
         ctx.atomic(1); // one atomicOr into the row bitmap per block
     })
+}
+
+/// The ϕ-update kernel's block body on the host: adds one block's tokens,
+/// which all share one word, to `phi`. `counter` tallies their topics, and
+/// its ascending `(topic, count)` cells are written to the word's row once
+/// (one row lock, one dirty mark) and added to `phi_sum` with one atomic
+/// each. Integer adds commute and no row write can shrink a row, so the
+/// counts, the row layouts and the dirty marks are exactly those of
+/// per-token adds ([`accumulate_phi_host`]). `cells` is scratch; both
+/// scratch values may be reused across blocks.
+///
+/// The trainer's build writes its initial ϕ through this body too, without
+/// a launch or a charge.
+///
+/// [`accumulate_phi_host`]: crate::model::accumulate_phi_host
+pub fn add_block_to_phi(
+    chunk: &SortedChunk,
+    z: &AtomicU16Buf,
+    work: &BlockWork,
+    phi: &PhiModel,
+    counter: &mut TopicCounter,
+    cells: &mut Vec<(u16, u32)>,
+) {
+    let word = chunk.word_ids[work.word_idx] as usize;
+    for t in work.tokens.clone() {
+        counter.add(z.load(t));
+    }
+    cells.clear();
+    counter.drain(|topic, count| {
+        cells.push((topic, count));
+        phi.phi_sum.fetch_add(topic as usize, count);
+    });
+    phi.phi.add_row(word, cells);
 }
 
 #[cfg(test)]
@@ -168,8 +165,8 @@ mod tests {
 
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
         let map = build_block_map(&chunk, 64);
-        run_phi_clear_kernel(&dev, &kernel_phi, false);
-        run_phi_update_kernel(&dev, &chunk, &state, &kernel_phi, &map);
+        try_run_phi_clear_kernel(&dev, &kernel_phi, false).unwrap();
+        try_run_phi_update_kernel(&dev, &chunk, &state, &kernel_phi, &map).unwrap();
 
         assert_eq!(kernel_phi.phi.snapshot(), oracle_phi.phi.snapshot());
         assert_eq!(kernel_phi.phi_sum.snapshot(), oracle_phi.phi_sum.snapshot());
@@ -182,8 +179,8 @@ mod tests {
         let phi = PhiModel::zeros(8, 500, Priors::paper(8));
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
         let map = build_block_map(&chunk, 64);
-        run_phi_clear_kernel(&dev, &phi, false);
-        run_phi_update_kernel(&dev, &chunk, &state, &phi, &map);
+        try_run_phi_clear_kernel(&dev, &phi, false).unwrap();
+        try_run_phi_update_kernel(&dev, &chunk, &state, &phi, &map).unwrap();
 
         // Every nonzero ϕ row is marked, and every marked row is nonzero
         // (word-sorted chunks touch exactly the rows of their words).
@@ -195,7 +192,7 @@ mod tests {
 
         // A retried iteration re-runs from the clear: counts and marks
         // reset together because they are one object.
-        run_phi_clear_kernel(&dev, &phi, false);
+        try_run_phi_clear_kernel(&dev, &phi, false).unwrap();
         assert_eq!(phi.phi.dirty().count(), 0);
         assert_eq!(phi.phi.total_nnz(), 0);
     }
@@ -206,7 +203,7 @@ mod tests {
         phi.phi.store(13, 99);
         phi.phi_sum.store(2, 7);
         let dev = Device::new(0, GpuSpec::v100_volta());
-        run_phi_clear_kernel(&dev, &phi, false);
+        try_run_phi_clear_kernel(&dev, &phi, false).unwrap();
         assert!(phi.phi.snapshot().iter().all(|&v| v == 0));
         assert!(phi.phi_sum.snapshot().iter().all(|&v| v == 0));
     }
@@ -223,12 +220,12 @@ mod tests {
             phi.phi_sum.fetch_add(v % k, 3);
         }
         let dev_a = Device::new(0, GpuSpec::titan_x_maxwell());
-        let dense = run_phi_clear_kernel(&dev_a, &phi, false);
+        let dense = try_run_phi_clear_kernel(&dev_a, &phi, false).unwrap();
         for v in 0..500 {
             phi.phi.add(v, v % k, 3);
         }
         let dev_b = Device::new(0, GpuSpec::titan_x_maxwell());
-        let sparse = run_phi_clear_kernel(&dev_b, &phi, true);
+        let sparse = try_run_phi_clear_kernel(&dev_b, &phi, true).unwrap();
         assert!(phi.phi.snapshot().iter().all(|&c| c == 0), "must clear");
         assert_eq!(phi.phi.dirty().count(), 0, "marks must reset");
         assert!(
@@ -250,7 +247,7 @@ mod tests {
             let phi = PhiModel::zeros(8, 500, Priors::paper(8));
             let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(workers);
             let map = build_block_map(&chunk, tpb);
-            run_phi_update_kernel(&dev, &chunk, &state, &phi, &map);
+            try_run_phi_update_kernel(&dev, &chunk, &state, &phi, &map).unwrap();
             totals.push(phi.phi.snapshot());
         }
         assert_eq!(totals[0], totals[1]);
@@ -262,7 +259,7 @@ mod tests {
         let phi = PhiModel::zeros(8, 500, Priors::paper(8));
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
         let map = build_block_map(&chunk, 64);
-        let r = run_phi_update_kernel(&dev, &chunk, &state, &phi, &map);
+        let r = try_run_phi_update_kernel(&dev, &chunk, &state, &phi, &map).unwrap();
         // Two atomics per token plus one row-bitmap atomicOr per block.
         assert_eq!(
             r.cost.atomics,

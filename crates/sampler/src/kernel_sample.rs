@@ -288,26 +288,10 @@ fn draw_token_reference(
 }
 
 /// Launches the sampling kernel for one chunk on `device`. Writes new
-/// assignments into `state.z`; model matrices are read-only.
-///
-/// Panics on a simulated fault; resilient callers use
-/// [`try_run_sampling_kernel`].
-pub fn run_sampling_kernel(
-    device: &Device,
-    chunk: &SortedChunk,
-    state: &ChunkState,
-    phi: &PhiModel,
-    inv_denom: &[f32],
-    block_map: &[BlockWork],
-    cfg: &SampleConfig,
-) -> LaunchReport {
-    try_run_sampling_kernel(device, chunk, state, phi, inv_denom, block_map, cfg)
-        .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-}
-
-/// Fallible sampling launch: surfaces injected faults as [`SimFault`].
-/// Because the kernel only *writes* `state.z` (θ and ϕ are read-only), a
-/// failed launch can simply be re-run — the kernel is idempotent.
+/// assignments into `state.z`; model matrices are read-only. Injected
+/// faults surface as [`SimFault`]. Because the kernel only *writes*
+/// `state.z` (θ and ϕ are read-only), a failed launch can simply be re-run
+/// — the kernel is idempotent.
 pub fn try_run_sampling_kernel(
     device: &Device,
     chunk: &SortedChunk,
@@ -645,7 +629,7 @@ mod tests {
 
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
         let map = build_block_map(&chunk, 128);
-        run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert_eq!(state.z.snapshot(), expected);
 
         // K = 4096, where the p* chain runs only in blocks that need it:
@@ -659,7 +643,7 @@ mod tests {
         let kinds = block_kinds(&chunk, &state, &phi, &map, &cfg);
         assert!(kinds.iter().all(|&n| n > 0), "block kinds {kinds:?}");
         let expected = sample_chunk_reference(&chunk, &state, &phi, &inv, &cfg);
-        run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert_eq!(state.z.snapshot(), expected, "K = 4096");
     }
 
@@ -750,7 +734,7 @@ mod tests {
             };
             let dev = Device::new(0, GpuSpec::v100_volta()).with_workers(workers);
             let map = build_block_map(&chunk, tpb);
-            run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+            try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
             runs.push(fresh.z.snapshot());
         }
         assert_eq!(runs[0], runs[1]);
@@ -764,10 +748,10 @@ mod tests {
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
         let map = build_block_map(&chunk, 256);
         let mut cfg = SampleConfig::new(5);
-        run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         let z1 = state.z.snapshot();
         cfg.iteration = 1;
-        run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         let z2 = state.z.snapshot();
         assert_ne!(z1, z2, "iterations must use fresh randomness");
     }
@@ -778,7 +762,7 @@ mod tests {
         let inv = phi.inv_denominators();
         let dev = Device::new(0, GpuSpec::titan_xp_pascal());
         let map = build_block_map(&chunk, 100);
-        run_sampling_kernel(
+        try_run_sampling_kernel(
             &dev,
             &chunk,
             &state,
@@ -786,7 +770,8 @@ mod tests {
             &inv,
             &map,
             &SampleConfig::new(1),
-        );
+        )
+        .unwrap();
         for z in state.z.snapshot() {
             assert!((z as usize) < 16);
         }
@@ -800,10 +785,12 @@ mod tests {
         let mut cfg = SampleConfig::new(9);
 
         let dev_a = Device::new(0, GpuSpec::titan_x_maxwell());
-        let with_shared = run_sampling_kernel(&dev_a, &chunk, &state, &phi, &inv, &map, &cfg);
+        let with_shared =
+            try_run_sampling_kernel(&dev_a, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         cfg.use_shared_memory = false;
         let dev_b = Device::new(0, GpuSpec::titan_x_maxwell());
-        let without = run_sampling_kernel(&dev_b, &chunk, &state, &phi, &inv, &map, &cfg);
+        let without =
+            try_run_sampling_kernel(&dev_b, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert!(
             with_shared.cost.dram_bytes() < without.cost.dram_bytes(),
             "shared path must reduce DRAM traffic"
@@ -834,7 +821,7 @@ mod tests {
         let expected = sample_chunk_reference(&chunk, &state, &phi, &inv, &cfg);
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
         let map = build_block_map(&chunk, 64);
-        let report = run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        let report = try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert_eq!(state.z.snapshot(), expected);
         // The fallback path must have charged the p* arrays to DRAM.
         assert!(report.cost.dram_bytes() > 0);
@@ -855,7 +842,7 @@ mod tests {
             let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
             let mut cfg = SampleConfig::new(13);
             cfg.use_l1_for_indices = l1;
-            let r = run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+            let r = try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
             outputs.push(fresh.z.snapshot());
             dram.push(r.cost.dram_read_bytes);
         }
@@ -880,7 +867,7 @@ mod tests {
         let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
         let reg = std::sync::Arc::new(culda_metrics::MetricsRegistry::new());
         dev.attach_metrics(reg.clone());
-        run_sampling_kernel(&dev, chunk, state, phi, &inv, &map, cfg);
+        try_run_sampling_kernel(&dev, chunk, state, phi, &inv, &map, cfg).unwrap();
         assert_eq!(state.z.snapshot(), expected, "recording changed topics");
         let depth = reg.histogram("sampler.tree_depth");
         (
@@ -937,7 +924,8 @@ mod tests {
                     theta: state.theta.clone(),
                 };
                 let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-                dense_report = run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+                dense_report =
+                    try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
                 dense_z = fresh.z.snapshot();
             }
             cfg.sparse = true;
@@ -946,7 +934,8 @@ mod tests {
                 theta: state.theta.clone(),
             };
             let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-            let sparse_report = run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+            let sparse_report =
+                try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
             assert_eq!(
                 fresh.z.snapshot(),
                 dense_z,
@@ -984,10 +973,12 @@ mod tests {
         let map = build_block_map(&chunk, 256);
         let mut cfg = SampleConfig::new(5);
         let dev_a = Device::new(0, GpuSpec::titan_x_maxwell());
-        let dense = run_sampling_kernel(&dev_a, &chunk, &state, &phi, &inv, &map, &cfg);
+        let dense =
+            try_run_sampling_kernel(&dev_a, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         cfg.sparse = true;
         let dev_b = Device::new(0, GpuSpec::titan_x_maxwell());
-        let sparse = run_sampling_kernel(&dev_b, &chunk, &state, &phi, &inv, &map, &cfg);
+        let sparse =
+            try_run_sampling_kernel(&dev_b, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert!(
             sparse.cost.dram_read_bytes * 2 < dense.cost.dram_read_bytes,
             "sparse {} vs dense {} DRAM bytes — wanted ≥2× cut",
@@ -1038,7 +1029,7 @@ mod tests {
         let inv = phi.inv_denominators();
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
         let map = build_block_map(&chunk, 256);
-        run_sampling_kernel(
+        try_run_sampling_kernel(
             &dev,
             &chunk,
             &state,
@@ -1046,7 +1037,8 @@ mod tests {
             &inv,
             &map,
             &SampleConfig::new(1),
-        );
+        )
+        .unwrap();
     }
 
     /// The spill-regime setup behind the draw-mode tests: K = 4096 keeps
@@ -1083,7 +1075,7 @@ mod tests {
             theta: state.theta.clone(),
         };
         let dev = Device::new(0, GpuSpec::titan_xp_pascal());
-        let report = run_sampling_kernel(&dev, chunk, &fresh, phi, &inv, &map, cfg);
+        let report = try_run_sampling_kernel(&dev, chunk, &fresh, phi, &inv, &map, cfg).unwrap();
         (fresh.z.snapshot(), report)
     }
 
@@ -1259,9 +1251,9 @@ mod tests {
         let map = build_block_map(&chunk, 256);
         let mut cfg = SampleConfig::new(9);
         let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-        let small = run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        let small = try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         cfg.compressed = false;
-        let big = run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+        let big = try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
         assert!(small.cost.dram_read_bytes < big.cost.dram_read_bytes);
     }
 }

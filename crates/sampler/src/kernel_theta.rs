@@ -30,24 +30,11 @@ use culda_corpus::{CsrMatrix, SortedChunk};
 use culda_gpusim::{Device, KernelSpec, LaunchPhase, LaunchReport, SimFault};
 use std::sync::OnceLock;
 
-/// Rebuilds a chunk's θ replica from the current assignments.
-/// Returns the launch report; the new CSR replaces `state.theta`.
-///
-/// Panics on a simulated fault; resilient callers use
-/// [`try_run_theta_update_kernel`].
-pub fn run_theta_update_kernel(
-    device: &Device,
-    chunk: &SortedChunk,
-    state: &mut ChunkState,
-    num_topics: usize,
-) -> LaunchReport {
-    try_run_theta_update_kernel(device, chunk, state, num_topics)
-        .unwrap_or_else(|f| panic!("unrecoverable simulated fault: {f}"))
-}
-
-/// Fallible θ rebuild launch. On failure `state.theta` is left untouched
-/// (the rebuilt rows are only committed after a clean launch), so the
-/// rebuild is idempotent: a retry recounts from the same `z`.
+/// Rebuilds a chunk's θ replica from the current assignments. Returns the
+/// launch report; the new CSR replaces `state.theta`. On failure
+/// `state.theta` is left untouched (the rebuilt rows are only committed
+/// after a clean launch), so the rebuild is idempotent: a retry recounts
+/// from the same `z`.
 pub fn try_run_theta_update_kernel(
     device: &Device,
     chunk: &SortedChunk,
@@ -138,7 +125,7 @@ mod tests {
             }
             let expected = build_theta_host(&chunk, &state.z, k);
             let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
-            run_theta_update_kernel(&dev, &chunk, &mut state, k);
+            try_run_theta_update_kernel(&dev, &chunk, &mut state, k).unwrap();
             state.theta.check_invariants();
             assert_eq!(state.theta, expected, "K = {k}");
         }
@@ -148,7 +135,7 @@ mod tests {
     fn rebuilt_theta_conserves_doc_lengths() {
         let (chunk, mut state) = setup();
         let dev = Device::new(0, GpuSpec::v100_volta()).with_workers(8);
-        run_theta_update_kernel(&dev, &chunk, &mut state, 12);
+        try_run_theta_update_kernel(&dev, &chunk, &mut state, 12).unwrap();
         for d in 0..chunk.num_docs {
             assert_eq!(state.theta.row_sum(d) as usize, chunk.doc_len(d));
         }
@@ -164,7 +151,7 @@ mod tests {
                 theta: state.theta.clone(),
             };
             let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(workers);
-            run_theta_update_kernel(&dev, &chunk, &mut st, 12);
+            try_run_theta_update_kernel(&dev, &chunk, &mut st, 12).unwrap();
             results.push(st.theta);
         }
         assert_eq!(results[0], results[1]);
@@ -181,7 +168,7 @@ mod tests {
         }
         let expected = build_theta_host(&chunk, &state.z, k);
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
-        run_theta_update_kernel(&dev, &chunk, &mut state, k);
+        try_run_theta_update_kernel(&dev, &chunk, &mut state, k).unwrap();
         assert_eq!(state.theta, expected);
     }
 }

@@ -70,17 +70,11 @@ pub use delta::PhiDelta;
 pub use dense::DenseCgs;
 pub use hyper::Priors;
 pub use kernel_infer::{
-    infer_reference, run_infer_kernel, try_run_infer_kernel, DocPosterior, InferDoc,
-    InferKernelConfig,
+    infer_reference, try_run_infer_kernel, DocPosterior, InferDoc, InferKernelConfig,
 };
-pub use kernel_phi::{
-    run_phi_clear_kernel, run_phi_update_kernel, try_run_phi_clear_kernel,
-    try_run_phi_update_kernel,
-};
-pub use kernel_sample::{
-    run_sampling_kernel, sample_chunk_reference, try_run_sampling_kernel, SampleConfig,
-};
-pub use kernel_theta::{run_theta_update_kernel, try_run_theta_update_kernel};
+pub use kernel_phi::{add_block_to_phi, try_run_phi_clear_kernel, try_run_phi_update_kernel};
+pub use kernel_sample::{sample_chunk_reference, try_run_sampling_kernel, SampleConfig};
+pub use kernel_theta::try_run_theta_update_kernel;
 pub use mode::{parse_mode, DrawMode, ModeParseError};
 pub use model::{
     accumulate_phi_host, build_theta_host, ChunkState, LdaModel, PhiModel, MAX_TOPICS,

@@ -213,10 +213,19 @@ impl ChunkState {
     pub fn init_random(chunk: &SortedChunk, num_topics: usize, seed: u64) -> Self {
         assert!(num_topics > 0 && num_topics <= MAX_TOPICS);
         let mut rng = Xoshiro256::from_seed_stream(seed, 0xD0C5);
-        let z_plain: Vec<u16> = (0..chunk.num_tokens())
+        let z = (0..chunk.num_tokens())
             .map(|_| rng.next_below(num_topics as u32) as u16)
             .collect();
-        let z = AtomicU16Buf::from_vec(z_plain);
+        Self::from_assignments(chunk, z, num_topics)
+    }
+
+    /// Takes `z` as the chunk's assignments, in its word-sorted order, and
+    /// builds the matching θ.
+    ///
+    /// # Panics
+    /// Panics if `z` does not cover the chunk or holds a topic `≥ K`.
+    pub fn from_assignments(chunk: &SortedChunk, z: Vec<u16>, num_topics: usize) -> Self {
+        let z = AtomicU16Buf::from_vec(z);
         let theta = build_theta_host(chunk, &z, num_topics);
         Self { z, theta }
     }
@@ -231,17 +240,35 @@ impl ChunkState {
 /// Host-side reference θ builder: counts `z` per (document, topic) using
 /// the chunk's document–word map. The GPU θ-update kernel must agree with
 /// this exactly (oracle for its tests).
+///
+/// Each document is counted in one K-cell row, whose nonzero cells a scan
+/// reads back in topic order and zeroes for the next document. The CSR
+/// arrays are reserved for `min(length, K)` cells per document, the most
+/// its row can hold, and shrunk to the nonzeros at the end.
 pub fn build_theta_host(chunk: &SortedChunk, z: &AtomicU16Buf, num_topics: usize) -> CsrMatrix {
     assert_eq!(z.len(), chunk.num_tokens(), "z length mismatch");
-    let mut rows: Vec<Vec<u32>> = vec![vec![0u32; num_topics]; chunk.num_docs];
-    for (d, row) in rows.iter_mut().enumerate() {
+    let most = (0..chunk.num_docs)
+        .map(|d| chunk.doc_len(d).min(num_topics))
+        .sum();
+    let (mut cols, mut vals) = (Vec::with_capacity(most), Vec::with_capacity(most));
+    let mut row_ptr = Vec::with_capacity(chunk.num_docs + 1);
+    row_ptr.push(0);
+    let mut row = vec![0u32; num_topics];
+    for d in 0..chunk.num_docs {
         for &pos in chunk.doc_tokens(d) {
             let k = z.load(pos as usize) as usize;
             assert!(k < num_topics, "assignment {k} out of range");
             row[k] += 1;
         }
+        for (k, count) in row.iter_mut().enumerate().filter(|(_, c)| **c > 0) {
+            cols.push(k as u16);
+            vals.push(std::mem::take(count));
+        }
+        row_ptr.push(cols.len());
     }
-    CsrMatrix::from_dense_rows(&rows, num_topics)
+    cols.shrink_to_fit();
+    vals.shrink_to_fit();
+    CsrMatrix::from_parts(chunk.num_docs, num_topics, row_ptr, cols, vals)
 }
 
 /// Host-side reference ϕ accumulator: adds this chunk's counts into a

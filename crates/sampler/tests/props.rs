@@ -8,7 +8,7 @@ use culda_sampler::spq::{
     compute_pstar, exact_conditional, p1_weights, pstar_tree, q_mass, sample_token_reference,
     sample_token_tree,
 };
-use culda_sampler::{run_infer_kernel, InferDoc, InferKernelConfig, PhiModel, Priors};
+use culda_sampler::{try_run_infer_kernel, InferDoc, InferKernelConfig, PhiModel, Priors};
 
 /// A small pseudo-random model state: K topics × V words of ϕ counts plus
 /// a θ row with the same column space.
@@ -184,7 +184,8 @@ fn fold_in_theta_always_conserves_length() {
             stream_id: 0,
             words: &words,
         }];
-        let (post, _) = run_infer_kernel(&device, &phi, &phi.inv_denominators(), &docs, &cfg);
+        let (post, _) =
+            try_run_infer_kernel(&device, &phi, &phi.inv_denominators(), &docs, &cfg).unwrap();
         let total: u64 = post[0].theta_acc.iter().sum();
         assert_eq!(total, words.len() as u64 * u64::from(post[0].acc_sweeps));
     }

@@ -39,7 +39,7 @@ fn main() {
             .draw_mode(mode)
             .build()
             .unwrap();
-        let mut trainer = CuldaTrainer::new(&corpus, cfg);
+        let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..iters {
             trainer.step();
         }

@@ -52,7 +52,7 @@ fn main() {
         .build()
         .unwrap();
     let trainer_corpus = pruned.corpus;
-    let mut trainer = CuldaTrainer::new(&trainer_corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&trainer_corpus, cfg).unwrap();
     for _ in 0..40 {
         trainer.step();
     }

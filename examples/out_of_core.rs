@@ -46,7 +46,7 @@ fn main() {
             .score_every(0)
             .build()
             .unwrap();
-        let trainer = CuldaTrainer::new(&corpus, cfg);
+        let trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         let m = trainer.plan().m;
         let c = trainer.plan().c;
         let out = trainer.train();

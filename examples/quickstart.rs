@@ -30,7 +30,7 @@ fn main() {
         .seed(2024)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     println!(
         "plan: M = {} chunk(s) per GPU, C = {} chunk(s) total\n",
         trainer.plan().m,

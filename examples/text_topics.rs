@@ -67,7 +67,7 @@ fn main() {
         .seed(11)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..80 {
         trainer.step();
     }

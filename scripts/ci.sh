@@ -126,10 +126,9 @@ MATRIX
 # fits, so this runs the paths for words past both caches.
 infer_shapes "$smoke/doc-draw-mode-4096-2-tree.phi"
 
-echo "==> word-policy fault and resume smoke tests"
+echo "==> word-policy fault smoke test"
 # A transient launch fault under the word policy must recover to the clean
-# word model, and 2 + 1 iterations through --save-state/--resume must write
-# the same model as 3 straight ones (the word rows of the matrix above).
+# word model (the word rows of the matrix above).
 word_clean="$smoke/word-sampling-mode-8-2-dense.phi"
 cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --vocab "$smoke/c.v" --model "$smoke/wf.phi" --topics 8 --iters 3 \
@@ -137,14 +136,6 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --fault-plan launch:0:1 | tee "$smoke/word-fault.log"
 grep -q 'recovery: 1 fault(s) injected, 1 retry(s)' "$smoke/word-fault.log"
 cmp "$word_clean" "$smoke/wf.phi"
-cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-    --vocab "$smoke/c.v" --model "$smoke/wr.phi" --topics 8 --iters 2 \
-    --score-every 0 --platform pascal --gpus 2 --policy word \
-    --save-state "$smoke/w.state"
-cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-    --vocab "$smoke/c.v" --model "$smoke/wr.phi" --topics 8 --iters 1 \
-    --score-every 0 --platform pascal --gpus 2 --resume "$smoke/w.state"
-cmp "$word_clean" "$smoke/wr.phi"
 
 echo "==> permanent GPU loss smoke tests (both policies)"
 # GPU 1 fails every launch from iteration 1 on: after its retries it is
@@ -176,20 +167,32 @@ for mode in dense-tree dense-ring delta auto; do
     grep -q 'cluster: 2 node(s)' "$smoke/nodes-$mode.log"
     cmp "$smoke/doc-sync-mode-8-2-dense-tree.phi" "$smoke/n-$mode.phi"
 done
-# Save-state → resume at --nodes 2 continues that run: 2 + 1 iterations
-# write the same model as the 3 straight ones, whether the resume's
-# rebuild is charged as the dense tree or as delta.
-for mode in dense-tree delta; do
-    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-        --vocab "$smoke/c.v" --model "$smoke/nr-$mode.phi" --topics 8 --iters 2 \
-        --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
-        --save-state "$smoke/n-$mode.state"
-    cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
-        --vocab "$smoke/c.v" --model "$smoke/nr-$mode.phi" --topics 8 --iters 1 \
-        --score-every 0 --platform pascal --gpus 2 --nodes 2 --sync-mode "$mode" \
-        --resume "$smoke/n-$mode.state"
-    cmp "$smoke/n-$mode.phi" "$smoke/nr-$mode.phi"
-done
+
+echo "==> save-state/resume smoke tests"
+# 2 + 1 iterations through --save-state/--resume must write the same model
+# as 3 straight ones. Each row names the policy, K, the platform, the GPU
+# and node counts, the straight model from above, and any extra flags. The
+# rows cover a lone replica with no sum (one Maxwell GPU), the word layout
+# at K = 8 and at K = 4096, a sum in which every row stays sparse (K = 4096
+# on 2 GPUs), and two nodes whose resume books the dense tree or delta.
+while read -r policy topics platform gpus nodes straight flags; do
+    resumed="$smoke/resumed-$straight"
+    for run in "--iters 2 --save-state" "--iters 1 --resume"; do
+        # shellcheck disable=SC2086 # $run and $flags are lists of words
+        cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+            --vocab "$smoke/c.v" --model "$resumed" --topics "$topics" \
+            --score-every 0 --platform "$platform" --gpus "$gpus" --nodes "$nodes" \
+            --policy "$policy" $flags $run "$resumed.state" < /dev/null
+    done
+    cmp "$smoke/$straight" "$resumed"
+done <<'RESUME'
+doc 8 maxwell 1 1 c.phi
+word 8 pascal 2 1 word-sampling-mode-8-2-dense.phi
+word 4096 pascal 2 1 word-sampling-mode-4096-2-dense.phi --sampling-mode dense
+doc 4096 pascal 2 1 doc-sync-mode-4096-2-auto.phi --sync-mode auto
+doc 8 pascal 2 2 n-dense-tree.phi --sync-mode dense-tree
+doc 8 pascal 2 2 n-delta.phi --sync-mode delta
+RESUME
 
 echo "==> telemetry smoke test (eval, snapshots, report, openmetrics)"
 # A telemetry-laden run must stream parseable snapshots, export a lintable

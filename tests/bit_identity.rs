@@ -28,7 +28,7 @@ fn small_corpus() -> culda::corpus::Corpus {
 /// scored log-likelihood series.
 fn run(cfg: TrainerConfig, iters: u32) -> (Vec<Vec<u16>>, Vec<f64>) {
     let corpus = small_corpus();
-    let mut t = CuldaTrainer::new(&corpus, cfg);
+    let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..iters {
         t.step();
     }
@@ -99,7 +99,7 @@ fn simulated_seconds_per_device_unchanged_by_host_workers() {
     let clock = |workers: usize| {
         let mut c = cfg(4, 1);
         c.host_workers = Some(workers);
-        let mut t = CuldaTrainer::new(&corpus, c);
+        let mut t = CuldaTrainer::try_new(&corpus, c).unwrap();
         for _ in 0..2 {
             t.step();
         }
@@ -117,7 +117,7 @@ fn z_and_loglik_series_identical_with_observability_attached() {
     // not move a single bit of sampled state or scored likelihood.
     let (z_plain, ll_plain) = run(cfg(4, 1), 3);
     let corpus = small_corpus();
-    let mut t = CuldaTrainer::new(&corpus, cfg(4, 1));
+    let mut t = CuldaTrainer::try_new(&corpus, cfg(4, 1)).unwrap();
     let sink = std::sync::Arc::new(culda::metrics::TraceSink::new());
     let registry = std::sync::Arc::new(culda::metrics::MetricsRegistry::new());
     t.attach_observability(Some(sink.clone()), Some(registry.clone()));

@@ -21,7 +21,7 @@ fn full_training_run_converges_and_conserves() {
         .seed(99)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     let initial = trainer.loglik_per_token();
     for _ in 0..20 {
         trainer.step();
@@ -49,7 +49,7 @@ fn training_is_deterministic_per_seed() {
             .seed(seed)
             .build()
             .unwrap();
-        let mut t = CuldaTrainer::new(&corpus, cfg);
+        let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..5 {
             t.step();
         }
@@ -82,7 +82,7 @@ fn gpu_count_is_a_pure_performance_knob() {
             .build()
             .unwrap();
         cfg.chunks_per_gpu = Some(m);
-        let mut t = CuldaTrainer::new(&corpus, cfg);
+        let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..4 {
             t.step();
         }
@@ -105,7 +105,7 @@ fn out_of_core_training_matches_resident_statistics() {
         .build()
         .unwrap();
     forced.chunks_per_gpu = Some(3);
-    let mut ooc = CuldaTrainer::new(&corpus, forced);
+    let mut ooc = CuldaTrainer::try_new(&corpus, forced).unwrap();
     assert_eq!(ooc.plan().m, 3);
     let mut resident = TrainerConfig::builder(8, Platform::pascal().with_gpus(3))
         .iterations(3)
@@ -114,7 +114,7 @@ fn out_of_core_training_matches_resident_statistics() {
         .build()
         .unwrap();
     resident.chunks_per_gpu = Some(1);
-    let mut res = CuldaTrainer::new(&corpus, resident);
+    let mut res = CuldaTrainer::try_new(&corpus, resident).unwrap();
     for _ in 0..3 {
         ooc.step();
         res.step();
@@ -140,7 +140,7 @@ fn oom_forces_out_of_core_automatically() {
         .score_every(0)
         .build()
         .unwrap();
-    let mut t = CuldaTrainer::new(&corpus, cfg);
+    let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     assert!(t.plan().m > 1);
     t.step();
     t.check_invariants();
@@ -158,7 +158,7 @@ fn ablations_only_change_time_never_statistics() {
             .unwrap();
         cfg.compressed = compressed;
         cfg.use_shared_memory = shared;
-        let mut t = CuldaTrainer::new(&corpus, cfg);
+        let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..3 {
             t.step();
         }

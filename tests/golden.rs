@@ -36,7 +36,7 @@ fn run() -> (u64, f64) {
         .seed(0x601DE4)
         .build()
         .unwrap();
-    let mut t = CuldaTrainer::new(&corpus, cfg);
+    let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..3 {
         t.step();
     }

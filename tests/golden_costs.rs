@@ -33,9 +33,9 @@ use culda::gpusim::memory::AtomicU16Buf;
 use culda::gpusim::{Device, GpuSpec, LaunchReport, Link, Platform};
 use culda::multigpu::{sync_phi, SyncMode, SyncReport, TrainerConfig};
 use culda::sampler::{
-    accumulate_phi_host, build_block_map, run_infer_kernel, run_phi_clear_kernel,
-    run_phi_update_kernel, run_sampling_kernel, ChunkState, DrawMode, InferDoc, InferKernelConfig,
-    PhiModel, Priors, SampleConfig,
+    accumulate_phi_host, build_block_map, try_run_infer_kernel, try_run_phi_clear_kernel,
+    try_run_phi_update_kernel, try_run_sampling_kernel, ChunkState, DrawMode, InferDoc,
+    InferKernelConfig, PhiModel, Priors, SampleConfig,
 };
 use culda::sampler::{depth_for, DEFAULT_FANOUT};
 
@@ -232,8 +232,10 @@ fn lda_sample_charges_are_pinned() {
                         cfg.sparse = sparse;
                         let state = fresh(&f.state);
                         let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
-                        let r =
-                            run_sampling_kernel(&dev, &f.chunk, &state, &f.phi, &inv, &map, &cfg);
+                        let r = try_run_sampling_kernel(
+                            &dev, &f.chunk, &state, &f.phi, &inv, &map, &cfg,
+                        )
+                        .unwrap();
                         let label = format!(
                             "{}/{draw}/shared={}/l1={}/sparse={}",
                             f.name, shared as u8, l1 as u8, sparse as u8
@@ -290,7 +292,7 @@ fn lda_infer_charges_are_pinned() {
                     cfg.use_shared_memory = shared;
                     cfg.compressed = compressed;
                     let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
-                    let (post, r) = run_infer_kernel(&dev, &f.phi, &inv, &batch, &cfg);
+                    let (post, r) = try_run_infer_kernel(&dev, &f.phi, &inv, &batch, &cfg).unwrap();
                     let label = format!(
                         "{name}/{draw}/shared={}/compressed={}",
                         shared as u8, compressed as u8
@@ -348,8 +350,9 @@ fn phi_update_charges_and_layouts_are_pinned() {
             // Two iterations: the second clear is priced from the layout
             // the first update left (sparse clear), then the update rebuilds.
             for sparse in [false, true] {
-                let clear = run_phi_clear_kernel(&dev, &phi, sparse);
-                let update = run_phi_update_kernel(&dev, &f.chunk, &f.state, &phi, &map);
+                let clear = try_run_phi_clear_kernel(&dev, &phi, sparse).unwrap();
+                let update =
+                    try_run_phi_update_kernel(&dev, &f.chunk, &f.state, &phi, &map).unwrap();
                 let label = format!("{}/tpb={tpb}/sparse={}", f.name, sparse as u8);
                 lines.push(cost_line(&format!("{label}/clear"), &clear));
                 lines.push(cost_line(&format!("{label}/update"), &update));
@@ -359,7 +362,7 @@ fn phi_update_charges_and_layouts_are_pinned() {
                 f.name,
                 layout_hash(&phi)
             ));
-            let clear = run_phi_clear_kernel(&dev, &phi, true);
+            let clear = try_run_phi_clear_kernel(&dev, &phi, true).unwrap();
             lines.push(cost_line(
                 &format!("{}/tpb={tpb}/final_clear", f.name),
                 &clear,
@@ -424,7 +427,8 @@ fn sync_apply_layouts_are_pinned() {
                 .map(|(chunk, state)| {
                     let phi = PhiModel::zeros(k, corpus.vocab_size(), Priors::paper(k));
                     let dev = Device::new(0, gpu.clone()).with_workers(2);
-                    run_phi_update_kernel(&dev, chunk, state, &phi, &build_block_map(chunk, 7));
+                    try_run_phi_update_kernel(&dev, chunk, state, &phi, &build_block_map(chunk, 7))
+                        .unwrap();
                     phi
                 })
                 .collect();
@@ -439,7 +443,8 @@ fn sync_apply_layouts_are_pinned() {
                 hashes.iter().all(|&h| h == hashes[0]),
                 "{name}/{mode}: the replicas ended the sync as different models"
             );
-            let clear = run_phi_clear_kernel(&Device::new(0, gpu.clone()), &replicas[0], true);
+            let clear =
+                try_run_phi_clear_kernel(&Device::new(0, gpu.clone()), &replicas[0], true).unwrap();
             lines.push(cost_line(&format!("{name}/{mode}/clear"), &clear));
         }
     }

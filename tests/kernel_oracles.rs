@@ -5,9 +5,9 @@
 use culda::corpus::{partition_by_tokens, SortedChunk, SynthSpec};
 use culda::gpusim::{Device, GpuSpec};
 use culda::sampler::{
-    accumulate_phi_host, build_block_map, build_theta_host, run_phi_clear_kernel,
-    run_phi_update_kernel, run_sampling_kernel, run_theta_update_kernel, sample_chunk_reference,
-    ChunkState, PhiModel, Priors, SampleConfig,
+    accumulate_phi_host, build_block_map, build_theta_host, sample_chunk_reference,
+    try_run_phi_clear_kernel, try_run_phi_update_kernel, try_run_sampling_kernel,
+    try_run_theta_update_kernel, ChunkState, PhiModel, Priors, SampleConfig,
 };
 
 fn setup(k: usize, seed: u64) -> (SortedChunk, ChunkState, PhiModel) {
@@ -42,7 +42,7 @@ fn sampling_kernel_equals_reference_across_configs() {
             };
             let dev = Device::new(0, gpu.clone()).with_workers(workers);
             let map = build_block_map(&chunk, tpb);
-            run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+            try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
             assert_eq!(
                 fresh.z.snapshot(),
                 expected,
@@ -62,18 +62,18 @@ fn update_kernels_equal_host_oracles_after_sampling() {
     let cfg = SampleConfig::new(123);
     let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(4);
     let map = build_block_map(&chunk, 200);
-    run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg);
+    try_run_sampling_kernel(&dev, &chunk, &state, &phi, &inv, &map, &cfg).unwrap();
 
     // θ kernel vs oracle.
     let theta_want = build_theta_host(&chunk, &state.z, 32);
-    run_theta_update_kernel(&dev, &chunk, &mut state, 32);
+    try_run_theta_update_kernel(&dev, &chunk, &mut state, 32).unwrap();
     assert_eq!(state.theta, theta_want);
 
     // ϕ kernel vs oracle.
     let phi_kernel = PhiModel::zeros(32, 180, Priors::paper(32));
     let phi_oracle = PhiModel::zeros(32, 180, Priors::paper(32));
-    run_phi_clear_kernel(&dev, &phi_kernel, false);
-    run_phi_update_kernel(&dev, &chunk, &state, &phi_kernel, &map);
+    try_run_phi_clear_kernel(&dev, &phi_kernel, false).unwrap();
+    try_run_phi_update_kernel(&dev, &chunk, &state, &phi_kernel, &map).unwrap();
     accumulate_phi_host(&chunk, &state.z, &phi_oracle);
     assert_eq!(phi_kernel.phi.snapshot(), phi_oracle.phi.snapshot());
     assert_eq!(phi_kernel.phi_sum.snapshot(), phi_oracle.phi_sum.snapshot());
@@ -97,7 +97,7 @@ fn shared_memory_and_compression_flags_do_not_change_assignments() {
         let mut cfg = SampleConfig::new(55);
         cfg.use_shared_memory = shared;
         cfg.compressed = compressed;
-        run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg);
+        try_run_sampling_kernel(&dev, &chunk, &fresh, &phi, &inv, &map, &cfg).unwrap();
         outputs.push(fresh.z.snapshot());
     }
     for w in outputs.windows(2) {
@@ -124,7 +124,8 @@ fn dense_cgs_oracle_and_gpu_pipeline_reach_similar_quality() {
         .score_every(0)
         .build()
         .unwrap();
-    let gpu_ll = CuldaTrainer::new(&corpus, cfg)
+    let gpu_ll = CuldaTrainer::try_new(&corpus, cfg)
+        .unwrap()
         .train()
         .final_loglik_per_token;
 

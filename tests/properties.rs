@@ -14,8 +14,8 @@ use culda::sampler::ptree::{
     walk_touches,
 };
 use culda::sampler::{
-    infer_reference, run_infer_kernel, takes_p1, CountMatrix, DocPosterior, DrawMode, IndexTree,
-    InferDoc, InferKernelConfig, PhiModel, Priors, SmoothedBaseline, TopicCounter,
+    infer_reference, takes_p1, try_run_infer_kernel, CountMatrix, DocPosterior, DrawMode,
+    IndexTree, InferDoc, InferKernelConfig, PhiModel, Priors, SmoothedBaseline, TopicCounter,
 };
 
 fn cases(test_id: u64) -> Xoshiro256 {
@@ -520,7 +520,8 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
                         let oracle = Device::new(0, GpuSpec::titan_xp_pascal());
                         let (want, want_r) = infer_reference(&oracle, phi, &inv, &batch, &cfg);
                         let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
-                        let (got, got_r) = run_infer_kernel(&dev, phi, &inv, &batch, &cfg);
+                        let (got, got_r) =
+                            try_run_infer_kernel(&dev, phi, &inv, &batch, &cfg).unwrap();
                         for (d, (got, want)) in got.iter().zip(&want).enumerate() {
                             assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
                             assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
@@ -985,5 +986,99 @@ fn block_map_partitions_any_chunk() {
             }
         }
         assert!(seen.iter().all(|&s| s));
+    }
+}
+
+/// Asserts that `got` holds `want`'s model: every row's cells and physical
+/// layout, and the column sums.
+fn assert_same_model(got: &PhiModel, want: &PhiModel, what: &str) {
+    for v in 0..want.vocab_size {
+        assert_eq!(
+            got.phi.row_nonzeros(v),
+            want.phi.row_nonzeros(v),
+            "{what}: row {v}"
+        );
+        let dense = want.phi.row_is_dense(v);
+        assert_eq!(got.phi.row_is_dense(v), dense, "{what}: row {v} layout");
+    }
+    assert_eq!(
+        got.phi_sum.snapshot(),
+        want.phi_sum.snapshot(),
+        "{what}: sums"
+    );
+}
+
+#[test]
+fn every_replica_of_a_built_or_resumed_trainer_equals_the_naive_oracle() {
+    // Straight after a build, from random z or from a 2-step checkpoint,
+    // every alive read and write replica holds what the per-token oracle
+    // accumulates from every chunk, and the resumed read replicas hold what
+    // the run that stepped straight through holds. At K = 8 summed rows
+    // turn dense; at K = 4096 every row stays sparse.
+    use culda::gpusim::Platform;
+    use culda::multigpu::{
+        build_trainer, plan_partition, resume_any, save_training, CuldaTrainer, LdaTrainer,
+        PartitionPolicy, TrainerConfig,
+    };
+    use culda::sampler::accumulate_phi_host;
+    use std::any::Any;
+    fn concrete(t: &dyn LdaTrainer) -> &CuldaTrainer {
+        (t as &dyn Any)
+            .downcast_ref()
+            .expect("the LdaTrainer is a CuldaTrainer")
+    }
+    let mut spec = culda::corpus::SynthSpec::tiny();
+    spec.num_docs = 60;
+    spec.vocab_size = 90;
+    spec.avg_doc_len = 12.0;
+    let c = spec.generate();
+    let mut shapes = Vec::new();
+    for k in [8, 4096] {
+        for gpus in [1, 2, 4] {
+            shapes.push((PartitionPolicy::Word, k, gpus, 1));
+            for nodes in [1, 2] {
+                shapes.push((PartitionPolicy::Document, k, gpus, nodes));
+            }
+        }
+    }
+    for (policy, k, gpus, nodes) in shapes {
+        let shape = format!("{policy} K = {k} on {nodes} × {gpus} GPUs");
+        let cfg = || {
+            TrainerConfig::builder(k, Platform::pascal().with_gpus(gpus))
+                .score_every(0)
+                .seed(13)
+                .nodes(nodes)
+                .build()
+                .unwrap()
+        };
+        let (part, _) = plan_partition(&c, &cfg(), policy).unwrap();
+        let check_built = |t: &CuldaTrainer, when: &str| {
+            let oracle = PhiModel::zeros(k, c.vocab_size(), Priors::paper(k));
+            for (chunk, state) in part.chunks.iter().zip(t.states()) {
+                accumulate_phi_host(chunk, &state.z, &oracle);
+            }
+            for w in t.workers().iter().filter(|w| w.alive) {
+                let what = format!("{shape}, {when}, GPU {}", w.device.id);
+                assert_same_model(w.read_replica(), &oracle, &format!("{what}, read"));
+                assert_same_model(w.write_replica(), &oracle, &format!("{what}, write"));
+            }
+        };
+        let mut straight = build_trainer(policy, &c, cfg()).unwrap();
+        check_built(concrete(straight.as_ref()), "built");
+        straight.step();
+        straight.step();
+        let mut ckpt = Vec::new();
+        save_training(straight.as_ref(), &mut ckpt).unwrap();
+        let resumed = resume_any(&c, cfg(), ckpt.as_slice()).unwrap();
+        let resumed = concrete(resumed.as_ref());
+        check_built(resumed, "resumed");
+        let pairs = concrete(straight.as_ref())
+            .workers()
+            .iter()
+            .zip(resumed.workers());
+        for (a, b) in pairs.filter(|(a, _)| a.alive) {
+            let what = format!("{shape}, GPU {}: resumed vs straight", a.device.id);
+            assert_same_model(b.read_replica(), a.read_replica(), &what);
+        }
     }
 }

@@ -18,7 +18,7 @@ fn nytimes_scale_end_to_end() {
         .score_every(5)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     let initial = trainer.loglik_per_token();
     for _ in 0..10 {
         trainer.step();
@@ -45,7 +45,7 @@ fn multi_gpu_scale_end_to_end() {
             .score_every(0)
             .build()
             .unwrap();
-        let mut t = CuldaTrainer::new(&corpus, cfg);
+        let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..5 {
             t.step();
         }

@@ -32,7 +32,7 @@ fn traced_run() -> (String, String) {
         .seed(3)
         .build()
         .unwrap();
-    let mut trainer = CuldaTrainer::new(&corpus, cfg);
+    let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     let sink = Arc::new(TraceSink::new());
     let registry = Arc::new(MetricsRegistry::new());
     trainer.attach_observability(Some(sink.clone()), Some(registry.clone()));

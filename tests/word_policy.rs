@@ -8,7 +8,10 @@
 use culda::corpus::{Corpus, SynthSpec};
 use culda::gpusim::Platform;
 use culda::metrics::{EventKind, MetricsRegistry, Phase, TraceSink, SYNC_TID};
-use culda::multigpu::{build_trainer, DrawMode, LdaTrainer, PartitionPolicy, TrainerConfig};
+use culda::multigpu::{
+    build_trainer, plan_partition, resume_any, save_assignments, DrawMode, LdaTrainer,
+    PartitionPolicy, TrainerConfig,
+};
 use std::sync::Arc;
 
 fn corpus() -> Corpus {
@@ -85,20 +88,25 @@ fn word_ranges_step_like_one_document_chunk_from_the_same_state() {
     // Word ranges in order are the one-chunk document layout's token
     // order, so from the same z both layouts step bit-identically, but
     // only if every range samples against the θ summed over all ranges.
+    // The word trainer resumes from a checkpoint of the document
+    // trainer's z, split at the word ranges.
     let c = corpus();
     let mut doc = build_trainer(PartitionPolicy::Document, &c, cfg(1, Some(1))).unwrap();
-    let mut w = word(&c, cfg(2, Some(2)));
     let z = doc.assignments().concat();
+    let word_cfg = cfg(2, Some(2));
+    let (ranges, _) = plan_partition(&c, &word_cfg, PartitionPolicy::Word).unwrap();
     let mut at = 0;
-    let split: Vec<Vec<u16>> = w
-        .assignments()
+    let split: Vec<Vec<u16>> = ranges
+        .chunks
         .iter()
         .map(|chunk| {
-            at += chunk.len();
-            z[at - chunk.len()..at].to_vec()
+            at += chunk.num_tokens();
+            z[at - chunk.num_tokens()..at].to_vec()
         })
         .collect();
-    w.restore_assignments(0, &split).unwrap();
+    let mut ckpt = Vec::new();
+    save_assignments(PartitionPolicy::Word, &word_cfg, 0, &split, &mut ckpt).unwrap();
+    let mut w = resume_any(&c, word_cfg, ckpt.as_slice()).unwrap();
     for _ in 0..3 {
         doc.step();
         w.step();
