@@ -18,7 +18,7 @@
 //! Like every solver here, statistics are exact; only time is modelled.
 
 use culda_corpus::{SortedChunk, Xoshiro256};
-use culda_gpusim::{BlockCtx, Device, LaunchReport};
+use culda_gpusim::{BlockCtx, Device, KernelSpec, LaunchReport, SimFault};
 use culda_sampler::{ChunkState, PhiModel};
 
 /// Tokens handled by one naive block (256 threads, one token each).
@@ -30,16 +30,17 @@ const SECTOR_BYTES: usize = 32;
 
 /// Runs one naive dense sampling pass over a chunk on `device`, writing
 /// new assignments into `state.z` (same read-only-model semantics as the
-/// CuLDA kernel, so the two are directly comparable).
+/// CuLDA kernel, so the two are directly comparable). A fault armed on
+/// `device` comes back as its [`SimFault`].
 pub fn run_naive_dense_kernel(
-    device: &mut Device,
+    device: &Device,
     chunk: &SortedChunk,
     state: &ChunkState,
     phi: &PhiModel,
     inv_denom: &[f32],
     seed: u64,
     iteration: u32,
-) -> LaunchReport {
+) -> Result<LaunchReport, SimFault> {
     assert_eq!(state.z.len(), chunk.num_tokens(), "z/chunk mismatch");
     let k = phi.num_topics;
     let alpha = phi.priors.alpha as f32;
@@ -57,7 +58,8 @@ pub fn run_naive_dense_kernel(
         }
     }
 
-    device.launch("naive_dense_sample", blocks, |ctx: &mut BlockCtx| {
+    let spec = KernelSpec::new("naive_dense_sample", blocks);
+    device.try_launch_spec(spec, |ctx: &mut BlockCtx| {
         let start = ctx.block_id as usize * TOKENS_PER_BLOCK;
         let end = (start + TOKENS_PER_BLOCK).min(num_tokens);
         let mut p = vec![0.0f32; k];
@@ -124,13 +126,13 @@ mod tests {
     fn assignments_are_valid_and_deterministic() {
         let (chunk, state, phi) = setup(16);
         let inv = phi.inv_denominators();
-        let mut dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
-        run_naive_dense_kernel(&mut dev, &chunk, &state, &phi, &inv, 7, 0);
+        let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
+        run_naive_dense_kernel(&dev, &chunk, &state, &phi, &inv, 7, 0).unwrap();
         let z1 = state.z.snapshot();
         assert!(z1.iter().all(|&z| (z as usize) < 16));
-        run_naive_dense_kernel(&mut dev, &chunk, &state, &phi, &inv, 7, 0);
+        run_naive_dense_kernel(&dev, &chunk, &state, &phi, &inv, 7, 0).unwrap();
         assert_eq!(state.z.snapshot(), z1, "same seed/iteration reproduces");
-        run_naive_dense_kernel(&mut dev, &chunk, &state, &phi, &inv, 7, 1);
+        run_naive_dense_kernel(&dev, &chunk, &state, &phi, &inv, 7, 1).unwrap();
         assert_ne!(state.z.snapshot(), z1, "next iteration resamples");
     }
 
@@ -142,8 +144,8 @@ mod tests {
         let (chunk, state, phi) = setup(k);
         let inv = phi.inv_denominators();
 
-        let mut dev_naive = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
-        let naive = run_naive_dense_kernel(&mut dev_naive, &chunk, &state, &phi, &inv, 7, 0);
+        let dev_naive = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
+        let naive = run_naive_dense_kernel(&dev_naive, &chunk, &state, &phi, &inv, 7, 0).unwrap();
 
         let dev_culda = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(4);
         let map = build_block_map(&chunk, 512);

@@ -68,7 +68,10 @@ mod tests {
         spec.avg_doc_len = 100.0;
         let corpus = spec.generate();
 
-        let saber = saber_like_trainer(&corpus, 32, 2).unwrap().train();
+        let saber = saber_like_trainer(&corpus, 32, 2)
+            .unwrap()
+            .try_train()
+            .unwrap();
         let culda = CuldaTrainer::try_new(
             &corpus,
             TrainerConfig::builder(32, Platform::maxwell())
@@ -78,7 +81,8 @@ mod tests {
                 .unwrap(),
         )
         .unwrap()
-        .train();
+        .try_train()
+        .unwrap();
         let saber_tps = saber.history.avg_tokens_per_sec(2);
         let culda_tps = culda.history.avg_tokens_per_sec(2);
         assert!(

@@ -34,7 +34,10 @@ fn main() {
             .build()
             .unwrap();
         mutate(&mut cfg);
-        let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
+        let out = CuldaTrainer::try_new(&corpus, cfg)
+            .unwrap()
+            .try_train()
+            .unwrap();
         (
             out.history.avg_tokens_per_sec(iters as usize),
             out.final_loglik_per_token,
@@ -141,7 +144,7 @@ fn main() {
     let measure = |policy| {
         let mut t = build_trainer(policy, &corpus, policy_cfg.clone()).unwrap();
         for _ in 0..iters {
-            t.step();
+            t.try_step().unwrap();
         }
         t.history().avg_tokens_per_sec(iters as usize)
     };
@@ -188,7 +191,10 @@ fn main() {
             .build()
             .unwrap();
         cfg.peer_link = link;
-        let out = CuldaTrainer::try_new(&sync_corpus, cfg).unwrap().train();
+        let out = CuldaTrainer::try_new(&sync_corpus, cfg)
+            .unwrap()
+            .try_train()
+            .unwrap();
         let tps = out.history.avg_tokens_per_sec(iters as usize);
         println!("  {label:<22} {:>12}/s", format_tokens_per_sec(tps));
         csv.push_str(&format!("interconnect,{label},{tps},0\n"));

@@ -109,7 +109,7 @@ fn run(corpus: &Corpus, cfg: TrainerConfig) -> (Run, CuldaTrainer) {
     t.attach_observability(None, Some(reg.clone()));
     let mut sync_at_burn_in = SyncTotals::default();
     for i in 0..iters {
-        t.step();
+        t.try_step().unwrap();
         if i + 1 == BURN_IN {
             sync_at_burn_in = t.sync_totals();
         }

@@ -61,7 +61,7 @@ fn main() {
     let mut trainer = CuldaTrainer::try_new(&train, cfg).unwrap();
     let mut culda_points = Vec::new();
     for i in 0..iters {
-        trainer.step();
+        trainer.try_step().unwrap();
         if (i + 1) % cadence == 0 {
             let ppl = perplexity(&held, trainer.global_phi());
             culda_points.push(((i + 1) as f64, ppl));

@@ -24,7 +24,8 @@ fn culda_series(corpus: &Corpus, platform: Platform, iters: u32) -> Vec<(f64, f6
         .unwrap();
     CuldaTrainer::try_new(corpus, cfg)
         .unwrap()
-        .train()
+        .try_train()
+        .unwrap()
         .history
         .throughput_series()
 }

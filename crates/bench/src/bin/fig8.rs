@@ -23,7 +23,8 @@ fn culda_series(corpus: &Corpus, platform: Platform, iters: u32) -> Vec<(f64, f6
         .unwrap();
     CuldaTrainer::try_new(corpus, cfg)
         .unwrap()
-        .train()
+        .try_train()
+        .unwrap()
         .history
         .loglik_series()
 }
@@ -56,7 +57,8 @@ fn ldastar_series(corpus: &Corpus, iters: u32) -> Vec<(f64, f64)> {
 fn saber_series(corpus: &Corpus, iters: u32) -> Vec<(f64, f64)> {
     culda_baselines::saber_like_trainer(corpus, BENCH_TOPICS, iters)
         .expect("the Saber-like trainer fits its corpus")
-        .train()
+        .try_train()
+        .unwrap()
         .history
         .loglik_series()
 }

@@ -20,7 +20,10 @@ fn culda_tps(corpus: &Corpus, platform: Platform, iters: u32) -> f64 {
         .score_every(0)
         .build()
         .unwrap();
-    let out = CuldaTrainer::try_new(corpus, cfg).unwrap().train();
+    let out = CuldaTrainer::try_new(corpus, cfg)
+        .unwrap()
+        .try_train()
+        .unwrap();
     out.history.avg_tokens_per_sec(iters as usize)
 }
 

@@ -29,7 +29,10 @@ fn main() {
             .score_every(0)
             .build()
             .unwrap();
-        let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
+        let out = CuldaTrainer::try_new(&corpus, cfg)
+            .unwrap()
+            .try_train()
+            .unwrap();
         measured.push(out.breakdown);
     }
 

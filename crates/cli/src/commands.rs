@@ -804,7 +804,7 @@ pub fn profile_cmd(args: &Args) -> CmdResult {
     let registry = Arc::new(MetricsRegistry::new());
     trainer.attach_observability(None, Some(registry.clone()));
     for _ in 0..iters {
-        trainer.step();
+        trainer.try_step()?;
     }
     println!(
         "kernel profile over {iters} iterations of partition-by-{} \
@@ -879,7 +879,7 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
     let registry = Arc::new(MetricsRegistry::new());
     trainer.attach_observability(Some(sink.clone()), Some(registry.clone()));
     for _ in 0..iters {
-        trainer.step();
+        trainer.try_step()?;
     }
     // Serving leg: freeze ϕ and run the held-out split through the same
     // observability sinks, so the trace shows inference batches too.

@@ -59,40 +59,35 @@ impl SortedChunk {
             }
         }
 
-        // Distinct words and their token ranges.
+        // Distinct words and their token ranges. `word_count` becomes the
+        // slot array: word id -> next free token position.
         let mut word_ids = Vec::new();
         let mut word_ptr = vec![0usize];
-        let mut word_slot = vec![usize::MAX; v]; // word id -> next free token pos
-        for w in 0..v {
-            if word_count[w] > 0 {
-                word_slot[w] = *word_ptr.last().unwrap();
+        let mut next = 0usize;
+        for (w, slot) in word_count.iter_mut().enumerate() {
+            if *slot > 0 {
+                let count = std::mem::replace(slot, next);
+                next += count;
                 word_ids.push(w as u32);
-                word_ptr.push(word_ptr.last().unwrap() + word_count[w]);
+                word_ptr.push(next);
             }
         }
 
-        // Scatter tokens into word-major order; build the doc map in the
-        // same pass (tokens of one document appear in the map in the order
-        // they land in the token arrays — any order is fine for the update
-        // kernel, which only needs membership).
+        // Scatter tokens into word-major order. The documents are visited
+        // in order, so the doc map is written in place: each document's
+        // positions in corpus order (the order `split_words` keeps).
         let mut token_doc = vec![0u32; num_tokens];
-        let mut doc_lens = vec![0usize; num_docs];
-        let mut doc_positions: Vec<Vec<u32>> = vec![Vec::new(); num_docs];
-        for d in chunk.docs.clone() {
-            let local = (d - doc_start) as usize;
-            for &w in &corpus.docs[d as usize].words {
-                let pos = word_slot[w as usize];
-                word_slot[w as usize] += 1;
-                token_doc[pos] = local as u32;
-                doc_positions[local].push(pos as u32);
-                doc_lens[local] += 1;
-            }
-        }
         let mut doc_ptr = Vec::with_capacity(num_docs + 1);
         doc_ptr.push(0usize);
         let mut doc_token_idx = Vec::with_capacity(num_tokens);
-        for positions in &doc_positions {
-            doc_token_idx.extend_from_slice(positions);
+        for d in chunk.docs.clone() {
+            let local = d - doc_start;
+            for &w in &corpus.docs[d as usize].words {
+                let pos = word_count[w as usize];
+                word_count[w as usize] += 1;
+                token_doc[pos] = local;
+                doc_token_idx.push(pos as u32);
+            }
             doc_ptr.push(doc_token_idx.len());
         }
 

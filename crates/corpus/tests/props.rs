@@ -4,7 +4,8 @@
 //! in-crate xoshiro generator so every run covers the same inputs).
 
 use culda_corpus::{
-    read_uci, write_uci, zipf_weights, Corpus, Discrete, Document, SplitMix64, Vocab, Xoshiro256,
+    partition_by_tokens, read_uci, write_uci, zipf_weights, Corpus, Discrete, Document,
+    SortedChunk, SplitMix64, Vocab, Xoshiro256,
 };
 
 /// Derives a case-generation stream for one test.
@@ -148,6 +149,58 @@ fn zipf_is_strictly_decreasing_and_positive() {
         for pair in w.windows(2) {
             assert!(pair[0] > pair[1]);
             assert!(pair[1] > 0.0);
+        }
+    }
+}
+
+/// The word ids of chunk-local document `d`'s tokens, read through the
+/// document map: each position's word is the distinct word whose token
+/// range holds it.
+fn doc_words(s: &SortedChunk, d: usize) -> Vec<u32> {
+    s.doc_tokens(d)
+        .iter()
+        .map(|&p| s.word_ids[s.word_ptr.partition_point(|&q| q <= p as usize) - 1])
+        .collect()
+}
+
+#[test]
+fn doc_map_reads_each_document_in_corpus_order() {
+    for case in 0..64 {
+        let mut g = gen(9, case);
+        let vocab = 1 + g.next_below(30);
+        let num_docs = 1 + g.next_below(20) as usize;
+        // Short documents over a small vocabulary repeat words, and some
+        // documents are empty.
+        let docs: Vec<Document> = (0..num_docs)
+            .map(|_| {
+                let len = g.next_below(12) as usize;
+                Document::new((0..len).map(|_| g.next_below(vocab)).collect())
+            })
+            .collect();
+        let corpus = Corpus::new(docs, Vocab::synthetic(vocab as usize));
+        let c = 1 + g.next_below(num_docs.min(4) as u32) as usize;
+        for spec in partition_by_tokens(&corpus, c) {
+            let chunk = SortedChunk::build(&corpus, &spec);
+            let words = |d: usize| &corpus.docs[spec.docs.start as usize + d].words;
+            for d in 0..chunk.num_docs {
+                assert_eq!(doc_words(&chunk, d), *words(d), "case {case}, doc {d}");
+            }
+            // Contiguous word ranges from word 0, cut at random words.
+            let mut cuts: Vec<u32> = (0..g.next_below(4)).map(|_| g.next_below(vocab)).collect();
+            cuts.extend([0, vocab]);
+            cuts.sort_unstable();
+            cuts.dedup();
+            let ranges: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+            for (part, range) in chunk.split_words(&ranges).iter().zip(&ranges) {
+                for d in 0..part.num_docs {
+                    let want: Vec<u32> = words(d)
+                        .iter()
+                        .copied()
+                        .filter(|w| range.contains(w))
+                        .collect();
+                    assert_eq!(doc_words(part, d), want, "case {case}, {range:?}, doc {d}");
+                }
+            }
         }
     }
 }

@@ -1,11 +1,9 @@
 //! Typed simulator faults.
 //!
-//! The fallible launch path ([`Device::try_launch_spec`]) surfaces injected
-//! faults and user-shaped launch mistakes as values instead of panics, so
-//! the layers above (trainer failure domains, the serving engine) can
-//! exercise real recovery paths. The infallible `launch`/`launch_spec`
-//! entry points keep their historical panic behaviour for callers that
-//! treat any fault as a logic error.
+//! The launch path ([`Device::try_launch_spec`]) surfaces injected faults
+//! and user-shaped launch mistakes as values instead of panics, so the
+//! layers above (trainer failure domains, the serving engine) can exercise
+//! real recovery paths.
 //!
 //! [`Device::try_launch_spec`]: crate::Device::try_launch_spec
 
@@ -17,8 +15,8 @@ use std::fmt;
 ///
 /// The first three variants are produced by an attached
 /// [`FaultPlan`](crate::FaultPlan) firing at its (device, epoch, kernel)
-/// coordinate; `EmptyGrid` and `Oom` are user-shaped errors that the
-/// infallible path would have turned into a panic.
+/// coordinate; `EmptyGrid` and `Oom` are user-shaped errors returned
+/// instead of a panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimFault {
     /// A kernel launch failed before the grid ran; no device state was
@@ -48,8 +46,7 @@ pub enum SimFault {
         /// Epoch (training iteration / serving batch) at firing time.
         epoch: u32,
     },
-    /// A launch was submitted with a zero-block grid (user-shaped input:
-    /// the infallible path asserts on this instead).
+    /// A launch was submitted with a zero-block grid (user-shaped input).
     EmptyGrid {
         /// Name of the offending kernel.
         kernel: String,

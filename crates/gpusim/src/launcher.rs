@@ -3,8 +3,9 @@
 //! Every kernel launch in the system is a [`KernelSpec`] — name, grid
 //! size, stream, phase tag — executed by
 //! [`Device::try_launch_spec_with`](crate::Device::try_launch_spec_with)
-//! or one of its wrappers. Describing launches this way gives three things
-//! the free-form `Device::launch` string API could not:
+//! or [`Device::try_launch_spec`](crate::Device::try_launch_spec), which
+//! wraps it. Describing launches this way gives three things a bare
+//! kernel name could not:
 //!
 //! * the per-device [`ProfileLog`](crate::ProfileLog) records the *phase*
 //!   of every launch, so Table-5-style breakdowns fall out of the log
@@ -107,10 +108,12 @@ mod tests {
     #[test]
     fn launch_spec_records_a_tagged_launch() {
         let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
-        let r = dev.launch_spec(
-            KernelSpec::new("tagged", 4).with_phase(LaunchPhase::PhiUpdate),
-            |ctx| ctx.dram_read(1024),
-        );
+        let r = dev
+            .try_launch_spec(
+                KernelSpec::new("tagged", 4).with_phase(LaunchPhase::PhiUpdate),
+                |ctx| ctx.dram_read(1024),
+            )
+            .unwrap();
         assert!(r.sim_seconds > 0.0);
         let log = dev.profile();
         assert_eq!(log.len(), 1);

@@ -23,16 +23,18 @@
 //! kernels is genuine; only *time* is modelled.
 //!
 //! ```
-//! use culda_gpusim::{AtomicU32Buf, Device, GpuSpec};
+//! use culda_gpusim::{AtomicU32Buf, Device, GpuSpec, KernelSpec};
 //!
 //! // A simulated V100 running a histogram kernel over 64 blocks.
 //! let dev = Device::new(0, GpuSpec::v100_volta());
 //! let hist = AtomicU32Buf::zeros(16);
-//! let report = dev.launch("histogram", 64, |ctx| {
-//!     hist.fetch_add(ctx.block_id as usize % 16, 1);
-//!     ctx.dram_read(4096);
-//!     ctx.atomic(1);
-//! });
+//! let report = dev
+//!     .try_launch_spec(KernelSpec::new("histogram", 64), |ctx| {
+//!         hist.fetch_add(ctx.block_id as usize % 16, 1);
+//!         ctx.dram_read(4096);
+//!         ctx.atomic(1);
+//!     })
+//!     .expect("no fault plan is attached");
 //! assert_eq!(hist.sum(), 64);
 //! assert!(report.sim_seconds > 0.0);       // modelled time
 //! assert_eq!(dev.now(), report.sim_seconds); // the device clock advanced

@@ -130,6 +130,7 @@ mod tests {
 
     #[test]
     fn devices_launch_concurrently_through_shared_refs() {
+        use crate::launcher::KernelSpec;
         use crate::memory::AtomicU32Buf;
         let c = GpuCluster::from_platform(&Platform::pascal());
         let buf = AtomicU32Buf::zeros(4);
@@ -137,12 +138,13 @@ mod tests {
             for (i, dev) in c.devices.iter().enumerate() {
                 let buf = &buf;
                 scope.spawn(move || {
-                    dev.launch("per_gpu", 8, |ctx| {
+                    dev.try_launch_spec(KernelSpec::new("per_gpu", 8), |ctx| {
                         ctx.dram_read(1_000);
                         if ctx.block_id == 0 {
                             buf.fetch_add(i, 1);
                         }
-                    });
+                    })
+                    .unwrap();
                 });
             }
         });

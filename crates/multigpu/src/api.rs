@@ -96,15 +96,9 @@ pub trait LdaTrainer: Any {
     /// Number of simulated GPUs driving the run.
     fn num_gpus(&self) -> usize;
 
-    /// Runs one full iteration over the corpus; returns its stats.
-    ///
-    /// Panics on an unrecoverable simulated fault; fault-tolerant
-    /// consumers should drive [`try_step`](LdaTrainer::try_step) instead.
-    fn step(&mut self) -> IterationStat;
-
-    /// Fallible variant of [`step`](LdaTrainer::step): an unrecoverable
-    /// fault (retry budget exhausted, every worker lost) surfaces as a
-    /// [`CuldaError`] instead of a panic.
+    /// Runs one full iteration over the corpus and returns its stats. An
+    /// unrecoverable fault (retry budget exhausted, every worker lost)
+    /// surfaces as a [`CuldaError`].
     fn try_step(&mut self) -> Result<IterationStat, CuldaError>;
 
     /// Arms a deterministic fault-injection plan on every device this
@@ -166,10 +160,6 @@ impl LdaTrainer for CuldaTrainer {
 
     fn num_gpus(&self) -> usize {
         CuldaTrainer::num_gpus(self)
-    }
-
-    fn step(&mut self) -> IterationStat {
-        CuldaTrainer::step(self)
     }
 
     fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
@@ -295,7 +285,7 @@ mod tests {
             assert_eq!(t.iterations_done(), 0);
             let before = t.loglik_per_token();
             for _ in 0..2 {
-                t.step();
+                t.try_step().unwrap();
             }
             t.check_invariants();
             assert_eq!(t.iterations_done(), 2);

@@ -24,7 +24,8 @@
 //!     .score_every(0)
 //!     .build()
 //!     .unwrap();
-//! let outcome = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
+//! let trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
+//! let outcome = trainer.try_train().unwrap();
 //! assert_eq!(outcome.history.len(), 3);
 //! assert!(outcome.final_loglik_per_token.is_finite());
 //! ```
@@ -54,7 +55,7 @@ pub use delta::{dense_cutover, row_encoding, DeltaPayload, RowFormat};
 pub use error::{CuldaError, RecoveryStats};
 pub use partition::PartitionedCorpus;
 pub use policy::{compare_policies, compare_policies_analytic, PolicyComparison};
-pub use resume::{resume_any, resume_training, save_assignments, save_training};
+pub use resume::{resume_any, save_assignments, save_training};
 pub use schedule::{chunk_owner, plan_partition, MemoryPlan};
 pub use sync::{sync_phi, SyncReport, SyncTotals};
 pub use trainer::{CuldaTrainer, TrainOutcome};

@@ -11,10 +11,11 @@
 //! **bit-identically** — the golden property the tests pin: train 2+3
 //! iterations with a save/load in between ≡ train 5 straight.
 //!
-//! A resume plans the corpus's chunk layout, reads the checkpoint against
-//! that plan, and then builds the trainer once from the checkpoint's
-//! assignments: the build a fresh run makes from random ones (Algorithm 1,
-//! lines 7–9), so θ and ϕ are derived from z in one place.
+//! [`resume_any`] is the one resume. It reads the checkpoint's header,
+//! plans the corpus's chunk layout in the policy the header names, reads
+//! the shards against that plan, and then builds the trainer once from the
+//! checkpoint's assignments: the build a fresh run makes from random ones
+//! (Algorithm 1, lines 7–9), so θ and ϕ are derived from z in one place.
 //!
 //! Format: `"CULDARUN"`, version (u32), policy tag (u32, v2+), seed
 //! (u64), K (u64), iteration (u32), chunk count (u64), then per chunk a
@@ -112,29 +113,26 @@ struct Header {
     num_shards: u64,
 }
 
-/// Reads the magic, the version and (v2+) the policy tag: at most the
-/// first 16 bytes.
-fn read_policy<R: Read>(input: &mut R) -> io::Result<PartitionPolicy> {
+/// Reads the header: the magic, the version, (v2+) the policy tag, the
+/// seed, K, the iteration counter and the shard count.
+fn read_header<R: Read>(input: &mut R) -> io::Result<Header> {
     let mut magic = [0u8; 8];
     input.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(invalid("not a CuLDA training checkpoint"));
     }
-    match r32(input)? {
+    let policy = match r32(input)? {
         // v1 predates the policy tag; it was partition-by-document only.
-        1 => Ok(PartitionPolicy::Document),
+        1 => PartitionPolicy::Document,
         2 => match r32(input)? {
-            0 => Ok(PartitionPolicy::Document),
-            1 => Ok(PartitionPolicy::Word),
-            tag => Err(invalid(format!("unknown policy tag {tag}"))),
+            0 => PartitionPolicy::Document,
+            1 => PartitionPolicy::Word,
+            tag => return Err(invalid(format!("unknown policy tag {tag}"))),
         },
-        v => Err(invalid(format!("unsupported checkpoint version {v}"))),
-    }
-}
-
-fn read_header<R: Read>(input: &mut R) -> io::Result<Header> {
+        v => return Err(invalid(format!("unsupported checkpoint version {v}"))),
+    };
     Ok(Header {
-        policy: read_policy(input)?,
+        policy,
         seed: r64(input)?,
         num_topics: r64(input)?,
         iteration: r32(input)?,
@@ -142,23 +140,17 @@ fn read_header<R: Read>(input: &mut R) -> io::Result<Header> {
     })
 }
 
-/// Reads a checkpoint against `part`, the plan of the corpus being
-/// resumed, and `cfg`: the policy, seed, K, shard count, every shard's
-/// token count and every assignment below K. A shard is allocated only
-/// once its token count matches the plan. Returns the iteration counter
-/// and each chunk's state, in global chunk order.
+/// Reads the shards that follow `header` against `part`, the plan of the
+/// corpus being resumed in the header's policy, and `cfg`: the seed, K,
+/// shard count, every shard's token count and every assignment below K. A
+/// shard is allocated only once its token count matches the plan. Returns
+/// each chunk's state, in global chunk order.
 fn read_states<R: Read>(
+    header: &Header,
     part: &PartitionedCorpus,
     cfg: &TrainerConfig,
     mut input: R,
-) -> io::Result<(u32, Vec<ChunkState>)> {
-    let header = read_header(&mut input)?;
-    if header.policy != part.policy {
-        return Err(invalid(format!(
-            "checkpoint was taken with the {} policy, resuming as {}",
-            header.policy, part.policy
-        )));
-    }
+) -> io::Result<Vec<ChunkState>> {
     if header.seed != cfg.seed {
         return Err(invalid(format!(
             "checkpoint seed {:#x} != config seed {:#x}",
@@ -202,53 +194,27 @@ fn read_states<R: Read>(
         }
         states.push(ChunkState::from_assignments(chunk, z, k));
     }
-    Ok((header.iteration, states))
+    Ok(states)
 }
 
-/// Plans `corpus` in `policy`'s layout, reads the checkpoint against the
-/// plan, and builds the trainer from its assignments.
-fn resume_as<R: Read>(
-    corpus: &Corpus,
-    cfg: TrainerConfig,
-    policy: PartitionPolicy,
-    input: R,
-) -> Result<CuldaTrainer, CuldaError> {
-    let (part, plan) = CuldaTrainer::plan_layout(corpus, &cfg, policy)?;
-    let (iteration, states) = read_states(&part, &cfg, input)?;
-    Ok(CuldaTrainer::resume(cfg, part, plan, states, iteration))
-}
-
-/// Rebuilds a partition-by-document trainer from `corpus` + `cfg` and a
-/// checkpoint produced by [`save_training`], on as many nodes as
-/// `cfg.nodes` asks for. The corpus and configuration must be the ones
-/// the checkpoint was taken with (validated where possible: policy, seed,
-/// K, chunk count, per-chunk token counts).
-/// Malformed or mismatched checkpoints surface as
-/// [`CuldaError::Checkpoint`]; underlying read failures as
-/// [`CuldaError::Io`].
-pub fn resume_training<R: Read>(
-    corpus: &Corpus,
-    cfg: TrainerConfig,
-    input: R,
-) -> Result<CuldaTrainer, CuldaError> {
-    resume_as(corpus, cfg, PartitionPolicy::Document, input)
-}
-
-/// Policy-dispatching resume: reads the tag from the checkpoint itself
-/// and rebuilds the trainer in that policy's chunk layout behind the
-/// [`LdaTrainer`] surface.
+/// Rebuilds a trainer from `corpus` + `cfg` and a checkpoint produced by
+/// [`save_training`], in the partition policy the checkpoint's tag names
+/// and on as many nodes as `cfg.nodes` asks for, behind the
+/// [`LdaTrainer`] surface. The corpus and configuration must be the ones
+/// the checkpoint was taken with (validated where possible: seed, K,
+/// chunk count, per-chunk token counts). Malformed or mismatched
+/// checkpoints surface as [`CuldaError::Checkpoint`]; underlying read
+/// failures as [`CuldaError::Io`].
 pub fn resume_any<R: Read>(
     corpus: &Corpus,
     cfg: TrainerConfig,
     mut input: R,
 ) -> Result<Box<dyn LdaTrainer>, CuldaError> {
-    // Peek the policy from a buffered head, then replay it for the full
-    // header read.
-    let mut head = vec![0u8; 16];
-    input.read_exact(&mut head)?;
-    let policy = read_policy(&mut head.as_slice())?;
-    let replay = io::Cursor::new(head).chain(input);
-    Ok(Box::new(resume_as(corpus, cfg, policy, replay)?))
+    let header = read_header(&mut input)?;
+    let (part, plan) = CuldaTrainer::plan_layout(corpus, &cfg, header.policy)?;
+    let states = read_states(&header, &part, &cfg, input)?;
+    let trainer = CuldaTrainer::resume(cfg, part, plan, states, header.iteration);
+    Ok(Box::new(trainer))
 }
 
 #[cfg(test)]
@@ -289,21 +255,23 @@ mod tests {
         // Straight: 5 iterations.
         let mut straight = CuldaTrainer::try_new(&c, cfg()).unwrap();
         for _ in 0..5 {
-            straight.step();
+            straight.try_step().unwrap();
         }
         // Split: 2 iterations, checkpoint, resume, 3 more.
         let mut first = CuldaTrainer::try_new(&c, cfg()).unwrap();
-        first.step();
-        first.step();
+        first.try_step().unwrap();
+        first.try_step().unwrap();
         let mut buf = Vec::new();
         save_training(&first, &mut buf).unwrap();
-        let mut resumed = resume_training(&c, cfg(), buf.as_slice()).unwrap();
+        let mut resumed = resume_any(&c, cfg(), buf.as_slice()).unwrap();
         for _ in 0..3 {
-            resumed.step();
+            resumed.try_step().unwrap();
         }
-        let a: Vec<Vec<u16>> = straight.states().iter().map(|s| s.z.snapshot()).collect();
-        let b: Vec<Vec<u16>> = resumed.states().iter().map(|s| s.z.snapshot()).collect();
-        assert_eq!(a, b, "resume broke the chain");
+        assert_eq!(
+            straight.assignments(),
+            resumed.assignments(),
+            "resume broke the chain"
+        );
         assert!((straight.loglik_per_token() - resumed.loglik_per_token()).abs() < 1e-12);
     }
 
@@ -313,13 +281,13 @@ mod tests {
         let word = PartitionPolicy::Word;
         let mut straight = crate::api::build_trainer(word, &c, multi_gpu_cfg()).unwrap();
         for _ in 0..5 {
-            straight.step();
+            straight.try_step().unwrap();
         }
         let mut first = crate::api::build_trainer(word, &c, multi_gpu_cfg()).unwrap();
         let sync = |t: &dyn LdaTrainer| t.breakdown().seconds(culda_metrics::Phase::SyncPhi);
-        first.step();
+        first.try_step().unwrap();
         let after_one = sync(first.as_ref());
-        first.step();
+        first.try_step().unwrap();
         let second_sync = sync(first.as_ref()) - after_one;
         let mut buf = Vec::new();
         save_training(first.as_ref(), &mut buf).unwrap();
@@ -330,7 +298,7 @@ mod tests {
         assert!(second_sync > 0.0);
         assert!((sync(resumed.as_ref()) - second_sync).abs() < 1e-12);
         for _ in 0..3 {
-            resumed.step();
+            resumed.try_step().unwrap();
         }
         assert_eq!(
             straight.assignments(),
@@ -349,6 +317,7 @@ mod tests {
         // sync totals and the parameter server's totals.
         use crate::config::SyncMode;
         use culda_metrics::Phase;
+        use std::any::Any;
         let mut spec = SynthSpec::tiny();
         spec.seed = 5;
         let c = spec.generate();
@@ -376,14 +345,15 @@ mod tests {
                 (s, t.sync_totals(), t.parameter_server().totals())
             };
             let mut first = CuldaTrainer::try_new(&c, cfg()).unwrap();
-            first.step();
+            first.try_step().unwrap();
             let (s1, intra1, inter1) = books(&first);
-            first.step();
+            first.try_step().unwrap();
             let (s2, intra2, inter2) = books(&first);
             let mut buf = Vec::new();
             save_training(&first, &mut buf).unwrap();
-            let resumed = resume_training(&c, cfg(), buf.as_slice()).unwrap();
-            let (s, intra, inter) = books(&resumed);
+            let resumed = resume_any(&c, cfg(), buf.as_slice()).unwrap();
+            let resumed = (resumed.as_ref() as &dyn Any).downcast_ref().unwrap();
+            let (s, intra, inter) = books(resumed);
             assert!(s2 - s1 > 0.0, "{what}: the second step booked no sync");
             assert!(
                 (s - (s2 - s1)).abs() < 1e-15,
@@ -423,7 +393,7 @@ mod tests {
         let mut resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
         assert_eq!(resumed.iterations_done(), 4);
         resumed.check_invariants();
-        resumed.step();
+        resumed.try_step().unwrap();
         let mut four_chunks = multi_gpu_cfg();
         four_chunks.chunks_per_gpu = Some(2);
         match resume_any(&c, four_chunks, buf.as_slice()) {
@@ -440,15 +410,15 @@ mod tests {
         let c = corpus();
         for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
             let mut reference = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
-            reference.step();
-            reference.step();
+            reference.try_step().unwrap();
+            reference.try_step().unwrap();
             let (iter, snap) = (reference.iterations_done(), reference.assignments());
             let mut buf = Vec::new();
             save_assignments(policy, &multi_gpu_cfg(), iter, &snap, &mut buf).unwrap();
             let mut resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
             assert_eq!(resumed.iterations_done(), iter);
-            reference.step();
-            resumed.step();
+            reference.try_step().unwrap();
+            resumed.try_step().unwrap();
             assert_eq!(
                 reference.assignments(),
                 resumed.assignments(),
@@ -496,7 +466,7 @@ mod tests {
         let c = spec.generate();
         for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
             let mut t = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
-            t.step();
+            t.try_step().unwrap();
             let mut buf = Vec::new();
             save_training(t.as_ref(), &mut buf).unwrap();
             assert!(resume_any(&c, multi_gpu_cfg(), buf.as_slice()).is_ok());
@@ -526,7 +496,7 @@ mod tests {
         let c = corpus();
         for policy in [PartitionPolicy::Document, PartitionPolicy::Word] {
             let mut t = crate::api::build_trainer(policy, &c, multi_gpu_cfg()).unwrap();
-            t.step();
+            t.try_step().unwrap();
             let mut buf = Vec::new();
             save_training(t.as_ref(), &mut buf).unwrap();
             let resumed = resume_any(&c, multi_gpu_cfg(), buf.as_slice()).unwrap();
@@ -549,17 +519,17 @@ mod tests {
         let doc = PartitionPolicy::Document;
         let mut straight = crate::api::build_trainer(doc, &c, two_nodes()).unwrap();
         for _ in 0..5 {
-            straight.step();
+            straight.try_step().unwrap();
         }
         let mut first = crate::api::build_trainer(doc, &c, two_nodes()).unwrap();
-        first.step();
-        first.step();
+        first.try_step().unwrap();
+        first.try_step().unwrap();
         let mut buf = Vec::new();
         save_training(first.as_ref(), &mut buf).unwrap();
         let mut resumed = resume_any(&c, two_nodes(), buf.as_slice()).unwrap();
         assert_eq!(resumed.num_gpus(), 4, "resume dropped a node");
         for _ in 0..3 {
-            resumed.step();
+            resumed.try_step().unwrap();
         }
         resumed.check_invariants();
         assert_eq!(straight.assignments(), resumed.assignments());
@@ -568,54 +538,39 @@ mod tests {
     }
 
     #[test]
-    fn cross_policy_resume_is_rejected() {
-        let c = corpus();
-        let mut word =
-            crate::api::build_trainer(PartitionPolicy::Word, &c, multi_gpu_cfg()).unwrap();
-        word.step();
-        let mut buf = Vec::new();
-        save_training(word.as_ref(), &mut buf).unwrap();
-        match resume_training(&c, multi_gpu_cfg(), buf.as_slice()) {
-            Err(CuldaError::Checkpoint(msg)) => assert!(msg.contains("word policy"), "{msg}"),
-            Err(e) => panic!("expected a checkpoint error, got {e}"),
-            Ok(_) => panic!("a word checkpoint resumed as partition-by-document"),
-        }
-    }
-
-    #[test]
     fn mismatched_config_is_rejected() {
         let c = corpus();
         let mut t = CuldaTrainer::try_new(&c, cfg()).unwrap();
-        t.step();
+        t.try_step().unwrap();
         let mut buf = Vec::new();
         save_training(&t, &mut buf).unwrap();
         // Wrong seed.
         let mut bad = cfg();
         bad.seed = 32;
-        assert!(resume_training(&c, bad, buf.as_slice()).is_err());
+        assert!(resume_any(&c, bad, buf.as_slice()).is_err());
         // Wrong K.
         let bad = TrainerConfig::builder(16, Platform::maxwell())
             .seed(31)
             .build()
             .unwrap();
-        assert!(resume_training(&c, bad, buf.as_slice()).is_err());
+        assert!(resume_any(&c, bad, buf.as_slice()).is_err());
         // Wrong corpus (different shape).
         let mut spec = SynthSpec::tiny();
         spec.num_docs = 60;
         let other = spec.generate();
-        assert!(resume_training(&other, cfg(), buf.as_slice()).is_err());
+        assert!(resume_any(&other, cfg(), buf.as_slice()).is_err());
     }
 
     #[test]
     fn garbage_is_rejected_not_panicked() {
         let c = corpus();
-        assert!(resume_training(&c, cfg(), &b"nonsense"[..]).is_err());
+        assert!(resume_any(&c, cfg(), &b"nonsense"[..]).is_err());
         let mut t = CuldaTrainer::try_new(&c, cfg()).unwrap();
-        t.step();
+        t.try_step().unwrap();
         let mut buf = Vec::new();
         save_training(&t, &mut buf).unwrap();
         for cut in [3usize, 12, buf.len() / 2] {
-            assert!(resume_training(&c, cfg(), &buf[..cut]).is_err());
+            assert!(resume_any(&c, cfg(), &buf[..cut]).is_err());
         }
     }
 }

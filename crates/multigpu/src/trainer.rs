@@ -510,47 +510,39 @@ impl CuldaTrainer {
         t
     }
 
-    /// Runs one full iteration over the corpus; returns its stats.
+    /// Runs one full iteration over the corpus, with fault recovery, and
+    /// returns its stats.
     ///
     /// Execution shape (Figure 3b): every worker runs its iteration body
     /// on its own host thread; the host joins them, starts the ϕ sync at
     /// `max(ϕ_done)` (it overlaps the already-executed θ updates), and
     /// swaps each worker's replica pair.
     ///
-    /// Panics on an unrecoverable fault; resilient callers use
-    /// [`Self::try_step`].
-    pub fn step(&mut self) -> IterationStat {
-        self.try_step()
-            .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
-    }
-
-    /// Like [`step`](Self::step) but runs every worker's iteration body on
-    /// the calling thread, one after another — the pre-worker-layer
-    /// execution shape. Simulated time and results are identical to
-    /// [`step`](Self::step); only host wall-clock differs. Exists for the
-    /// sequential-vs-concurrent benchmark and regression tests.
-    pub fn step_sequential(&mut self) -> IterationStat {
-        self.try_step_impl(false)
-            .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
-    }
-
-    /// Fallible [`step`](Self::step): one full iteration with fault
-    /// recovery.
-    ///
     /// Each worker is its own failure domain, on any node. A worker whose
     /// iteration body hits an injected fault restores its pre-iteration
     /// (z, θ) snapshot and retries after exponential backoff, up to
-    /// `cfg.retry.max_attempts` tries; the body is idempotent against the
-    /// read ϕ snapshot, so a successful retry is bit-identical to a
-    /// fault-free run. A worker that exhausts its budget is declared lost:
-    /// its chunks migrate round-robin to the survivors, which re-run the
-    /// migrated bodies against the same snapshot (commutative ϕ adds keep
-    /// the summed model bit-identical), and the sync continues over the
-    /// survivors. Errors surface only when recovery is impossible:
-    /// [`CuldaError::AllWorkersLost`], a fault during the rebalance
-    /// itself, or a worker panic (a bug, not a fault).
+    /// `cfg.retry.max_attempts` tries ([`GpuWorker::retrying`]); the body
+    /// is idempotent against the read ϕ snapshot, so a successful retry is
+    /// bit-identical to a fault-free run. A worker that exhausts its
+    /// budget is declared lost: its chunks migrate round-robin to the
+    /// survivors, which re-run the migrated bodies against the same
+    /// snapshot (commutative ϕ adds keep the summed model bit-identical),
+    /// and the sync continues over the survivors. Errors surface only when
+    /// recovery is impossible: [`CuldaError::AllWorkersLost`], a fault
+    /// during the rebalance itself, or a worker panic (a bug, not a fault).
     pub fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
         self.try_step_impl(true)
+    }
+
+    /// [`Self::try_step`] with every worker's iteration body run on the
+    /// calling thread, one after another — the pre-worker-layer execution
+    /// shape. Simulated time and results are identical to `try_step`'s;
+    /// only host wall-clock differs. Exists for the sequential-vs-concurrent
+    /// benchmark and regression tests, and panics on an unrecoverable
+    /// fault.
+    pub fn step_sequential(&mut self) -> IterationStat {
+        self.try_step_impl(false)
+            .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
     }
 
     fn try_step_impl(&mut self, concurrent: bool) -> Result<IterationStat, CuldaError> {
@@ -592,69 +584,33 @@ impl CuldaTrainer {
         let host_link = self.host_link;
         let faulty = self.faults.is_some();
         let retry = cfg.retry;
-        let trace = self.trace.clone();
-        let metrics = self.metrics.clone();
+        let trace = self.trace.as_deref();
+        let metrics = self.metrics.as_deref();
 
         // One worker's failure domain: the iteration body plus its retry
         // loop, run on the worker's own host thread. Returns the body's
         // report, retries performed, and simulated recovery seconds.
-        let body = |i: usize,
-                    w: &mut GpuWorker|
-         -> Result<(IterationReport, u32, f64), CuldaError> {
-            if !w.alive {
-                return Ok((IterationReport::default(), 0, 0.0));
-            }
-            if !faulty {
-                // Fault-free fast path: no snapshot, no recovery state.
-                let r =
-                    w.try_run_iteration(part, cfg, out_of_core, iteration, &host_link, sparse)?;
-                return Ok((r, 0, 0.0));
-            }
-            let snap = w.snapshot_states();
-            let mut attempt = 1u32;
-            let mut recovery_seconds = 0.0;
-            loop {
-                let before = w.device.now();
-                match w.try_run_iteration(part, cfg, out_of_core, iteration, &host_link, sparse) {
-                    Ok(r) => return Ok((r, attempt - 1, recovery_seconds)),
-                    Err(fault) => {
-                        // Time burned by the failed attempt (zero for a
-                        // pre-body launch fault, partial for corruption).
-                        let wasted = w.device.now() - before;
-                        w.restore_states(&snap);
-                        if attempt >= retry.max_attempts {
-                            w.breakdown.add(Phase::Recovery, wasted);
-                            return Err(CuldaError::WorkerLost {
-                                device: i,
-                                attempts: attempt,
-                            });
-                        }
-                        let backoff = retry.backoff_seconds(attempt);
-                        let retry_at = w.device.now();
-                        w.device.advance(backoff);
-                        w.breakdown.add(Phase::Recovery, wasted + backoff);
-                        recovery_seconds += wasted + backoff;
-                        if let Some(sink) = &trace {
-                            sink.span_sim(
-                                w.device.id as u32,
-                                "worker.retry",
-                                "recovery",
-                                retry_at,
-                                w.device.now(),
-                                vec![
-                                    ("attempt".into(), Json::from(attempt as usize)),
-                                    ("fault".into(), Json::Str(fault.to_string())),
-                                ],
-                            );
-                        }
-                        if let Some(reg) = &metrics {
-                            reg.counter("worker.retry").inc();
-                        }
-                        attempt += 1;
-                    }
-                }
-            }
+        let run = |w: &mut GpuWorker| {
+            w.try_run_iteration(part, cfg, out_of_core, iteration, &host_link, sparse)
         };
+        let body =
+            |i: usize, w: &mut GpuWorker| -> Result<(IterationReport, u32, f64), CuldaError> {
+                if !w.alive {
+                    return Ok((IterationReport::default(), 0, 0.0));
+                }
+                if !faulty {
+                    // Fault-free fast path: no snapshot, no recovery state.
+                    return Ok((run(w)?, 0, 0.0));
+                }
+                let snap = w.snapshot_states();
+                w.retrying(retry, trace, metrics, |w| {
+                    run(w).inspect_err(|_| w.restore_states(&snap))
+                })
+                .map_err(|attempts| CuldaError::WorkerLost {
+                    device: i,
+                    attempts,
+                })
+            };
         // A panicking body (a bug, not an injected fault) is caught at the
         // fan-out boundary so the other workers' results survive.
         let guarded = |i: usize, w: &mut GpuWorker| {
@@ -1205,18 +1161,9 @@ impl CuldaTrainer {
         Ok(())
     }
 
-    /// Trains for the configured number of iterations.
-    ///
-    /// Panics on an unrecoverable fault; resilient callers use
-    /// [`Self::try_train`].
-    pub fn train(self) -> TrainOutcome {
-        self.try_train()
-            .unwrap_or_else(|e| panic!("unrecoverable training fault: {e}"))
-    }
-
-    /// Fallible [`train`](Self::train): recovered faults show up in the
-    /// outcome's [`RecoveryStats`]; unrecoverable ones surface as
-    /// [`CuldaError`].
+    /// Trains for the configured number of iterations through
+    /// [`Self::try_step`]: recovered faults show up in the outcome's
+    /// [`RecoveryStats`]; unrecoverable ones surface as [`CuldaError`].
     pub fn try_train(mut self) -> Result<TrainOutcome, CuldaError> {
         for _ in 0..self.cfg.iterations {
             self.try_step()?;
@@ -1401,7 +1348,7 @@ mod tests {
             let mut t = CuldaTrainer::try_with_policy(&c, config, policy).unwrap();
             for _ in 0..2 {
                 if concurrent {
-                    t.step();
+                    t.try_step().unwrap();
                 } else {
                     t.step_sequential();
                 }
@@ -1426,7 +1373,7 @@ mod tests {
         let mut t = CuldaTrainer::try_new(&c, cfg(Platform::maxwell()).build().unwrap()).unwrap();
         assert_eq!(t.plan().m, 1);
         for _ in 0..3 {
-            let stat = t.step();
+            let stat = t.try_step().unwrap();
             assert_eq!(stat.tokens, c.num_tokens());
             assert!(stat.sim_seconds > 0.0);
             t.check_invariants();
@@ -1447,7 +1394,7 @@ mod tests {
         .unwrap();
         let before = t.loglik_per_token();
         for _ in 0..12 {
-            t.step();
+            t.try_step().unwrap();
         }
         let after = t.loglik_per_token();
         assert!(after > before + 0.01, "no convergence: {before} → {after}");
@@ -1464,7 +1411,7 @@ mod tests {
             config.chunks_per_gpu = Some(m);
             let mut t = CuldaTrainer::try_new(&c, config).unwrap();
             for _ in 0..2 {
-                t.step();
+                t.try_step().unwrap();
             }
             let z: Vec<Vec<u16>> = t.states().iter().map(|s| s.z.snapshot()).collect();
             (z, t.loglik_per_token())
@@ -1517,7 +1464,7 @@ mod tests {
         config.chunks_per_gpu = Some(1);
         let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         for _ in 0..2 {
-            t.step();
+            t.try_step().unwrap();
         }
         let per = t.per_gpu_breakdowns();
         assert_eq!(per.num_gpus(), 4);
@@ -1555,7 +1502,7 @@ mod tests {
                 .build()
                 .unwrap();
             let t = CuldaTrainer::try_new(&c, config).unwrap();
-            let out = t.train();
+            let out = t.try_train().unwrap();
             out.history.avg_tokens_per_sec(2)
         };
         let tps1 = run(1);
@@ -1587,8 +1534,8 @@ mod tests {
         resident_cfg.chunks_per_gpu = Some(1);
         let mut resident = CuldaTrainer::try_new(&c, resident_cfg).unwrap();
         for _ in 0..2 {
-            out_of_core.step();
-            resident.step();
+            out_of_core.try_step().unwrap();
+            resident.try_step().unwrap();
         }
         out_of_core.check_invariants();
         let za: Vec<Vec<u16>> = out_of_core
@@ -1623,7 +1570,7 @@ mod tests {
             "expected out-of-core plan, got {}",
             t.plan().m
         );
-        t.step();
+        t.try_step().unwrap();
         t.check_invariants();
     }
 
@@ -1636,7 +1583,7 @@ mod tests {
             .build()
             .unwrap();
         let t = CuldaTrainer::try_new(&c, config).unwrap();
-        let out = t.train();
+        let out = t.try_train().unwrap();
         let frac = out.breakdown.fraction(Phase::Sampling);
         assert!(
             frac > 0.5,
@@ -1663,7 +1610,7 @@ mod tests {
         config.chunks_per_gpu = Some(1);
         let mut t = CuldaTrainer::try_new(&c, config).unwrap();
         for _ in 0..2 {
-            let stat = t.step();
+            let stat = t.try_step().unwrap();
             assert_eq!(stat.tokens, c.num_tokens());
         }
         t.check_invariants();
@@ -1676,7 +1623,7 @@ mod tests {
             CuldaTrainer::try_new(&c, cfg(Platform::maxwell()).score_every(0).build().unwrap())
                 .unwrap();
         for _ in 0..2 {
-            t.step();
+            t.try_step().unwrap();
         }
         let names: Vec<String> = t
             .profile()
@@ -1710,7 +1657,7 @@ mod tests {
                 );
             }
             for _ in 0..2 {
-                t.step();
+                t.try_step().unwrap();
             }
             let z: Vec<Vec<u16>> = t.states().iter().map(|s| s.z.snapshot()).collect();
             let clocks: Vec<u64> = t
@@ -1737,7 +1684,7 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         t.attach_observability(Some(sink.clone()), Some(reg.clone()));
         for _ in 0..2 {
-            t.step();
+            t.try_step().unwrap();
         }
         let evs = sink.events();
         // One kernel-span track per device, one host track per worker.
@@ -1783,7 +1730,7 @@ mod tests {
                 .unwrap();
             let mut t = CuldaTrainer::try_new(&c, config).unwrap();
             for _ in 0..3 {
-                t.step();
+                t.try_step().unwrap();
             }
             (t.loglik_per_token(), t.history().total_sim_seconds())
         };
@@ -1801,7 +1748,7 @@ mod tests {
         let c = corpus();
         let t = CuldaTrainer::try_new(&c, cfg(Platform::volta()).iterations(4).build().unwrap())
             .unwrap();
-        let out = t.train();
+        let out = t.try_train().unwrap();
         assert_eq!(out.history.len(), 4);
         assert!(out.final_loglik_per_token.is_finite());
         // score_every = 1 → every iteration scored.
@@ -1839,8 +1786,8 @@ mod tests {
         let mut cluster = CuldaTrainer::try_new(&c, cluster_cfg(3)).unwrap();
         assert_eq!((cluster.num_nodes(), cluster.num_gpus()), (3, 6));
         for _ in 0..3 {
-            single.step();
-            cluster.step();
+            single.try_step().unwrap();
+            cluster.try_step().unwrap();
         }
         cluster.check_invariants();
         assert_eq!(assignments(&single), assignments(&cluster));
@@ -1900,8 +1847,8 @@ mod tests {
             1,
         )
         .permanent()])));
-        t.step();
-        t.step();
+        t.try_step().unwrap();
+        t.try_step().unwrap();
         assert_eq!(t.num_alive(), 3, "GPU 1 is lost in iteration 1");
         let want = (
             t.global_phi().phi.snapshot(),

@@ -16,17 +16,23 @@
 //! [`Device::try_launch_spec_with`]. [`run_workers`] fans the bodies out
 //! over real host threads with a deterministic device-order join.
 //!
+//! A fault is retried in one loop, [`GpuWorker::retrying`]: the trainer
+//! wraps each worker's iteration body in it, and the serving engine each
+//! `lda_infer` launch.
+//!
 //! Results are bit-identical whether the bodies run sequentially or
 //! concurrently: the sampler RNG streams are keyed by global token index,
 //! every kernel reads only the previous iteration's ϕ snapshot, and each
 //! worker mutates only state it owns.
 
-use crate::config::TrainerConfig;
+use crate::config::{RetryPolicy, TrainerConfig};
 use crate::partition::PartitionedCorpus;
 use crate::schedule::chunk_state_bytes;
 use culda_corpus::CsrMatrix;
 use culda_gpusim::{Device, EnginePipeline, FaultKind, Link, SimFault, Stage, StageIntervals};
-use culda_metrics::{Breakdown, Json, Phase, TraceSink, H2D_TID_BASE, SIM_PID, STAGE_TID_BASE};
+use culda_metrics::{
+    Breakdown, Json, MetricsRegistry, Phase, TraceSink, H2D_TID_BASE, SIM_PID, STAGE_TID_BASE,
+};
 use culda_sampler::{
     try_run_phi_clear_kernel, try_run_phi_update_kernel, try_run_sampling_kernel,
     try_run_theta_update_kernel, BlockWork, ChunkState, PhiModel, SampleConfig,
@@ -189,6 +195,65 @@ impl GpuWorker {
     /// the next iteration's read snapshot.
     pub fn swap_replicas(&mut self) {
         std::mem::swap(&mut self.read_phi, &mut self.write_phi);
+    }
+
+    /// Runs `run` until it succeeds or `retry`'s budget is spent: the one
+    /// retry loop, around a trainer worker's iteration body and around
+    /// each serving launch. Each attempt is timed on the device clock. A
+    /// fault with budget left advances the clock by
+    /// [`RetryPolicy::backoff_seconds`], charges the attempt's time plus
+    /// the backoff to this worker's [`Phase::Recovery`], emits a
+    /// `worker.retry` span (on the device's track) and counter, and tries
+    /// again. Success returns the value, the retries it took and the
+    /// recovery seconds they cost. Once the budget is spent the last
+    /// attempt's time is charged and the number of attempts made comes
+    /// back as the error. Undoing what a failed attempt left behind is
+    /// `run`'s job.
+    pub fn retrying<T>(
+        &mut self,
+        retry: RetryPolicy,
+        trace: Option<&TraceSink>,
+        metrics: Option<&MetricsRegistry>,
+        mut run: impl FnMut(&mut GpuWorker) -> Result<T, SimFault>,
+    ) -> Result<(T, u32, f64), u32> {
+        let mut attempt = 1u32;
+        let mut recovery_seconds = 0.0;
+        loop {
+            let before = self.device.now();
+            let fault = match run(self) {
+                Ok(value) => return Ok((value, attempt - 1, recovery_seconds)),
+                Err(fault) => fault,
+            };
+            // Time burned by the failed attempt (zero for a pre-body launch
+            // fault, partial for corruption).
+            let wasted = self.device.now() - before;
+            if attempt >= retry.max_attempts {
+                self.breakdown.add(Phase::Recovery, wasted);
+                return Err(attempt);
+            }
+            let backoff = retry.backoff_seconds(attempt);
+            let retry_at = self.device.now();
+            self.device.advance(backoff);
+            self.breakdown.add(Phase::Recovery, wasted + backoff);
+            recovery_seconds += wasted + backoff;
+            if let Some(sink) = trace {
+                sink.span_sim(
+                    self.device.id as u32,
+                    "worker.retry",
+                    "recovery",
+                    retry_at,
+                    self.device.now(),
+                    vec![
+                        ("attempt".into(), Json::from(attempt as usize)),
+                        ("fault".into(), Json::Str(fault.to_string())),
+                    ],
+                );
+            }
+            if let Some(reg) = metrics {
+                reg.counter("worker.retry").inc();
+            }
+            attempt += 1;
+        }
     }
 
     /// Runs one iteration body on this worker's device against the read
@@ -678,6 +743,80 @@ mod tests {
         // Without a sink, behaviour is plain run_workers.
         let out = run_workers_traced(&mut workers, None, "iter 1", |i, _| i);
         assert_eq!(out, vec![0, 1, 2]);
+    }
+
+    /// A fault that [`GpuWorker::retrying`] retries.
+    fn launch_fault() -> SimFault {
+        SimFault::LaunchFailed {
+            device: 0,
+            epoch: 0,
+            kernel: "k".into(),
+        }
+    }
+
+    #[test]
+    fn retrying_charges_each_failure_and_backoff_to_recovery() {
+        use culda_metrics::EventKind;
+        let retry = RetryPolicy::default();
+        assert_eq!(retry.max_attempts, 3);
+        let (sink, reg) = (TraceSink::new(), MetricsRegistry::new());
+        let mut w = bare_workers(1).pop().unwrap();
+        // Each attempt spends 0.25 s; the first two fail.
+        let mut calls = 0;
+        let (value, retries, recovery) = w
+            .retrying(retry, Some(&sink), Some(&reg), |w| {
+                w.device.advance(0.25);
+                calls += 1;
+                if calls <= 2 {
+                    Err(launch_fault())
+                } else {
+                    Ok(calls)
+                }
+            })
+            .unwrap();
+        assert_eq!((value, retries), (3, 2));
+        let want = 0.25 + 1e-3 + 0.25 + 2e-3;
+        assert!((recovery - want).abs() < 1e-15, "{recovery} vs {want}");
+        assert!((w.breakdown.seconds(Phase::Recovery) - want).abs() < 1e-15);
+        assert!((w.device.now() - (want + 0.25)).abs() < 1e-15);
+        let spans: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::Begin && e.name == "worker.retry")
+            .collect();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(reg.counter("worker.retry").value(), 2);
+    }
+
+    #[test]
+    fn retrying_gives_up_after_the_last_attempt_without_a_span() {
+        use culda_metrics::EventKind;
+        let retry = RetryPolicy::default();
+        let (sink, reg) = (TraceSink::new(), MetricsRegistry::new());
+        let mut w = bare_workers(1).pop().unwrap();
+        let mut recovery_before_last = 0.0;
+        let attempts = w
+            .retrying(retry, Some(&sink), Some(&reg), |w| {
+                recovery_before_last = w.breakdown.seconds(Phase::Recovery);
+                w.device.advance(0.25);
+                Err::<(), _>(launch_fault())
+            })
+            .unwrap_err();
+        assert_eq!(attempts, retry.max_attempts);
+        // The last attempt's time is charged, and no backoff follows it.
+        let recovery = w.breakdown.seconds(Phase::Recovery);
+        assert!((recovery - recovery_before_last - 0.25).abs() < 1e-15);
+        assert!((recovery - (3.0 * 0.25 + 1e-3 + 2e-3)).abs() < 1e-15);
+        assert!((w.device.now() - recovery).abs() < 1e-15);
+        let ends: Vec<f64> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::End && e.name == "worker.retry")
+            .map(|e| e.ts_us / 1e6)
+            .collect();
+        assert_eq!(ends.len(), 2);
+        assert!(ends.iter().all(|&end| end <= w.device.now() - 0.25 + 1e-12));
+        assert_eq!(reg.counter("worker.retry").value(), 2);
     }
 
     #[test]

@@ -57,8 +57,6 @@
 //! regardless of micro-batch boundaries, worker count, or which simulated
 //! GPU the document lands on.
 
-use crate::butterfly::{butterfly_p1_cost, DrawCost};
-use crate::mode::DrawMode;
 use crate::model::PhiModel;
 use crate::ptree::{lower_bound, prefix_into, walk_touches, IndexTree, DEFAULT_FANOUT};
 use culda_corpus::Xoshiro256;
@@ -90,12 +88,6 @@ pub struct InferKernelConfig {
     /// Cache θ, the weight vector, and the tree in shared memory when
     /// they fit (traffic accounting only; never changes the draw).
     pub use_shared_memory: bool,
-    /// How the per-token draw over the dense K-length weight vector is
-    /// charged: the tree walk, the butterfly coalesced scan
-    /// ([`crate::butterfly`]), or per-document auto (tree while the
-    /// vector is on-chip, butterfly once it spills). Traffic accounting
-    /// only; never changes the draw.
-    pub draw: DrawMode,
 }
 
 impl InferKernelConfig {
@@ -107,7 +99,6 @@ impl InferKernelConfig {
             samples: 4,
             compressed: true,
             use_shared_memory: true,
-            draw: DrawMode::Tree,
         }
     }
 
@@ -159,28 +150,16 @@ struct DocCharges {
     phi_elem_bytes: usize,
     /// θ, the weights and the tree's upper levels fit shared memory.
     shared_ok: bool,
-    /// The butterfly scan's per-draw cost when it is the charged engine;
-    /// `None` charges the tree walk.
-    butterfly: Option<DrawCost>,
 }
 
 impl DocCharges {
     fn new(k: usize, cfg: &InferKernelConfig, ctx: &BlockCtx) -> Self {
         // θ + weights + tree upper levels in shared memory when they fit.
         let shared_ok = cfg.use_shared_memory && ctx.shared.fits::<f32>(2 * k + k / 16 + 64);
-        // Serving auto rule mirrors the training kernel's: the tree walk
-        // while the dense weight vector lives on-chip, the butterfly
-        // coalesced scan once it spills. Charging only — the draw never
-        // branches on it.
-        let butterfly = match cfg.draw {
-            DrawMode::Auto => !shared_ok,
-            fixed => fixed == DrawMode::Butterfly,
-        };
         Self {
             k,
             phi_elem_bytes: if cfg.compressed { 2 } else { 4 },
             shared_ok,
-            butterfly: butterfly.then(|| butterfly_p1_cost(k, shared_ok)),
         }
     }
 
@@ -194,30 +173,17 @@ impl DocCharges {
 
     /// One token draw whose tree walk touches `sh_touch` upper entries and
     /// `leaf_touch` leaves: ϕ column + inv_denom loads, weight compute,
-    /// tree rebuild prefix adds, draw traffic, new-z write.
+    /// tree rebuild prefix adds, the walk's traffic (on-chip when it fits
+    /// shared memory), new-z write.
     fn draw(&self, c: &mut BlockCtx, sh_touch: usize, leaf_touch: usize) {
         let k = self.k;
         c.dram_read(k * self.phi_elem_bytes + k * 4);
         c.flop(3 * k);
-        match self.butterfly {
-            Some(dc) => {
-                // Coalesced interleaved scan + one segment read for the
-                // final search window (the warp's 32 lanes cooperate on
-                // this one distribution, so every scan step is a full
-                // 128-byte segment).
-                c.dram_read(dc.dram_read);
-                c.dram_write(dc.dram_write);
-                c.shared_access(dc.shared);
-                c.flop(dc.flops);
-            }
-            None => {
-                let onchip = k * 4 + (sh_touch + leaf_touch) * 4;
-                if self.shared_ok {
-                    c.shared_access(onchip);
-                } else {
-                    c.dram_read(onchip);
-                }
-            }
+        let onchip = k * 4 + (sh_touch + leaf_touch) * 4;
+        if self.shared_ok {
+            c.shared_access(onchip);
+        } else {
+            c.dram_read(onchip);
         }
         c.dram_write(2);
     }
@@ -806,27 +772,6 @@ mod tests {
         assert_eq!(report.cost, want.cost);
         assert_eq!(report.sim_seconds.to_bits(), want.sim_seconds.to_bits());
         assert!(report.sim_seconds > 0.0);
-    }
-
-    #[test]
-    fn draw_modes_change_traffic_but_not_posteriors() {
-        let (phi, docs) = trained_phi();
-        let inv = phi.inv_denominators();
-        let batch = as_infer_docs(&docs);
-        let base = InferKernelConfig::new(42);
-        let oracle = Device::new(0, GpuSpec::titan_x_maxwell());
-        let (expected, _) = infer_reference(&oracle, &phi, &inv, &batch, &base);
-        let mut traffic = Vec::new();
-        for draw in [DrawMode::Tree, DrawMode::Butterfly, DrawMode::Auto] {
-            let mut cfg = base;
-            cfg.draw = draw;
-            let dev = Device::new(0, GpuSpec::titan_x_maxwell()).with_workers(2);
-            let (got, report) = try_run_infer_kernel(&dev, &phi, &inv, &batch, &cfg).unwrap();
-            assert_eq!(got, expected, "draw={draw} changed posteriors");
-            traffic.push(report.cost.shared_bytes + report.cost.dram_bytes());
-        }
-        // The butterfly charges a different traffic mix than the walk.
-        assert_ne!(traffic[0], traffic[1]);
     }
 
     #[test]

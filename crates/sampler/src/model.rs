@@ -130,15 +130,6 @@ impl PhiModel {
         v * self.num_topics + k
     }
 
-    /// Device memory footprint in bytes, used for the capacity planning in
-    /// the scheduler. Charged at dense capacity (`V·K·4` + sums): the
-    /// hybrid layout must be able to hold a fully dense model, and keeping
-    /// the reservation layout-independent keeps the resident/out-of-core
-    /// decision deterministic.
-    pub fn device_bytes(&self) -> u64 {
-        (self.phi.len() * 4 + self.phi_sum.len() * 4) as u64
-    }
-
     /// Zeroes ϕ and its sums (start of a rebuild). Also resets the
     /// dirty-row marks — the touched-row set and the counts always reset
     /// together, so a retried iteration cannot desynchronize them.
@@ -228,12 +219,6 @@ impl ChunkState {
         let z = AtomicU16Buf::from_vec(z);
         let theta = build_theta_host(chunk, &z, num_topics);
         Self { z, theta }
-    }
-
-    /// Host bytes of this chunk's device-resident state (z + θ), for
-    /// capacity planning.
-    pub fn device_bytes(&self) -> u64 {
-        (self.z.len() * 2) as u64 + self.theta.storage_bytes() as u64
     }
 }
 

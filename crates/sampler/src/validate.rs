@@ -70,20 +70,6 @@ pub fn check_chunk_consistency(
     t as u64
 }
 
-/// Asserts that a global ϕ equals the sum of per-chunk replicas — the
-/// postcondition of the Figure 4 reduce.
-pub fn check_phi_is_sum_of_replicas(global: &PhiModel, replicas: &[&PhiModel]) {
-    assert!(!replicas.is_empty(), "no replicas to check against");
-    for i in 0..global.phi.len() {
-        let want: u64 = replicas.iter().map(|r| r.phi.load(i) as u64).sum();
-        assert_eq!(global.phi.load(i) as u64, want, "phi[{i}] != replica sum");
-    }
-    for k in 0..global.phi_sum.len() {
-        let want: u64 = replicas.iter().map(|r| r.phi_sum.load(k) as u64).sum();
-        assert_eq!(global.phi_sum.load(k) as u64, want, "phi_sum[{k}]");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,28 +103,5 @@ mod tests {
         state.z.store(0, (z0 + 1) % 8);
         let _ = &mut state;
         check_chunk_consistency(&chunk, &state, None);
-    }
-
-    #[test]
-    fn replica_sum_check() {
-        let a = PhiModel::zeros(2, 2, Priors::paper(2));
-        let b = PhiModel::zeros(2, 2, Priors::paper(2));
-        let g = PhiModel::zeros(2, 2, Priors::paper(2));
-        a.phi.store(0, 1);
-        a.phi_sum.store(0, 1);
-        b.phi.store(0, 2);
-        b.phi_sum.store(0, 2);
-        g.phi.store(0, 3);
-        g.phi_sum.store(0, 3);
-        check_phi_is_sum_of_replicas(&g, &[&a, &b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "replica sum")]
-    fn wrong_global_is_caught() {
-        let a = PhiModel::zeros(1, 1, Priors::paper(1));
-        let g = PhiModel::zeros(1, 1, Priors::paper(1));
-        a.phi.store(0, 1);
-        check_phi_is_sum_of_replicas(&g, &[&a]);
     }
 }

@@ -24,8 +24,8 @@ use crate::error::ServeError;
 use crate::frozen::FrozenModel;
 use culda_corpus::Corpus;
 use culda_gpusim::{Device, FaultPlan, GpuSpec, ProfileLog};
-use culda_metrics::{Breakdown, Histogram, Json, MetricsRegistry, Phase, TraceSink};
-use culda_multigpu::{run_workers_traced, DrawMode, GpuWorker, RecoveryStats, RetryPolicy};
+use culda_metrics::{Breakdown, Histogram, MetricsRegistry, Phase, TraceSink};
+use culda_multigpu::{run_workers_traced, GpuWorker, RecoveryStats, RetryPolicy};
 use culda_sampler::{try_run_infer_kernel, DocPosterior, InferDoc, InferKernelConfig, LdaModel};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -60,9 +60,6 @@ pub struct ServeConfig {
     pub gpu: GpuSpec,
     /// Retry budget and backoff for transient launch faults.
     pub retry: RetryPolicy,
-    /// How the per-token draw is charged in the fold-in kernel (see
-    /// [`DrawMode`]); cost-model only, posteriors are bit-identical.
-    pub draw_mode: DrawMode,
 }
 
 impl ServeConfig {
@@ -80,7 +77,6 @@ impl ServeConfig {
             host_workers: 1,
             gpu: GpuSpec::titan_xp_pascal(),
             retry: RetryPolicy::default(),
-            draw_mode: DrawMode::Tree,
         }
     }
 
@@ -128,7 +124,6 @@ impl ServeConfig {
             samples: self.samples,
             compressed: self.compressed,
             use_shared_memory: self.use_shared_memory,
-            draw: self.draw_mode,
         }
     }
 }
@@ -195,12 +190,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the draw-path charging mode of the fold-in kernel.
-    pub fn draw_mode(mut self, mode: DrawMode) -> Self {
-        self.cfg.draw_mode = mode;
-        self
-    }
-
     /// Validates the assembled configuration — the single validation
     /// point of the builder path — and returns it.
     pub fn build(self) -> Result<ServeConfig, ServeError> {
@@ -241,7 +230,6 @@ pub struct InferenceOutcome {
 #[derive(Debug)]
 struct EngineState {
     workers: Vec<GpuWorker>,
-    alive: Vec<bool>,
     recovery: RecoveryStats,
     batches_served: u64,
     docs_served: u64,
@@ -282,7 +270,6 @@ impl InferenceEngine {
                 )
             })
             .collect();
-        let alive = vec![true; workers.len()];
         let inv_denom = model.inv_denominators();
         Self {
             model,
@@ -295,7 +282,6 @@ impl InferenceEngine {
             latency: Histogram::default(),
             state: Mutex::new(EngineState {
                 workers,
-                alive,
                 recovery: RecoveryStats::default(),
                 batches_served: 0,
                 docs_served: 0,
@@ -341,7 +327,7 @@ impl InferenceEngine {
 
     /// Workers still serving (not lost to permanent faults).
     pub fn num_alive(&self) -> usize {
-        self.state().alive.iter().filter(|&&a| a).count()
+        self.state().workers.iter().filter(|w| w.alive).count()
     }
 
     /// The frozen model being served.
@@ -416,7 +402,8 @@ impl InferenceEngine {
     /// [`Infer`] backend.
     ///
     /// Fault recovery: each worker retries a faulted launch with
-    /// exponential backoff up to the configured budget. A worker that
+    /// exponential backoff up to the configured budget, in the retry loop
+    /// the trainer's workers run ([`GpuWorker::retrying`]). A worker that
     /// exhausts it is removed from the fleet and its stranded
     /// micro-batches are re-enqueued (ascending id, round-robin) on the
     /// survivors — per-document RNG streams are keyed by arrival index,
@@ -429,7 +416,7 @@ impl InferenceEngine {
 
         let st = &mut *self.state();
         let num_workers = st.workers.len();
-        let alive_ids: Vec<usize> = (0..num_workers).filter(|&i| st.alive[i]).collect();
+        let alive_ids: Vec<usize> = (0..num_workers).filter(|&i| st.workers[i].alive).collect();
         if alive_ids.is_empty() {
             return Err(ServeError::AllWorkersLost);
         }
@@ -481,7 +468,7 @@ impl InferenceEngine {
         for (wi, shard) in shards.into_iter().enumerate() {
             st.recovery.retries += shard.retries;
             if shard.lost {
-                st.alive[wi] = false;
+                st.workers[wi].alive = false;
                 st.recovery.workers_lost += 1;
             }
             per_worker_seconds[wi] += shard.done.iter().map(|(_, _, s)| s).sum::<f64>();
@@ -494,7 +481,7 @@ impl InferenceEngine {
 
         if !stranded.is_empty() {
             stranded.sort_unstable();
-            let survivors: Vec<usize> = (0..num_workers).filter(|&i| st.alive[i]).collect();
+            let survivors: Vec<usize> = (0..num_workers).filter(|&i| st.workers[i].alive).collect();
             if survivors.is_empty() {
                 return Err(ServeError::AllWorkersLost);
             }
@@ -526,7 +513,7 @@ impl InferenceEngine {
                 if shard.lost {
                     // Recovery is not itself fault-tolerant: losing a
                     // survivor while re-serving stranded batches is fatal.
-                    st.alive[wi] = false;
+                    st.workers[wi].alive = false;
                     st.recovery.workers_lost += 1;
                     return Err(ServeError::WorkerLost {
                         device: wi,
@@ -663,9 +650,9 @@ struct WorkerShard {
     attempts: u32,
 }
 
-/// One traced fan-out of `assigned` micro-batches over the fleet, with
-/// per-launch retry/backoff. A worker that exhausts its budget stops and
-/// reports the rest of its share as unfinished.
+/// One traced fan-out of `assigned` micro-batches over the fleet, each
+/// launch retried through [`GpuWorker::retrying`]. A worker that exhausts
+/// its budget stops and reports the rest of its share as unfinished.
 #[allow(clippy::too_many_arguments)]
 fn run_shards(
     workers: &mut [GpuWorker],
@@ -695,49 +682,21 @@ fn run_shards(
                     words: d,
                 })
                 .collect();
-            let mut attempt = 1u32;
-            loop {
-                let before = worker.device.now();
-                match try_run_infer_kernel(&worker.device, phi, inv_denom, &batch, kcfg) {
-                    Ok((posteriors, report)) => {
-                        worker.breakdown.add(Phase::Inference, report.sim_seconds);
-                        shard
-                            .done
-                            .push((range.start, posteriors, report.sim_seconds));
-                        break;
-                    }
-                    Err(fault) => {
-                        let wasted = worker.device.now() - before;
-                        if attempt >= retry.max_attempts {
-                            worker.breakdown.add(Phase::Recovery, wasted);
-                            shard.lost = true;
-                            shard.attempts = attempt;
-                            shard.unfinished.push(*mb);
-                            break;
-                        }
-                        let backoff = retry.backoff_seconds(attempt);
-                        let retry_at = worker.device.now();
-                        worker.device.advance(backoff);
-                        worker.breakdown.add(Phase::Recovery, wasted + backoff);
-                        if let Some(sink) = trace {
-                            sink.span_sim(
-                                worker.device.id as u32,
-                                "worker.retry",
-                                "recovery",
-                                retry_at,
-                                worker.device.now(),
-                                vec![
-                                    ("attempt".into(), Json::from(attempt as usize)),
-                                    ("fault".into(), Json::Str(fault.to_string())),
-                                ],
-                            );
-                        }
-                        if let Some(reg) = metrics {
-                            reg.counter("worker.retry").inc();
-                        }
-                        shard.retries += 1;
-                        attempt += 1;
-                    }
+            let launch =
+                |w: &mut GpuWorker| try_run_infer_kernel(&w.device, phi, inv_denom, &batch, kcfg);
+            match worker.retrying(retry, trace, metrics, launch) {
+                Ok(((posteriors, report), retries, _)) => {
+                    worker.breakdown.add(Phase::Inference, report.sim_seconds);
+                    shard.retries += u64::from(retries);
+                    shard
+                        .done
+                        .push((range.start, posteriors, report.sim_seconds));
+                }
+                Err(attempts) => {
+                    shard.retries += u64::from(attempts - 1);
+                    shard.lost = true;
+                    shard.attempts = attempts;
+                    shard.unfinished.push(*mb);
                 }
             }
         }

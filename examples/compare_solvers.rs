@@ -35,7 +35,10 @@ fn main() {
         .score_every(0)
         .build()
         .unwrap();
-    let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
+    let out = CuldaTrainer::try_new(&corpus, cfg)
+        .unwrap()
+        .try_train()
+        .unwrap();
     let t = out.history.total_sim_seconds();
     println!(
         "{:<28} {:>16.4} {:>16.6} {:>14.3e}",

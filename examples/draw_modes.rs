@@ -41,7 +41,7 @@ fn main() {
             .unwrap();
         let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..iters {
-            trainer.step();
+            trainer.try_step().unwrap();
         }
         let sample = trainer
             .profile()

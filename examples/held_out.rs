@@ -54,7 +54,7 @@ fn main() {
     let trainer_corpus = pruned.corpus;
     let mut trainer = CuldaTrainer::try_new(&trainer_corpus, cfg).unwrap();
     for _ in 0..40 {
-        trainer.step();
+        trainer.try_step().unwrap();
     }
     let mut checkpoint = Vec::new();
     save_phi(trainer.global_phi(), &mut checkpoint).expect("serialize model");

@@ -35,7 +35,10 @@ fn main() {
             .score_every(0)
             .build()
             .unwrap();
-        let out = CuldaTrainer::try_new(&corpus, cfg).unwrap().train();
+        let out = CuldaTrainer::try_new(&corpus, cfg)
+            .unwrap()
+            .try_train()
+            .unwrap();
         let tps = out.history.avg_tokens_per_sec(iters as usize);
         let base = *titan_tps.get_or_insert(tps);
         println!(

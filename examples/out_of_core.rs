@@ -49,7 +49,7 @@ fn main() {
         let trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         let m = trainer.plan().m;
         let c = trainer.plan().c;
-        let out = trainer.train();
+        let out = trainer.try_train().unwrap();
         let tps = out.history.avg_tokens_per_sec(iters as usize);
         let exposed = out.breakdown.seconds(Phase::Transfer);
         println!("{label}:");

@@ -39,7 +39,7 @@ fn main() {
 
     // 3. Train, reporting progress.
     for i in 0..40 {
-        let stat = trainer.step();
+        let stat = trainer.try_step().unwrap();
         if let Some(ll) = stat.loglik_per_token {
             println!(
                 "iter {:>3}  {:>10}/s  loglik/token {:.4}",

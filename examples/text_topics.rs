@@ -69,7 +69,7 @@ fn main() {
         .unwrap();
     let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..80 {
-        trainer.step();
+        trainer.try_step().unwrap();
     }
 
     println!("discovered topics (top words):");

@@ -62,6 +62,40 @@ sys.exit(0 if a["theta"] and all(a[k] == b[k] for k in keys) else 1)' \
         || { echo "infer $name: results depend on --workers/--batch-size"; exit 1; }
 }
 infer_shapes "$smoke/c.phi"
+# Faults through `culda infer` and through losing every worker. Each row
+# names the command, its flags, the fault plan, the exit code and a line
+# the output must hold. A retried launch, and a lost worker whose
+# micro-batches are re-enqueued on the survivor, must serve the θ̂ and
+# perplexities of the fault-free run of the same shape; losing the only
+# worker, in serving or in training, is a fault (exit 3), not a panic.
+while IFS='|' read -r command flags plan code line; do
+    case "$command" in
+        infer) io=(--model "$smoke/c.phi" --out "$smoke/fault-row.json") ;;
+        train) io=(--model "$smoke/fault-row.phi" --topics 8 --iters 3 --score-every 0) ;;
+    esac
+    status=0
+    # shellcheck disable=SC2086 # $flags is a list of words
+    cargo run --release -q -p culda-cli -- "$command" --docword "$smoke/c.dw" \
+        --vocab "$smoke/c.v" "${io[@]}" $flags --fault-plan "$plan" \
+        > "$smoke/fault-row.log" 2>&1 < /dev/null || status=$?
+    test "$status" -eq "$code" \
+        || { echo "$command $flags under $plan exited $status, not $code"; exit 1; }
+    grep -qF "$line" "$smoke/fault-row.log" \
+        || { echo "$command $flags under $plan did not print: $line"; exit 1; }
+    if [ "$command" = infer ] && [ "$code" -eq 0 ]; then
+        python3 -c 'import json, sys
+a, b = (json.load(open(p)) for p in sys.argv[1:])
+keys = ("theta", "perplexity", "perplexity_by_sweep")
+sys.exit(0 if all(a[k] == b[k] for k in keys) else 1)' \
+            "$smoke/theta-c-2-16.json" "$smoke/fault-row.json" \
+            || { echo "infer under $plan changed the served results"; exit 1; }
+    fi
+done <<'FAULTS'
+infer|--workers 2 --batch-size 16 --burnin 3 --samples 2|launch:0:0|0|recovery: 1 fault(s) injected, 1 retry(s)
+infer|--workers 2 --batch-size 16 --burnin 3 --samples 2|launch:1:0:permanent|0|recovery: 3 fault(s) injected, 2 retry(s), 1 worker(s) lost, 6 chunk(s) migrated
+infer|--workers 1|launch:0:0:permanent|3|error: all workers lost
+train|--platform maxwell|launch:0:1:permanent|3|error: all workers lost
+FAULTS
 # A sweep count past u32 is a usage error (exit 2), not one wrapped sweep.
 status=0
 cargo run --release -q -p culda-cli -- infer --model "$smoke/c.phi" \

@@ -30,7 +30,7 @@ fn run(cfg: TrainerConfig, iters: u32) -> (Vec<Vec<u16>>, Vec<f64>) {
     let corpus = small_corpus();
     let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..iters {
-        t.step();
+        t.try_step().unwrap();
     }
     let z: Vec<Vec<u16>> = t.states().iter().map(|s| s.z.snapshot()).collect();
     let ll: Vec<f64> = t
@@ -101,7 +101,7 @@ fn simulated_seconds_per_device_unchanged_by_host_workers() {
         c.host_workers = Some(workers);
         let mut t = CuldaTrainer::try_new(&corpus, c).unwrap();
         for _ in 0..2 {
-            t.step();
+            t.try_step().unwrap();
         }
         t.workers()
             .iter()
@@ -122,7 +122,7 @@ fn z_and_loglik_series_identical_with_observability_attached() {
     let registry = std::sync::Arc::new(culda::metrics::MetricsRegistry::new());
     t.attach_observability(Some(sink.clone()), Some(registry.clone()));
     for _ in 0..3 {
-        t.step();
+        t.try_step().unwrap();
     }
     let z_traced: Vec<Vec<u16>> = t.states().iter().map(|s| s.z.snapshot()).collect();
     let ll_traced: Vec<f64> = t

@@ -66,7 +66,7 @@ fn fingerprint(t: &dyn LdaTrainer) -> (Vec<Vec<u16>>, Vec<u32>, Vec<f64>) {
 fn run(c: &Corpus, cfg: TrainerConfig) -> (Vec<Vec<u16>>, Vec<u32>, Vec<f64>) {
     let mut t = build_trainer(PartitionPolicy::Document, c, cfg).unwrap();
     for _ in 0..4 {
-        t.step();
+        t.try_step().unwrap();
     }
     t.check_invariants();
     fingerprint(t.as_ref())
@@ -159,7 +159,7 @@ fn prefetch_hides_transfers_without_changing_the_model() {
         t.attach_observability(None, Some(reg.clone()));
         let mut sim_seconds = 0.0;
         for _ in 0..3 {
-            sim_seconds += t.step().sim_seconds;
+            sim_seconds += t.try_step().unwrap().sim_seconds;
         }
         (
             fingerprint(t.as_ref()),

@@ -24,7 +24,7 @@ fn full_training_run_converges_and_conserves() {
     let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     let initial = trainer.loglik_per_token();
     for _ in 0..20 {
-        trainer.step();
+        trainer.try_step().unwrap();
     }
     trainer.check_invariants();
     let final_ll = trainer.loglik_per_token();
@@ -51,7 +51,7 @@ fn training_is_deterministic_per_seed() {
             .unwrap();
         let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..5 {
-            t.step();
+            t.try_step().unwrap();
         }
         (
             t.states()
@@ -84,7 +84,7 @@ fn gpu_count_is_a_pure_performance_knob() {
         cfg.chunks_per_gpu = Some(m);
         let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..4 {
-            t.step();
+            t.try_step().unwrap();
         }
         (t.loglik_per_token(), t.history().total_sim_seconds())
     };
@@ -116,8 +116,8 @@ fn out_of_core_training_matches_resident_statistics() {
     resident.chunks_per_gpu = Some(1);
     let mut res = CuldaTrainer::try_new(&corpus, resident).unwrap();
     for _ in 0..3 {
-        ooc.step();
-        res.step();
+        ooc.try_step().unwrap();
+        res.try_step().unwrap();
     }
     assert!((ooc.loglik_per_token() - res.loglik_per_token()).abs() < 1e-12);
     ooc.check_invariants();
@@ -142,7 +142,7 @@ fn oom_forces_out_of_core_automatically() {
         .unwrap();
     let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     assert!(t.plan().m > 1);
-    t.step();
+    t.try_step().unwrap();
     t.check_invariants();
 }
 
@@ -160,7 +160,7 @@ fn ablations_only_change_time_never_statistics() {
         cfg.use_shared_memory = shared;
         let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..3 {
-            t.step();
+            t.try_step().unwrap();
         }
         (t.loglik_per_token(), t.history().total_sim_seconds())
     };

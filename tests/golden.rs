@@ -38,7 +38,7 @@ fn run() -> (u64, f64) {
         .unwrap();
     let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     for _ in 0..3 {
-        t.step();
+        t.try_step().unwrap();
     }
     (z_fingerprint(&t), t.loglik_per_token())
 }

@@ -31,7 +31,7 @@ fn trained() -> &'static (Vec<u8>, Corpus) {
             .unwrap();
         let mut trainer = build_trainer(PartitionPolicy::Document, &train, cfg).unwrap();
         for _ in 0..12 {
-            trainer.step();
+            trainer.try_step().unwrap();
         }
         let mut bytes = Vec::new();
         FrozenModel::freeze(trainer.phi()).save(&mut bytes).unwrap();

@@ -126,7 +126,8 @@ fn dense_cgs_oracle_and_gpu_pipeline_reach_similar_quality() {
         .unwrap();
     let gpu_ll = CuldaTrainer::try_new(&corpus, cfg)
         .unwrap()
-        .train()
+        .try_train()
+        .unwrap()
         .final_loglik_per_token;
 
     let mut dense = culda::sampler::DenseCgs::new(&corpus, 8, Priors::paper(8), 77);

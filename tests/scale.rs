@@ -21,7 +21,7 @@ fn nytimes_scale_end_to_end() {
     let mut trainer = CuldaTrainer::try_new(&corpus, cfg).unwrap();
     let initial = trainer.loglik_per_token();
     for _ in 0..10 {
-        trainer.step();
+        trainer.try_step().unwrap();
     }
     trainer.check_invariants();
     assert!(trainer.loglik_per_token() > initial);
@@ -47,7 +47,7 @@ fn multi_gpu_scale_end_to_end() {
             .unwrap();
         let mut t = CuldaTrainer::try_new(&corpus, cfg).unwrap();
         for _ in 0..5 {
-            t.step();
+            t.try_step().unwrap();
         }
         t.check_invariants();
         t.history().avg_tokens_per_sec(5)

@@ -38,7 +38,7 @@ fn checkpoints() -> &'static Checkpoints {
                 .unwrap();
             let mut t = build_trainer(PartitionPolicy::Document, &corpus, cfg).unwrap();
             for _ in 0..sweeps {
-                t.step();
+                t.try_step().unwrap();
             }
             frozen.push(Arc::new(FrozenModel::freeze(t.phi())));
         }

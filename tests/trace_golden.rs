@@ -37,7 +37,7 @@ fn traced_run() -> (String, String) {
     let registry = Arc::new(MetricsRegistry::new());
     trainer.attach_observability(Some(sink.clone()), Some(registry.clone()));
     for _ in 0..ITERS {
-        trainer.step();
+        trainer.try_step().unwrap();
     }
     (sink.export_chrome_json(), registry.snapshot_json().render())
 }

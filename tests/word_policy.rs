@@ -46,7 +46,7 @@ fn word_policy_conserves_counts_and_converges() {
     t.check_invariants();
     let before = t.loglik_per_token();
     for _ in 0..8 {
-        assert_eq!(t.step().tokens, c.num_tokens());
+        assert_eq!(t.try_step().unwrap().tokens, c.num_tokens());
         t.check_invariants();
     }
     let after = t.loglik_per_token();
@@ -58,7 +58,7 @@ fn word_policy_is_deterministic_per_seed() {
     let c = corpus();
     let run = || {
         let mut t = word(&c, cfg(2, None));
-        t.step();
+        t.try_step().unwrap();
         (t.assignments(), t.loglik_per_token().to_bits())
     };
     assert_eq!(run(), run());
@@ -71,7 +71,7 @@ fn word_policy_is_bit_identical_across_gpu_counts_for_fixed_chunks() {
     let run = |gpus: usize, m: usize| {
         let mut t = word(&c, cfg(gpus, Some(m)));
         for _ in 0..3 {
-            t.step();
+            t.try_step().unwrap();
         }
         t.check_invariants();
         let phi = t.phi().phi.snapshot();
@@ -108,8 +108,8 @@ fn word_ranges_step_like_one_document_chunk_from_the_same_state() {
     save_assignments(PartitionPolicy::Word, &word_cfg, 0, &split, &mut ckpt).unwrap();
     let mut w = resume_any(&c, word_cfg, ckpt.as_slice()).unwrap();
     for _ in 0..3 {
-        doc.step();
-        w.step();
+        doc.try_step().unwrap();
+        w.try_step().unwrap();
     }
     assert_eq!(w.assignments().concat(), doc.assignments().concat());
     assert_eq!(w.phi().phi.snapshot(), doc.phi().phi.snapshot());
@@ -125,15 +125,15 @@ fn word_policy_pays_the_theta_sync_where_the_doc_policy_pays_phi() {
     let mut w = word(&c, cfg(4, Some(1)));
     let mut d = build_trainer(PartitionPolicy::Document, &c, cfg(4, Some(1))).unwrap();
     for _ in 0..3 {
-        w.step();
-        d.step();
+        w.try_step().unwrap();
+        d.try_step().unwrap();
     }
     assert!(w.breakdown().seconds(Phase::SyncPhi) > 0.0);
     let gap = (w.loglik_per_token() - d.loglik_per_token()).abs();
     assert!(gap < 0.5, "policies should converge similarly, gap {gap}");
 
     let mut single = word(&c, cfg(1, None));
-    single.step();
+    single.try_step().unwrap();
     assert_eq!(single.breakdown().seconds(Phase::SyncPhi), 0.0);
 }
 
@@ -144,7 +144,7 @@ fn word_policy_traces_the_paper_kernels_and_the_theta_sync() {
     let sink = Arc::new(TraceSink::new());
     let reg = Arc::new(MetricsRegistry::new());
     t.attach_observability(Some(sink.clone()), Some(reg.clone()));
-    t.step();
+    t.try_step().unwrap();
     let evs = sink.events();
     let begins = |name: &str| {
         evs.iter()
@@ -176,7 +176,7 @@ fn word_policy_scores_every_iteration_when_asked() {
     config.score_every = 1;
     let mut t = word(&c, config);
     for _ in 0..3 {
-        let stat = t.step();
+        let stat = t.try_step().unwrap();
         assert!(
             stat.loglik_per_token.is_some(),
             "iteration {} unscored",
@@ -202,8 +202,8 @@ fn word_policy_butterfly_draw_changes_dram_bytes_not_topics() {
             .build()
             .unwrap();
         let mut t = word(&c, config);
-        t.step();
-        t.step();
+        t.try_step().unwrap();
+        t.try_step().unwrap();
         let summaries = t.profile().summaries();
         let sample = summaries.iter().find(|s| s.name == "lda_sample").unwrap();
         (t.assignments(), sample.dram_bytes)
