@@ -113,6 +113,37 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
 grep -q 'recovery: 1 fault(s) injected, 1 retry(s)' "$smoke/fault.log"
 cmp "$smoke/c.phi" "$smoke/f.phi"
 
+echo "==> docword reader smoke tests"
+# The reader parses the docword body as ASCII bytes. CRLF endings, tabs
+# between fields, a `+` on every count, a blank and a whitespace-only line
+# and no final newline must read as the plain file did and train its model.
+python3 - "$smoke/c.dw" "$smoke/messy.dw" <<'EOF'
+import sys
+src, dst = sys.argv[1:]
+lines = open(src).read().splitlines()
+body = []
+for line in lines[3:]:
+    doc, word, count = line.split()
+    body.append(f"{doc}\t{word}\t+{count}")
+body[1:1] = ["", " \t\x0b\x0c "]
+open(dst, "w", newline="").write("\r\n".join(lines[:3] + body))
+EOF
+cargo run --release -q -p culda-cli -- train --docword "$smoke/messy.dw" \
+    --vocab "$smoke/c.v" --model "$smoke/messy.phi" --topics 8 --iters 3 \
+    --score-every 0 --platform maxwell
+cmp "$smoke/c.phi" "$smoke/messy.phi"
+# A D or W header one past u32::MAX is a data error (exit 4) found before
+# anything is sized from it, not an abort on a huge allocation.
+printf '4294967296\n3\n1\n1 1 1\n' > "$smoke/huge-d.dw"
+printf '1\n4294967296\n1\n1 1 1\n' > "$smoke/huge-w.dw"
+for docword in huge-d huge-w; do
+    status=0
+    timeout 10 cargo run --release -q -p culda-cli -- train \
+        --docword "$smoke/$docword.dw" --vocab "$smoke/c.v" \
+        --model "$smoke/$docword.phi" --topics 8 --iters 1 2> /dev/null || status=$?
+    test "$status" -eq 4 || { echo "train on $docword.dw exited $status, not 4"; exit 1; }
+done
+
 echo "==> mode-matrix smoke tests (sync, sampling, draw; both policies)"
 # Every phi sync strategy, p* fill path and p1 draw engine must train the
 # bit-identical model; only modelled time and bytes may differ. Each row
