@@ -616,10 +616,10 @@ pub fn infer(args: &Args) -> CmdResult {
     );
     if let Some((p50, p95, p99)) = engine.latency_quantiles() {
         eprintln!(
-            "micro-batch latency (simulated): p50 {:.1} ms, p95 {:.1} ms, p99 {:.1} ms",
-            p50 * 1e3,
-            p95 * 1e3,
-            p99 * 1e3
+            "micro-batch latency (simulated): p50 {:.1} µs, p95 {:.1} µs, p99 {:.1} µs",
+            p50 * 1e6,
+            p95 * 1e6,
+            p99 * 1e6
         );
     }
     let report = outcome_json(&engine, &out).render();

@@ -218,9 +218,11 @@ pub struct InferenceOutcome {
     pub tokens: u64,
     /// Kernel launches issued (micro-batches).
     pub micro_batches: usize,
-    /// Critical-path simulated seconds (slowest worker this call).
+    /// Critical-path simulated seconds (slowest worker this call). A
+    /// retried launch counts its failed attempts and backoff.
     pub sim_seconds: f64,
-    /// Total simulated device seconds summed over workers.
+    /// Total simulated device seconds summed over workers, retries
+    /// included.
     pub device_seconds: f64,
 }
 
@@ -640,7 +642,8 @@ impl Infer for InferenceEngine {
 /// ids it left stranded if it exhausted its retry budget and died.
 #[derive(Debug, Default)]
 struct WorkerShard {
-    /// `(range.start, posteriors, sim_seconds)` per completed launch.
+    /// `(range.start, posteriors, seconds)` per completed micro-batch: its
+    /// launch's `sim_seconds` plus the recovery seconds of its retries.
     done: Vec<(usize, Vec<DocPosterior>, f64)>,
     /// Micro-batch ids this worker could not finish.
     unfinished: Vec<usize>,
@@ -685,12 +688,16 @@ fn run_shards(
             let launch =
                 |w: &mut GpuWorker| try_run_infer_kernel(&w.device, phi, inv_denom, &batch, kcfg);
             match worker.retrying(retry, trace, metrics, launch) {
-                Ok(((posteriors, report), retries, _)) => {
+                Ok(((posteriors, report), retries, recovery_seconds)) => {
                     worker.breakdown.add(Phase::Inference, report.sim_seconds);
                     shard.retries += u64::from(retries);
-                    shard
-                        .done
-                        .push((range.start, posteriors, report.sim_seconds));
+                    // Failed attempts and their backoff are part of the
+                    // micro-batch's time.
+                    shard.done.push((
+                        range.start,
+                        posteriors,
+                        report.sim_seconds + recovery_seconds,
+                    ));
                 }
                 Err(attempts) => {
                     shard.retries += u64::from(attempts - 1);
@@ -948,6 +955,35 @@ mod tests {
         assert_eq!(rec.retries, 1);
         assert_eq!(rec.workers_lost, 0);
         assert_eq!(faulty.num_alive(), 2);
+    }
+
+    #[test]
+    fn a_retried_launch_counts_in_its_batch_time() {
+        // One worker and one micro-batch, so the batch time is the launch.
+        let config = cfg(11).workers(1).batch_size(64).build().unwrap();
+        let (clean, docs) = engine(config.clone());
+        let want = clean.infer_batch(&docs).unwrap();
+
+        let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
+            FaultKind::KernelLaunch,
+            0,
+            0,
+        )]));
+        let (mut faulty, _) = engine(config);
+        faulty.attach_fault_plan(plan);
+        let got = faulty.infer_batch(&docs).unwrap();
+        assert_eq!(got.theta, want.theta);
+        assert_eq!(faulty.recovery().retries, 1);
+        // The failed launch models no time; the backoff before the retry
+        // is the policy's first, 1 ms.
+        let backoff = RetryPolicy::default().backoff_seconds(1);
+        assert_eq!(backoff, 1e-3);
+        assert_eq!(got.sim_seconds, want.sim_seconds + backoff);
+        assert_eq!(got.device_seconds, want.device_seconds + backoff);
+        let (_, _, clean_p99) = clean.latency_quantiles().unwrap();
+        let (faulty_p50, _, _) = faulty.latency_quantiles().unwrap();
+        assert!(clean_p99 < 0.5e-3, "clean p99 {clean_p99}");
+        assert!(faulty_p50 > 0.5e-3, "faulty p50 {faulty_p50}");
     }
 
     #[test]
