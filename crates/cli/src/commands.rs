@@ -17,7 +17,7 @@ use culda_multigpu::{
     SyncMode, TrainerConfig, TrainerConfigBuilder,
 };
 use culda_sampler::{load_phi, LdaModel};
-use culda_serve::{FrozenModel, HeldOutEvaluator, InferenceEngine, InferenceOutcome, ServeConfig};
+use culda_serve::{Evaluation, FrozenModel, HeldOutEvaluator, InferenceEngine, ServeConfig};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use std::sync::Arc;
@@ -531,8 +531,9 @@ pub fn topics(args: &Args) -> CmdResult {
     Ok(())
 }
 
-/// Renders an inference outcome as the `culda infer` JSON report.
-fn outcome_json(engine: &InferenceEngine, out: &InferenceOutcome) -> Json {
+/// Renders a scored inference as the `culda infer` JSON report.
+fn outcome_json(engine: &InferenceEngine, eval: &Evaluation) -> Json {
+    let out = &eval.outcome;
     let row = |r: &Vec<f64>| Json::Arr(r.iter().map(|&x| Json::Num(x)).collect());
     let latency = engine.latency_quantiles().map(|(p50, p95, p99)| {
         Json::obj()
@@ -547,11 +548,11 @@ fn outcome_json(engine: &InferenceEngine, out: &InferenceOutcome) -> Json {
         .with("tokens", Json::Num(out.tokens as f64))
         .with("workers", Json::Num(engine.num_workers() as f64))
         .with("micro_batches", Json::Num(out.micro_batches as f64))
-        .with("perplexity", Json::Num(out.perplexity))
+        .with("perplexity", Json::Num(eval.perplexity))
         .with(
             "perplexity_by_sweep",
             Json::Arr(
-                out.perplexity_by_sweep
+                eval.perplexity_by_sweep
                     .iter()
                     .map(|&p| Json::Num(p))
                     .collect(),
@@ -604,7 +605,7 @@ pub fn infer(args: &Args) -> CmdResult {
     if let Some(s) = &sink {
         engine.attach_observability(Some(Arc::clone(s)), None);
     }
-    let out = engine.infer_corpus(&corpus)?;
+    let eval = engine.evaluate_corpus(&corpus)?;
     let rec = engine.recovery();
     if faults.is_some() || !rec.is_clean() {
         eprintln!("recovery: {rec}");
@@ -612,7 +613,11 @@ pub fn infer(args: &Args) -> CmdResult {
     eprintln!(
         "inferred {} docs / {} tokens in {} micro-batch(es) across {workers} worker(s) \
          on {}; held-out perplexity {:.2}",
-        out.docs, out.tokens, out.micro_batches, platform.gpu.name, out.perplexity
+        eval.outcome.docs,
+        eval.outcome.tokens,
+        eval.outcome.micro_batches,
+        platform.gpu.name,
+        eval.perplexity
     );
     if let Some((p50, p95, p99)) = engine.latency_quantiles() {
         eprintln!(
@@ -622,7 +627,7 @@ pub fn infer(args: &Args) -> CmdResult {
             p99 * 1e6
         );
     }
-    let report = outcome_json(&engine, &out).render();
+    let report = outcome_json(&engine, &eval).render();
     match args.require("out") {
         Ok(path) => {
             std::fs::write(path, report)?;
@@ -889,7 +894,7 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
         .build()?;
     let mut engine = InferenceEngine::new(FrozenModel::freeze(trainer.phi()), serve_cfg);
     engine.attach_observability(Some(sink.clone()), Some(registry.clone()));
-    let served = engine.infer_corpus(&held_out)?;
+    let served = engine.evaluate_corpus(&held_out)?;
     std::fs::write(&trace_path, sink.export_chrome_json())?;
     std::fs::write(&metrics_path, registry.snapshot_json().render())?;
     println!(
@@ -899,7 +904,7 @@ pub fn trace_cmd(args: &Args) -> CmdResult {
     );
     println!(
         "served {} held-out docs in {} micro-batch(es); perplexity {:.2}",
-        served.docs, served.micro_batches, served.perplexity
+        served.outcome.docs, served.outcome.micro_batches, served.perplexity
     );
     println!("trace written to {trace_path} (open at https://ui.perfetto.dev)");
     println!("metrics snapshot written to {metrics_path}");

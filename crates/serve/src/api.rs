@@ -56,8 +56,9 @@ impl fmt::Display for ModelVersion {
 /// bounds let the router serve its pools from one host thread each, and
 /// let load generators and evaluation drive them from worker threads.
 pub trait Infer: Send + Sync {
-    /// Infers θ̂ and held-out perplexity for a batch of documents (token
-    /// word-id lists), in input order.
+    /// Infers θ̂ for a batch of documents (token word-id lists), in input
+    /// order. The serving call: nothing is scored (see
+    /// [`InferenceEngine::evaluate_batch`](crate::InferenceEngine::evaluate_batch)).
     fn infer_batch(&self, docs: &[Vec<u32>]) -> Result<InferenceOutcome, ServeError>;
 
     /// `(p50, p95, p99)` micro-batch latency in seconds, or `None` before

@@ -13,6 +13,13 @@
 //! perplexity are identical regardless of `--batch-size`, `--workers`, or
 //! which simulated GPU a document lands on.
 //!
+//! Two entry points share the fleet. [`InferenceEngine::infer_batch`]
+//! serves θ̂ and timing only: its launches skip the per-sweep scoring, and
+//! nothing is scored afterwards. [`InferenceEngine::evaluate_batch`]
+//! draws the same θ̂ and also scores it: the per-document log-predictive,
+//! the perplexity, and the burn-in curve. Scoring never changes a draw,
+//! and the fold-in is memory-bound, so both calls model the same seconds.
+//!
 //! Construction goes through [`ServeConfig::builder`] — the one validated
 //! entry point — and the engine's mutable fleet state lives behind a
 //! mutex so [`InferenceEngine::infer_batch`] takes `&self`: that is what
@@ -117,13 +124,14 @@ impl ServeConfig {
         Ok(())
     }
 
-    fn kernel_config(&self) -> InferKernelConfig {
+    fn kernel_config(&self, score: bool) -> InferKernelConfig {
         InferKernelConfig {
             seed: self.seed,
             burnin: self.burnin,
             samples: self.samples,
             compressed: self.compressed,
             use_shared_memory: self.use_shared_memory,
+            score,
         }
     }
 }
@@ -198,23 +206,15 @@ impl ServeConfigBuilder {
     }
 }
 
-/// Everything one [`InferenceEngine::infer_batch`] call produces.
+/// What one [`InferenceEngine::infer_batch`] call serves: θ̂ and timing.
 #[derive(Debug, Clone)]
 pub struct InferenceOutcome {
     /// Per-document normalized posterior topic mixture θ̂ (each row sums
     /// to 1), in input order.
     pub theta: Vec<Vec<f64>>,
-    /// Per-document log-predictive `Σ_w ln p(w | θ̂, ϕ)` under the final
-    /// θ̂ estimate, in input order (0 for empty documents).
-    pub doc_log_predictive: Vec<f64>,
-    /// Held-out perplexity `exp(−Σ_d ll_d / Σ_d |d|)` under the final θ̂.
-    pub perplexity: f64,
-    /// Perplexity after each Gibbs sweep, scored with the running-average
-    /// θ over the sweeps so far — the burn-in convergence curve.
-    pub perplexity_by_sweep: Vec<f64>,
     /// Documents inferred.
     pub docs: usize,
-    /// Tokens scored.
+    /// Tokens inferred.
     pub tokens: u64,
     /// Kernel launches issued (micro-batches).
     pub micro_batches: usize,
@@ -224,6 +224,22 @@ pub struct InferenceOutcome {
     /// Total simulated device seconds summed over workers, retries
     /// included.
     pub device_seconds: f64,
+}
+
+/// What one [`InferenceEngine::evaluate_batch`] call returns: the θ̂ that
+/// [`InferenceEngine::infer_batch`] serves, scored.
+#[derive(Debug, Clone)]
+pub struct Evaluation {
+    /// θ̂ and timing, bit for bit what the serving call returns.
+    pub outcome: InferenceOutcome,
+    /// Per-document log-predictive `Σ_w ln p(w | θ̂, ϕ)` under the final
+    /// θ̂ estimate, in input order (0 for empty documents).
+    pub doc_log_predictive: Vec<f64>,
+    /// Held-out perplexity `exp(−Σ_d ll_d / Σ_d |d|)` under the final θ̂.
+    pub perplexity: f64,
+    /// Perplexity after each Gibbs sweep, scored with the running-average
+    /// θ over the sweeps so far — the burn-in convergence curve.
+    pub perplexity_by_sweep: Vec<f64>,
 }
 
 /// The engine's mutable half: the worker fleet and the counters that
@@ -352,7 +368,7 @@ impl InferenceEngine {
         self.state().docs_served
     }
 
-    /// Tokens scored so far.
+    /// Tokens inferred so far.
     pub fn tokens_served(&self) -> u64 {
         self.state().tokens_served
     }
@@ -394,10 +410,11 @@ impl InferenceEngine {
         log
     }
 
-    /// Infers θ̂ and held-out perplexity for a batch of documents (token
-    /// word-id lists). Documents are packed into `batch_size` micro-batches
-    /// dealt round-robin across the live workers; results come back in
-    /// input order and are independent of that packing.
+    /// Infers θ̂ for a batch of documents (token word-id lists), without
+    /// scoring it: the serving call. Documents are packed into
+    /// `batch_size` micro-batches dealt round-robin across the live
+    /// workers; results come back in input order and are independent of
+    /// that packing.
     ///
     /// Serialized internally: concurrent callers queue on the fleet lock,
     /// which is what lets the control plane treat the engine as a shared
@@ -411,6 +428,47 @@ impl InferenceEngine {
     /// survivors — per-document RNG streams are keyed by arrival index,
     /// so the re-served results are bit-identical to a fault-free run.
     pub fn infer_batch(&self, docs: &[Vec<u32>]) -> Result<InferenceOutcome, ServeError> {
+        self.fold_in(docs, false).map(|(outcome, _)| outcome)
+    }
+
+    /// Infers θ̂ for a batch as [`Self::infer_batch`] does, and scores it:
+    /// each document's log-predictive under its final θ̂, the batch's
+    /// perplexity, and its perplexity after every sweep. The evaluation
+    /// call; θ̂, the timing and every fault path are the serving call's.
+    pub fn evaluate_batch(&self, docs: &[Vec<u32>]) -> Result<Evaluation, ServeError> {
+        let (outcome, sweep_curves) = self.fold_in(docs, true)?;
+        let mut row = vec![0u32; self.model.num_topics()];
+        let doc_log_predictive: Vec<f64> = docs
+            .iter()
+            .zip(&outcome.theta)
+            .map(|(doc, th)| self.score_doc(doc, th, &mut row))
+            .collect();
+        let mut sweep_ll = vec![0.0f64; self.cfg.kernel_config(true).sweeps() as usize];
+        for curve in &sweep_curves {
+            for (s, ll) in curve.iter().enumerate() {
+                sweep_ll[s] += ll;
+            }
+        }
+        let tokens = outcome.tokens;
+        Ok(Evaluation {
+            perplexity: perplexity_from(doc_log_predictive.iter().sum(), tokens),
+            perplexity_by_sweep: sweep_ll
+                .into_iter()
+                .map(|ll| perplexity_from(ll, tokens))
+                .collect(),
+            doc_log_predictive,
+            outcome,
+        })
+    }
+
+    /// The fold-in both entry points run, scored or not. Returns the
+    /// outcome and each document's per-sweep log-predictives, in input
+    /// order (empty when not scored).
+    fn fold_in(
+        &self,
+        docs: &[Vec<u32>],
+        score: bool,
+    ) -> Result<(InferenceOutcome, Vec<Vec<f64>>), ServeError> {
         check_docs(docs, self.model.vocab_size())?;
         // Hand-assembled configs bypass the builder's validation; a zero
         // batch size would otherwise never finish packing.
@@ -443,7 +501,7 @@ impl InferenceEngine {
             owned[alive_ids[mb % alive_ids.len()]].push((mb, range.clone()));
         }
 
-        let kcfg = self.cfg.kernel_config();
+        let kcfg = self.cfg.kernel_config(score);
         let base_stream = st.docs_served;
         let phi = self.model.phi();
         let inv_denom = &self.inv_denom;
@@ -530,7 +588,7 @@ impl InferenceEngine {
             }
         }
 
-        // Scatter posteriors back to input order and aggregate scores.
+        // Scatter posteriors back to input order.
         let mut slots: Vec<Option<DocPosterior>> = vec![None; docs.len()];
         let device_seconds: f64 = per_worker_seconds.iter().sum();
         let sim_seconds = per_worker_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -543,11 +601,8 @@ impl InferenceEngine {
         let k = self.model.num_topics();
         let alpha = self.model.priors().alpha;
         let tokens: u64 = docs.iter().map(|d| d.len() as u64).sum();
-        let sweeps = kcfg.sweeps() as usize;
         let mut theta = Vec::with_capacity(docs.len());
-        let mut doc_log_predictive = Vec::with_capacity(docs.len());
-        let mut sweep_ll = vec![0.0f64; sweeps];
-        let mut row = vec![0u32; k];
+        let mut sweep_curves = Vec::with_capacity(docs.len());
         for (doc, slot) in docs.iter().zip(slots) {
             let posterior = match slot {
                 Some(p) => p,
@@ -557,33 +612,22 @@ impl InferenceEngine {
                     ))
                 }
             };
-            let th = posterior.theta(doc.len(), alpha, k);
-            doc_log_predictive.push(self.score_doc(doc, &th, &mut row));
-            for (s, ll) in posterior.sweep_log_predictive.iter().enumerate() {
-                sweep_ll[s] += ll;
-            }
-            theta.push(th);
+            theta.push(posterior.theta(doc.len(), alpha, k));
+            sweep_curves.push(posterior.sweep_log_predictive);
         }
-        let perplexity = perplexity_from(doc_log_predictive.iter().sum(), tokens);
-        let perplexity_by_sweep: Vec<f64> = sweep_ll
-            .into_iter()
-            .map(|ll| perplexity_from(ll, tokens))
-            .collect();
 
         st.batches_served += 1;
         st.docs_served += docs.len() as u64;
         st.tokens_served += tokens;
-        Ok(InferenceOutcome {
+        let outcome = InferenceOutcome {
             theta,
-            doc_log_predictive,
-            perplexity,
-            perplexity_by_sweep,
             docs: docs.len(),
             tokens,
             micro_batches,
             sim_seconds,
             device_seconds,
-        })
+        };
+        Ok((outcome, sweep_curves))
     }
 
     /// `(p50, p95, p99)` micro-batch latency in seconds, or `None` before
@@ -596,10 +640,10 @@ impl InferenceEngine {
         ))
     }
 
-    /// Convenience: infers every document of a held-out corpus.
-    pub fn infer_corpus(&self, corpus: &Corpus) -> Result<InferenceOutcome, ServeError> {
+    /// Convenience: evaluates every document of a held-out corpus.
+    pub fn evaluate_corpus(&self, corpus: &Corpus) -> Result<Evaluation, ServeError> {
         let docs: Vec<Vec<u32>> = corpus.docs.iter().map(|d| d.words.clone()).collect();
-        self.infer_batch(&docs)
+        self.evaluate_batch(&docs)
     }
 
     /// `Σ_w ln Σ_k θ̂_k p(w|k)` for one document under the final θ̂. Each
@@ -792,11 +836,12 @@ mod tests {
     fn outcome_is_independent_of_workers_and_batch_size() {
         let (a, docs) = engine(cfg(11).workers(1).batch_size(64).build().unwrap());
         let (b, _) = engine(cfg(11).workers(3).batch_size(4).build().unwrap());
-        let out_a = a.infer_batch(&docs).unwrap();
-        let out_b = b.infer_batch(&docs).unwrap();
+        let eval_a = a.evaluate_batch(&docs).unwrap();
+        let eval_b = b.evaluate_batch(&docs).unwrap();
+        let (out_a, out_b) = (&eval_a.outcome, &eval_b.outcome);
         assert_eq!(out_a.theta, out_b.theta);
-        assert_eq!(out_a.perplexity, out_b.perplexity);
-        assert_eq!(out_a.perplexity_by_sweep, out_b.perplexity_by_sweep);
+        assert_eq!(eval_a.perplexity, eval_b.perplexity);
+        assert_eq!(eval_a.perplexity_by_sweep, eval_b.perplexity_by_sweep);
         assert_eq!(out_a.micro_batches, 1);
         assert_eq!(out_b.micro_batches, 5);
         // A different seed must change the draw.
@@ -807,15 +852,61 @@ mod tests {
     #[test]
     fn theta_rows_are_normalized() {
         let (eng, docs) = engine(cfg(3).batch_size(5).build().unwrap());
-        let out = eng.infer_batch(&docs).unwrap();
+        let eval = eng.evaluate_batch(&docs).unwrap();
+        let out = &eval.outcome;
         assert_eq!(out.theta.len(), docs.len());
         for row in &out.theta {
             let sum: f64 = row.iter().sum();
             assert!((sum - 1.0).abs() < 1e-9, "theta row sums to {sum}");
             assert!(row.iter().all(|&x| x > 0.0));
         }
-        assert!(out.perplexity.is_finite() && out.perplexity > 0.0);
-        assert_eq!(out.perplexity_by_sweep.len(), 12);
+        assert!(eval.perplexity.is_finite() && eval.perplexity > 0.0);
+        assert_eq!(eval.perplexity_by_sweep.len(), 12);
+        assert_eq!(eval.doc_log_predictive.len(), docs.len());
+    }
+
+    #[test]
+    fn serving_and_evaluation_serve_the_same_theta_and_time() {
+        // ci.sh's `infer_shapes`: 1 worker × 64 documents and 2 × 16. Each
+        // call gets a fresh engine, since a call advances the RNG streams.
+        for (workers, batch) in [(1, 64), (2, 16)] {
+            let config = cfg(0xF01D)
+                .workers(workers)
+                .batch_size(batch)
+                .burnin(3)
+                .samples(2)
+                .build()
+                .unwrap();
+            let (served, docs) = engine(config.clone());
+            let (evaluated, _) = engine(config);
+            let got = served.infer_batch(&docs).unwrap();
+            let want = evaluated.evaluate_batch(&docs).unwrap().outcome;
+            let bits = |o: &InferenceOutcome| -> Vec<u64> {
+                o.theta.iter().flatten().map(|x| x.to_bits()).collect()
+            };
+            let shape = format!("{workers} worker(s) × {batch}");
+            assert_eq!(bits(&got), bits(&want), "{shape}");
+            assert_eq!(
+                got.sim_seconds.to_bits(),
+                want.sim_seconds.to_bits(),
+                "{shape}"
+            );
+            assert_eq!(
+                got.device_seconds.to_bits(),
+                want.device_seconds.to_bits(),
+                "{shape}"
+            );
+            assert_eq!(
+                (got.docs, got.tokens, got.micro_batches),
+                (want.docs, want.tokens, want.micro_batches),
+                "{shape}"
+            );
+            assert_eq!(
+                served.latency_quantiles(),
+                evaluated.latency_quantiles(),
+                "{shape}"
+            );
+        }
     }
 
     #[test]
@@ -949,7 +1040,6 @@ mod tests {
         faulty.attach_fault_plan(Arc::clone(&plan));
         let got = faulty.infer_batch(&docs).unwrap();
         assert_eq!(got.theta, want.theta);
-        assert_eq!(got.perplexity, want.perplexity);
         let rec = faulty.recovery();
         assert_eq!(rec.faults_injected, 1);
         assert_eq!(rec.retries, 1);
@@ -990,7 +1080,7 @@ mod tests {
     fn dead_worker_batches_are_re_enqueued_on_survivors() {
         let config = cfg(11).workers(2).batch_size(3).build().unwrap();
         let (clean, docs) = engine(config.clone());
-        let want = clean.infer_batch(&docs).unwrap();
+        let want = clean.evaluate_batch(&docs).unwrap();
 
         // Device 1 never launches again: its share must migrate to 0.
         let plan = Arc::new(FaultPlan::from_specs(vec![FaultSpec::new(
@@ -1001,8 +1091,11 @@ mod tests {
         .permanent()]));
         let (mut faulty, _) = engine(config);
         faulty.attach_fault_plan(Arc::clone(&plan));
-        let got = faulty.infer_batch(&docs).unwrap();
-        assert_eq!(got.theta, want.theta, "re-served batches diverged");
+        let got = faulty.evaluate_batch(&docs).unwrap();
+        assert_eq!(
+            got.outcome.theta, want.outcome.theta,
+            "re-served batches diverged"
+        );
         assert_eq!(got.perplexity, want.perplexity);
         let rec = faulty.recovery();
         assert_eq!(rec.workers_lost, 1);
@@ -1038,7 +1131,7 @@ mod tests {
     }
 
     #[test]
-    fn infer_corpus_scores_every_document() {
+    fn evaluate_corpus_scores_every_document() {
         let mut spec = SynthSpec::tiny();
         spec.num_docs = 24;
         let held = spec.generate();
@@ -1046,8 +1139,9 @@ mod tests {
         // Same synthetic vocabulary size, so ids line up.
         assert_eq!(model.vocab_size(), held.vocab_size());
         let eng = InferenceEngine::new(model, ServeConfig::new(6));
-        let out = eng.infer_corpus(&held).unwrap();
-        assert_eq!(out.docs, held.num_docs());
-        assert_eq!(out.tokens, held.num_tokens());
+        let eval = eng.evaluate_corpus(&held).unwrap();
+        assert_eq!(eval.outcome.docs, held.num_docs());
+        assert_eq!(eval.outcome.tokens, held.num_tokens());
+        assert_eq!(eval.doc_log_predictive.len(), held.num_docs());
     }
 }

@@ -77,8 +77,8 @@ impl HeldOutEvaluator {
         let vocab = frozen.phi().vocab_size;
 
         let engine = InferenceEngine::new(frozen, self.cfg.clone());
-        let outcome = engine.infer_batch(&self.docs)?;
-        let log_predictive = -outcome.perplexity.ln();
+        let evaluation = engine.evaluate_batch(&self.docs)?;
+        let log_predictive = -evaluation.perplexity.ln();
 
         // Topic-quality gauges read the engine's frozen copy, not the live
         // trainer, so the trainer can keep running while we score.
@@ -110,7 +110,7 @@ impl HeldOutEvaluator {
         self.evals_run += 1;
 
         Ok(EvalRecord {
-            perplexity: outcome.perplexity,
+            perplexity: evaluation.perplexity,
             log_predictive,
             coherence,
             phi_nnz_per_row,

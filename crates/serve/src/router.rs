@@ -49,8 +49,9 @@ pub struct CompletedRequest {
     pub tenant: String,
     /// Pool index that served it (after any re-routing).
     pub pool: usize,
-    /// Model version that served it.
-    pub version: ModelVersion,
+    /// Model version that served it: one handle per pool and dispatch,
+    /// shared by every request that pool served in it.
+    pub version: Arc<ModelVersion>,
     /// Documents in the request.
     pub docs: usize,
     /// Tokens scored.
@@ -331,7 +332,7 @@ impl ShardRouter {
             calls.last_mut().expect("just pushed").push(req);
         }
 
-        let version = pool.engine.model_version();
+        let version = Arc::new(pool.engine.model_version());
         let mut clock = admitted_at;
         let mut completed = Vec::new();
         let mut calls = calls.into_iter();
@@ -351,7 +352,7 @@ impl ShardRouter {
                             id: req.id,
                             tenant: req.tenant,
                             pool: pool_id,
-                            version: version.clone(),
+                            version: Arc::clone(&version),
                             docs: n,
                             tokens,
                             theta: req_theta,
@@ -455,9 +456,6 @@ mod tests {
             let k = 2;
             Ok(InferenceOutcome {
                 theta: vec![vec![1.0 / k as f64; k]; docs.len()],
-                doc_log_predictive: vec![0.0; docs.len()],
-                perplexity: 1.0,
-                perplexity_by_sweep: vec![],
                 docs: docs.len(),
                 tokens,
                 micro_batches: 1,

@@ -54,7 +54,7 @@ fn serving_is_deterministic_across_workers_and_batching() {
             .build()
             .unwrap(),
     )
-    .infer_corpus(held)
+    .evaluate_corpus(held)
     .unwrap();
     let narrow = engine(
         ServeConfig::builder(21)
@@ -63,12 +63,15 @@ fn serving_is_deterministic_across_workers_and_batching() {
             .build()
             .unwrap(),
     )
-    .infer_corpus(held)
+    .evaluate_corpus(held)
     .unwrap();
-    assert_eq!(wide.theta, narrow.theta, "batching must be invisible");
+    assert_eq!(
+        wide.outcome.theta, narrow.outcome.theta,
+        "batching must be invisible"
+    );
     assert_eq!(wide.perplexity, narrow.perplexity);
     assert_eq!(wide.perplexity_by_sweep, narrow.perplexity_by_sweep);
-    assert!(narrow.micro_batches > wide.micro_batches);
+    assert!(narrow.outcome.micro_batches > wide.outcome.micro_batches);
     // Seeds matter: a different chain gives a different θ.
     let other = engine(
         ServeConfig::builder(22)
@@ -77,9 +80,9 @@ fn serving_is_deterministic_across_workers_and_batching() {
             .build()
             .unwrap(),
     )
-    .infer_corpus(held)
+    .evaluate_corpus(held)
     .unwrap();
-    assert_ne!(wide.theta, other.theta);
+    assert_ne!(wide.outcome.theta, other.outcome.theta);
 }
 
 /// `Σ_w ln Σ_k θ̂_k (ϕ_{w,k} + β)·inv_k` for one document, reading ϕ one
@@ -117,17 +120,17 @@ fn engine_scores_equal_a_per_cell_reference() {
             .build()
             .unwrap(),
     )
-    .infer_corpus(held)
+    .evaluate_corpus(held)
     .unwrap();
     let want: Vec<f64> = held
         .docs
         .iter()
-        .zip(&out.theta)
+        .zip(&out.outcome.theta)
         .map(|(doc, theta)| per_cell_log_predictive(&model, &doc.words, theta))
         .collect();
     let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
     assert_eq!(bits(&out.doc_log_predictive), bits(&want));
-    let perplexity = (-want.iter().sum::<f64>() / out.tokens as f64).exp();
+    let perplexity = (-want.iter().sum::<f64>() / out.outcome.tokens as f64).exp();
     assert_eq!(out.perplexity.to_bits(), perplexity.to_bits());
 }
 
@@ -135,8 +138,9 @@ fn engine_scores_equal_a_per_cell_reference() {
 fn theta_rows_are_normalized_probability_vectors() {
     let (_, held) = trained();
     let out = engine(ServeConfig::builder(4).batch_size(17).build().unwrap())
-        .infer_corpus(held)
-        .unwrap();
+        .evaluate_corpus(held)
+        .unwrap()
+        .outcome;
     assert_eq!(out.theta.len(), held.num_docs());
     assert_eq!(out.tokens, held.num_tokens());
     for row in &out.theta {
@@ -156,7 +160,7 @@ fn held_out_perplexity_is_nonincreasing_across_burnin() {
             .build()
             .unwrap(),
     )
-    .infer_corpus(held)
+    .evaluate_corpus(held)
     .unwrap();
     let curve = &out.perplexity_by_sweep;
     assert_eq!(curve.len(), 8);
@@ -189,7 +193,7 @@ fn inference_trace_obeys_ctef_discipline() {
     );
     let sink = Arc::new(TraceSink::new());
     eng.attach_observability(Some(sink.clone()), None);
-    let out = eng.infer_corpus(held).unwrap();
+    let out = eng.evaluate_corpus(held).unwrap().outcome;
     assert!(out.micro_batches >= 2, "need a real fan-out to trace");
 
     let doc = Json::parse(&sink.export_chrome_json()).expect("trace must parse");

@@ -7,7 +7,7 @@ use culda::baselines::AliasTable;
 use culda::corpus::{
     partition_by_tokens, Corpus, CsrMatrix, Document, SortedChunk, Vocab, Xoshiro256,
 };
-use culda::gpusim::{Device, GpuSpec};
+use culda::gpusim::{Device, GpuSpec, KernelCost};
 use culda::sampler::kernel_infer::{CACHE_CELLS, SCORE_LANES};
 use culda::sampler::ptree::{
     depth_for, linear_search, lower_bound, prefix_into, sample_prefix, shared_bytes_for,
@@ -460,7 +460,9 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
     // sweep's score bits and the launch's charges must agree, whichever
     // words the caches hold and wherever a scoring group ends. A second ϕ
     // per K has counts past 2²⁴, which f32 rounds: a cache that smooths
-    // them in another precision or order moves a score bit.
+    // them in another precision or order moves a score bit. Both hold for
+    // a scored launch and for a serving launch, which scores nothing, and
+    // the two must draw the same topics.
     let mut g = cases(18);
     let v = 160;
     let many: Vec<u32> = (0..130).map(|i| (i * 37 % v) as u32).collect();
@@ -506,6 +508,7 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
                     words,
                 })
                 .collect();
+            let tokens: usize = docs.iter().map(Vec::len).sum();
             for shared in [true, false] {
                 for compressed in [true, false] {
                     let mut cfg = InferKernelConfig::new(0xF01D ^ k as u64);
@@ -513,30 +516,81 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
                     cfg.samples = (k % 3) as u32;
                     cfg.use_shared_memory = shared;
                     cfg.compressed = compressed;
-                    let label = format!("k = {k}, shared={shared}, compressed={compressed}");
-                    let oracle = Device::new(0, GpuSpec::titan_xp_pascal());
-                    let (want, want_r) = infer_reference(&oracle, phi, &inv, &batch, &cfg);
-                    let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
-                    let (got, got_r) = try_run_infer_kernel(&dev, phi, &inv, &batch, &cfg).unwrap();
-                    for (d, (got, want)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
-                        assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
-                        let ll = |p: &DocPosterior| -> Vec<u64> {
-                            p.sweep_log_predictive.iter().map(|x| x.to_bits()).collect()
-                        };
-                        assert_eq!(ll(got), ll(want), "{label}, doc {d}");
+                    // Each mode's kernel against its oracle.
+                    let mut launches = Vec::new();
+                    for score in [true, false] {
+                        cfg.score = score;
+                        let label = format!(
+                            "k = {k}, shared={shared}, compressed={compressed}, score={score}"
+                        );
+                        let oracle = Device::new(0, GpuSpec::titan_xp_pascal());
+                        let (want, want_r) = infer_reference(&oracle, phi, &inv, &batch, &cfg);
+                        let dev = Device::new(0, GpuSpec::titan_xp_pascal()).with_workers(2);
+                        let (got, got_r) =
+                            try_run_infer_kernel(&dev, phi, &inv, &batch, &cfg).unwrap();
+                        for (d, (got, want)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
+                            assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
+                            assert_eq!(ll_bits(got), ll_bits(want), "{label}, doc {d}");
+                        }
+                        assert_eq!(got.len(), want.len());
+                        assert_eq!(got_r.cost, want_r.cost, "{label}");
+                        assert_eq!(
+                            got_r.sim_seconds.to_bits(),
+                            want_r.sim_seconds.to_bits(),
+                            "{label}"
+                        );
+                        launches.push((got, got_r));
                     }
-                    assert_eq!(got.len(), want.len());
-                    assert_eq!(got_r.cost, want_r.cost, "{label}");
+                    // An unscored launch draws the scored one's topics, and
+                    // drops only the scoring's 2·K flops per token and sweep.
+                    let label = format!("k = {k}, shared={shared}, compressed={compressed}");
+                    let [(scored, scored_r), (unscored, unscored_r)] =
+                        <[_; 2]>::try_from(launches).unwrap();
+                    for (d, (u, s)) in unscored.iter().zip(&scored).enumerate() {
+                        assert_eq!(u.theta_acc, s.theta_acc, "{label}, doc {d}");
+                        assert_eq!(u.acc_sweeps, s.acc_sweeps, "{label}, doc {d}");
+                        assert!(u.sweep_log_predictive.is_empty(), "{label}, doc {d}");
+                        assert_eq!(
+                            s.sweep_log_predictive.len(),
+                            cfg.sweeps() as usize,
+                            "{label}, doc {d}"
+                        );
+                    }
+                    let score_flops = 2 * k as u64 * tokens as u64 * u64::from(cfg.sweeps());
+                    let want_cost = KernelCost {
+                        flops: scored_r.cost.flops - score_flops,
+                        ..scored_r.cost
+                    };
+                    assert_eq!(unscored_r.name, scored_r.name, "{label}");
+                    assert_eq!(unscored_r.cost, want_cost, "{label}");
+                    // Every fixture is memory-bound, as the roofline prices
+                    // the fold-in: the scored launch's time does not see its
+                    // flops, so the unscored one's is the same.
+                    let flop_free = KernelCost {
+                        flops: 0,
+                        ..scored_r.cost
+                    };
+                    let gpu = GpuSpec::titan_xp_pascal();
                     assert_eq!(
-                        got_r.sim_seconds.to_bits(),
-                        want_r.sim_seconds.to_bits(),
+                        flop_free.sim_seconds(&gpu).to_bits(),
+                        scored_r.sim_seconds.to_bits(),
+                        "{label}: compute-bound"
+                    );
+                    assert_eq!(
+                        unscored_r.sim_seconds.to_bits(),
+                        scored_r.sim_seconds.to_bits(),
                         "{label}"
                     );
                 }
             }
         }
     }
+}
+
+/// A posterior's per-sweep scores as bits.
+fn ll_bits(p: &DocPosterior) -> Vec<u64> {
+    p.sweep_log_predictive.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]

@@ -86,9 +86,6 @@ impl Infer for RecordingEngine {
         let tokens: u64 = docs.iter().map(|d| d.len() as u64).sum();
         Ok(InferenceOutcome {
             theta: vec![vec![0.5, 0.5]; docs.len()],
-            doc_log_predictive: vec![0.0; docs.len()],
-            perplexity: 1.0,
-            perplexity_by_sweep: vec![],
             docs: docs.len(),
             tokens,
             micro_batches: 1,
@@ -385,7 +382,7 @@ fn serve_schedule(serialise: bool, dying: Option<usize>) -> (Vec<Served>, Vec<Po
                 c.id,
                 c.tenant,
                 c.pool,
-                c.version,
+                ModelVersion::clone(&c.version),
                 c.docs,
                 c.tokens,
                 theta,
