@@ -25,9 +25,10 @@
 //! The three header lines are read as text: each, trimmed, must be a
 //! decimal number. D and W must be at most `u32::MAX`, since later
 //! stages store word ids and document ranges as `u32`; both are checked
-//! before anything is sized from them. The body is parsed as ASCII bytes
-//! where the reader's buffer holds them; only a line split across two
-//! reads is copied.
+//! before anything is sized from them. A header that is not a number is
+//! echoed in its error only up to its first 32 characters. The body is
+//! parsed as ASCII bytes where the reader's buffer holds them; only a line
+//! split across two reads is copied.
 //!
 //! - Fields are separated by the ASCII bytes that `char::is_whitespace`
 //!   accepts: tab, vertical tab, form feed, carriage return and space.
@@ -39,9 +40,14 @@
 //!   `usize::MAX` is not a number. Fields after the third are not read.
 //! - Blank and whitespace-only lines are skipped but counted in line
 //!   numbers. A last line with no `\n` is still a line.
-//! - A body line longer than 64 KiB, not counting its `\n`, is an error
+//! - A line longer than 64 KiB, not counting its `\n`, is an error
 //!   however the reads split it, so the buffer that carries a line from
-//!   one read to the next stays small whatever the file holds.
+//!   one read to the next stays small whatever the file holds. The same
+//!   bound holds for the header lines and the vocab file's lines.
+//! - The counts may add up to at most `u32::MAX` tokens, the most a
+//!   chunk's `u32` token positions can index. A count past that is an
+//!   error naming its line, found before its tokens are allocated; an
+//!   allocation the allocator refuses is an error too, not an abort.
 //!
 //! Malformed input is an [`io::ErrorKind::InvalidData`] error; a fault in
 //! one line names that line.
@@ -50,8 +56,16 @@ use crate::document::{Corpus, Document};
 use crate::vocab::Vocab;
 use std::io::{self, BufRead, Write};
 
-/// The longest docword line the reader accepts, in bytes before its `\n`.
+/// The longest docword or vocab line the reader accepts, in bytes before
+/// its `\n`.
 const MAX_LINE: usize = 64 * 1024;
+
+/// The most tokens a corpus may hold: the most that a chunk's `u32` token
+/// positions (`SortedChunk::doc_token_idx`) can index.
+const MAX_TOKENS: usize = u32::MAX as usize;
+
+/// The most characters of a bad header that its error echoes.
+const ECHO_CHARS: usize = 32;
 
 /// Parse error with line context.
 fn bad(line_no: usize, msg: &str) -> io::Error {
@@ -66,7 +80,10 @@ fn bad(line_no: usize, msg: &str) -> io::Error {
 /// Document and word ids are 1-based in the file; missing trailing
 /// documents (ids never mentioned) become empty documents so that the
 /// declared `D` is honoured. Each document's tokens are in file order.
-pub fn read_uci<R1: BufRead, R2: BufRead>(mut docword: R1, vocab_lines: R2) -> io::Result<Corpus> {
+pub fn read_uci<R1: BufRead, R2: BufRead>(
+    mut docword: R1,
+    mut vocab_lines: R2,
+) -> io::Result<Corpus> {
     let mut text = String::new();
     let d = id_space(header(&mut docword, &mut text, "D", 1)?, "D", 1)?;
     let w = id_space(header(&mut docword, &mut text, "W", 2)?, "W", 2)?;
@@ -82,6 +99,7 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(mut docword: R1, vocab_lines: R2) -> i
         line_no: 3,
         doc: 0,
         run: Vec::new(),
+        tokens: 0,
         seen: 0,
     };
     // Complete lines are parsed where the chunk holds them. The unfinished
@@ -122,7 +140,7 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(mut docword: R1, vocab_lines: R2) -> i
         carry.push(b'\n');
         body.lines(&carry)?;
     }
-    body.flush();
+    body.flush()?;
     if body.seen != nnz {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -137,12 +155,24 @@ pub fn read_uci<R1: BufRead, R2: BufRead>(mut docword: R1, vocab_lines: R2) -> i
     let duplicate = |word: &str, first: u32, other: String| {
         io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("vocab line {} and {other} both name {word:?}", first + 1),
+            format!(
+                "vocab line {} and {other} both name {}",
+                first + 1,
+                echo(word)
+            ),
         )
     };
     let mut vocab = Vocab::new();
-    for (i, line) in vocab_lines.lines().enumerate() {
-        let word = line?;
+    for i in 0.. {
+        let too_long = || {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("vocab line {}: longer than {MAX_LINE} bytes", i + 1),
+            )
+        };
+        let Some(word) = next_line(&mut vocab_lines, &mut text, too_long)? else {
+            break;
+        };
         let word = word.trim();
         let id = vocab.intern(word);
         if id as usize != i {
@@ -181,17 +211,42 @@ fn header<R: BufRead>(
     name: &str,
     n: usize,
 ) -> io::Result<usize> {
-    text.clear();
-    if docword.read_line(text)? == 0 {
+    let too_long = || bad(n, &format!("longer than {MAX_LINE} bytes"));
+    let Some(line) = next_line(docword, text, too_long)? else {
         return Err(bad(n, &format!("missing {name} header")));
-    }
-    // `lines()` strips a `\n`, and then a `\r` before it.
-    let line = text
-        .strip_suffix('\n')
-        .map_or(text.as_str(), |l| l.strip_suffix('\r').unwrap_or(l));
+    };
     line.trim()
         .parse()
-        .map_err(|_| bad(n, &format!("{name} header is not a number: {line:?}")))
+        .map_err(|_| bad(n, &format!("{name} header is not a number: {}", echo(line))))
+}
+
+/// Reads the next line into `text` and returns it as `lines()` does,
+/// reading at most [`MAX_LINE`] bytes and the `\n` after them: a longer
+/// line is `too_long()`. `None` at the end of the stream.
+fn next_line<'t, R: BufRead>(
+    reader: &mut R,
+    text: &'t mut String,
+    too_long: impl FnOnce() -> io::Error,
+) -> io::Result<Option<&'t str>> {
+    text.clear();
+    if io::Read::take(reader, MAX_LINE as u64 + 1).read_line(text)? == 0 {
+        return Ok(None);
+    }
+    // `lines()` strips a `\n`, and then a `\r` before it.
+    let line = text.strip_suffix('\n').unwrap_or(text);
+    if line.len() > MAX_LINE {
+        return Err(too_long());
+    }
+    Ok(Some(line.strip_suffix('\r').unwrap_or(line)))
+}
+
+/// `text` as `{:?}` prints it, cut after its first [`ECHO_CHARS`]
+/// characters.
+fn echo(text: &str) -> String {
+    match text.char_indices().nth(ECHO_CHARS) {
+        None => format!("{text:?}"),
+        Some((cut, _)) => format!("{:?}… ({} bytes)", &text[..cut], text.len()),
+    }
 }
 
 /// Checks that header line `n`'s D or W fits the `u32` ids that word ids
@@ -234,6 +289,8 @@ struct Body {
     /// Tokens of the current run of lines that name `doc`, appended to it
     /// when a line names another document, or at the end.
     run: Vec<u32>,
+    /// Tokens read so far, at most [`MAX_TOKENS`].
+    tokens: usize,
     /// Lines holding an entry.
     seen: usize,
 }
@@ -283,29 +340,50 @@ impl Body {
         if count == 0 {
             return Err(bad(self.line_no, "zero count"));
         }
+        // `self.tokens <= MAX_TOKENS`, so this cannot wrap.
+        if count > MAX_TOKENS - self.tokens {
+            return Err(bad(
+                self.line_no,
+                &format!("count {count} takes the corpus past {MAX_TOKENS} tokens"),
+            ));
+        }
         if doc_id - 1 != self.doc {
-            self.flush();
+            self.flush()?;
             self.doc = doc_id - 1;
         }
+        self.run.try_reserve(count).map_err(|e| {
+            bad(
+                self.line_no,
+                &format!("cannot allocate {count} tokens: {e}"),
+            )
+        })?;
         // `word_id <= w <= u32::MAX`, checked at the header.
         self.run
             .extend(std::iter::repeat_n((word_id - 1) as u32, count));
+        self.tokens += count;
         self.seen += 1;
         Ok(())
     }
 
     /// Appends the current run to its document: in one allocation of the
     /// exact size when the run is the document's first.
-    fn flush(&mut self) {
+    fn flush(&mut self) -> io::Result<()> {
         if self.run.is_empty() {
-            return;
+            return Ok(());
         }
         let words = &mut self.docs[self.doc].words;
-        if words.is_empty() {
-            words.reserve_exact(self.run.len());
-        }
+        let grow = if words.is_empty() {
+            words.try_reserve_exact(self.run.len())
+        } else {
+            words.try_reserve(self.run.len())
+        };
+        grow.map_err(|e| {
+            let n = self.run.len();
+            bad(self.line_no, &format!("cannot allocate {n} tokens: {e}"))
+        })?;
         words.extend_from_slice(&self.run);
         self.run.clear();
+        Ok(())
     }
 }
 
@@ -469,6 +547,97 @@ mod tests {
                 format!("docword line {line}: {name} header {past} exceeds 4294967295")
             );
         }
+    }
+
+    #[test]
+    fn rejects_counts_past_u32_tokens_before_allocating_them() {
+        // One count past the bound, one far past it, and one that a line
+        // before it takes past: each is refused before its tokens are
+        // allocated, with the line that holds it.
+        for (docword, line, count) in [
+            ("1\n1\n1\n1 1 4294967296\n", 4, "4294967296"),
+            ("1\n1\n1\n1 1 100000000000\n", 4, "100000000000"),
+            (
+                "1\n1\n1\n1 1 18446744073709551615\n",
+                4,
+                "18446744073709551615",
+            ),
+            ("2\n1\n2\n1 1 1\n2 1 4294967295\n", 5, "4294967295"),
+        ] {
+            let e = read_strs(docword, "a\n").unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "docword line {line}: count {count} takes the corpus past 4294967295 tokens"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn header_and_vocab_lines_are_bounded_and_echoed_short() {
+        let read_small = |docword: &[u8], vocab: &[u8]| {
+            let got = read_uci(docword, vocab);
+            let small = read_uci(
+                BufReader::with_capacity(7, docword),
+                BufReader::with_capacity(7, vocab),
+            );
+            assert_eq!(
+                got.as_ref().map_err(ToString::to_string).err(),
+                small.as_ref().map_err(ToString::to_string).err()
+            );
+            got
+        };
+        // A header of 64 KiB before its `\n` is read; one byte more is an
+        // error, and a short one.
+        let mut long = "0".repeat(MAX_LINE - 1);
+        long.push('1');
+        let docword = format!("{long}\n1\n1\n1 1 1\n");
+        assert_eq!(
+            read_small(docword.as_bytes(), b"a\n").unwrap().num_docs(),
+            1
+        );
+        for n in [1, 2, 3] {
+            let mut lines = ["1"; 3];
+            let huge = "x".repeat(200_000);
+            lines[n - 1] = &huge;
+            let docword = format!("{}\n1 1 1\n", lines.join("\n"));
+            let e = read_small(docword.as_bytes(), b"a\n").unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(
+                e.to_string(),
+                format!("docword line {n}: longer than 65536 bytes")
+            );
+        }
+        // A bad header is echoed in full while short, cut when long.
+        let e = read_strs("x\n1\n1\n1 1 1\n", "a\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "docword line 1: D header is not a number: \"x\""
+        );
+        let e = read_strs(&format!("1\n{}\n1\n1 1 1\n", "y".repeat(1000)), "a\n").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "docword line 2: W header is not a number: {:?}… (1000 bytes)",
+                "y".repeat(32)
+            )
+        );
+        // A vocab line of 64 KiB names a word; one byte more is an error.
+        let word = "v".repeat(MAX_LINE);
+        let c = read_small(b"1\n1\n1\n1 1 1\n", format!("{word}\n").as_bytes()).unwrap();
+        assert_eq!(c.vocab.word(0), word);
+        let e = read_small(b"1\n2\n1\n1 1 1\n", format!("a\n{word}v\n").as_bytes()).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(e.to_string(), "vocab line 2: longer than 65536 bytes");
+        // A repeated long word is echoed cut.
+        let e = read_strs("1\n2\n1\n1 1 1\n", &format!("{word}\n{word}\n")).unwrap_err();
+        assert!(
+            e.to_string()
+                .ends_with(&format!("both name {:?}… (65536 bytes)", "v".repeat(32))),
+            "{e}"
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
     --score-every 0 --platform maxwell
 # Every document draws from its own RNG stream, so the worker count and
 # the micro-batch size must not change θ̂ or any perplexity of the model
-# given as $1.
+# given as $1. `culda infer` scores through the engine's evaluation call.
 infer_shapes() {
     local name
     name="$(basename "$1" .phi)"
@@ -132,16 +132,26 @@ cargo run --release -q -p culda-cli -- train --docword "$smoke/messy.dw" \
     --vocab "$smoke/c.v" --model "$smoke/messy.phi" --topics 8 --iters 3 \
     --score-every 0 --platform maxwell
 cmp "$smoke/c.phi" "$smoke/messy.phi"
-# A D or W header one past u32::MAX is a data error (exit 4) found before
-# anything is sized from it, not an abort on a huge allocation.
+# A D or W header one past u32::MAX, a count that takes the corpus past
+# u32::MAX tokens (one that fits usize, one that is usize::MAX) and a
+# 200,000-byte header line are data errors (exit 4) found before anything
+# is sized from them, each told in under 1 KiB: not an abort on a huge
+# allocation, and not the line echoed whole.
 printf '4294967296\n3\n1\n1 1 1\n' > "$smoke/huge-d.dw"
 printf '1\n4294967296\n1\n1 1 1\n' > "$smoke/huge-w.dw"
-for docword in huge-d huge-w; do
+printf '1\n1\n1\n1 1 100000000000\n' > "$smoke/huge-count.dw"
+printf '1\n1\n1\n1 1 18446744073709551615\n' > "$smoke/max-count.dw"
+python3 -c 'import sys; sys.stdout.write("x" * 200000 + "\n1\n1\n1 1 1\n")' \
+    > "$smoke/long-header.dw"
+for docword in huge-d huge-w huge-count max-count long-header; do
     status=0
     timeout 10 cargo run --release -q -p culda-cli -- train \
         --docword "$smoke/$docword.dw" --vocab "$smoke/c.v" \
-        --model "$smoke/$docword.phi" --topics 8 --iters 1 2> /dev/null || status=$?
+        --model "$smoke/$docword.phi" --topics 8 --iters 1 \
+        2> "$smoke/$docword.err" || status=$?
     test "$status" -eq 4 || { echo "train on $docword.dw exited $status, not 4"; exit 1; }
+    bytes="$(wc -c < "$smoke/$docword.err")"
+    test "$bytes" -lt 1024 || { echo "train on $docword.dw wrote $bytes bytes to stderr"; exit 1; }
 done
 
 echo "==> mode-matrix smoke tests (sync, sampling, draw; both policies)"
