@@ -9,8 +9,8 @@ use crate::args::{ArgError, Args};
 use culda_corpus::{read_uci, split_held_out, write_uci, Corpus, SynthSpec};
 use culda_gpusim::{FaultPlan, Link, Platform};
 use culda_metrics::{
-    format_tokens_per_sec, render_openmetrics, HealthConfig, HealthMonitor, HealthSample, Json,
-    MetricsRegistry, MetricsSnapshot, Severity, SnapshotWriter, TraceSink,
+    format_tokens_per_sec, render_openmetrics, HealthMonitor, HealthSample, Json, MetricsRegistry,
+    MetricsSnapshot, Severity, SnapshotWriter, TraceSink,
 };
 use culda_multigpu::{
     build_trainer, resume_any, save_training, DrawMode, LdaTrainer, PartitionPolicy, SamplingMode,
@@ -408,7 +408,7 @@ pub fn train(args: &Args) -> CmdResult {
         )?))),
         None => None,
     };
-    let mut monitor = HealthMonitor::new(HealthConfig::default());
+    let mut monitor = HealthMonitor::new();
     let mut cumulative_sim = 0.0;
     let multi_gpu = trainer.num_gpus() > 1;
     let sync_label = trainer.config().sync_mode.to_string();

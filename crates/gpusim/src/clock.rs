@@ -1,8 +1,8 @@
 //! Simulated clocks.
 //!
 //! Every device advances its own clock by the modelled duration of each
-//! kernel and transfer; a multi-GPU system composes them with barrier
-//! semantics (everyone waits for the slowest, as the paper's per-iteration
+//! kernel and transfer; the trainer joins them with barrier semantics
+//! (everyone waits for the slowest, as the paper's per-iteration
 //! synchronization does).
 
 /// A monotonically advancing simulated clock, in seconds.
@@ -40,21 +40,6 @@ impl SimClock {
             self.seconds = t;
         }
     }
-
-    /// Resets to zero (used between experiments).
-    pub fn reset(&mut self) {
-        self.seconds = 0.0;
-    }
-}
-
-/// Barrier-joins a set of clocks: all advance to the maximum. Returns the
-/// barrier time.
-pub fn barrier(clocks: &mut [&mut SimClock]) -> f64 {
-    let t = clocks.iter().map(|c| c.now()).fold(0.0f64, f64::max);
-    for c in clocks.iter_mut() {
-        c.advance_to(t);
-    }
-    t
 }
 
 #[cfg(test)]
@@ -78,20 +63,6 @@ mod tests {
         assert_eq!(c.now(), 2.0);
         c.advance_to(3.0);
         assert_eq!(c.now(), 3.0);
-    }
-
-    #[test]
-    fn barrier_aligns_all() {
-        let mut a = SimClock::new();
-        let mut b = SimClock::new();
-        let mut c = SimClock::new();
-        a.advance(1.0);
-        b.advance(4.0);
-        c.advance(2.5);
-        let t = barrier(&mut [&mut a, &mut b, &mut c]);
-        assert_eq!(t, 4.0);
-        assert_eq!(a.now(), 4.0);
-        assert_eq!(c.now(), 4.0);
     }
 
     #[test]

@@ -109,11 +109,9 @@ impl Device {
         self.epoch.load(Ordering::Relaxed)
     }
 
-    /// Attaches a fault plan. The launch path
-    /// ([`try_launch_spec`](Device::try_launch_spec)) and
-    /// [`try_transfer`](Device::try_transfer) consult it;
-    /// [`transfer`](Device::transfer), which `try_transfer` and the
-    /// trainer's setup transfers use, does not.
+    /// Attaches a fault plan. Every launch
+    /// ([`try_launch_spec`](Device::try_launch_spec)) and every transfer
+    /// ([`try_transfer`](Device::try_transfer)) consults it.
     pub fn attach_faults(&self, plan: Arc<FaultPlan>) {
         *locked(&self.faults) = Some(plan);
     }
@@ -304,21 +302,16 @@ impl Device {
         Ok(report)
     }
 
-    /// Models moving `bytes` between host and this device over `link`,
-    /// advancing the clock. Returns the transfer seconds.
-    pub fn transfer(&self, bytes: u64, link: &Link) -> f64 {
-        let t = link.transfer_seconds(bytes);
-        locked(&self.clock).advance(t);
-        t
-    }
-
-    /// The fallible transfer path: an armed `drop` fault loses the
-    /// transfer before any time is charged.
+    /// Models moving `bytes` to this device over `link`, advancing the
+    /// clock, and returns the transfer seconds. An armed `drop` fault loses
+    /// the transfer before any time is charged.
     pub fn try_transfer(&self, bytes: u64, link: &Link) -> Result<f64, SimFault> {
         if let Some(fault) = self.poll_fault(FaultKind::LinkDrop, None) {
             return Err(fault);
         }
-        Ok(self.transfer(bytes, link))
+        let t = link.transfer_seconds(bytes);
+        locked(&self.clock).advance(t);
+        Ok(t)
     }
 
     /// Reserves device memory (fails with [`OomError`] when the model and
@@ -345,11 +338,6 @@ impl Device {
     /// Moves this device's clock to `t` if later (barrier join).
     pub fn advance_to(&self, t: f64) {
         locked(&self.clock).advance_to(t);
-    }
-
-    /// Resets the clock to zero (between experiments).
-    pub fn reset_clock(&self) {
-        locked(&self.clock).reset();
     }
 
     /// A snapshot of this device's launch history.
@@ -387,7 +375,7 @@ mod tests {
     #[test]
     fn transfer_advances_clock() {
         let dev = Device::new(0, GpuSpec::v100_volta());
-        let t = dev.transfer(16_000_000_000, &Link::pcie3());
+        let t = dev.try_transfer(16_000_000_000, &Link::pcie3()).unwrap();
         assert!((t - 1.0).abs() < 1e-3);
         assert_eq!(dev.now(), t);
     }
@@ -415,14 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clock() {
-        let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-        dev.advance(3.0);
-        dev.reset_clock();
-        assert_eq!(dev.now(), 0.0);
-    }
-
-    #[test]
     fn launches_work_through_a_shared_reference() {
         // The whole point of the interior-mutability rework: a device
         // behind `&` can launch, advance and profile.
@@ -436,6 +416,33 @@ mod tests {
             .unwrap();
         assert!(shared.now() > 0.0);
         assert_eq!(shared.profile().len(), 2);
+    }
+
+    #[test]
+    fn devices_launch_concurrently_through_shared_refs() {
+        let devices: Vec<Device> = (0..4)
+            .map(|i| Device::new(i, GpuSpec::titan_xp_pascal()))
+            .collect();
+        let buf = AtomicU32Buf::zeros(4);
+        std::thread::scope(|scope| {
+            for (i, dev) in devices.iter().enumerate() {
+                let buf = &buf;
+                scope.spawn(move || {
+                    dev.try_launch_spec(KernelSpec::new("per_gpu", 8), |ctx| {
+                        ctx.dram_read(1_000);
+                        if ctx.block_id == 0 {
+                            buf.fetch_add(i, 1);
+                        }
+                    })
+                    .unwrap();
+                });
+            }
+        });
+        assert_eq!(buf.snapshot(), vec![1, 1, 1, 1]);
+        for d in &devices {
+            assert!(d.now() > 0.0);
+            assert_eq!(d.profile().len(), 1);
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   compute ([`stream`]);
 //!   an L1 data-cache model with selective routing ([`cache`]);
 //! * **the performance model** — a roofline over counted traffic
-//!   ([`cost`]), per-device simulated clocks ([`clock`], [`device`]),
-//!   interconnect costs ([`link`]), and multi-GPU composition ([`multi`]);
+//!   ([`cost`]), per-device simulated clocks ([`clock`], [`device`]) and
+//!   interconnect costs ([`link`]);
 //! * **the platforms** — Table 2's Maxwell/Pascal/Volta machines
 //!   ([`platform`]).
 //!
@@ -52,7 +52,6 @@ pub mod kernel;
 pub mod launcher;
 pub mod link;
 pub mod memory;
-pub mod multi;
 pub mod platform;
 pub mod profile;
 pub mod shared;
@@ -68,10 +67,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use kernel::{BlockCtx, LaunchReport};
 pub use launcher::{KernelSpec, LaunchPhase};
 pub use link::Link;
-pub use memory::{
-    distinct_segments, AtomicF32Buf, AtomicU16Buf, AtomicU32Buf, MemoryLedger, OomError,
-};
-pub use multi::GpuCluster;
+pub use memory::{distinct_segments, AtomicU16Buf, AtomicU32Buf, MemoryLedger, OomError};
 pub use platform::{GpuSpec, Platform};
 pub use profile::{KernelSummary, LaunchRecord, ProfileLog};
 pub use shared::SharedMem;

@@ -9,7 +9,7 @@
 //!    recoverable condition ([`OomError`]) the scheduler reacts to.
 //! 2. **Shared mutation.** The sampling and update kernels run thread
 //!    blocks concurrently on host threads and mutate the model with device
-//!    atomics. [`AtomicU32Buf`]/[`AtomicF32Buf`] are the safe equivalents:
+//!    atomics. [`AtomicU32Buf`]/[`AtomicU16Buf`] are the safe equivalents:
 //!    relaxed-ordering atomic cells (counts need no ordering, only
 //!    atomicity — each iteration ends with a real synchronization point,
 //!    the thread join, which publishes everything).
@@ -289,58 +289,6 @@ impl AtomicU16Buf {
     }
 }
 
-/// A device buffer of `f32` accumulated with CAS-loop atomic adds
-/// (CUDA's `atomicAdd(float*)` equivalent).
-#[derive(Debug)]
-pub struct AtomicF32Buf {
-    bits: Vec<AtomicU32>,
-}
-
-impl AtomicF32Buf {
-    /// Zero-initialized buffer.
-    pub fn zeros(n: usize) -> Self {
-        let mut bits = Vec::with_capacity(n);
-        bits.resize_with(n, || AtomicU32::new(0f32.to_bits()));
-        Self { bits }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Relaxed load.
-    #[inline]
-    pub fn load(&self, i: usize) -> f32 {
-        f32::from_bits(self.bits[i].load(Ordering::Relaxed))
-    }
-
-    /// Relaxed store (single-writer phases only).
-    #[inline]
-    pub fn store(&self, i: usize, v: f32) {
-        self.bits[i].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Atomic `buf[i] += d` via compare-exchange loop.
-    #[inline]
-    pub fn fetch_add(&self, i: usize, d: f32) -> f32 {
-        let cell = &self.bits[i];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let new = (f32::from_bits(cur) + d).to_bits();
-            match cell.compare_exchange_weak(cur, new, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(prev) => return f32::from_bits(prev),
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,21 +380,6 @@ mod tests {
         assert_eq!(snap, vec![1, 2, 3]);
         buf.copy_from(&[7, 8, 9]);
         assert_eq!(buf.snapshot(), vec![7, 8, 9]);
-    }
-
-    #[test]
-    fn atomic_f32_adds_are_lossless_for_integers() {
-        let buf = AtomicF32Buf::zeros(1);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..1000 {
-                        buf.fetch_add(0, 1.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(buf.load(0), 4000.0);
     }
 
     #[test]

@@ -107,45 +107,28 @@ impl fmt::Display for HealthEvent {
     }
 }
 
-/// Detector thresholds. The defaults are deliberately loose: telemetry that
-/// cries wolf gets disabled, so every detector needs a sustained, large
-/// signal before it fires.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// EWMA window (iterations) for the throughput baseline.
-    pub throughput_window: usize,
-    /// Fire when tokens/sec drops below this fraction of its EWMA.
-    pub throughput_drop: f64,
-    /// Iterations of warm-up before the throughput detector arms.
-    pub throughput_warmup: u32,
-    /// Scored-iteration window for the stall detector.
-    pub stall_window: usize,
-    /// Fire when |Δ log-likelihood per token| over the window is below this.
-    pub stall_tol: f64,
-    /// EWMA window (syncs) for the compression-ratio baseline.
-    pub compression_window: usize,
-    /// Fire when the ratio drops below this fraction of its EWMA.
-    pub compression_drop: f64,
-}
+// Detector thresholds. They are deliberately loose: telemetry that cries
+// wolf gets disabled, so every detector needs a sustained, large signal
+// before it fires.
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            throughput_window: 8,
-            throughput_drop: 0.5,
-            throughput_warmup: 2,
-            stall_window: 5,
-            stall_tol: 1e-6,
-            compression_window: 8,
-            compression_drop: 0.5,
-        }
-    }
-}
+/// EWMA window (iterations) for the throughput baseline.
+const THROUGHPUT_WINDOW: usize = 8;
+/// Fire when tokens/sec drops below this fraction of its EWMA.
+const THROUGHPUT_DROP: f64 = 0.5;
+/// Iterations of warm-up before the throughput detector arms.
+const THROUGHPUT_WARMUP: u32 = 2;
+/// Scored-iteration window for the stall detector.
+const STALL_WINDOW: usize = 5;
+/// Fire when |Δ log-likelihood per token| over the window is below this.
+const STALL_TOL: f64 = 1e-6;
+/// EWMA window (syncs) for the compression-ratio baseline.
+const COMPRESSION_WINDOW: usize = 8;
+/// Fire when the ratio drops below this fraction of its EWMA.
+const COMPRESSION_DROP: f64 = 0.5;
 
 /// Stateful anomaly detector over the iteration stream.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     tps_ewma: Ewma,
     tps_seen: u32,
     ratio_ewma: Ewma,
@@ -155,13 +138,12 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// Creates a monitor with the given thresholds.
-    pub fn new(cfg: HealthConfig) -> Self {
+    /// Creates a monitor with no history.
+    pub fn new() -> Self {
         Self {
-            cfg,
-            tps_ewma: Ewma::new(cfg.throughput_window),
+            tps_ewma: Ewma::new(THROUGHPUT_WINDOW),
             tps_seen: 0,
-            ratio_ewma: Ewma::new(cfg.compression_window),
+            ratio_ewma: Ewma::new(COMPRESSION_WINDOW),
             scored: Vec::new(),
             stalled: false,
             events: Vec::new(),
@@ -192,9 +174,9 @@ impl HealthMonitor {
         }
 
         let tps = stat.tokens_per_sec();
-        if self.tps_seen >= self.cfg.throughput_warmup {
+        if self.tps_seen >= THROUGHPUT_WARMUP {
             if let Some(baseline) = self.tps_ewma.value() {
-                let floor = self.cfg.throughput_drop * baseline;
+                let floor = THROUGHPUT_DROP * baseline;
                 if tps < floor {
                     fired.push(HealthEvent {
                         iteration: iter,
@@ -204,7 +186,7 @@ impl HealthMonitor {
                         threshold: floor,
                         message: format!(
                             "tokens/sec {tps:.1} below {:.0}% of EWMA {baseline:.1}",
-                            self.cfg.throughput_drop * 100.0
+                            THROUGHPUT_DROP * 100.0
                         ),
                     });
                 }
@@ -215,7 +197,7 @@ impl HealthMonitor {
 
         if let Some(ratio) = sample.compression_ratio {
             if let Some(baseline) = self.ratio_ewma.value() {
-                let floor = self.cfg.compression_drop * baseline;
+                let floor = COMPRESSION_DROP * baseline;
                 if ratio < floor {
                     fired.push(HealthEvent {
                         iteration: iter,
@@ -225,7 +207,7 @@ impl HealthMonitor {
                         threshold: floor,
                         message: format!(
                             "sync compression {ratio:.2}x below {:.0}% of EWMA {baseline:.2}x",
-                            self.cfg.compression_drop * 100.0
+                            COMPRESSION_DROP * 100.0
                         ),
                     });
                 }
@@ -238,14 +220,14 @@ impl HealthMonitor {
     }
 
     fn check_stall(&mut self, iteration: u32, fired: &mut Vec<HealthEvent>) {
-        let w = self.cfg.stall_window;
+        let w = STALL_WINDOW;
         if self.scored.len() < w + 1 {
             return;
         }
         let last = self.scored[self.scored.len() - 1];
         let reference = self.scored[self.scored.len() - 1 - w];
         let moved = (last - reference).abs();
-        if moved < self.cfg.stall_tol {
+        if moved < STALL_TOL {
             // Latch: one event per flat stretch, not one per iteration.
             if !self.stalled {
                 self.stalled = true;
@@ -254,10 +236,9 @@ impl HealthMonitor {
                     kind: HealthKind::ConvergenceStall,
                     severity: Severity::Warning,
                     value: moved,
-                    threshold: self.cfg.stall_tol,
+                    threshold: STALL_TOL,
                     message: format!(
-                        "log-likelihood moved {moved:.3e} over last {w} scores (tol {:.1e})",
-                        self.cfg.stall_tol
+                        "log-likelihood moved {moved:.3e} over last {w} scores (tol {STALL_TOL:.1e})"
                     ),
                 });
             }
@@ -274,6 +255,12 @@ impl HealthMonitor {
     /// Whether any fatal event has fired.
     pub fn has_fatal(&self) -> bool {
         self.events.iter().any(|e| e.severity == Severity::Fatal)
+    }
+}
+
+impl Default for HealthMonitor {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -312,7 +299,7 @@ mod tests {
 
     #[test]
     fn nan_loglik_is_fatal() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         let fired = feed(&mut m, stat(0, 100, 1.0, Some(f64::NAN)), None);
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].kind, HealthKind::NonFiniteLoglik);
@@ -322,7 +309,7 @@ mod tests {
 
     #[test]
     fn throughput_collapse_after_warmup() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         for i in 0..4 {
             assert!(feed(&mut m, stat(i, 1000, 1.0, None), None).is_empty());
         }
@@ -336,7 +323,7 @@ mod tests {
 
     #[test]
     fn throughput_detector_stays_quiet_during_warmup() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         assert!(feed(&mut m, stat(0, 1000, 1.0, None), None).is_empty());
         // Even a huge swing on iteration 1 is inside the warm-up window.
         assert!(feed(&mut m, stat(1, 1000, 50.0, None), None).is_empty());
@@ -344,13 +331,13 @@ mod tests {
 
     #[test]
     fn stall_fires_once_per_flat_stretch() {
-        let cfg = HealthConfig {
-            stall_window: 2,
-            stall_tol: 0.01,
-            ..HealthConfig::default()
-        };
-        let mut m = HealthMonitor::new(cfg);
-        let lls = [-9.0, -8.0, -7.5, -7.5, -7.5, -7.5, -6.0, -6.0, -6.0, -6.0];
+        let mut m = HealthMonitor::new();
+        // Two flat stretches, each one score longer than the window: the
+        // first fires on its last score, the second after its re-arm and
+        // then stays latched for one more flat score.
+        let mut lls = vec![-9.0, -8.0];
+        lls.extend([-7.5; STALL_WINDOW + 1]);
+        lls.extend([-6.0; STALL_WINDOW + 2]);
         let mut stalls = 0;
         for (i, &ll) in lls.iter().enumerate() {
             let fired = feed(&mut m, stat(i as u32, 100, 1.0, Some(ll)), None);
@@ -364,7 +351,7 @@ mod tests {
 
     #[test]
     fn compression_regression_detected() {
-        let mut m = HealthMonitor::new(HealthConfig::default());
+        let mut m = HealthMonitor::new();
         for i in 0..3 {
             assert!(feed(&mut m, stat(i, 100, 1.0, None), Some(20.0)).is_empty());
         }

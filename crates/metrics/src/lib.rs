@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use breakdown::{Breakdown, GpuBreakdowns, Phase};
 pub use coherence::CoOccurrence;
-pub use health::{HealthConfig, HealthEvent, HealthKind, HealthMonitor, HealthSample, Severity};
+pub use health::{HealthEvent, HealthKind, HealthMonitor, HealthSample, Severity};
 pub use json::Json;
 pub use lgamma::{digamma, ln_gamma, ln_gamma_ratio};
 pub use loglik::LdaLoglik;

@@ -19,9 +19,6 @@ pub enum ConfigError {
     NoHostWorkers,
     /// `chunks_per_gpu == Some(0)` — no chunks to schedule.
     NoChunks,
-    /// `retry.max_attempts == 0` — every fault would be instantly fatal,
-    /// which is never what a resilience policy means.
-    NoAttempts,
     /// `nodes == 0` — a cluster run needs at least one node.
     NoNodes,
 }
@@ -36,7 +33,6 @@ impl fmt::Display for ConfigError {
             ConfigError::NoIterations => write!(f, "iterations must be >= 1"),
             ConfigError::NoHostWorkers => write!(f, "host_workers must be >= 1"),
             ConfigError::NoChunks => write!(f, "chunks_per_gpu must be >= 1"),
-            ConfigError::NoAttempts => write!(f, "retry.max_attempts must be >= 1"),
             ConfigError::NoNodes => write!(f, "nodes must be >= 1"),
         }
     }
@@ -50,40 +46,6 @@ impl std::error::Error for ConfigError {}
 // `PartitionPolicy`) reuse it via these re-exports, so the old
 // `culda_multigpu::ModeParseError` path keeps working.
 pub use culda_sampler::mode::{parse_mode, DrawMode, ModeParseError};
-
-/// How a trainer reacts to a worker's iteration body failing with a
-/// simulated fault: bounded retries with exponential backoff, charged to
-/// simulated time on the failing device ([`Phase::Recovery`] in the
-/// breakdown).
-///
-/// [`Phase::Recovery`]: culda_metrics::Phase::Recovery
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total tries per worker per iteration (initial attempt + retries).
-    /// A worker that fails this many times is declared lost and its chunks
-    /// are migrated to the survivors.
-    pub max_attempts: u32,
-    /// Simulated seconds of backoff before the first retry; doubles on
-    /// every further retry.
-    pub backoff_base_seconds: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base_seconds: 1e-3,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Backoff before retry number `attempt` (1-based: the wait before the
-    /// first retry is `attempt == 1`): `base · 2^(attempt-1)`.
-    pub fn backoff_seconds(&self, attempt: u32) -> f64 {
-        self.backoff_base_seconds * f64::from(1u32 << (attempt - 1).min(31))
-    }
-}
 
 /// How the per-GPU ϕ write replicas are combined each iteration.
 ///
@@ -237,9 +199,6 @@ pub struct TrainerConfig {
     pub compressed: bool,
     /// Shared-memory caching of `p*(k)` and the trees on/off (ablation).
     pub use_shared_memory: bool,
-    /// Route θ CSR index loads through the L1 model (Section 6.1.2's
-    /// selective caching) on/off (ablation).
-    pub use_l1_for_indices: bool,
     /// Tokens per sampling block; `None` = auto-size for device saturation.
     pub tokens_per_block: Option<usize>,
     /// Override for the device↔device link (e.g. [`Link::nvlink`] for the
@@ -278,10 +237,6 @@ pub struct TrainerConfig {
     /// blocks (the `--workers` knob). `None` = the simulator default.
     /// Results are bit-identical for any value; only wall-clock changes.
     pub host_workers: Option<usize>,
-    /// Fault-recovery policy: bounded retries with exponential backoff.
-    /// Only consulted when a fault plan is attached; fault-free runs never
-    /// touch it.
-    pub retry: RetryPolicy,
 }
 
 impl TrainerConfig {
@@ -311,9 +266,6 @@ impl TrainerConfig {
         }
         if self.chunks_per_gpu == Some(0) {
             return Err(ConfigError::NoChunks);
-        }
-        if self.retry.max_attempts == 0 {
-            return Err(ConfigError::NoAttempts);
         }
         if self.nodes == 0 {
             return Err(ConfigError::NoNodes);
@@ -360,7 +312,6 @@ impl TrainerConfigBuilder {
                 score_every: 10,
                 compressed: true,
                 use_shared_memory: true,
-                use_l1_for_indices: true,
                 tokens_per_block: None,
                 peer_link: None,
                 sync_mode: SyncMode::DenseTree,
@@ -369,7 +320,6 @@ impl TrainerConfigBuilder {
                 prefetch: true,
                 nodes: 1,
                 host_workers: None,
-                retry: RetryPolicy::default(),
             },
         }
     }
@@ -407,12 +357,6 @@ impl TrainerConfigBuilder {
     /// Toggle shared-memory caching.
     pub fn use_shared_memory(mut self, on: bool) -> Self {
         self.cfg.use_shared_memory = on;
-        self
-    }
-
-    /// Toggle selective L1 caching of θ index loads.
-    pub fn use_l1_for_indices(mut self, on: bool) -> Self {
-        self.cfg.use_l1_for_indices = on;
         self
     }
 
@@ -462,12 +406,6 @@ impl TrainerConfigBuilder {
     /// Set the per-device host thread count.
     pub fn host_workers(mut self, n: usize) -> Self {
         self.cfg.host_workers = Some(n);
-        self
-    }
-
-    /// Set the fault-recovery policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
         self
     }
 
@@ -551,15 +489,10 @@ mod tests {
             .score_every(2)
             .host_workers(2)
             .prefetch(false)
-            .retry(RetryPolicy {
-                max_attempts: 5,
-                backoff_base_seconds: 1e-4,
-            })
             .build()
             .unwrap();
         assert_eq!(cfg.iterations, 7);
         assert!(!cfg.prefetch);
-        assert_eq!(cfg.retry.max_attempts, 5);
         // Degenerate values survive until build(), then fail with the
         // right error.
         assert_eq!(
@@ -568,29 +501,6 @@ mod tests {
                 .unwrap_err(),
             ConfigError::BadTopicCount(0)
         );
-        assert_eq!(
-            TrainerConfig::builder(16, Platform::maxwell())
-                .retry(RetryPolicy {
-                    max_attempts: 0,
-                    backoff_base_seconds: 1.0,
-                })
-                .build()
-                .unwrap_err(),
-            ConfigError::NoAttempts
-        );
-    }
-
-    #[test]
-    fn backoff_doubles_and_stays_bounded() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff_seconds(1), 1e-3);
-        assert_eq!(p.backoff_seconds(2), 2e-3);
-        assert_eq!(p.backoff_seconds(3), 4e-3);
-        // The shift saturates instead of overflowing for absurd attempts.
-        assert!(p.backoff_seconds(64).is_finite());
-        // Total wait for max_attempts retries is bounded by base·2^n.
-        let total: f64 = (1..=p.max_attempts).map(|a| p.backoff_seconds(a)).sum();
-        assert!(total < p.backoff_base_seconds * f64::from(1u32 << p.max_attempts));
     }
 
     #[test]

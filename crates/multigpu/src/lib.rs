@@ -48,7 +48,7 @@ pub mod worker;
 pub use api::{build_trainer, LdaTrainer, PartitionPolicy};
 pub use cluster::{ClusterTrainer, ParameterServer};
 pub use config::{
-    ConfigError, DrawMode, ModeParseError, RetryPolicy, SamplingMode, SyncMode, TrainerConfig,
+    ConfigError, DrawMode, ModeParseError, SamplingMode, SyncMode, TrainerConfig,
     TrainerConfigBuilder,
 };
 pub use delta::{dense_cutover, row_encoding, DeltaPayload, RowFormat};

@@ -58,7 +58,7 @@ use crate::sync::{
 use crate::worker::{run_workers, run_workers_traced, trace_staging, GpuWorker, IterationReport};
 use culda_corpus::{Corpus, CsrMatrix};
 use culda_gpusim::memory::Reservation;
-use culda_gpusim::{FaultPlan, GpuCluster, Link, ProfileLog};
+use culda_gpusim::{Device, FaultPlan, Link, ProfileLog};
 use culda_metrics::{
     Breakdown, GpuBreakdowns, IterationStat, Json, LdaLoglik, MetricsRegistry, Phase, RunHistory,
     TraceSink, NODE_TID_BASE, SIM_PID, SYNC_TID,
@@ -119,8 +119,8 @@ pub struct CuldaTrainer {
 impl CuldaTrainer {
     /// Prepares a training run: plans `M`, partitions and sorts the corpus,
     /// initializes random assignments, builds the initial model, deals the
-    /// chunks round-robin over the `nodes × G` workers, and charges the
-    /// initial host→device transfers (Algorithm 1, lines 7–9). A degenerate
+    /// chunks round-robin over the `nodes × G` workers, and reserves their
+    /// device memory (Algorithm 1, lines 7–9, untimed). A degenerate
     /// configuration comes back as [`CuldaError::Config`], and a corpus
     /// whose model and chunks fit device memory at no `M` as
     /// [`CuldaError::Invalid`].
@@ -200,9 +200,9 @@ impl CuldaTrainer {
     }
 
     /// The one build body, from `states` (one per chunk of `part`, in
-    /// global chunk order) whichever their source. Deals the chunks
-    /// round-robin over the `nodes × G` workers, reserves device residency
-    /// and charges the initial transfers, and derives ϕ from z as a step
+    /// global chunk order) whichever their source. Creates the `nodes × G`
+    /// devices and their links, deals the chunks round-robin over them,
+    /// reserves device residency, and derives ϕ from z as a step
     /// leaves it: each chunk into its owner's write replica, the step's
     /// sum over the nodes ([`Self::sum_write_replicas`]), and each write
     /// replica copied into its read replica. Returns the sum's reports,
@@ -214,19 +214,23 @@ impl CuldaTrainer {
         states: Vec<ChunkState>,
     ) -> (Self, NodeSums) {
         let gpus_per_node = cfg.platform.num_gpus;
-        // One flat device pool with globally unique ids 0..N·G. `with_gpus`
-        // caps at the installed count, so widen a clone directly — the
-        // cluster is N boxes of the same platform.
-        let mut pool = cfg.platform.clone();
-        pool.num_gpus *= cfg.nodes;
-        let mut cluster = GpuCluster::from_platform(&pool);
-        if let Some(link) = cfg.peer_link {
-            cluster.peer_link = link;
-        }
-        if let Some(n) = cfg.host_workers {
-            cluster = cluster.with_workers(n);
-        }
-        let g = cluster.num_gpus();
+        // N boxes of the same platform: one flat list of devices with
+        // globally unique ids 0..N·G, all on the platform's PCIe links.
+        let g = gpus_per_node * cfg.nodes;
+        let devices: Vec<Device> = (0..g)
+            .map(|i| {
+                let device = Device::new(i, cfg.platform.gpu.clone());
+                match cfg.host_workers {
+                    Some(n) => device.with_workers(n),
+                    None => device,
+                }
+            })
+            .collect();
+        let host_link = Link {
+            bandwidth_gbps: cfg.platform.pcie_gbps,
+            latency_us: cfg.platform.pcie_latency_us,
+        };
+        let peer_link = cfg.peer_link.unwrap_or(host_link);
         let priors = Priors::paper(cfg.num_topics);
 
         // Block maps sized to saturate the device (≥ 2 blocks per SM).
@@ -247,41 +251,31 @@ impl CuldaTrainer {
             })
             .collect();
 
-        // Reserve device residency and charge the initial transfers.
+        // Reserve device residency. The initial transfers are not charged:
+        // setup is not timed, and Table 5 is iteration-only.
         let mut residency = Vec::new();
-        for dev in 0..g {
+        for device in &devices {
             let phi_bytes = 2 * cfg.phi_device_bytes(part.vocab_size);
             residency.push(
-                cluster.devices[dev]
+                device
                     .reserve(phi_bytes)
                     .expect("plan guaranteed the model fits"),
             );
         }
         if plan.m == 1 {
             for i in 0..part.num_chunks() {
-                let owner = chunk_owner(i, g);
                 let bytes = chunk_state_bytes(&part, i, cfg.num_topics);
                 residency.push(
-                    cluster.devices[owner]
+                    devices[chunk_owner(i, g)]
                         .reserve(bytes)
                         .expect("plan guaranteed chunks fit"),
                 );
-                // Setup transfer: advances the clock (reset below) but is
-                // not a per-iteration phase — Table 5 is iteration-only.
-                cluster.host_to_device(owner, bytes);
             }
-            cluster.barrier();
         }
-        cluster.reset_clocks();
 
         // Hand each device its worker and its two ϕ buffers (read snapshot
         // + write accumulator), and distribute the chunks round-robin
         // (worker `w` owns global chunks `w, w+G, w+2G, …`).
-        let GpuCluster {
-            devices,
-            peer_link,
-            host_link,
-        } = cluster;
         let mk_phi = || PhiModel::zeros(cfg.num_topics, part.vocab_size, priors);
         let mut workers: Vec<GpuWorker> = devices
             .into_iter()
@@ -521,13 +515,14 @@ impl CuldaTrainer {
     /// Each worker is its own failure domain, on any node. A worker whose
     /// iteration body hits an injected fault restores its pre-iteration
     /// (z, θ) snapshot and retries after exponential backoff, up to
-    /// `cfg.retry.max_attempts` tries ([`GpuWorker::retrying`]); the body
-    /// is idempotent against the read ϕ snapshot, so a successful retry is
-    /// bit-identical to a fault-free run. A worker that exhausts its
-    /// budget is declared lost: its chunks migrate round-robin to the
-    /// survivors, which re-run the migrated bodies against the same
-    /// snapshot (commutative ϕ adds keep the summed model bit-identical),
-    /// and the sync continues over the survivors. Errors surface only when
+    /// [`MAX_ATTEMPTS`](crate::worker::MAX_ATTEMPTS) tries
+    /// ([`GpuWorker::retrying`]); the body is idempotent against the read
+    /// ϕ snapshot, so a successful retry is bit-identical to a fault-free
+    /// run. A worker that exhausts its budget is declared lost: its chunks
+    /// migrate round-robin to the survivors, which re-run the migrated
+    /// bodies against the same snapshot (commutative ϕ adds keep the
+    /// summed model bit-identical), and the sync continues over the
+    /// survivors. Errors surface only when
     /// recovery is impossible: [`CuldaError::AllWorkersLost`], a fault
     /// during the rebalance itself, or a worker panic (a bug, not a fault).
     pub fn try_step(&mut self) -> Result<IterationStat, CuldaError> {
@@ -583,7 +578,6 @@ impl CuldaTrainer {
         let cfg = &self.cfg;
         let host_link = self.host_link;
         let faulty = self.faults.is_some();
-        let retry = cfg.retry;
         let trace = self.trace.as_deref();
         let metrics = self.metrics.as_deref();
 
@@ -603,7 +597,7 @@ impl CuldaTrainer {
                     return Ok((run(w)?, 0, 0.0));
                 }
                 let snap = w.snapshot_states();
-                w.retrying(retry, trace, metrics, |w| {
+                w.retrying(trace, metrics, |w| {
                     run(w).inspect_err(|_| w.restore_states(&snap))
                 })
                 .map_err(|attempts| CuldaError::WorkerLost {

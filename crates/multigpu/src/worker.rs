@@ -25,7 +25,7 @@
 //! every kernel reads only the previous iteration's ϕ snapshot, and each
 //! worker mutates only state it owns.
 
-use crate::config::{RetryPolicy, TrainerConfig};
+use crate::config::TrainerConfig;
 use crate::partition::PartitionedCorpus;
 use crate::schedule::chunk_state_bytes;
 use culda_corpus::CsrMatrix;
@@ -37,6 +37,21 @@ use culda_sampler::{
     try_run_phi_clear_kernel, try_run_phi_update_kernel, try_run_sampling_kernel,
     try_run_theta_update_kernel, BlockWork, ChunkState, PhiModel, SampleConfig,
 };
+
+/// Tries per worker and failure domain (a trainer worker's iteration
+/// body, a serving launch): the first attempt plus two retries. A worker
+/// that fails this many times is declared lost.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// Simulated seconds of backoff before the first retry; doubles on every
+/// further retry.
+pub const BACKOFF_BASE_SECONDS: f64 = 1e-3;
+
+/// Backoff before retry number `attempt` (1-based: the wait before the
+/// first retry is `attempt == 1`): `BACKOFF_BASE_SECONDS · 2^(attempt-1)`.
+pub fn backoff_seconds(attempt: u32) -> f64 {
+    BACKOFF_BASE_SECONDS * f64::from(1u32 << (attempt - 1).min(31))
+}
 
 /// A pre-iteration copy of one chunk's mutable state (`z` + θ), taken only
 /// when fault recovery is armed so a failed iteration body can be rolled
@@ -197,11 +212,11 @@ impl GpuWorker {
         std::mem::swap(&mut self.read_phi, &mut self.write_phi);
     }
 
-    /// Runs `run` until it succeeds or `retry`'s budget is spent: the one
-    /// retry loop, around a trainer worker's iteration body and around
-    /// each serving launch. Each attempt is timed on the device clock. A
-    /// fault with budget left advances the clock by
-    /// [`RetryPolicy::backoff_seconds`], charges the attempt's time plus
+    /// Runs `run` until it succeeds or [`MAX_ATTEMPTS`] tries are spent:
+    /// the one retry loop, around a trainer worker's iteration body and
+    /// around each serving launch. Each attempt is timed on the device
+    /// clock. A fault with budget left advances the clock by
+    /// [`backoff_seconds`], charges the attempt's time plus
     /// the backoff to this worker's [`Phase::Recovery`], emits a
     /// `worker.retry` span (on the device's track) and counter, and tries
     /// again. Success returns the value, the retries it took and the
@@ -211,7 +226,6 @@ impl GpuWorker {
     /// `run`'s job.
     pub fn retrying<T>(
         &mut self,
-        retry: RetryPolicy,
         trace: Option<&TraceSink>,
         metrics: Option<&MetricsRegistry>,
         mut run: impl FnMut(&mut GpuWorker) -> Result<T, SimFault>,
@@ -227,11 +241,11 @@ impl GpuWorker {
             // Time burned by the failed attempt (zero for a pre-body launch
             // fault, partial for corruption).
             let wasted = self.device.now() - before;
-            if attempt >= retry.max_attempts {
+            if attempt >= MAX_ATTEMPTS {
                 self.breakdown.add(Phase::Recovery, wasted);
                 return Err(attempt);
             }
-            let backoff = retry.backoff_seconds(attempt);
+            let backoff = backoff_seconds(attempt);
             let retry_at = self.device.now();
             self.device.advance(backoff);
             self.breakdown.add(Phase::Recovery, wasted + backoff);
@@ -527,7 +541,8 @@ impl Body<'_> {
             chunk_token_offset: self.part.token_offsets[gi],
             compressed: self.cfg.compressed,
             use_shared_memory: self.cfg.use_shared_memory,
-            use_l1_for_indices: self.cfg.use_l1_for_indices,
+            // Section 6.1.2's selective caching of θ index loads.
+            use_l1_for_indices: true,
             sparse: self.sparse,
             draw: self.cfg.draw_mode,
         };
@@ -755,16 +770,27 @@ mod tests {
     }
 
     #[test]
+    fn backoff_doubles_and_stays_bounded() {
+        assert_eq!(backoff_seconds(1), 1e-3);
+        assert_eq!(backoff_seconds(2), 2e-3);
+        assert_eq!(backoff_seconds(3), 4e-3);
+        // The shift saturates instead of overflowing for absurd attempts.
+        assert!(backoff_seconds(64).is_finite());
+        // Total wait for MAX_ATTEMPTS retries is bounded by base·2^n.
+        let total: f64 = (1..=MAX_ATTEMPTS).map(backoff_seconds).sum();
+        assert!(total < BACKOFF_BASE_SECONDS * f64::from(1u32 << MAX_ATTEMPTS));
+    }
+
+    #[test]
     fn retrying_charges_each_failure_and_backoff_to_recovery() {
         use culda_metrics::EventKind;
-        let retry = RetryPolicy::default();
-        assert_eq!(retry.max_attempts, 3);
+        assert_eq!(MAX_ATTEMPTS, 3);
         let (sink, reg) = (TraceSink::new(), MetricsRegistry::new());
         let mut w = bare_workers(1).pop().unwrap();
         // Each attempt spends 0.25 s; the first two fail.
         let mut calls = 0;
         let (value, retries, recovery) = w
-            .retrying(retry, Some(&sink), Some(&reg), |w| {
+            .retrying(Some(&sink), Some(&reg), |w| {
                 w.device.advance(0.25);
                 calls += 1;
                 if calls <= 2 {
@@ -791,18 +817,17 @@ mod tests {
     #[test]
     fn retrying_gives_up_after_the_last_attempt_without_a_span() {
         use culda_metrics::EventKind;
-        let retry = RetryPolicy::default();
         let (sink, reg) = (TraceSink::new(), MetricsRegistry::new());
         let mut w = bare_workers(1).pop().unwrap();
         let mut recovery_before_last = 0.0;
         let attempts = w
-            .retrying(retry, Some(&sink), Some(&reg), |w| {
+            .retrying(Some(&sink), Some(&reg), |w| {
                 recovery_before_last = w.breakdown.seconds(Phase::Recovery);
                 w.device.advance(0.25);
                 Err::<(), _>(launch_fault())
             })
             .unwrap_err();
-        assert_eq!(attempts, retry.max_attempts);
+        assert_eq!(attempts, MAX_ATTEMPTS);
         // The last attempt's time is charged, and no backoff follows it.
         let recovery = w.breakdown.seconds(Phase::Recovery);
         assert!((recovery - recovery_before_last - 0.25).abs() < 1e-15);
@@ -887,7 +912,7 @@ mod tests {
             chunk_token_offset: part.token_offsets[0],
             compressed: cfg.compressed,
             use_shared_memory: cfg.use_shared_memory,
-            use_l1_for_indices: cfg.use_l1_for_indices,
+            use_l1_for_indices: true,
             sparse: false,
             draw: cfg.draw_mode,
         };

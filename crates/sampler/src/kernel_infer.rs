@@ -13,9 +13,10 @@
 //! node scans, with the same traffic accounting as the training sampler.
 //! A scored launch ([`InferKernelConfig::score`]) also scores, after every
 //! sweep, the document's log-predictive under the running-average θ,
-//! charged per token as flops. A serving launch skips the scoring and its
-//! charge. The scoring moves no byte, so on a memory-bound launch the
-//! modelled seconds are the same either way.
+//! charged per token as flops, and after the last sweep, uncharged, its
+//! log-predictive under the final θ̂. A serving launch skips the scoring
+//! and its charge. The scoring moves no byte, so on a memory-bound launch
+//! the modelled seconds are the same either way.
 //!
 //! ## What the host runs and what is modelled
 //!
@@ -28,12 +29,12 @@
 //!   touches the model charges are computed from the drawn index
 //!   ([`walk_touches`]). The total is still checked positive and finite
 //!   per token.
-//! - Each scored sweep scores every *distinct* word once: one `p` and one
-//!   `ln` per word, summed over the tokens in token order, so the f64
-//!   additions are the per-token ones. The distinct words' `p` chains run
-//!   [`SCORE_LANES`] side by side; each keeps its own topic order
-//!   (Steele & Tristan's independent partial-sum chains), so every `p` is
-//!   bit-identical.
+//! - Each scored sweep, and the final θ̂, scores every *distinct* word
+//!   once: one `p` and one `ln` per word, summed over the tokens in token
+//!   order, so the f64 additions are the per-token ones. The distinct
+//!   words' `p` chains run [`SCORE_LANES`] side by side; each keeps its
+//!   own topic order (Steele & Tristan's independent partial-sum chains),
+//!   so every `p` is bit-identical.
 //! - The draws read cached factors. θ + α is kept as f32 and rewritten at
 //!   the two topics a token changes. The counts of a document's first
 //!   distinct words are read once per document, one row read each, into
@@ -49,9 +50,9 @@
 //!   every block it runs ([`run_grid_with`]).
 //!
 //! [`infer_reference`] takes none of these shortcuts: per token it reads
-//! the ϕ row, rebuilds the tree and walks it, and per scored sweep it
-//! scores every token on its own. It is the oracle the kernel's posteriors
-//! and charges are tested against.
+//! the ϕ row, rebuilds the tree and walks it, and per scored sweep and
+//! for the final θ̂ it scores every token on its own. It is the oracle
+//! the kernel's posteriors and charges are tested against.
 //!
 //! [`CountMatrix::row_into`]: crate::count::CountMatrix::row_into
 //! [`run_grid_with`]: culda_gpusim::kernel::run_grid_with
@@ -93,9 +94,9 @@ pub struct InferKernelConfig {
     /// they fit (traffic accounting only; never changes the draw).
     pub use_shared_memory: bool,
     /// Score every sweep's log-predictive into
-    /// [`DocPosterior::sweep_log_predictive`] and charge its flops.
-    /// Evaluation scores and serving does not; scoring never changes a
-    /// draw.
+    /// [`DocPosterior::sweep_log_predictive`] and charge its flops, and
+    /// the final θ̂'s into [`DocPosterior::log_predictive`]. Evaluation
+    /// scores and serving does not; scoring never changes a draw.
     pub score: bool,
 }
 
@@ -140,6 +141,10 @@ pub struct DocPosterior {
     /// running-average θ over sweeps `0..=s` — the burn-in curve. Empty
     /// when the launch was not scored.
     pub sweep_log_predictive: Vec<f64>,
+    /// The document's log-predictive `Σ_w ln p(w | θ̂, ϕ)` under the final
+    /// estimate θ̂ ([`Self::theta`]); `None` when the launch was not
+    /// scored. Not charged: it scores the result, not a sweep.
+    pub log_predictive: Option<f64>,
 }
 
 impl DocPosterior {
@@ -576,17 +581,24 @@ fn fold_in_doc(
         }
     }
 
+    let acc_sweeps = acc_sweeps.max(1);
+    let log_predictive = cfg.score.then(|| {
+        let len = doc.words.len();
+        theta_hat_into(&theta_acc, acc_sweeps, len, phi.priors.alpha, theta_hat);
+        words.log_predictive(phi, inv_denom, theta_hat)
+    });
     DocPosterior {
         theta_acc,
-        acc_sweeps: acc_sweeps.max(1),
+        acc_sweeps,
         sweep_log_predictive,
+        log_predictive,
     }
 }
 
 /// The oracle's body: the naive fold-in, with the kernel's charges.
 /// Per token it reads the ϕ row, rebuilds the Figure 5 tree over the
-/// weights and walks it; per scored sweep it scores every token on its
-/// own.
+/// weights and walks it; per scored sweep, and for the final θ̂, it
+/// scores every token on its own.
 fn fold_in_doc_reference(
     phi: &PhiModel,
     inv_denom: &[f32],
@@ -652,10 +664,22 @@ fn fold_in_doc_reference(
         }
     }
 
+    let acc_sweeps = acc_sweeps.max(1);
+    let final_ll = cfg.score.then(|| {
+        log_predictive(
+            phi,
+            inv_denom,
+            doc.words,
+            &theta_acc,
+            acc_sweeps,
+            &mut phi_row,
+        )
+    });
     DocPosterior {
         theta_acc,
-        acc_sweeps: acc_sweeps.max(1),
+        acc_sweeps,
         sweep_log_predictive,
+        log_predictive: final_ll,
     }
 }
 
@@ -869,5 +893,6 @@ mod tests {
         let expect = 1.0 / phi.num_topics as f64;
         assert!(theta.iter().all(|&x| (x - expect).abs() < 1e-12));
         assert!(post[0].sweep_log_predictive.iter().all(|&l| l == 0.0));
+        assert_eq!(post[0].log_predictive, Some(0.0));
     }
 }

@@ -56,13 +56,6 @@ pub trait LdaModel {
             .map(|k| 1.0 / (self.topic_total(k) as f32 + beta_v))
             .collect()
     }
-
-    /// Smoothed word emission probability `p(w | k)` in f64 (scoring path).
-    fn word_prob(&self, word: usize, topic: usize) -> f64 {
-        let beta_v = self.priors().beta_v(self.vocab_size());
-        (self.phi_count(word, topic) as f64 + self.priors().beta)
-            / (self.topic_total(topic) as f64 + beta_v)
-    }
 }
 
 impl LdaModel for PhiModel {

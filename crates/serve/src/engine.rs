@@ -32,7 +32,7 @@ use crate::frozen::FrozenModel;
 use culda_corpus::Corpus;
 use culda_gpusim::{Device, FaultPlan, GpuSpec, ProfileLog};
 use culda_metrics::{Breakdown, Histogram, MetricsRegistry, Phase, TraceSink};
-use culda_multigpu::{run_workers_traced, GpuWorker, RecoveryStats, RetryPolicy};
+use culda_multigpu::{run_workers_traced, GpuWorker, RecoveryStats};
 use culda_sampler::{try_run_infer_kernel, DocPosterior, InferDoc, InferKernelConfig, LdaModel};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -57,16 +57,10 @@ pub struct ServeConfig {
     pub burnin: u32,
     /// Post-burn-in sweeps averaged into θ̂.
     pub samples: u32,
-    /// Count ϕ loads at u16 precision (the paper's compression).
-    pub compressed: bool,
-    /// Let blocks stage θ/weights/tree in shared memory when they fit.
-    pub use_shared_memory: bool,
     /// Host threads driving each simulated device's blocks.
     pub host_workers: usize,
     /// The GPU model every worker simulates.
     pub gpu: GpuSpec,
-    /// Retry budget and backoff for transient launch faults.
-    pub retry: RetryPolicy,
 }
 
 impl ServeConfig {
@@ -79,11 +73,8 @@ impl ServeConfig {
             batch_size: 64,
             burnin: 8,
             samples: 4,
-            compressed: true,
-            use_shared_memory: true,
             host_workers: 1,
             gpu: GpuSpec::titan_xp_pascal(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -112,9 +103,6 @@ impl ServeConfig {
                 "each device needs at least one host worker".into(),
             ));
         }
-        if self.retry.max_attempts == 0 {
-            return Err(ServeError::Config("retry.max_attempts must be >= 1".into()));
-        }
         if self.burnin.checked_add(self.samples).is_none() {
             return Err(ServeError::Config(format!(
                 "burnin {} + samples {} overflows the sweep count",
@@ -124,14 +112,14 @@ impl ServeConfig {
         Ok(())
     }
 
+    /// The launch configuration: the paper's u16 compression and
+    /// shared-memory staging, as [`InferKernelConfig::new`] sets them.
     fn kernel_config(&self, score: bool) -> InferKernelConfig {
         InferKernelConfig {
-            seed: self.seed,
             burnin: self.burnin,
             samples: self.samples,
-            compressed: self.compressed,
-            use_shared_memory: self.use_shared_memory,
             score,
+            ..InferKernelConfig::new(self.seed)
         }
     }
 }
@@ -168,18 +156,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Counts ϕ loads at u16 precision (the paper's compression).
-    pub fn compressed(mut self, compressed: bool) -> Self {
-        self.cfg.compressed = compressed;
-        self
-    }
-
-    /// Lets blocks stage θ/weights/tree in shared memory when they fit.
-    pub fn use_shared_memory(mut self, on: bool) -> Self {
-        self.cfg.use_shared_memory = on;
-        self
-    }
-
     /// Sets the host threads per simulated device.
     pub fn host_workers(mut self, host_workers: usize) -> Self {
         self.cfg.host_workers = host_workers;
@@ -189,12 +165,6 @@ impl ServeConfigBuilder {
     /// Sets the simulated GPU model.
     pub fn gpu(mut self, gpu: GpuSpec) -> Self {
         self.cfg.gpu = gpu;
-        self
-    }
-
-    /// Sets the transient-fault retry policy.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
         self
     }
 
@@ -253,6 +223,10 @@ struct EngineState {
     docs_served: u64,
     tokens_served: u64,
 }
+
+/// One document's scores from a fold-in: its log-predictive under the
+/// final θ̂ and its per-sweep burn-in curve (see [`DocPosterior`]).
+type DocScores = (Option<f64>, Vec<f64>);
 
 /// Micro-batched fold-in inference over a [`FrozenModel`].
 #[derive(Debug)]
@@ -421,8 +395,8 @@ impl InferenceEngine {
     /// [`Infer`] backend.
     ///
     /// Fault recovery: each worker retries a faulted launch with
-    /// exponential backoff up to the configured budget, in the retry loop
-    /// the trainer's workers run ([`GpuWorker::retrying`]). A worker that
+    /// exponential backoff up to the fixed budget, in the retry loop the
+    /// trainer's workers run ([`GpuWorker::retrying`]). A worker that
     /// exhausts it is removed from the fleet and its stranded
     /// micro-batches are re-enqueued (ascending id, round-robin) on the
     /// survivors — per-document RNG streams are keyed by arrival index,
@@ -436,15 +410,11 @@ impl InferenceEngine {
     /// perplexity, and its perplexity after every sweep. The evaluation
     /// call; θ̂, the timing and every fault path are the serving call's.
     pub fn evaluate_batch(&self, docs: &[Vec<u32>]) -> Result<Evaluation, ServeError> {
-        let (outcome, sweep_curves) = self.fold_in(docs, true)?;
-        let mut row = vec![0u32; self.model.num_topics()];
-        let doc_log_predictive: Vec<f64> = docs
-            .iter()
-            .zip(&outcome.theta)
-            .map(|(doc, th)| self.score_doc(doc, th, &mut row))
-            .collect();
+        let (outcome, scores) = self.fold_in(docs, true)?;
+        let mut doc_log_predictive = Vec::with_capacity(scores.len());
         let mut sweep_ll = vec![0.0f64; self.cfg.kernel_config(true).sweeps() as usize];
-        for curve in &sweep_curves {
+        for (ll, curve) in scores {
+            doc_log_predictive.push(ll.expect("a scored launch scores every document"));
             for (s, ll) in curve.iter().enumerate() {
                 sweep_ll[s] += ll;
             }
@@ -462,13 +432,14 @@ impl InferenceEngine {
     }
 
     /// The fold-in both entry points run, scored or not. Returns the
-    /// outcome and each document's per-sweep log-predictives, in input
-    /// order (empty when not scored).
+    /// outcome and each document's scores, in input order: its
+    /// log-predictive under the final θ̂ and after every sweep (`None` and
+    /// empty when not scored).
     fn fold_in(
         &self,
         docs: &[Vec<u32>],
         score: bool,
-    ) -> Result<(InferenceOutcome, Vec<Vec<f64>>), ServeError> {
+    ) -> Result<(InferenceOutcome, Vec<DocScores>), ServeError> {
         check_docs(docs, self.model.vocab_size())?;
         // Hand-assembled configs bypass the builder's validation; a zero
         // batch size would otherwise never finish packing.
@@ -505,7 +476,6 @@ impl InferenceEngine {
         let base_stream = st.docs_served;
         let phi = self.model.phi();
         let inv_denom = &self.inv_denom;
-        let retry = self.cfg.retry;
         let label = format!("infer batch {}", st.batches_served);
         let shards = run_shards(
             &mut st.workers,
@@ -518,7 +488,6 @@ impl InferenceEngine {
             phi,
             inv_denom,
             &kcfg,
-            retry,
         );
 
         // Harvest: completed micro-batches, lost workers, stranded ids.
@@ -566,7 +535,6 @@ impl InferenceEngine {
                 phi,
                 inv_denom,
                 &kcfg,
-                retry,
             );
             for (wi, shard) in shards.into_iter().enumerate() {
                 st.recovery.retries += shard.retries;
@@ -602,7 +570,7 @@ impl InferenceEngine {
         let alpha = self.model.priors().alpha;
         let tokens: u64 = docs.iter().map(|d| d.len() as u64).sum();
         let mut theta = Vec::with_capacity(docs.len());
-        let mut sweep_curves = Vec::with_capacity(docs.len());
+        let mut scores = Vec::with_capacity(docs.len());
         for (doc, slot) in docs.iter().zip(slots) {
             let posterior = match slot {
                 Some(p) => p,
@@ -613,7 +581,7 @@ impl InferenceEngine {
                 }
             };
             theta.push(posterior.theta(doc.len(), alpha, k));
-            sweep_curves.push(posterior.sweep_log_predictive);
+            scores.push((posterior.log_predictive, posterior.sweep_log_predictive));
         }
 
         st.batches_served += 1;
@@ -627,7 +595,7 @@ impl InferenceEngine {
             sim_seconds,
             device_seconds,
         };
-        Ok((outcome, sweep_curves))
+        Ok((outcome, scores))
     }
 
     /// `(p50, p95, p99)` micro-batch latency in seconds, or `None` before
@@ -644,23 +612,6 @@ impl InferenceEngine {
     pub fn evaluate_corpus(&self, corpus: &Corpus) -> Result<Evaluation, ServeError> {
         let docs: Vec<Vec<u32>> = corpus.docs.iter().map(|d| d.words.clone()).collect();
         self.evaluate_batch(&docs)
-    }
-
-    /// `Σ_w ln Σ_k θ̂_k p(w|k)` for one document under the final θ̂. Each
-    /// token's ϕ row is read once, into `row` (K-length scratch).
-    fn score_doc(&self, words: &[u32], theta: &[f64], row: &mut [u32]) -> f64 {
-        let beta = self.model.priors().beta;
-        let phi = self.model.phi();
-        let mut ll = 0.0;
-        for &w in words {
-            phi.phi.row_into(w as usize, row);
-            let mut p = 0.0f64;
-            for ((&th, &c), &inv) in theta.iter().zip(&*row).zip(&self.inv_denom) {
-                p += th * (c as f64 + beta) * inv as f64;
-            }
-            ll += p.max(f64::MIN_POSITIVE).ln();
-        }
-        ll
     }
 }
 
@@ -712,7 +663,6 @@ fn run_shards(
     phi: &culda_sampler::PhiModel,
     inv_denom: &[f32],
     kcfg: &InferKernelConfig,
-    retry: RetryPolicy,
 ) -> Vec<WorkerShard> {
     run_workers_traced(workers, trace, label, |wi, worker| {
         let mut shard = WorkerShard::default();
@@ -731,7 +681,7 @@ fn run_shards(
                 .collect();
             let launch =
                 |w: &mut GpuWorker| try_run_infer_kernel(&w.device, phi, inv_denom, &batch, kcfg);
-            match worker.retrying(retry, trace, metrics, launch) {
+            match worker.retrying(trace, metrics, launch) {
                 Ok(((posteriors, report), retries, recovery_seconds)) => {
                     worker.breakdown.add(Phase::Inference, report.sim_seconds);
                     shard.retries += u64::from(retries);
@@ -962,13 +912,6 @@ mod tests {
         assert!(cfg(1).workers(0).build().is_err());
         assert!(cfg(1).batch_size(0).build().is_err());
         assert!(cfg(1).host_workers(0).build().is_err());
-        assert!(cfg(1)
-            .retry(RetryPolicy {
-                max_attempts: 0,
-                ..RetryPolicy::default()
-            })
-            .build()
-            .is_err());
         let err = cfg(1).burnin(u32::MAX).samples(1).build().unwrap_err();
         assert!(
             err.to_string().contains("overflows the sweep count"),
@@ -1065,8 +1008,8 @@ mod tests {
         assert_eq!(got.theta, want.theta);
         assert_eq!(faulty.recovery().retries, 1);
         // The failed launch models no time; the backoff before the retry
-        // is the policy's first, 1 ms.
-        let backoff = RetryPolicy::default().backoff_seconds(1);
+        // is the first, 1 ms.
+        let backoff = culda_multigpu::worker::backoff_seconds(1);
         assert_eq!(backoff, 1e-3);
         assert_eq!(got.sim_seconds, want.sim_seconds + backoff);
         assert_eq!(got.device_seconds, want.device_seconds + backoff);

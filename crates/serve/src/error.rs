@@ -42,8 +42,7 @@ pub enum ServeError {
         /// The queue's configured document limit.
         limit: usize,
     },
-    /// A registry lookup named a model that was never published (or whose
-    /// every version has been retired).
+    /// A registry lookup named a model that was never published.
     UnknownModel(String),
     /// A simulated device fault that recovery does not cover.
     Sim(SimFault),

@@ -66,8 +66,11 @@ infer_shapes "$smoke/c.phi"
 # names the command, its flags, the fault plan, the exit code and a line
 # the output must hold. A retried launch, and a lost worker whose
 # micro-batches are re-enqueued on the survivor, must serve the θ̂ and
-# perplexities of the fault-free run of the same shape; losing the only
-# worker, in serving or in training, is a fault (exit 3), not a panic.
+# perplexities of the fault-free run of the same shape. A training run
+# that survives its faults, such as the loss of a whole node (devices 0
+# and 1 of 2 nodes × 2 GPUs), must write the fault-free run's model byte
+# for byte. Losing the only worker, in serving or in training, is a fault
+# (exit 3), not a panic.
 while IFS='|' read -r command flags plan code line; do
     case "$command" in
         infer) io=(--model "$smoke/c.phi" --out "$smoke/fault-row.json") ;;
@@ -90,11 +93,20 @@ sys.exit(0 if all(a[k] == b[k] for k in keys) else 1)' \
             "$smoke/theta-c-2-16.json" "$smoke/fault-row.json" \
             || { echo "infer under $plan changed the served results"; exit 1; }
     fi
+    if [ "$command" = train ] && [ "$code" -eq 0 ]; then
+        # shellcheck disable=SC2086 # $flags is a list of words
+        cargo run --release -q -p culda-cli -- train --docword "$smoke/c.dw" \
+            --vocab "$smoke/c.v" --model "$smoke/fault-free.phi" --topics 8 \
+            --iters 3 --score-every 0 $flags > /dev/null < /dev/null
+        cmp "$smoke/fault-free.phi" "$smoke/fault-row.phi" \
+            || { echo "train $flags under $plan changed the model"; exit 1; }
+    fi
 done <<'FAULTS'
 infer|--workers 2 --batch-size 16 --burnin 3 --samples 2|launch:0:0|0|recovery: 1 fault(s) injected, 1 retry(s)
 infer|--workers 2 --batch-size 16 --burnin 3 --samples 2|launch:1:0:permanent|0|recovery: 3 fault(s) injected, 2 retry(s), 1 worker(s) lost, 6 chunk(s) migrated
 infer|--workers 1|launch:0:0:permanent|3|error: all workers lost
 train|--platform maxwell|launch:0:1:permanent|3|error: all workers lost
+train|--platform pascal --gpus 2 --nodes 2|launch:0:1:permanent,launch:1:1:permanent|0|recovery: 6 fault(s) injected, 4 retry(s), 2 worker(s) lost, 2 chunk(s) migrated
 FAULTS
 # A sweep count past u32 is a usage error (exit 2), not one wrapped sweep.
 status=0

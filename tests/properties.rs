@@ -457,7 +457,8 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
     // keeps a fixed number of ϕ rows and scoring tiles, and scores each
     // distinct word once with its chains interleaved; the oracle rebuilds
     // and walks a tree per token and scores per token. Posteriors, every
-    // sweep's score bits and the launch's charges must agree, whichever
+    // sweep's score bits, the final θ̂'s score bits and the launch's
+    // charges must agree, whichever
     // words the caches hold and wherever a scoring group ends. A second ϕ
     // per K has counts past 2²⁴, which f32 rounds: a cache that smooths
     // them in another precision or order moves a score bit. Both hold for
@@ -532,6 +533,11 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
                             assert_eq!(got.theta_acc, want.theta_acc, "{label}, doc {d}");
                             assert_eq!(got.acc_sweeps, want.acc_sweeps, "{label}, doc {d}");
                             assert_eq!(ll_bits(got), ll_bits(want), "{label}, doc {d}");
+                            assert_eq!(
+                                got.log_predictive.map(f64::to_bits),
+                                want.log_predictive.map(f64::to_bits),
+                                "{label}, doc {d}"
+                            );
                         }
                         assert_eq!(got.len(), want.len());
                         assert_eq!(got_r.cost, want_r.cost, "{label}");
@@ -551,6 +557,8 @@ fn tree_free_fold_in_equals_the_naive_oracle() {
                         assert_eq!(u.theta_acc, s.theta_acc, "{label}, doc {d}");
                         assert_eq!(u.acc_sweeps, s.acc_sweeps, "{label}, doc {d}");
                         assert!(u.sweep_log_predictive.is_empty(), "{label}, doc {d}");
+                        assert!(u.log_predictive.is_none(), "{label}, doc {d}");
+                        assert!(s.log_predictive.is_some(), "{label}, doc {d}");
                         assert_eq!(
                             s.sweep_log_predictive.len(),
                             cfg.sweeps() as usize,

@@ -10,8 +10,8 @@
 use culda::corpus::{split_held_out, Corpus, SynthSpec};
 use culda::gpusim::{FaultPlan, Platform};
 use culda::metrics::{
-    lint_openmetrics, parse_snapshots, render_openmetrics, HealthConfig, HealthKind, HealthMonitor,
-    HealthSample, MetricsRegistry, MetricsSnapshot, SnapshotRecord, SnapshotWriter, TraceSink,
+    lint_openmetrics, parse_snapshots, render_openmetrics, HealthKind, HealthMonitor, HealthSample,
+    MetricsRegistry, MetricsSnapshot, SnapshotRecord, SnapshotWriter, TraceSink,
 };
 use culda::multigpu::{build_trainer, PartitionPolicy, TrainerConfig};
 use culda::sampler::PhiModel;
@@ -119,7 +119,7 @@ fn injected_fault_trips_a_health_event_that_round_trips() {
     ));
 
     let sink = TraceSink::new();
-    let mut monitor = HealthMonitor::new(HealthConfig::default());
+    let mut monitor = HealthMonitor::new();
     let mut jsonl = Vec::new();
     let mut writer = SnapshotWriter::new(&mut jsonl);
     let mut cumulative = 0.0;
