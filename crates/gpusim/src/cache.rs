@@ -38,15 +38,6 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// A Maxwell/Pascal-class 24 KiB L1: 128-byte lines, 48 sets, 4 ways.
-    pub fn l1_default() -> Self {
-        Self {
-            line_bytes: 128,
-            sets: 48,
-            ways: 4,
-        }
-    }
-
     /// Total capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.line_bytes * self.sets * self.ways
@@ -455,13 +446,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "ascending stream moved backwards")]
     fn ascending_cache_rejects_a_backward_access() {
-        let mut c = AscendingCache::new(CacheConfig::l1_default());
+        let mut c = AscendingCache::new(CacheConfig {
+            line_bytes: 128,
+            sets: 48,
+            ways: 4,
+        });
         c.access(1024, 256);
         c.access(512, 8);
-    }
-
-    #[test]
-    fn default_l1_capacity() {
-        assert_eq!(CacheConfig::l1_default().capacity(), 24 * 1024);
     }
 }

@@ -1,4 +1,4 @@
-//! A simulated GPU device: kernel launches, transfers, clock, memory.
+//! A simulated GPU device: kernel launches, transfers, clock, profile.
 //!
 //! All time-keeping state sits behind interior mutability so a device can
 //! be driven through a shared reference. That is what lets one host thread
@@ -14,7 +14,6 @@ use crate::fault::{FaultKind, FaultPlan};
 use crate::kernel::{default_workers, run_grid_with, BlockCtx, LaunchReport};
 use crate::launcher::KernelSpec;
 use crate::link::Link;
-use crate::memory::{MemoryLedger, OomError, Reservation};
 use crate::platform::GpuSpec;
 use crate::profile::ProfileLog;
 use culda_metrics::{Counter, Histogram, Json, MetricsRegistry, TraceSink};
@@ -66,7 +65,6 @@ pub struct Device {
     pub spec: GpuSpec,
     clock: Mutex<SimClock>,
     profile: Mutex<ProfileLog>,
-    ledger: Arc<MemoryLedger>,
     workers: usize,
     obs: Mutex<Observability>,
     /// Per-kernel-name bandwidth histogram handles: resolving
@@ -82,13 +80,11 @@ pub struct Device {
 impl Device {
     /// Creates device `id` with the given spec.
     pub fn new(id: usize, spec: GpuSpec) -> Self {
-        let ledger = MemoryLedger::new(spec.memory_bytes);
         Self {
             id,
             spec,
             clock: Mutex::new(SimClock::new()),
             profile: Mutex::new(ProfileLog::new()),
-            ledger,
             workers: default_workers(),
             obs: Mutex::new(Observability::default()),
             gbps_cache: Mutex::new(BTreeMap::new()),
@@ -114,11 +110,6 @@ impl Device {
     /// ([`try_transfer`](Device::try_transfer)) consults it.
     pub fn attach_faults(&self, plan: Arc<FaultPlan>) {
         *locked(&self.faults) = Some(plan);
-    }
-
-    /// The attached fault plan, if any.
-    pub fn fault_plan(&self) -> Option<Arc<FaultPlan>> {
-        locked(&self.faults).clone()
     }
 
     /// Consults the attached fault plan at the current epoch. A hit is
@@ -154,16 +145,6 @@ impl Device {
         locked(&self.gbps_cache).clear();
     }
 
-    /// The attached trace sink, if any.
-    pub fn trace(&self) -> Option<Arc<TraceSink>> {
-        locked(&self.obs).trace.clone()
-    }
-
-    /// The attached metrics registry, if any.
-    pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        locked(&self.obs).metrics.clone()
-    }
-
     /// Overrides the host thread count used to execute blocks.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -180,7 +161,7 @@ impl Device {
     /// fault checks. The grid really runs on host threads with
     /// per-executor host scratch (see [`run_grid_with`]), the clock
     /// advances by the modelled time, and the launch is appended to this
-    /// device's profile log with its phase and stream tags.
+    /// device's profile log with its phase tag.
     fn launch_spec_with<S, I, F>(&self, spec: KernelSpec, scratch: I, body: F) -> LaunchReport
     where
         I: Fn() -> S + Sync,
@@ -206,7 +187,7 @@ impl Device {
             clock.advance(report.sim_seconds);
             (start, clock.now())
         };
-        locked(&self.profile).push_tagged(&report, spec.phase, spec.stream);
+        locked(&self.profile).push_tagged(&report, spec.phase);
         if let Some(sink) = &obs.trace {
             sink.span_sim(
                 self.id as u32,
@@ -216,7 +197,6 @@ impl Device {
                 end,
                 vec![
                     ("grid".into(), Json::from(spec.grid)),
-                    ("stream".into(), Json::from(spec.stream)),
                     ("phase".into(), Json::from(spec.phase.label())),
                     (
                         "dram_mb".into(),
@@ -314,17 +294,6 @@ impl Device {
         Ok(t)
     }
 
-    /// Reserves device memory (fails with [`OomError`] when the model and
-    /// chunks do not fit — the condition that forces `M > 1`).
-    pub fn reserve(&self, bytes: u64) -> Result<Reservation, OomError> {
-        self.ledger.reserve(bytes)
-    }
-
-    /// The device memory ledger.
-    pub fn ledger(&self) -> &Arc<MemoryLedger> {
-        &self.ledger
-    }
-
     /// Current simulated time on this device.
     pub fn now(&self) -> f64 {
         locked(&self.clock).now()
@@ -378,14 +347,6 @@ mod tests {
         let t = dev.try_transfer(16_000_000_000, &Link::pcie3()).unwrap();
         assert!((t - 1.0).abs() < 1e-3);
         assert_eq!(dev.now(), t);
-    }
-
-    #[test]
-    fn memory_capacity_is_enforced() {
-        let dev = Device::new(0, GpuSpec::titan_x_maxwell());
-        let cap = dev.spec.memory_bytes;
-        let _a = dev.reserve(cap - 10).unwrap();
-        assert!(dev.reserve(100).is_err());
     }
 
     #[test]
@@ -474,7 +435,7 @@ mod tests {
         assert_eq!(begins.len(), 2);
         assert!(begins.iter().all(|e| e.tid == 2));
         assert_eq!(begins[0].cat, "sampling");
-        assert!(begins[0].args.iter().any(|(k, _)| k == "stream"));
+        assert!(begins[0].args.iter().any(|(k, _)| k == "grid"));
         // Span [start, end] matches the clock advance.
         let ends: Vec<_> = evs.iter().filter(|e| e.kind == EventKind::End).collect();
         assert!((ends[1].ts_us / 1e6 - dev.now()).abs() < 1e-12);

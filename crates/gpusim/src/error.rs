@@ -7,7 +7,6 @@
 //!
 //! [`Device::try_launch_spec`]: crate::Device::try_launch_spec
 
-use crate::memory::OomError;
 use std::error::Error;
 use std::fmt;
 
@@ -15,8 +14,8 @@ use std::fmt;
 ///
 /// The first three variants are produced by an attached
 /// [`FaultPlan`](crate::FaultPlan) firing at its (device, epoch, kernel)
-/// coordinate; `EmptyGrid` and `Oom` are user-shaped errors returned
-/// instead of a panic.
+/// coordinate; `EmptyGrid` is a user-shaped error returned instead of a
+/// panic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimFault {
     /// A kernel launch failed before the grid ran; no device state was
@@ -51,8 +50,6 @@ pub enum SimFault {
         /// Name of the offending kernel.
         kernel: String,
     },
-    /// A device-memory reservation exceeded capacity.
-    Oom(OomError),
 }
 
 impl fmt::Display for SimFault {
@@ -80,25 +77,11 @@ impl fmt::Display for SimFault {
             SimFault::EmptyGrid { kernel } => {
                 write!(f, "kernel `{kernel}` launched with an empty grid")
             }
-            SimFault::Oom(e) => write!(f, "{e}"),
         }
     }
 }
 
-impl Error for SimFault {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            SimFault::Oom(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<OomError> for SimFault {
-    fn from(e: OomError) -> Self {
-        SimFault::Oom(e)
-    }
-}
+impl Error for SimFault {}
 
 #[cfg(test)]
 mod tests {
@@ -124,17 +107,5 @@ mod tests {
             epoch: 3,
         };
         assert!(d.to_string().contains("dropped"));
-    }
-
-    #[test]
-    fn oom_converts_and_chains() {
-        let oom = OomError {
-            requested: 10,
-            available: 5,
-            capacity: 8,
-        };
-        let f = SimFault::from(oom);
-        assert!(f.to_string().contains("device OOM"));
-        assert!(Error::source(&f).is_some());
     }
 }

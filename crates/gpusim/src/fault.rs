@@ -77,12 +77,6 @@ impl FaultSpec {
         }
     }
 
-    /// Restricts the fault to launches of `kernel`.
-    pub fn on_kernel(mut self, kernel: impl Into<String>) -> Self {
-        self.kernel = Some(kernel.into());
-        self
-    }
-
     /// Makes the fault permanent (fires on every epoch ≥ its coordinate).
     pub fn permanent(mut self) -> Self {
         self.permanent = true;
@@ -324,9 +318,7 @@ mod tests {
 
     #[test]
     fn kernel_filter_is_respected() {
-        let plan = FaultPlan::from_specs(vec![
-            FaultSpec::new(FaultKind::KernelLaunch, 0, 0).on_kernel("phi_update")
-        ]);
+        let plan = FaultPlan::parse("launch:0:0:phi_update").unwrap();
         assert!(plan
             .take(FaultKind::KernelLaunch, 0, 0, Some("lda_sample"))
             .is_none());

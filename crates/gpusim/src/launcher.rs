@@ -1,18 +1,14 @@
 //! Kernel launch descriptions.
 //!
 //! Every kernel launch in the system is a [`KernelSpec`] — name, grid
-//! size, stream, phase tag — executed by
+//! size, phase tag — executed by
 //! [`Device::try_launch_spec_with`](crate::Device::try_launch_spec_with)
 //! or [`Device::try_launch_spec`](crate::Device::try_launch_spec), which
-//! wraps it. Describing launches this way gives three things a bare
-//! kernel name could not:
-//!
-//! * the per-device [`ProfileLog`](crate::ProfileLog) records the *phase*
-//!   of every launch, so Table-5-style breakdowns fall out of the log
-//!   instead of being hand-threaded through the trainer;
-//! * stream tags survive into the launch history, letting the out-of-core
-//!   scheduler attribute kernel time to pipeline stages;
-//! * call sites can no longer bypass the clock/profile bookkeeping.
+//! wraps it, so no call site can bypass the clock and profile
+//! bookkeeping. The phase tag labels each launch in the per-device
+//! [`ProfileLog`](crate::ProfileLog) and in the kernel's trace span
+//! category. Table 5's breakdown does not read it: the trainer charges
+//! each phase's seconds to its own `Breakdown` as it launches.
 
 /// Which algorithmic phase a launch belongs to (Algorithm 1's structure).
 ///
@@ -26,8 +22,6 @@ pub enum LaunchPhase {
     ThetaUpdate,
     /// ϕ (word–topic) clear + recount.
     PhiUpdate,
-    /// ϕ replica reduce/broadcast traffic.
-    Sync,
     /// Fold-in inference on a frozen ϕ (serving path; read-only model).
     Inference,
     /// Anything else (setup, diagnostics, tests).
@@ -42,35 +36,29 @@ impl LaunchPhase {
             LaunchPhase::Sampling => "sampling",
             LaunchPhase::ThetaUpdate => "theta",
             LaunchPhase::PhiUpdate => "phi",
-            LaunchPhase::Sync => "sync",
             LaunchPhase::Inference => "inference",
             LaunchPhase::Other => "other",
         }
     }
 }
 
-/// A fully described kernel launch: what to run, how wide, where.
+/// A fully described kernel launch: what to run, how wide, in which phase.
 #[derive(Debug, Clone)]
 pub struct KernelSpec {
     /// Kernel name (profiler key).
     pub name: String,
     /// Grid size in thread blocks.
     pub grid: u32,
-    /// Stream ordinal; launches on different streams may overlap in the
-    /// engine model ([`EnginePipeline`](crate::EnginePipeline)). Stream 0
-    /// is the default stream.
-    pub stream: u32,
     /// Algorithmic phase this launch belongs to.
     pub phase: LaunchPhase,
 }
 
 impl KernelSpec {
-    /// A launch of `name` over `grid` blocks on stream 0, phase `Other`.
+    /// A launch of `name` over `grid` blocks, phase `Other`.
     pub fn new(name: impl Into<String>, grid: u32) -> Self {
         Self {
             name: name.into(),
             grid,
-            stream: 0,
             phase: LaunchPhase::default(),
         }
     }
@@ -78,12 +66,6 @@ impl KernelSpec {
     /// Tags the launch with an algorithmic phase.
     pub fn with_phase(mut self, phase: LaunchPhase) -> Self {
         self.phase = phase;
-        self
-    }
-
-    /// Places the launch on a non-default stream.
-    pub fn on_stream(mut self, stream: u32) -> Self {
-        self.stream = stream;
         self
     }
 }
@@ -96,12 +78,9 @@ mod tests {
 
     #[test]
     fn spec_builder_sets_all_fields() {
-        let s = KernelSpec::new("k", 64)
-            .with_phase(LaunchPhase::Sampling)
-            .on_stream(2);
+        let s = KernelSpec::new("k", 64).with_phase(LaunchPhase::Sampling);
         assert_eq!(s.name, "k");
         assert_eq!(s.grid, 64);
-        assert_eq!(s.stream, 2);
         assert_eq!(s.phase, LaunchPhase::Sampling);
     }
 
@@ -129,13 +108,12 @@ mod tests {
             LaunchPhase::Sampling,
             LaunchPhase::ThetaUpdate,
             LaunchPhase::PhiUpdate,
-            LaunchPhase::Sync,
             LaunchPhase::Inference,
             LaunchPhase::Other,
         ]
         .iter()
         .map(|p| p.label())
         .collect();
-        assert_eq!(labels.len(), 6);
+        assert_eq!(labels.len(), 5);
     }
 }

@@ -16,7 +16,9 @@
 //!   ([`cost`]), per-device simulated clocks ([`clock`], [`device`]) and
 //!   interconnect costs ([`link`]);
 //! * **the platforms** — Table 2's Maxwell/Pascal/Volta machines
-//!   ([`platform`]).
+//!   ([`platform`]). A GPU's memory capacity is a number in its
+//!   [`GpuSpec`] that the trainer's planner sizes chunks against; the
+//!   simulator keeps no allocation ledger.
 //!
 //! Thread blocks really execute concurrently on host threads and really
 //! share memory through atomics, so the concurrency behaviour of the
@@ -67,7 +69,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use kernel::{BlockCtx, LaunchReport};
 pub use launcher::{KernelSpec, LaunchPhase};
 pub use link::Link;
-pub use memory::{distinct_segments, AtomicU16Buf, AtomicU32Buf, MemoryLedger, OomError};
+pub use memory::{distinct_segments, AtomicU16Buf, AtomicU32Buf};
 pub use platform::{GpuSpec, Platform};
 pub use profile::{KernelSummary, LaunchRecord, ProfileLog};
 pub use shared::SharedMem;

@@ -1,44 +1,16 @@
-//! Device memory: capacity accounting and atomically-shared buffers.
+//! Atomically-shared device buffers.
 //!
-//! Two concerns live here:
-//!
-//! 1. **Capacity.** The paper stresses that "a typical GPU has only
-//!    12GB–16GB memory", which forces the out-of-core `M > 1` schedule.
-//!    [`MemoryLedger`] models that: every device-resident buffer reserves
-//!    bytes against the device's capacity, and exhaustion is a normal,
-//!    recoverable condition ([`OomError`]) the scheduler reacts to.
-//! 2. **Shared mutation.** The sampling and update kernels run thread
-//!    blocks concurrently on host threads and mutate the model with device
-//!    atomics. [`AtomicU32Buf`]/[`AtomicU16Buf`] are the safe equivalents:
-//!    relaxed-ordering atomic cells (counts need no ordering, only
-//!    atomicity — each iteration ends with a real synchronization point,
-//!    the thread join, which publishes everything).
+//! The sampling and update kernels run thread blocks concurrently on host
+//! threads and mutate the model with device atomics.
+//! [`AtomicU32Buf`]/[`AtomicU16Buf`] are the safe equivalents:
+//! relaxed-ordering atomic cells (counts need no ordering, only
+//! atomicity — each iteration ends with a real synchronization point, the
+//! thread join, which publishes everything). Device capacity is not
+//! tracked here: the trainer's plan (`culda_multigpu::schedule`) checks
+//! the model and chunks against `GpuSpec::memory_bytes` before anything
+//! is built.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Device memory exhausted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OomError {
-    /// Bytes that were requested.
-    pub requested: u64,
-    /// Bytes that were still free.
-    pub available: u64,
-    /// Device capacity in bytes.
-    pub capacity: u64,
-}
-
-impl std::fmt::Display for OomError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "device OOM: requested {} bytes, {} free of {}",
-            self.requested, self.available, self.capacity
-        )
-    }
-}
-
-impl std::error::Error for OomError {}
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Number of distinct aligned memory segments a set of byte addresses
 /// touches — the transaction count a warp-wide access issues. A perfectly
@@ -53,90 +25,6 @@ pub fn distinct_segments(addrs: &[u64], segment_bytes: usize) -> usize {
     segs.sort_unstable();
     segs.dedup();
     segs.len()
-}
-
-/// Tracks allocated bytes against a device's capacity.
-#[derive(Debug)]
-pub struct MemoryLedger {
-    capacity: u64,
-    allocated: AtomicU64,
-}
-
-impl MemoryLedger {
-    /// A ledger for a device with `capacity` bytes.
-    pub fn new(capacity: u64) -> Arc<Self> {
-        Arc::new(Self {
-            capacity,
-            allocated: AtomicU64::new(0),
-        })
-    }
-
-    /// Reserves `bytes`, returning an RAII guard that releases on drop.
-    pub fn reserve(self: &Arc<Self>, bytes: u64) -> Result<Reservation, OomError> {
-        // CAS loop so concurrent reservations never oversubscribe.
-        let mut cur = self.allocated.load(Ordering::Relaxed);
-        loop {
-            let available = self.capacity - cur;
-            if bytes > available {
-                return Err(OomError {
-                    requested: bytes,
-                    available,
-                    capacity: self.capacity,
-                });
-            }
-            match self.allocated.compare_exchange_weak(
-                cur,
-                cur + bytes,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    return Ok(Reservation {
-                        ledger: Arc::clone(self),
-                        bytes,
-                    })
-                }
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Bytes currently reserved.
-    pub fn allocated(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes still free.
-    pub fn available(&self) -> u64 {
-        self.capacity - self.allocated()
-    }
-}
-
-/// RAII reservation of device memory.
-#[derive(Debug)]
-pub struct Reservation {
-    ledger: Arc<MemoryLedger>,
-    bytes: u64,
-}
-
-impl Reservation {
-    /// Size of this reservation.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-}
-
-impl Drop for Reservation {
-    fn drop(&mut self) {
-        self.ledger
-            .allocated
-            .fetch_sub(self.bytes, Ordering::Relaxed);
-    }
 }
 
 /// A device buffer of `u32` counters mutated by concurrent blocks with
@@ -308,53 +196,6 @@ mod tests {
         // Duplicates collapse.
         assert_eq!(distinct_segments(&[0, 0, 4, 120], 128), 1);
         assert_eq!(distinct_segments(&[], 128), 0);
-    }
-
-    #[test]
-    fn ledger_reserve_and_release() {
-        let ledger = MemoryLedger::new(1000);
-        let a = ledger.reserve(600).unwrap();
-        assert_eq!(ledger.allocated(), 600);
-        let err = ledger.reserve(500).unwrap_err();
-        assert_eq!(err.available, 400);
-        drop(a);
-        assert_eq!(ledger.allocated(), 0);
-        let _b = ledger.reserve(1000).unwrap();
-        assert_eq!(ledger.available(), 0);
-    }
-
-    #[test]
-    fn oom_error_is_displayable() {
-        let ledger = MemoryLedger::new(10);
-        let e = ledger.reserve(20).unwrap_err();
-        assert!(e.to_string().contains("requested 20"));
-    }
-
-    #[test]
-    fn concurrent_reservations_never_oversubscribe() {
-        let ledger = MemoryLedger::new(100);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| {
-                    let l = Arc::clone(&ledger);
-                    s.spawn(move || {
-                        let mut held = Vec::new();
-                        while let Ok(r) = l.reserve(10) {
-                            held.push(r);
-                        }
-                        held
-                    })
-                })
-                .collect();
-            // Join all threads BEFORE dropping any reservation, so releases
-            // cannot refill the ledger mid-count.
-            let all: Vec<_> = handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect();
-            let total: u64 = all.iter().map(|r| r.bytes()).sum();
-            assert_eq!(total, 100, "exactly the capacity must be handed out");
-        });
     }
 
     #[test]

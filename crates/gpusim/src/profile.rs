@@ -23,8 +23,6 @@ pub struct LaunchRecord {
     pub wall_seconds: f64,
     /// Algorithmic phase tag from the launch spec.
     pub phase: LaunchPhase,
-    /// Stream the launch was placed on.
-    pub stream: u32,
 }
 
 /// Aggregated statistics for one kernel name.
@@ -58,20 +56,19 @@ impl ProfileLog {
         Self::default()
     }
 
-    /// Records an untagged launch (stream 0, phase `Other`).
+    /// Records an untagged launch (phase `Other`).
     pub fn push(&mut self, report: &LaunchReport) {
-        self.push_tagged(report, LaunchPhase::default(), 0);
+        self.push_tagged(report, LaunchPhase::default());
     }
 
-    /// Records a launch with its phase and stream tags.
-    pub fn push_tagged(&mut self, report: &LaunchReport, phase: LaunchPhase, stream: u32) {
+    /// Records a launch with its phase tag.
+    pub fn push_tagged(&mut self, report: &LaunchReport, phase: LaunchPhase) {
         self.records.push(LaunchRecord {
             name: report.name.clone(),
             cost: report.cost,
             sim_seconds: report.sim_seconds,
             wall_seconds: report.wall_seconds,
             phase,
-            stream,
         });
     }
 
@@ -80,15 +77,6 @@ impl ProfileLog {
     /// history is deterministic regardless of worker scheduling.
     pub fn merge(&mut self, other: &ProfileLog) {
         self.records.extend(other.records.iter().cloned());
-    }
-
-    /// Total modelled seconds attributed to `phase`.
-    pub fn phase_seconds(&self, phase: LaunchPhase) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.phase == phase)
-            .map(|r| r.sim_seconds)
-            .sum()
     }
 
     /// All records, in launch order.
@@ -308,17 +296,5 @@ mod tests {
         assert_eq!(a.len(), 3);
         let names: Vec<_> = a.records().iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["x", "y", "z"]);
-    }
-
-    #[test]
-    fn phase_seconds_sums_only_the_tagged_phase() {
-        let mut log = ProfileLog::new();
-        log.push_tagged(&report("s", 0.5, 1), LaunchPhase::Sampling, 0);
-        log.push_tagged(&report("s", 0.25, 1), LaunchPhase::Sampling, 1);
-        log.push_tagged(&report("t", 0.1, 1), LaunchPhase::ThetaUpdate, 0);
-        assert!((log.phase_seconds(LaunchPhase::Sampling) - 0.75).abs() < 1e-12);
-        assert!((log.phase_seconds(LaunchPhase::ThetaUpdate) - 0.1).abs() < 1e-12);
-        assert_eq!(log.phase_seconds(LaunchPhase::Sync), 0.0);
-        assert_eq!(log.records()[1].stream, 1);
     }
 }

@@ -73,30 +73,6 @@ pub fn ln_gamma_ratio(x: f64, n: u32) -> f64 {
     }
 }
 
-/// Digamma function ψ(x) = d/dx ln Γ(x) for `x > 0`.
-///
-/// Used by hyper-parameter optimization extensions (Minka fixed-point
-/// updates for α); implemented via the standard asymptotic series after
-/// shifting the argument above 6.
-pub fn digamma(x: f64) -> f64 {
-    assert!(
-        x.is_finite() && x > 0.0,
-        "digamma requires finite x > 0, got {x}"
-    );
-    let mut x = x;
-    let mut acc = 0.0;
-    while x < 10.0 {
-        acc -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    // Asymptotic: ln x − 1/(2x) − Σ B_{2n} / (2n x^{2n})
-    acc + x.ln()
-        - 0.5 * inv
-        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,22 +131,6 @@ mod tests {
                 let direct = ln_gamma(x + n as f64) - ln_gamma(x);
                 assert_close(ln_gamma_ratio(x, n), direct, 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn digamma_known_values() {
-        // ψ(1) = −γ (Euler–Mascheroni)
-        assert_close(digamma(1.0), -0.577_215_664_901_532_9, 1e-10);
-        // ψ(1/2) = −γ − 2 ln 2
-        assert_close(
-            digamma(0.5),
-            -0.577_215_664_901_532_9 - 2.0 * std::f64::consts::LN_2,
-            1e-10,
-        );
-        // Recurrence ψ(x+1) = ψ(x) + 1/x
-        for &x in &[0.2, 1.3, 7.7, 100.0] {
-            assert_close(digamma(x + 1.0), digamma(x) + 1.0 / x, 1e-10);
         }
     }
 

@@ -5,7 +5,7 @@
 //! every solver (CuLDA, the dense oracle, the CPU and distributed baselines)
 //! scores itself with identical code.
 //!
-//! * [`lgamma`] — `ln Γ` / digamma implemented from scratch.
+//! * [`lgamma`] — `ln Γ` implemented from scratch.
 //! * [`loglik`] — joint log-likelihood per token (Figure 8's y-axis).
 //! * [`throughput`] — `#Tokens/sec` accounting (Eq. 2, Table 4, Figure 7).
 //! * [`breakdown`] — per-kernel time decomposition (Table 5).
@@ -40,7 +40,7 @@ pub use breakdown::{Breakdown, GpuBreakdowns, Phase};
 pub use coherence::CoOccurrence;
 pub use health::{HealthEvent, HealthKind, HealthMonitor, HealthSample, Severity};
 pub use json::Json;
-pub use lgamma::{digamma, ln_gamma, ln_gamma_ratio};
+pub use lgamma::{ln_gamma, ln_gamma_ratio};
 pub use loglik::LdaLoglik;
 pub use openmetrics::{lint_openmetrics, parse_openmetrics, render_openmetrics};
 pub use registry::{nearest_rank, Counter, Gauge, Histogram, MetricsRegistry};

@@ -99,29 +99,6 @@ impl LdaLoglik {
         acc
     }
 
-    /// Full joint log-likelihood from dense `ϕ` (row-major `K×V`) and a
-    /// sparse `θ` given as per-document non-zero count lists. Convenience
-    /// wrapper used by tests and small examples; the trainers stream terms
-    /// instead.
-    pub fn total_dense_phi(&self, phi: &[u32], theta_rows: &[Vec<u32>]) -> f64 {
-        assert_eq!(
-            phi.len(),
-            self.num_topics * self.vocab_size,
-            "phi must be K×V row-major"
-        );
-        let mut acc = 0.0;
-        for k in 0..self.num_topics {
-            let row = &phi[k * self.vocab_size..(k + 1) * self.vocab_size];
-            let total: u64 = row.iter().map(|&c| c as u64).sum();
-            acc += self.topic_term(row.iter().copied(), total);
-        }
-        for row in theta_rows {
-            let len: u64 = row.iter().map(|&c| c as u64).sum();
-            acc += self.doc_term(row.iter().copied(), len);
-        }
-        acc
-    }
-
     /// Normalizes a joint log-likelihood by token count, the y-axis of Fig 8.
     pub fn per_token(&self, total_loglik: f64, num_tokens: u64) -> f64 {
         assert!(num_tokens > 0, "cannot normalize by zero tokens");
@@ -163,19 +140,6 @@ mod tests {
             peaked > uniform,
             "peaked {peaked} should exceed uniform {uniform}"
         );
-    }
-
-    #[test]
-    fn total_is_sum_of_parts() {
-        let e = LdaLoglik::new(2.0, 0.5, 2, 3);
-        let phi = [3u32, 0, 1, 0, 2, 2]; // 2×3
-        let theta = vec![vec![2, 1], vec![1, 3]];
-        let total = e.total_dense_phi(&phi, &theta);
-        let by_hand = e.topic_term([3, 0, 1], 4)
-            + e.topic_term([0, 2, 2], 4)
-            + e.doc_term([2, 1], 3)
-            + e.doc_term([1, 3], 4);
-        assert!((total - by_hand).abs() < 1e-10);
     }
 
     #[test]

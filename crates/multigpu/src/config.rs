@@ -348,30 +348,6 @@ impl TrainerConfigBuilder {
         self
     }
 
-    /// Toggle the u16 precision compression.
-    pub fn compressed(mut self, on: bool) -> Self {
-        self.cfg.compressed = on;
-        self
-    }
-
-    /// Toggle shared-memory caching.
-    pub fn use_shared_memory(mut self, on: bool) -> Self {
-        self.cfg.use_shared_memory = on;
-        self
-    }
-
-    /// Set the tokens-per-block override (`None` = auto-size).
-    pub fn tokens_per_block(mut self, n: Option<usize>) -> Self {
-        self.cfg.tokens_per_block = n;
-        self
-    }
-
-    /// Override the device↔device link.
-    pub fn peer_link(mut self, link: Link) -> Self {
-        self.cfg.peer_link = Some(link);
-        self
-    }
-
     /// Replica combination strategy (see [`SyncMode`]).
     pub fn sync_mode(mut self, mode: SyncMode) -> Self {
         self.cfg.sync_mode = mode;

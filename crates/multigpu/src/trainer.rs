@@ -57,7 +57,6 @@ use crate::sync::{
 };
 use crate::worker::{run_workers, run_workers_traced, trace_staging, GpuWorker, IterationReport};
 use culda_corpus::{Corpus, CsrMatrix};
-use culda_gpusim::memory::Reservation;
 use culda_gpusim::{Device, FaultPlan, Link, ProfileLog};
 use culda_metrics::{
     Breakdown, GpuBreakdowns, IterationStat, Json, LdaLoglik, MetricsRegistry, Phase, RunHistory,
@@ -113,17 +112,16 @@ pub struct CuldaTrainer {
     faults: Option<Arc<FaultPlan>>,
     recovery: RecoveryStats,
     sync_totals: SyncTotals,
-    _residency: Vec<Reservation>,
 }
 
 impl CuldaTrainer {
     /// Prepares a training run: plans `M`, partitions and sorts the corpus,
-    /// initializes random assignments, builds the initial model, deals the
-    /// chunks round-robin over the `nodes × G` workers, and reserves their
-    /// device memory (Algorithm 1, lines 7–9, untimed). A degenerate
-    /// configuration comes back as [`CuldaError::Config`], and a corpus
-    /// whose model and chunks fit device memory at no `M` as
-    /// [`CuldaError::Invalid`].
+    /// initializes random assignments, builds the initial model, and deals
+    /// the chunks round-robin over the `nodes × G` workers (Algorithm 1,
+    /// lines 7–9, untimed). A degenerate configuration comes back as
+    /// [`CuldaError::Config`], and a corpus whose model and chunks fit
+    /// device memory at no `M` as [`CuldaError::Invalid`]: the plan is the
+    /// one place device capacity is checked.
     pub fn try_new(corpus: &Corpus, cfg: TrainerConfig) -> Result<Self, CuldaError> {
         Self::try_with_policy(corpus, cfg, PartitionPolicy::Document)
     }
@@ -202,11 +200,12 @@ impl CuldaTrainer {
     /// The one build body, from `states` (one per chunk of `part`, in
     /// global chunk order) whichever their source. Creates the `nodes × G`
     /// devices and their links, deals the chunks round-robin over them,
-    /// reserves device residency, and derives ϕ from z as a step
-    /// leaves it: each chunk into its owner's write replica, the step's
-    /// sum over the nodes ([`Self::sum_write_replicas`]), and each write
-    /// replica copied into its read replica. Returns the sum's reports,
-    /// unbooked.
+    /// and derives ϕ from z as a step leaves it: each chunk into its
+    /// owner's write replica, the step's sum over the nodes
+    /// ([`Self::sum_write_replicas`]), and each write replica copied into
+    /// its read replica. Returns the sum's reports, unbooked. What fits
+    /// was decided by the plan; the initial transfers are not charged,
+    /// because setup is not timed and Table 5 is iteration-only.
     fn build(
         cfg: TrainerConfig,
         part: PartitionedCorpus,
@@ -251,31 +250,10 @@ impl CuldaTrainer {
             })
             .collect();
 
-        // Reserve device residency. The initial transfers are not charged:
-        // setup is not timed, and Table 5 is iteration-only.
-        let mut residency = Vec::new();
-        for device in &devices {
-            let phi_bytes = 2 * cfg.phi_device_bytes(part.vocab_size);
-            residency.push(
-                device
-                    .reserve(phi_bytes)
-                    .expect("plan guaranteed the model fits"),
-            );
-        }
-        if plan.m == 1 {
-            for i in 0..part.num_chunks() {
-                let bytes = chunk_state_bytes(&part, i, cfg.num_topics);
-                residency.push(
-                    devices[chunk_owner(i, g)]
-                        .reserve(bytes)
-                        .expect("plan guaranteed chunks fit"),
-                );
-            }
-        }
-
         // Hand each device its worker and its two ϕ buffers (read snapshot
         // + write accumulator), and distribute the chunks round-robin
-        // (worker `w` owns global chunks `w, w+G, w+2G, …`).
+        // (worker `w` of the N·G owns global chunks `w, w+N·G, …`, so at
+        // M = 1 the nodes past the first own none).
         let mk_phi = || PhiModel::zeros(cfg.num_topics, part.vocab_size, priors);
         let mut workers: Vec<GpuWorker> = devices
             .into_iter()
@@ -318,7 +296,6 @@ impl CuldaTrainer {
             faults: None,
             recovery: RecoveryStats::default(),
             sync_totals: SyncTotals::default(),
-            _residency: residency,
         };
         let sums = trainer.sum_write_replicas();
         for w in &trainer.workers {
@@ -368,7 +345,7 @@ impl CuldaTrainer {
     }
 
     /// Number of workers still alive (== GPU count until a permanent
-    /// fault exhausts some worker's retry budget or a node fails).
+    /// fault exhausts some worker's retry budget).
     pub fn num_alive(&self) -> usize {
         self.workers.iter().filter(|w| w.alive).count()
     }
@@ -1033,15 +1010,12 @@ impl CuldaTrainer {
 
     /// Drains every chunk of the `lost` workers and deals them round-robin
     /// (ascending global chunk id — deterministic) to the alive workers,
-    /// charging each migration as one chunk-state transfer over `link` to
-    /// the receiving device. Returns, per worker, the local slots it
-    /// received. Migration is not fault-tolerant: a drop fault armed on
-    /// the receiving device loses the chunk and aborts training.
-    fn migrate_chunks(
-        &mut self,
-        lost: &[usize],
-        link: Link,
-    ) -> Result<Vec<Vec<usize>>, CuldaError> {
+    /// charging each migration as one chunk-state transfer over the host
+    /// link to the receiving device, whichever node it leaves. Returns,
+    /// per worker, the local slots it received. Migration is not
+    /// fault-tolerant: a drop fault armed on the receiving device loses the
+    /// chunk and aborts training.
+    fn migrate_chunks(&mut self, lost: &[usize]) -> Result<Vec<Vec<usize>>, CuldaError> {
         let survivors: Vec<usize> = (0..self.workers.len())
             .filter(|&i| self.workers[i].alive)
             .collect();
@@ -1059,7 +1033,7 @@ impl CuldaTrainer {
             let target = survivors[n % survivors.len()];
             let bytes = chunk_state_bytes(&self.part, gi, self.cfg.num_topics);
             let w = &mut self.workers[target];
-            let secs = w.device.try_transfer(bytes, &link)?;
+            let secs = w.device.try_transfer(bytes, &self.host_link)?;
             w.breakdown.add(Phase::Recovery, secs);
             self.breakdown.add(Phase::Recovery, secs);
             added[target].push(w.num_chunks());
@@ -1083,7 +1057,7 @@ impl CuldaTrainer {
         iteration: u32,
         sparse: bool,
     ) -> Result<(), CuldaError> {
-        let added = self.migrate_chunks(lost, self.host_link)?;
+        let added = self.migrate_chunks(lost)?;
         for (wi, locals) in added.iter().enumerate() {
             if locals.is_empty() {
                 continue;
@@ -1110,47 +1084,6 @@ impl CuldaTrainer {
             if let Some(reg) = &self.metrics {
                 reg.counter("rebalance").inc();
             }
-        }
-        Ok(())
-    }
-
-    /// Marks every worker of `node` dead and drains its shards: each chunk
-    /// it owned migrates round-robin (ascending global id) to the
-    /// survivors' workers, charged as one chunk-state transfer over the
-    /// inter-node link. The migrated chunks re-run on their new owners from
-    /// the next superstep; the model stays bit-identical because chunk
-    /// placement never enters the RNG keying.
-    pub fn fail_node(&mut self, node: usize) -> Result<(), CuldaError> {
-        let nodes = self.num_nodes();
-        if node >= nodes {
-            return Err(CuldaError::Invalid(format!(
-                "node {node} out of range (cluster has {nodes})"
-            )));
-        }
-        let g = self.gpus_per_node;
-        let members: Vec<usize> = (node * g..(node + 1) * g)
-            .filter(|&i| self.workers[i].alive)
-            .collect();
-        if members.is_empty() {
-            return Err(CuldaError::Invalid(format!("node {node} is already dead")));
-        }
-        for &i in &members {
-            self.workers[i].alive = false;
-        }
-        self.recovery.workers_lost += members.len() as u64;
-        self.migrate_chunks(&members, self.ps.link())?;
-        if let Some(sink) = &self.trace {
-            sink.instant_sim(
-                NODE_TID_BASE + node as u32,
-                "node_failed",
-                "recovery",
-                self.system_time(),
-            );
-        }
-        if let Some(reg) = &self.metrics {
-            reg.counter("cluster.nodes_failed").inc();
-            reg.gauge("cluster.nodes_alive")
-                .set(self.num_alive_nodes() as f64);
         }
         Ok(())
     }
@@ -1760,15 +1693,6 @@ mod tests {
             .unwrap()
     }
 
-    /// [`cluster_cfg`] with device memory shrunk so the plan goes
-    /// out-of-core (`M > 1`), spreading chunks over every node's workers.
-    fn oocore_cluster_cfg(nodes: usize, c: &Corpus) -> TrainerConfig {
-        let mut cfg = cluster_cfg(nodes);
-        cfg.platform.gpu.memory_bytes =
-            2 * cfg.phi_device_bytes(c.vocab_size()) + c.num_tokens() * 10 / 3;
-        cfg
-    }
-
     fn assignments(t: &CuldaTrainer) -> Vec<Vec<u16>> {
         t.states().iter().map(|s| s.z.snapshot()).collect()
     }
@@ -1806,24 +1730,48 @@ mod tests {
     }
 
     #[test]
-    fn node_failure_drains_to_survivors_bit_identically() {
+    fn every_device_holds_no_more_than_the_plan_let_through() {
+        // The plan checks one node's G devices; the build deals the
+        // C = M·G chunks over all N·G. Whatever N, each device's resident
+        // set as the plan models it must fit: both ϕ replicas, plus every
+        // chunk it owns at M = 1 or its two largest (the staging slots)
+        // at M > 1.
         let c = corpus();
-        let mut reference = CuldaTrainer::try_new(&c, oocore_cluster_cfg(3, &c)).unwrap();
-        let mut faulty = CuldaTrainer::try_new(&c, oocore_cluster_cfg(3, &c)).unwrap();
-        reference.try_step().unwrap();
-        faulty.try_step().unwrap();
-        let tokens_before: usize = faulty.states().iter().map(|s| s.z.len()).sum();
-        faulty.fail_node(1).unwrap();
-        assert_eq!((faulty.num_alive_nodes(), faulty.num_alive()), (2, 4));
-        let tokens_after: usize = faulty.states().iter().map(|s| s.z.len()).sum();
-        assert_eq!(tokens_before, tokens_after, "drain must conserve tokens");
-        reference.try_step().unwrap();
-        faulty.try_step().unwrap();
-        faulty.check_invariants();
-        assert_eq!(assignments(&reference), assignments(&faulty));
-        assert!(faulty.recovery.chunks_migrated > 0);
-        assert!(matches!(faulty.fail_node(1), Err(CuldaError::Invalid(_))));
-        assert!(matches!(faulty.fail_node(3), Err(CuldaError::Invalid(_))));
+        // The resident device holds exactly the one-node M = 1 plan's set.
+        let fit = CuldaTrainer::try_new(&c, cluster_cfg(1))
+            .unwrap()
+            .plan()
+            .resident_bytes;
+        for nodes in [1, 2, 3] {
+            let mut resident = cluster_cfg(nodes);
+            resident.platform.gpu.memory_bytes = fit;
+            let mut out_of_core = cluster_cfg(nodes);
+            out_of_core.platform.gpu.memory_bytes =
+                2 * out_of_core.phi_device_bytes(c.vocab_size()) + c.num_tokens() * 10 / 3;
+            for (cfg, m_is_one) in [(resident, true), (out_of_core, false)] {
+                let t = CuldaTrainer::try_new(&c, cfg).unwrap();
+                assert_eq!(t.plan().m == 1, m_is_one, "{nodes} node(s)");
+                assert_eq!(t.workers().len(), nodes * 2);
+                let capacity = t.cfg.platform.gpu.memory_bytes;
+                let phi = 2 * t.cfg.phi_device_bytes(t.part.vocab_size);
+                for w in t.workers() {
+                    let mut held: Vec<u64> = w
+                        .chunk_ids
+                        .iter()
+                        .map(|&i| chunk_state_bytes(&t.part, i, t.cfg.num_topics))
+                        .collect();
+                    held.sort_unstable_by(|a, b| b.cmp(a));
+                    let slots = if m_is_one { held.len() } else { 2 };
+                    let bytes = phi + held.iter().take(slots).sum::<u64>();
+                    assert!(
+                        bytes <= capacity,
+                        "{nodes} node(s), M = {}: GPU {} holds {bytes} of {capacity} bytes",
+                        t.plan().m,
+                        w.device.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

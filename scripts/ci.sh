@@ -69,7 +69,9 @@ infer_shapes "$smoke/c.phi"
 # perplexities of the fault-free run of the same shape. A training run
 # that survives its faults, such as the loss of a whole node (devices 0
 # and 1 of 2 nodes × 2 GPUs), must write the fault-free run's model byte
-# for byte. Losing the only worker, in serving or in training, is a fault
+# for byte. This corpus fits at M = 1, so its C = G chunks all sit on
+# node 0 and node 1 (devices 2 and 3) owns none: losing node 1 migrates
+# no chunk. Losing the only worker, in serving or in training, is a fault
 # (exit 3), not a panic.
 while IFS='|' read -r command flags plan code line; do
     case "$command" in
@@ -107,6 +109,7 @@ infer|--workers 2 --batch-size 16 --burnin 3 --samples 2|launch:1:0:permanent|0|
 infer|--workers 1|launch:0:0:permanent|3|error: all workers lost
 train|--platform maxwell|launch:0:1:permanent|3|error: all workers lost
 train|--platform pascal --gpus 2 --nodes 2|launch:0:1:permanent,launch:1:1:permanent|0|recovery: 6 fault(s) injected, 4 retry(s), 2 worker(s) lost, 2 chunk(s) migrated
+train|--platform pascal --gpus 2 --nodes 2|launch:2:1:permanent,launch:3:1:permanent|0|recovery: 6 fault(s) injected, 4 retry(s), 2 worker(s) lost, 0 chunk(s) migrated
 FAULTS
 # A sweep count past u32 is a usage error (exit 2), not one wrapped sweep.
 status=0

@@ -6,18 +6,19 @@
 //!    trained assignments, ϕ checkpoint, and log-likelihood series are
 //!    bit-identical to a single-node run of the same configuration. The
 //!    cluster changes only the modelled time and traffic.
-//! 2. **Node-failure drain** — killing a node mid-run conserves every
-//!    token (its chunks migrate to survivors) and the surviving cluster
-//!    still reproduces the healthy run bit-for-bit.
+//! 2. **Node loss** — a fault plan that kills every GPU of a node mid-run
+//!    conserves every token (the lost workers' chunks migrate to the
+//!    survivors) and the surviving cluster still reproduces the healthy
+//!    run bit-for-bit.
 //! 3. **Prefetch neutrality** — double-buffered chunk staging hides H2D
 //!    time (`overlap_fraction > 0`) without changing a single sampled
 //!    topic; serial staging reports zero overlap.
 
 use culda::corpus::{Corpus, SynthSpec};
-use culda::gpusim::Platform;
+use culda::gpusim::{FaultPlan, Platform};
 use culda::metrics::MetricsRegistry;
 use culda::multigpu::{
-    build_trainer, CuldaTrainer, LdaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
+    build_trainer, CuldaError, CuldaTrainer, LdaTrainer, PartitionPolicy, SyncMode, TrainerConfig,
 };
 use std::sync::Arc;
 
@@ -109,37 +110,35 @@ fn out_of_core_cluster_is_bit_identical_too() {
 
 #[test]
 fn node_failure_conserves_tokens_and_stays_bit_identical() {
+    // Node 2 of 3 is GPUs 4 and 5: a permanent launch fault on both from
+    // iteration 2 exhausts their retries, and their chunks migrate.
     let c = corpus();
     let mut oo = cfg(3, SyncMode::Delta);
     force_out_of_core(&mut oo, &c);
     let mut healthy = CuldaTrainer::try_new(&c, oo.clone()).unwrap();
-    let mut wounded = CuldaTrainer::try_new(&c, oo).unwrap();
-    for _ in 0..2 {
+    let mut wounded = CuldaTrainer::try_new(&c, oo.clone()).unwrap();
+    let node_2 = FaultPlan::parse("launch:4:2:permanent,launch:5:2:permanent").unwrap();
+    wounded.attach_fault_plan(Arc::new(node_2));
+    for _ in 0..4 {
         healthy.try_step().unwrap();
         wounded.try_step().unwrap();
     }
-    let tokens_before: usize = wounded.states().iter().map(|s| s.z.len()).sum();
-    wounded.fail_node(2).unwrap();
     assert_eq!(wounded.num_alive_nodes(), 2);
-    let tokens_after: usize = wounded.states().iter().map(|s| s.z.len()).sum();
-    assert_eq!(tokens_before, tokens_after, "drain lost tokens");
+    let tokens: usize = wounded.states().iter().map(|s| s.z.len()).sum();
+    assert_eq!(tokens, c.num_tokens() as usize, "the drain lost tokens");
     assert!(LdaTrainer::recovery(&wounded).chunks_migrated > 0);
-    for _ in 0..2 {
-        healthy.try_step().unwrap();
-        wounded.try_step().unwrap();
-    }
     wounded.check_invariants();
     assert_eq!(
         fingerprint(&healthy),
         fingerprint(&wounded),
-        "node failure changed the trained model"
+        "losing a node changed the trained model"
     );
-    // A second failure leaves one node; killing that too is terminal.
-    wounded.fail_node(0).unwrap();
-    assert!(matches!(
-        wounded.fail_node(1),
-        Err(culda::multigpu::CuldaError::AllWorkersLost)
-    ));
+    // Losing every node is terminal.
+    let mut doomed = CuldaTrainer::try_new(&c, oo).unwrap();
+    let every_gpu: Vec<String> = (0..6).map(|d| format!("launch:{d}:1:permanent")).collect();
+    doomed.attach_fault_plan(Arc::new(FaultPlan::parse(&every_gpu.join(",")).unwrap()));
+    doomed.try_step().unwrap();
+    assert!(matches!(doomed.try_step(), Err(CuldaError::AllWorkersLost)));
 }
 
 #[test]

@@ -228,8 +228,8 @@ fn inference_trace_obeys_ctef_discipline() {
                     assert_eq!(name, "lda_infer", "serving launches only lda_infer");
                     assert_eq!(s(e, "cat"), "inference", "kernel span phase cat");
                     assert!(
-                        e.get("args").and_then(|a| a.get("stream")).is_some(),
-                        "kernel span without stream arg"
+                        e.get("args").and_then(|a| a.get("grid")).is_some(),
+                        "kernel span without grid arg"
                     );
                     kernel_spans += 1;
                 } else if track.0 == HOST_PID && name.starts_with("infer batch") {

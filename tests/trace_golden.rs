@@ -121,11 +121,11 @@ fn traced_training_exports_well_formed_chrome_trace() {
                 stacks.entry(track).or_default().push(name.to_string());
                 if track.0 == SIM_PID && track.1 != SYNC_TID {
                     // Kernel spans carry their phase as `cat` and the
-                    // stream in `args`.
+                    // grid in `args`.
                     assert!(!s(e, "cat").is_empty(), "kernel span without phase cat");
                     assert!(
-                        e.get("args").and_then(|a| a.get("stream")).is_some(),
-                        "kernel span {name} without stream arg"
+                        e.get("args").and_then(|a| a.get("grid")).is_some(),
+                        "kernel span {name} without grid arg"
                     );
                     kernel_spans += 1;
                 } else if track.0 == HOST_PID {
